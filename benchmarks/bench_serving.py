@@ -6,7 +6,7 @@ Two experiments against the in-process :class:`PredictionServer`:
   clients, micro-batched gateway (default knobs) vs a per-request
   baseline (``max_batch_size=1``, identical otherwise).  At >= 8 clients
   the batcher must win on p99 latency *or* throughput: concurrent
-  requests coalesce into one ``predict_fleet`` grid pass instead of
+  requests coalesce into one ``predict_fleet`` sweep instead of
   paying one pass each.
 * **Overload**: an open-loop arrival storm far past capacity against a
   small queue bound.  The gateway must shed (typed ``Overloaded``)

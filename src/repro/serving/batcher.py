@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.observability.metrics import LATENCY_BUCKETS_MS, SIZE_BUCKETS
@@ -34,9 +34,11 @@ from repro.types import PredictedActivity
 
 #: ``run_batch(key, fleet_logins, now) -> [PredictedActivity, ...]``: the
 #: evaluation callback; the server wraps breaker/retry/faults around the
-#: raw ``predict_fleet`` here.
+#: raw ``predict_fleet`` here.  A result entry may be an exception
+#: instance, which is raised to that entry's request alone.
 BatchFn = Callable[
-    [Hashable, List[Sequence[int]], int], List[PredictedActivity]
+    [Hashable, List[Sequence[int]], int],
+    List[Union[PredictedActivity, Exception]],
 ]
 
 
@@ -160,5 +162,9 @@ class MicroBatcher:
             return
         size = len(batch.entries)
         for (_, future), prediction in zip(batch.entries, results):
-            if not future.done():
+            if future.done():
+                continue
+            if isinstance(prediction, Exception):
+                future.set_exception(prediction)
+            else:
                 future.set_result((prediction, size))

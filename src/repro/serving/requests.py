@@ -233,6 +233,9 @@ _REQUEST_TYPES: Dict[str, type] = {
 }
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _coerce_logins(value: Any) -> Tuple[int, ...]:
     """``logins`` from a JSON document as a tuple of ints, or a typed
     protocol error: a scalar, a string, or non-integer elements must
@@ -250,7 +253,19 @@ def _coerce_logins(value: Any) -> Tuple[int, ...]:
             raise ServingProtocolError(
                 f"logins elements must be integers, got {item!r}"
             )
+    if items and not (_INT64_MIN <= min(items) and max(items) <= _INT64_MAX):
+        raise ServingProtocolError("logins elements must fit in int64")
     return items
+
+
+def _coerce_now(value: Any) -> int:
+    """``now`` from a JSON document: an int64 integer or a typed error
+    (JSON integers are unbounded; the predictor's clock is int64)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServingProtocolError(f"now must be an integer, got {value!r}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ServingProtocolError("now must fit in int64")
+    return value
 
 
 def decode_request(doc: Dict[str, Any]) -> Request:
@@ -275,7 +290,11 @@ def decode_request(doc: Dict[str, Any]) -> Request:
             raise ServingProtocolError(
                 f"unknown field {name!r} for {request_type!r} request"
             )
-        kwargs[name] = _coerce_logins(value) if name == "logins" else value
+        if name == "logins":
+            value = _coerce_logins(value)
+        elif name == "now":
+            value = _coerce_now(value)
+        kwargs[name] = value
     if cls is PredictRequest:
         database_id = kwargs.get("database_id")
         if database_id is not None and not isinstance(database_id, str):

@@ -9,7 +9,7 @@ Request flow (``docs/serving.md`` has the full diagram)::
 
 The server is a single asyncio event loop: handlers are coroutine tasks,
 the predictor evaluation itself is synchronous numpy (micro-batched, so
-one grid pass answers many requests).  Admission bounds queued +
+one kernel sweep answers many requests).  Admission bounds queued +
 in-flight work and sheds the rest with typed rejections; the dispatch
 loop measures queue wait, re-checks deadlines, and hints the batcher to
 flush the moment the queue drains.
@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import DEFAULT_CONFIG, ProRPConfig
 from repro.core.fast_predictor import get_fast_predictor
@@ -101,6 +101,10 @@ _PREREGISTERED_COUNTERS = (
     "slo.alerts.fired",
     "slo.alerts.cleared",
 )
+
+#: What ``predict_fleet``'s one-shot int64 conversion raises for a history
+#: (or ``now``) that is not made of int64-representable integers.
+_CONVERSION_ERRORS = (OverflowError, TypeError, ValueError)
 
 #: Wall-clock window for the gateway's live series (shed/latency per
 #: tenant): one second, matching the serving SLOs' fast window.
@@ -203,7 +207,7 @@ class PredictionServer:
             self.settings.admission_policy(), clock=clock
         )
         self.batcher = MicroBatcher(
-            self._run_batch,
+            self._run_request_batch,
             max_batch_size=self.settings.max_batch_size,
             max_linger_s=self.settings.max_linger_ms / 1000.0,
         )
@@ -723,9 +727,13 @@ class PredictionServer:
                 version,
                 request.now,
             )
-        prediction, batch_size = await self.batcher.submit(
-            (request.region, request.config), logins, request.now
-        )
+        try:
+            prediction, batch_size = await self.batcher.submit(
+                (request.region, request.config), logins, request.now
+            )
+        except ServingProtocolError as exc:
+            # This request's own logins / now (see _run_request_batch).
+            return InvalidRequest(request.request_id, str(exc))
         if request.database_id is not None:
             prediction = self._bank_predict(
                 request.config,
@@ -812,12 +820,34 @@ class PredictionServer:
     # Guarded predictor evaluation
     # ------------------------------------------------------------------
 
+    def _run_request_batch(
+        self, key: Tuple[str, str], fleet_logins: List[Sequence[int]], now: int
+    ) -> List[Union[PredictedActivity, ServingProtocolError]]:
+        """The batcher's evaluation callback: :meth:`_run_batch`, except
+        that requests submitted in process were never decoded, so their
+        ``logins`` / ``now`` may not convert to int64.  Nothing is checked
+        up front; when the batch's one-shot conversion fails, each entry
+        is evaluated alone so only the offender gets the typed error."""
+        try:
+            return self._run_batch(key, fleet_logins, now)
+        except _CONVERSION_ERRORS:
+            return [self._run_alone(key, logins, now) for logins in fleet_logins]
+
+    def _run_alone(
+        self, key: Tuple[str, str], logins: Sequence[int], now: int
+    ) -> Union[PredictedActivity, ServingProtocolError]:
+        try:
+            return self._run_batch(key, [logins], now)[0]
+        except _CONVERSION_ERRORS as exc:
+            return ServingProtocolError(
+                f"logins and now must be int64 timestamps: {exc}"
+            )
+
     def _run_batch(
         self, key: Tuple[str, str], fleet_logins: List[Sequence[int]], now: int
     ) -> List[PredictedActivity]:
-        """The batcher's evaluation callback (the resume scan calls it
-        directly): resolve the config and run ``predict_fleet`` behind
-        the breaker and retry policy."""
+        """Resolve the config and run ``predict_fleet`` behind the
+        breaker and retry policy (batched requests and the resume scan)."""
         _, config_name = key
         config = self._config(config_name)
         breaker_now = self._clock()

@@ -18,14 +18,17 @@ contract:
   same workload.
 """
 
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.config import DEFAULT_CONFIG, ProRPConfig, Seasonality
-from repro.core.fast_predictor import get_fast_predictor
+from repro.core import fast_predictor
+from repro.core.fast_predictor import concat_logins, get_fast_predictor
 from repro.core.prediction_cache import HOT_PATH, PredictionCache
 from repro.core.resume_service import SCAN_FAULT_POINT
 from repro.faults import FaultPlan, FaultSpec, chaos
@@ -148,6 +151,221 @@ def test_predict_fleet_odd_instants():
         assert predictor.predict_fleet(fleets, now) == [
             predictor.predict(logins, now) for logins in fleets
         ]
+
+
+# ----------------------------------------------------------------------
+# predict_pairs == per-pair predict: a different `now` per database
+# ----------------------------------------------------------------------
+
+#: The knob shapes the interval sweep branches on, beyond CONFIG_VARIANTS:
+#: a horizon spanning several periods (one login reaches several periods'
+#: windows), windows narrower than the slide (gaps no window covers), a
+#: single candidate window, and the two extreme confidence thresholds.
+PAIR_VARIANTS = {
+    **CONFIG_VARIANTS,
+    "long_horizon": ProRPConfig(
+        history_days=7, horizon_s=3 * DAY, window_s=5 * HOUR,
+        slide_s=HOUR, confidence=0.25,
+    ),
+    "wide_window": ProRPConfig(
+        history_days=5, horizon_s=2 * DAY + HOUR, window_s=2 * DAY,
+        slide_s=20 * 60, confidence=0.4,
+    ),
+    "weekly_long": ProRPConfig(
+        history_days=28, horizon_s=8 * DAY, window_s=DAY, slide_s=6 * HOUR,
+        confidence=0.25, seasonality=Seasonality.WEEKLY,
+    ),
+    "narrow": ProRPConfig(
+        history_days=6, window_s=10 * 60, slide_s=45 * 60, confidence=0.3,
+    ),
+    "single_window": ProRPConfig(
+        history_days=4, horizon_s=DAY, window_s=DAY, confidence=0.5
+    ),
+    "one_in_p": ProRPConfig(history_days=6, window_s=3 * HOUR, confidence=1 / 6),
+    "certain": ProRPConfig(
+        history_days=3, window_s=8 * HOUR, slide_s=30 * 60, confidence=1.0
+    ),
+}
+
+
+def _pairs(predictor, fleets, nows):
+    concat, offsets = concat_logins(fleets)
+    return predictor.predict_pairs(concat, offsets, np.asarray(nows, dtype=np.int64))
+
+
+@st.composite
+def pair_batches(draw):
+    """``fleet_logins`` histories, each with an instant of its own."""
+    fleets = draw(fleet_logins())
+    nows = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=28 * DAY, max_value=32 * DAY),
+                st.integers(min_value=0, max_value=45 * DAY),
+            ),
+            min_size=len(fleets),
+            max_size=len(fleets),
+        )
+    )
+    return fleets, nows
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(pair_batches(), st.sampled_from(sorted(PAIR_VARIANTS)))
+def test_predict_pairs_matches_per_pair_predict(batch, variant):
+    fleets, nows = batch
+    predictor = get_fast_predictor(PAIR_VARIANTS[variant])
+    assert _pairs(predictor, fleets, nows) == [
+        predictor.predict(logins, now) for logins, now in zip(fleets, nows)
+    ]
+
+
+@pytest.mark.parametrize("variant", sorted(PAIR_VARIANTS))
+def test_predict_pairs_on_window_and_period_boundaries(variant):
+    """Logins placed exactly on (and one second either side of) window
+    starts, window ends and period boundaries: windows are closed on both
+    ends, so a boundary login belongs to two windows' edges at once and,
+    on a period boundary, to two periods."""
+    config = PAIR_VARIANTS[variant]
+    predictor = get_fast_predictor(config)
+    period = config.seasonality.period_seconds
+    periods = config.seasonality_periods_in_history
+    rng = random.Random(variant)
+    nudges = (0, -1, 1, config.window_s, config.window_s - 1,
+              config.window_s + 1, period, -period)
+    predicted = 0
+    for _ in range(25):
+        fleets, nows = [], []
+        for _ in range(rng.randint(1, 6)):
+            now = rng.choice([0, 100, 30 * DAY, rng.randint(0, 40 * DAY)])
+            logins = set()
+            # Two home windows per database, so periods pile up on them.
+            homes = [rng.randint(0, config.windows_per_horizon) for _ in range(2)]
+            for _ in range(rng.choice([0, 1, 2, 5, 30, 60])):
+                lookback = rng.randint(0, periods + 1)
+                window = rng.choice(homes)
+                logins.add(
+                    max(0, now + window * config.slide_s - lookback * period
+                        + rng.choice(nudges))
+                )
+            fleets.append(np.array(sorted(logins), dtype=np.int64))
+            nows.append(now)
+        expected = [predictor.predict(l, n) for l, n in zip(fleets, nows)]
+        assert _pairs(predictor, fleets, nows) == expected
+        predicted += sum(not p.is_empty for p in expected)
+    assert predicted  # the cases are not all trivially "no prediction"
+
+
+@hsettings(max_examples=25, deadline=None)
+@given(
+    fleet_logins(),
+    st.integers(min_value=28 * DAY, max_value=32 * DAY),
+    st.sampled_from(sorted(PAIR_VARIANTS)),
+    st.integers(min_value=1, max_value=5),
+)
+def test_predict_fleet_is_the_constant_now_case(fleets, now, variant, block):
+    """``predict_fleet`` is ``predict_pairs`` with one shared ``now``,
+    whatever the block size and whether logins arrive as arrays or tuples."""
+    predictor = get_fast_predictor(PAIR_VARIANTS[variant])
+    expected = _pairs(predictor, fleets, [now] * len(fleets))
+    tuples = [tuple(logins.tolist()) for logins in fleets]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fast_predictor, "PAIR_BLOCK", block)
+        assert predictor.predict_fleet(fleets, now) == expected
+        assert predictor.predict_fleet(tuples, now) == expected
+        assert predictor.predict_fleet(tuples[:1] + fleets[1:], now) == expected
+
+
+#: Histories that break every part of the contract: unsorted, duplicated,
+#: negative, far future, and the int64 extremes.
+garbage_logins = st.lists(
+    st.one_of(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.integers(min_value=-50 * DAY, max_value=50 * DAY),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(
+    pair_batches(),
+    garbage_logins,
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=45 * DAY),
+    st.sampled_from(sorted(PAIR_VARIANTS)),
+)
+def test_garbage_neighbour_spoils_only_its_own_row(
+    batch, garbage, position, garbage_now, variant
+):
+    """Isolation: no history, however malformed, changes a co-batched
+    database's answer."""
+    fleets, nows = batch
+    predictor = get_fast_predictor(PAIR_VARIANTS[variant])
+    expected = [predictor.predict(l, n) for l, n in zip(fleets, nows)]
+    position = min(position, len(fleets))
+    fleets = fleets[:position] + [np.array(garbage, dtype=np.int64)] + fleets[position:]
+    nows = nows[:position] + [garbage_now] + nows[position:]
+    answers = _pairs(predictor, fleets, nows)
+    assert answers[:position] + answers[position + 1 :] == expected
+
+
+def test_far_login_does_not_corrupt_neighbour():
+    """Regression: the segmented search used to shift database ``i`` by
+    ``i << 41``, so one login 2**42 away (a microsecond timestamp) moved
+    the *next* database's answer."""
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
+    now = 29 * DAY
+    a = tuple(day * DAY + 9 * HOUR for day in range(1, 29))
+    c = tuple(day * DAY + 14 * HOUR + 7 * day for day in range(1, 29, 2))
+    want_a, want_c = predictor.predict(a, now), predictor.predict(c, now)
+    assert not want_a.is_empty and not want_c.is_empty
+    for stray in (2**42, 2**62, -(2**42), -5, now * 1_000_000):
+        noisy = tuple(sorted(a + (stray,)))
+        assert predictor.predict_fleet([a, noisy, c], now) == [
+            want_a, want_a, want_c,
+        ], stray
+
+
+# ----------------------------------------------------------------------
+# The batched kernel's working set: O(block), pinned as a number
+# ----------------------------------------------------------------------
+
+
+def _traced_peak_mib(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_fleet_memory_is_bounded_by_the_block():
+    """No per-(window, period) lane array: 500 28-day histories peak at
+    a few MiB (the lane grid took 44.6), and a fleet twelve times larger
+    adds only its own concatenated input and result list."""
+    rng = np.random.default_rng(21)
+    now = 29 * DAY
+    fleets = [
+        np.unique(rng.integers(DAY, now, size=rng.integers(2, 70)))
+        for _ in range(6_000)
+    ]
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
+    small, small_mib = _traced_peak_mib(
+        lambda: predictor.predict_fleet(fleets[:500], now)
+    )
+    large, large_mib = _traced_peak_mib(
+        lambda: predictor.predict_fleet(fleets, now)
+    )
+    assert small_mib <= 8.0
+    assert large_mib <= small_mib + 4.0
+    # Block boundaries are invisible, and the answers are the scalar ones.
+    assert large[:500] == small
+    assert small[::5] == [predictor.predict(l, now) for l in fleets[:500:5]]
+    assert sum(not p.is_empty for p in small) > 100
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.serving import (
 )
 from repro.serving.requests import (
     DeadlineExpired,
+    InvalidRequest,
     Overloaded,
     PredictResponse,
     RateLimited,
@@ -225,8 +226,10 @@ def test_server_unknown_config_is_unavailable_not_fatal():
 
 def test_malformed_logins_resolve_not_hang():
     """A request whose logins numpy cannot coerce must resolve as a typed
-    error -- for itself AND for every request that shared its batch --
-    never strand a future (regression: ValueError escaped ``_handle``)."""
+    error, never strand a future (regression: ValueError escaped
+    ``_handle``) -- and the request that shared its batch is still
+    answered."""
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
 
     async def run():
         server = PredictionServer(
@@ -234,12 +237,50 @@ def test_malformed_logins_resolve_not_hang():
         )
         bad = predict_request(0, request_id="bad", logins=("bogus",))
         good = predict_request(1, request_id="good")
-        responses = await asyncio.wait_for(
+        bad_response, good_response = await asyncio.wait_for(
             server.serve_script([bad, good]), timeout=5.0
         )
-        for response in responses:
-            assert isinstance(response, Unavailable)
+        assert isinstance(bad_response, InvalidRequest)
+        assert good_response.prediction == predictor.predict(FLEETS[1], NOW)
+        assert good_response.batch_size == 2
         assert server.depth() == 0
+
+    asyncio.run(run())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(logins=FLEETS[1] + (2**63,)),
+        dict(logins=(-(2**63) - 1,) + FLEETS[1]),
+        dict(logins=None),
+        dict(now=2**63),
+    ],
+    ids=["login-too-large", "login-too-small", "logins-none", "now-too-large"],
+)
+def test_unconvertible_request_fails_alone(overrides):
+    """In-process requests are not decoded, so an out-of-int64 value only
+    surfaces in the batch's one-shot conversion (regression: the
+    ``OverflowError`` reached every future of the batch as
+    ``Unavailable``).  Only the offender may be refused."""
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
+
+    async def run():
+        server = PredictionServer(
+            settings=ServingSettings(max_linger_ms=50.0, max_batch_size=64)
+        )
+        script = [
+            predict_request(0),
+            predict_request(1, request_id="bad", **overrides),
+            predict_request(2),
+        ]
+        first, bad, last = await asyncio.wait_for(
+            server.serve_script(script), timeout=5.0
+        )
+        assert isinstance(bad, InvalidRequest) and "int64" in bad.message
+        assert first.prediction == predictor.predict(FLEETS[0], NOW)
+        assert last.prediction == predictor.predict(FLEETS[2], NOW)
+        assert server.stats.errors == 0 and server.depth() == 0
 
     asyncio.run(run())
 
@@ -590,6 +631,25 @@ class TestCodec:
                         "now": 0,
                     }
                 )
+
+    def test_out_of_int64_rejected(self):
+        """JSON integers are unbounded; the kernel's clock is int64."""
+        base = {"type": "predict", "request_id": "x", "logins": [1], "now": 0}
+        for field, value in (
+            ("logins", [1, 2**63]),
+            ("logins", [-(2**63) - 1]),
+            ("now", 2**63),
+            ("now", -(2**63) - 1),
+            ("now", "0"),
+        ):
+            with pytest.raises(ServingProtocolError):
+                decode_request({**base, field: value})
+        with pytest.raises(ServingProtocolError):
+            decode_request({"type": "resume_scan", "request_id": "x", "now": 2**63})
+        extremes = decode_request(
+            {**base, "logins": [-(2**63), 2**63 - 1], "now": 2**63 - 1}
+        )
+        assert extremes.logins == (-(2**63), 2**63 - 1)
 
     def test_encode_error_response(self):
         doc = encode_response(Overloaded("x", "full"))
