@@ -1,41 +1,24 @@
-"""History-versioned prediction cache and hot-path statistics.
+"""Always-on statistics of the prediction hot path.
 
-Algorithm 4 is a pure function of (sorted login timestamps, knobs, ``now``):
-re-running it when none of those changed is wasted work.  The simulator
-re-predicts in two situations where the inputs are frequently identical to
-a prediction it already holds -- the settle phase at ``sim_start`` (every
-idle-old database predicts at the same instant the region pre-seeded via
-:meth:`repro.core.fast_predictor.FastPredictor.predict_fleet`) and repeated
-control-plane passes within one event timestamp.  The cache memoises the
-last prediction of one database under the **exact** key
+Algorithm 4 anchors every candidate window at ``now`` (line 9), so a
+prediction is a pure function of (login timestamps, knobs, ``now``) and a
+memo keyed on ``now`` could only ever answer an exact replay of the same
+call.  The simulator therefore keeps no per-database prediction memo: the
+one batched evaluation it makes -- the settle phase at ``sim_start``, where
+every idle-old database predicts at the same instant -- is handed to the
+columnar engine by database index (``ColumnarRegionEngine.
+seed_initial_predictions``) and consumed inside ``start(d)``.
 
-``(HistoryStore.login_version, ProRPConfig, now)``
-
-and only ever returns a hit for a byte-identical replay of the same call.
-Predictions anchor their candidate windows at ``now`` (Algorithm 4 line 9),
-so two calls at different ``now`` genuinely differ even with identical
-logins -- a looser "still ahead of the clock" reuse rule would change
-simulation results, which the equivalence suite forbids.  Only logins
-invalidate: the key uses :attr:`HistoryStore.login_version`, which
-ACTIVITY_END inserts and non-login trims do not bump.
-
-The module also hosts :data:`HOT_PATH` -- always-on counters of full
-Algorithm-4 scans, batched fleet evaluations, and cache traffic.  They are
-plain integer attributes (no registry lookups) so the accounting itself
-stays off the profile; the richer :class:`~repro.observability.metrics.
-MetricsRegistry` counters are recorded only when observability is enabled.
+:data:`HOT_PATH` counts that traffic: full Algorithm-4 scans, batched fleet
+evaluations, settle answers consumed (``cache_hits``) and columnar scalar
+fall-throughs (``cache_misses``; the names are the ones ``benchmarks/e2e``
+reads).  They are plain integer attributes (no registry lookups) so the
+accounting itself stays off the profile.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from repro.config import ProRPConfig
-from repro.observability.runtime import OBS
-from repro.types import PredictedActivity
-
-#: Cache key: (login_version, knobs, prediction instant).
-CacheKey = Tuple[int, ProRPConfig, int]
+from typing import Dict
 
 
 class HotPathStats:
@@ -44,8 +27,9 @@ class HotPathStats:
     ``full_scans`` counts complete Algorithm-4 evaluations (reference or
     vectorised, single-database); ``batch_evals`` counts
     ``predict_fleet`` invocations and ``batch_databases`` the databases
-    they covered.  The benchmark's ">= 3x fewer full scans" criterion is
-    measured from these.
+    they covered.  ``cache_hits`` counts settle-batch answers the columnar
+    engine consumed instead of scanning, ``cache_misses`` the predictions
+    it answered with the scalar kernel.
     """
 
     __slots__ = (
@@ -54,7 +38,6 @@ class HotPathStats:
         "batch_databases",
         "cache_hits",
         "cache_misses",
-        "cache_invalidations",
     )
 
     def __init__(self) -> None:
@@ -66,7 +49,6 @@ class HotPathStats:
         self.batch_databases = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_invalidations = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -74,59 +56,9 @@ class HotPathStats:
     @property
     def predictor_invocations(self) -> int:
         """Predictor entry points paid for: every full scan plus one per
-        batched evaluation (the batch costs one grid pass, not D)."""
+        batched evaluation (the batch costs one kernel pass, not D)."""
         return self.full_scans + self.batch_evals
 
 
 #: Process-wide hot-path statistics (benchmarks reset() around runs).
 HOT_PATH = HotPathStats()
-
-
-class PredictionCache:
-    """Single-slot exact-key memo of one database's last prediction.
-
-    One slot suffices: the settle phase stores the batched prediction and
-    the immediately following ``actor.start()`` refresh replays the same
-    (login_version, config, now) triple.  A hit requires the full key to
-    match; a lookup that finds a slot with a *different* login version
-    counts as an invalidation (a login arrived since) and clears the slot.
-    """
-
-    __slots__ = ("_key", "_value")
-
-    def __init__(self) -> None:
-        self._key: Optional[CacheKey] = None
-        self._value: Optional[PredictedActivity] = None
-
-    def get(
-        self, login_version: int, config: ProRPConfig, now: int
-    ) -> Optional[PredictedActivity]:
-        """Return the memoised prediction for this exact key, else None."""
-        key = self._key
-        if key is not None:
-            if key[0] == login_version and key[2] == now and key[1] == config:
-                HOT_PATH.cache_hits += 1
-                if OBS.enabled:
-                    OBS.metrics.counter("predictor.cache.hits").inc()
-                return self._value
-            if key[0] != login_version:
-                HOT_PATH.cache_invalidations += 1
-                if OBS.enabled:
-                    OBS.metrics.counter("predictor.cache.invalidations").inc()
-                self._key = None
-                self._value = None
-        HOT_PATH.cache_misses += 1
-        if OBS.enabled:
-            OBS.metrics.counter("predictor.cache.misses").inc()
-        return None
-
-    def put(
-        self,
-        login_version: int,
-        config: ProRPConfig,
-        now: int,
-        prediction: PredictedActivity,
-    ) -> None:
-        """Memoise ``prediction`` under the exact key."""
-        self._key = (login_version, config, now)
-        self._value = prediction

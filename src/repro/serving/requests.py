@@ -18,8 +18,9 @@ router -> worker hop, and the scripted CLI ``serve --once`` mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Optional, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Union
 
 from repro.errors import ProRPError
 from repro.types import PredictedActivity
@@ -258,27 +259,75 @@ def _coerce_logins(value: Any) -> Tuple[int, ...]:
     return items
 
 
-def _coerce_now(value: Any) -> int:
-    """``now`` from a JSON document: an int64 integer or a typed error
-    (JSON integers are unbounded; the predictor's clock is int64)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServingProtocolError(f"now must be an integer, got {value!r}")
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise ServingProtocolError("now must fit in int64")
-    return value
+def _int64(name: str, minimum: Optional[int] = None) -> Callable[[Any], int]:
+    """Checker for an int64 integer field, optionally bounded below (JSON
+    integers are unbounded; the predictor's clock is int64)."""
+
+    def check(value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ServingProtocolError(f"{name} must be an integer, got {value!r}")
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ServingProtocolError(f"{name} must fit in int64")
+        if minimum is not None and value < minimum:
+            raise ServingProtocolError(f"{name} must be at least {minimum}")
+        return value
+
+    return check
+
+
+def _string(name: str, optional: bool = False) -> Callable[[Any], Optional[str]]:
+    def check(value: Any) -> Optional[str]:
+        if not (isinstance(value, str) or (optional and value is None)):
+            raise ServingProtocolError(f"{name} must be a string, got {value!r}")
+        return value
+
+    return check
+
+
+def _coerce_deadline(value: Any) -> Optional[float]:
+    """``deadline_ms``: ``null`` or a finite number (admission compares and
+    divides it, so a string, a bool or ``1e999`` must stop here)."""
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ServingProtocolError(
+        f"deadline_ms must be null or a finite number, got {value!r}"
+    )
+
+
+#: The type check of every request field, applied once, at decode.
+_FIELD_CHECKS: Dict[str, Callable[[Any], Any]] = {
+    "request_id": _string("request_id"),
+    "region": _string("region"),
+    "config": _string("config"),
+    "tenant": _string("tenant"),
+    "database_id": _string("database_id", optional=True),
+    "logins": _coerce_logins,
+    "now": _int64("now"),
+    "prewarm_s": _int64("prewarm_s"),
+    "period_s": _int64("period_s", minimum=1),
+    "deadline_ms": _coerce_deadline,
+}
 
 
 def decode_request(doc: Dict[str, Any]) -> Request:
     """Build a typed request from a decoded JSON object.
 
-    The document carries ``{"type": <kind>, ...fields}``; unknown types
-    and unknown/missing fields raise :class:`ServingProtocolError` so the
-    front end can answer with :class:`InvalidRequest` instead of dying.
+    The document carries ``{"type": <kind>, ...fields}``; unknown types,
+    unknown/missing fields and mistyped values raise
+    :class:`ServingProtocolError` so the front end can answer with
+    :class:`InvalidRequest` instead of dying -- nothing past this function
+    re-checks a field's type.
     """
     if not isinstance(doc, dict):
         raise ServingProtocolError("request document must be a JSON object")
     request_type = doc.get("type")
-    cls = _REQUEST_TYPES.get(request_type)
+    cls = _REQUEST_TYPES.get(request_type) if isinstance(request_type, str) else None
     if cls is None:
         raise ServingProtocolError(f"unknown request type {request_type!r}")
     known = {f.name for f in fields(cls)}
@@ -290,16 +339,9 @@ def decode_request(doc: Dict[str, Any]) -> Request:
             raise ServingProtocolError(
                 f"unknown field {name!r} for {request_type!r} request"
             )
-        if name == "logins":
-            value = _coerce_logins(value)
-        elif name == "now":
-            value = _coerce_now(value)
-        kwargs[name] = value
+        kwargs[name] = _FIELD_CHECKS[name](value)
     if cls is PredictRequest:
-        database_id = kwargs.get("database_id")
-        if database_id is not None and not isinstance(database_id, str):
-            raise ServingProtocolError("database_id must be a string")
-        if database_id is not None and kwargs.get("logins"):
+        if kwargs.get("database_id") is not None and kwargs.get("logins"):
             raise ServingProtocolError(
                 "a predict request carries database_id or inline logins, "
                 "not both"

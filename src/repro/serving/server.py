@@ -56,6 +56,7 @@ from repro.observability.runtime import OBS
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.batcher import MicroBatcher
 from repro.serving.requests import (
+    ErrorResponse,
     HealthRequest,
     HealthResponse,
     InvalidRequest,
@@ -905,6 +906,16 @@ class PredictionServer:
 # ---------------------------------------------------------------------------
 
 
+def contained(request_id: str, exc: Exception) -> ErrorResponse:
+    """The typed answer to an exception that escaped while admitting one
+    request, so a front end answers its sender and keeps the connection:
+    a value the codec should have refused is the sender's error, anything
+    else is ours."""
+    if isinstance(exc, (TypeError, ValueError)):
+        return InvalidRequest(request_id, f"malformed request: {exc!r}")
+    return Unavailable(request_id, f"internal error: {exc!r}")
+
+
 async def handle_connection(
     server: PredictionServer,
     reader: asyncio.StreamReader,
@@ -914,7 +925,8 @@ async def handle_connection(
     newline-delimited JSON responses out.  Requests on a single
     connection are handled serially -- each is answered before the next
     line is read -- so co-batching happens across connections, not
-    within one."""
+    within one.  A malformed request costs its sender one typed answer and
+    nobody else anything: the connection stays open."""
     try:
         while True:
             line = await reader.readline()
@@ -928,7 +940,10 @@ async def handle_connection(
             except (json.JSONDecodeError, ServingProtocolError) as exc:
                 response: Response = InvalidRequest("?", str(exc))
             else:
-                response = await server.submit(request)
+                try:
+                    response = await server.submit(request)
+                except Exception as exc:  # noqa: BLE001 - see contained()
+                    response = contained(request.request_id, exc)
             writer.write(
                 (json.dumps(encode_response(response)) + "\n").encode("utf-8")
             )

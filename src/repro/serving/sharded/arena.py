@@ -264,7 +264,7 @@ class SharedHistoryArena:
         arena for one region (the fleet-sim -> serving handoff).  Uses
         the history's compacted CSR export so trim cursors and the
         witness special case are resolved before workers ever look."""
-        offsets, logins, _versions = history.export_csr()
+        offsets, logins = history.export_csr()
         if len(database_ids) != history.n or len(paused) != history.n:
             raise ConfigError(
                 "database_ids/paused must match the history's database count"

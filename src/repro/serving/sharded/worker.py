@@ -35,7 +35,7 @@ from repro.serving.requests import (
     decode_request,
     encode_response,
 )
-from repro.serving.server import PredictionServer, ServingSettings
+from repro.serving.server import PredictionServer, ServingSettings, contained
 from repro.serving.sharded.arena import ArenaSpec, SharedHistoryArena
 
 #: Above this many buffered outgoing bytes the pipelined handler awaits
@@ -104,13 +104,17 @@ async def handle_pipelined(
                 try:
                     request = decode_request(doc)
                 except ServingProtocolError as exc:
-                    sync.append(
-                        InvalidRequest(
-                            str(doc.get("request_id", "?")), str(exc)
-                        )
+                    # Only an object can name the request it failed to be.
+                    request_id = (
+                        doc.get("request_id", "?") if isinstance(doc, dict) else "?"
                     )
+                    sync.append(InvalidRequest(str(request_id), str(exc)))
                     continue
-                response, future = server.submit_nowait(request)
+                try:
+                    response, future = server.submit_nowait(request)
+                except Exception as exc:  # noqa: BLE001 - see contained()
+                    sync.append(contained(request.request_id, exc))
+                    continue
                 if response is not None:
                     sync.append(response)
                 else:

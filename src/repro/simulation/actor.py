@@ -30,7 +30,6 @@ from repro.core.policy import (
     prediction_expired,
     reactive_wake_time,
 )
-from repro.core.prediction_cache import PredictionCache
 from repro.core.predictor import LATENCY_FAULT_POINT, predict_next_activity
 from repro.errors import FaultInjectedError, SimulationError
 from repro.faults.resilience import CircuitBreaker
@@ -494,7 +493,6 @@ class ProactiveActor(_BaseActor):
         collect_predictions: bool = False,
         prorp_outages: Sequence = (),
         breaker: Optional[CircuitBreaker] = None,
-        prediction_cache: Optional[PredictionCache] = None,
         bank: Optional["PredictorBank"] = None,
         bank_key: Optional[str] = None,
     ):
@@ -523,9 +521,6 @@ class ProactiveActor(_BaseActor):
         #: while open, every refresh degrades to reactive without touching
         #: the predictor at all.
         self._breaker = breaker
-        #: Exact-key memo of the last prediction; the region seeds it from
-        #: one batched predict_fleet call before actors start.
-        self._prediction_cache = prediction_cache
         self.next_activity = PredictedActivity.none()
         self.old = False
 
@@ -631,7 +626,9 @@ class ProactiveActor(_BaseActor):
         self.next_activity = self._predict_sliding(config, now)
 
     def _predict_sliding(self, config: ProRPConfig, now: int) -> PredictedActivity:
-        """The paper's sliding-window path (Algorithm 4), cache included."""
+        """The paper's sliding-window path (Algorithm 4): one scan per
+        call, never batched -- the per-database reference the columnar
+        engine's settle batch is compared against."""
         if self._fast_predictor is not None:
             if config is self.config:
                 predictor = self._fast_predictor
@@ -639,74 +636,8 @@ class ProactiveActor(_BaseActor):
                 from repro.core.fast_predictor import get_fast_predictor
 
                 predictor = get_fast_predictor(config)
-            cache = self._prediction_cache
-            if cache is None:
-                return predictor.predict(self.history.login_array(), now)
-            # The cache is consulted only after the fault point above, so
-            # injector consult order is identical with and without it.
-            login_version = self.history.login_version
-            cached = cache.get(login_version, config, now)
-            if cached is not None:
-                return cached
-            prediction = predictor.predict(self.history.login_array(), now)
-            cache.put(login_version, config, now, prediction)
-            return prediction
+            return predictor.predict(self.history.login_array(), now)
         return predict_next_activity(self.history, config, now)
-
-    # ------------------------------------------------------------------
-    # Settle-phase batching (region-driven)
-    # ------------------------------------------------------------------
-
-    def initial_prediction_request(self) -> Optional[ProRPConfig]:
-        """Pre-flight for the region's batched settle-phase prediction.
-
-        Returns the resolved Algorithm-4 configuration when this actor's
-        ``start()`` is guaranteed to run a prediction at ``sim_start`` (it
-        settles through the idle path with an old history), after
-        performing the same trim that refresh would -- trimming twice at
-        one instant is idempotent, so the in-start refresh then sees an
-        unchanged ``login_version`` and replays as an exact-key cache hit.
-        Returns None when no prediction will happen (no cache, database
-        mid-session/new/empty at ``sim_start``, ProRP outage) so the
-        region skips it.  Deliberately does **not** consult the circuit
-        breaker (``allow`` can mutate breaker state) nor the fault
-        injector -- both are consulted, in unchanged order, by the real
-        refresh inside ``start()``.
-        """
-        if (
-            self._prediction_cache is None
-            or self._fast_predictor is None
-            or self._measure_latency
-            or self.sim_start <= 0
-        ):
-            return None
-        sessions = self.trace.sessions
-        index = 0
-        while index < len(sessions) and sessions[index].end <= self.sim_start:
-            index += 1
-        if index >= len(sessions):
-            return None  # start() goes to physical pause, no prediction
-        if self.trace.created_at > self.sim_start:
-            return None  # not born yet: physical pause until first login
-        if sessions[index].start <= self.sim_start:
-            return None  # mid-session: active, no idle settling
-        if self._prorp_down(self.sim_start):
-            return None  # refresh degrades to reactive without predicting
-        trimmed = self.history.delete_old_history(
-            self.config.history_days, self.sim_start
-        )
-        if not trimmed.old:
-            return None  # new database: refresh skips the predictor
-        return self._prediction_config(self.sim_start)
-
-    def seed_prediction(
-        self, config: ProRPConfig, now: int, prediction: PredictedActivity
-    ) -> None:
-        """Store a batched settle-phase prediction in the cache."""
-        assert self._prediction_cache is not None
-        self._prediction_cache.put(
-            self.history.login_version, config, now, prediction
-        )
 
     # ------------------------------------------------------------------
     # Algorithm 1

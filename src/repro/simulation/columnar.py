@@ -59,19 +59,31 @@ from repro.core.lifecycle import (
 )
 from repro.core.policy import (
     IdleDecision,
+    PolicyKind,
     decide_after_logical_pause,
     decide_on_idle,
     logical_pause_wake_time,
     prediction_expired,
     reactive_wake_time,
 )
-from repro.core.prediction_cache import PredictionCache
+from repro.core.prediction_cache import HOT_PATH
 from repro.core.predictor import predict_next_activity
+from repro.core.resume_service import ProactiveResumeOperation
 from repro.errors import FaultInjectedError, SimulationError
 from repro.faults.resilience import CircuitBreaker
 from repro.faults.runtime import FAULTS
 from repro.observability.runtime import OBS
 from repro.simulation.actor import PREDICTOR_FAULT_POINT
+from repro.simulation.region import (
+    RegionSimulationResult,
+    _build_bank,
+    _build_breaker,
+    _build_cluster,
+    _build_fast_predictor,
+    _build_kpi_stream,
+    _per_trace_setup,
+    _start_resume_loop,
+)
 from repro.simulation.results import DatabaseOutcome
 from repro.storage.history import HistoryStore
 from repro.storage.metadata import DatabaseState, MetadataStore
@@ -294,9 +306,6 @@ class StoreHistory:
     def login_array(self, d: int) -> np.ndarray:
         return self.stores[d].login_array()
 
-    def login_version(self, d: int) -> int:
-        return self.stores[d].login_version
-
     def login_timestamps(self, d: int) -> Sequence[int]:
         return self.stores[d].login_timestamps()
 
@@ -379,7 +388,6 @@ class ColumnarRegionEngine:
         meta,
         cluster: StoreCluster,
         fast_predictor: Optional[FastPredictor] = None,
-        caches: Optional[List[Optional[PredictionCache]]] = None,
         breaker: Optional[CircuitBreaker] = None,
         prorp_outages: Sequence[Tuple[int, int]] = (),
         collect_predictions: bool = False,
@@ -396,7 +404,6 @@ class ColumnarRegionEngine:
         self.meta = meta
         self.cluster = cluster
         self.fast_predictor = fast_predictor
-        self.caches = caches if caches is not None else [None] * state.n
         self.breaker = breaker
         self.prorp_outages = tuple(prorp_outages)
         self.collect_predictions = collect_predictions
@@ -411,8 +418,11 @@ class ColumnarRegionEngine:
         self._seq = 0
         self._heap: List[Tuple[int, int, int, int, int]] = []
         #: Dispatched after the heap pops an EV_RESUME_OP entry; installed
-        #: by the region driver once the resume operation exists.
+        #: by ``schedule_resume_op``.
         self.on_resume_op: Optional[Callable[[int], None]] = None
+        #: Settle-batch answers ``d -> (config, prediction)``: parked by
+        #: ``seed_initial_predictions``, taken (or dropped) inside ``start``.
+        self._settled: Dict[int, Tuple[ProRPConfig, PredictedActivity]] = {}
         self.events_dispatched = 0
 
     # -- scheduling --------------------------------------------------------
@@ -579,34 +589,34 @@ class ColumnarRegionEngine:
     def _predict_sliding(
         self, d: int, config: ProRPConfig, now: int
     ) -> PredictedActivity:
-        """The paper's sliding-window path (Algorithm 4), cache included."""
-        if self.fast_predictor is not None:
-            if config is self.config:
-                predictor = self.fast_predictor
-            else:
-                predictor = get_fast_predictor(config)
-            cache = self.caches[d]
-            if cache is None:
-                return predictor.predict(self.hist.login_array(d), now)
-            login_version = self.hist.login_version(d)
-            cached = cache.get(login_version, config, now)
-            if cached is not None:
-                return cached
-            prediction = predictor.predict(self.hist.login_array(d), now)
-            cache.put(login_version, config, now, prediction)
-            return prediction
-        return predict_next_activity(self.hist.store(d), config, now)
+        """The paper's sliding-window path (Algorithm 4).  At ``sim_start``
+        a parked settle-batch answer for the same knobs replaces the scan;
+        it is taken only here, after the outage, breaker, trim and fault
+        checks of the refresh have all run for this database."""
+        if self.fast_predictor is None:
+            return predict_next_activity(self.hist.store(d), config, now)
+        if now == self.sim_start:
+            settled = self._settled.pop(d, None)
+            if settled is not None and settled[0] == config:
+                HOT_PATH.cache_hits += 1
+                return settled[1]
+        if config is self.config:
+            predictor = self.fast_predictor
+        else:
+            predictor = get_fast_predictor(config)
+        HOT_PATH.cache_misses += 1
+        return predictor.predict(self.hist.login_array(d), now)
 
-    # -- settle-phase batching (region-driven) -----------------------------
+    # -- settle-phase batching ---------------------------------------------
 
-    def initial_prediction_request(self, d: int) -> Optional[ProRPConfig]:
-        """Port of ``ProactiveActor.initial_prediction_request``."""
-        if (
-            self.caches[d] is None
-            or self.fast_predictor is None
-            or self.sim_start <= 0
-        ):
-            return None
+    def _settle_request(self, d: int) -> Optional[ProRPConfig]:
+        """The Algorithm-4 configuration ``start(d)`` will predict with at
+        ``sim_start``, or None when it will not reach the predictor: it
+        does only for a born database idle between sessions whose history
+        is old.  Performs the same trim the refresh would (trimming twice
+        at one instant is idempotent).  Deliberately consults neither the
+        circuit breaker (``allow`` can mutate it) nor the fault injector:
+        the real refresh inside ``start`` does both, in unchanged order."""
         s = self.s
         index = int(s.sess_offsets[d])
         hi = int(s.sess_offsets[d + 1])
@@ -618,26 +628,27 @@ class ColumnarRegionEngine:
             return None  # not born yet: physical pause until first login
         if s.sess_starts[index] <= self.sim_start:
             return None  # mid-session: active, no idle settling
-        if self._prorp_down(self.sim_start):
-            return None  # refresh degrades to reactive without predicting
         if not self.hist.trim(d, self.config.history_days, self.sim_start):
             return None  # new database: refresh skips the predictor
         return self._prediction_config(d, self.sim_start)
 
-    def seed_prediction(
-        self, d: int, config: ProRPConfig, now: int, prediction: PredictedActivity
-    ) -> None:
-        cache = self.caches[d]
-        assert cache is not None
-        cache.put(self.hist.login_version(d), config, now, prediction)
-
     def seed_initial_predictions(self) -> None:
-        """Port of ``region._seed_initial_predictions`` over indices."""
-        if self.fast_predictor is None:
+        """Batch the settle-phase predictions into one fleet evaluation.
+
+        Every database that is idle-with-history at ``sim_start`` runs the
+        same prediction at the same instant inside ``start(d)``.  Here
+        those D single-database Algorithm-4 scans become one
+        :meth:`FastPredictor.predict_fleet` call per distinct configuration
+        (adaptive seasonality can split the fleet), parked by index for
+        ``_predict_sliding`` to take.
+        """
+        if self.fast_predictor is None or self.sim_start <= 0:
             return
+        if self._prorp_down(self.sim_start):
+            return  # every refresh degrades to reactive without predicting
         groups: Dict[ProRPConfig, List[int]] = {}
         for d in range(self.s.n):
-            request = self.initial_prediction_request(d)
+            request = self._settle_request(d)
             if request is not None:
                 groups.setdefault(request, []).append(d)
         for group_config, members in groups.items():
@@ -650,9 +661,16 @@ class ColumnarRegionEngine:
                 [self.hist.login_array(d) for d in members], self.sim_start
             )
             for d, prediction in zip(members, predictions):
-                self.seed_prediction(d, group_config, self.sim_start, prediction)
+                self._settled[d] = (group_config, prediction)
 
     # -- initialisation ----------------------------------------------------
+
+    def start_all(self) -> None:
+        """Settle the whole fleet at ``sim_start``: one batched prediction
+        pass, then every database's ``start`` in index order."""
+        self.seed_initial_predictions()
+        for d in range(self.s.n):
+            self.start(d)
 
     def start(self, d: int) -> None:
         """Port of ``_BaseActor.start``."""
@@ -686,8 +704,11 @@ class ColumnarRegionEngine:
                 min(int(s.sess_ends[idx]), self.sim_end), EV_SESSION_END, d
             )
         else:
-            # Idle at simulation start: settle through the policy.
+            # Idle at simulation start: settle through the policy.  A
+            # settle answer the refresh did not take (outage, open breaker,
+            # injected fault, non-sliding bank arm) is dropped here.
             self._enter_initial_idle(d)
+            self._settled.pop(d, None)
             self._push(cur_start, EV_SESSION_START, d)
 
     def _enter_initial_physical_pause(self, d: int) -> None:
@@ -1076,7 +1097,8 @@ class ColumnarRegionEngine:
 
     # -- run loop ----------------------------------------------------------
 
-    def schedule_resume_op(self, at: int) -> None:
+    def schedule_resume_op(self, at: int, callback: Callable[[int], None]) -> None:
+        self.on_resume_op = callback
         self._push(at, EV_RESUME_OP, -1)
 
     def _dispatch(self, kind: int, d: int, now: int) -> None:
@@ -1196,15 +1218,6 @@ def actor_views(engine: ColumnarRegionEngine) -> List[ActorView]:
 # ---------------------------------------------------------------------------
 
 
-def _build_bank(settings, config: ProRPConfig, proactive: bool):
-    """The region's shared PredictorBank, or None when disabled."""
-    if not settings.predictor_bank or not proactive:
-        return None
-    from repro.tuning.bank import PredictorBank
-
-    return PredictorBank(settings.predictor_bank, config)
-
-
 def simulate_region_columnar(
     traces: Sequence[ActivityTrace],
     policy,
@@ -1214,89 +1227,21 @@ def simulate_region_columnar(
     """Run one region on the columnar engine with the real stores.
 
     Mirrors ``region._simulate_region`` step for step (cluster and RNG
-    construction, per-trace setup order, settle-phase seeding, start
-    order, resume-operation scheduling) and returns the same
-    :class:`~repro.simulation.region.RegionSimulationResult`.
+    construction, per-trace setup order, start order, resume-operation
+    scheduling) through the same wiring helpers and returns the same
+    :class:`~repro.simulation.region.RegionSimulationResult`; the one
+    difference is that the settle-phase predictions are batched.
     """
-    import random as _random
-
-    from repro.core.policy import PolicyKind
-    from repro.core.resume_service import ProactiveResumeOperation
-    from repro.simulation.region import RegionSimulationResult, _warm_history
-    from repro.workload.archetypes import maintenance_sessions
-
     proactive = policy is PolicyKind.PROACTIVE
-    cluster = Cluster(
-        n_nodes=settings.n_nodes,
-        node_capacity=settings.node_capacity,
-        resume_latency_s=settings.resume_latency_s,
-        resume_latency_jitter_s=settings.resume_latency_jitter_s,
-        move_latency_s=settings.move_latency_s,
-        seed=settings.seed,
-    )
+    cluster = _build_cluster(settings)
     metadata = MetadataStore()
-    fast_predictor = (
-        FastPredictor(config)
-        if proactive
-        and settings.use_fast_predictor
-        and not settings.measure_prediction_latency
-        else None
-    )
-    breaker = (
-        CircuitBreaker(failure_threshold=5, recovery_s=900, name="predictor")
-        if FAULTS.enabled and proactive
-        else None
-    )
-    stream = None
-    if OBS.enabled and OBS.metrics is not None:
-        from repro.observability.slo import KpiStream
-
-        stream = KpiStream(
-            OBS.metrics,
-            settings.eval_start,
-            settings.eval_end,
-            window_s=settings.slo_window_s,
-            labels=(
-                {"region": settings.region_label}
-                if settings.region_label
-                else None
-            ),
-        )
-
+    fast_predictor = _build_fast_predictor(config, settings, proactive)
+    breaker = _build_breaker(proactive)
+    stream = _build_kpi_stream(settings)
     ids = [trace.database_id for trace in traces]
-    outcomes: List[DatabaseOutcome] = []
-    stores: List[HistoryStore] = []
-    caches: List[Optional[PredictionCache]] = []
-    maintenance_lists: List[List[Session]] = []
-    for trace in traces:
-        outcomes.append(
-            DatabaseOutcome(
-                trace.database_id,
-                settings.eval_start,
-                settings.eval_end,
-                collect_timeline=settings.collect_timelines,
-            )
-        )
-        maintenance: List[Session] = []
-        if settings.maintenance_per_week > 0:
-            maintenance = maintenance_sessions(
-                settings.sim_start,
-                settings.eval_end,
-                _random.Random(f"{settings.seed}:maint:{trace.database_id}"),
-                per_week=settings.maintenance_per_week,
-            )
-        maintenance_lists.append(maintenance)
-        if proactive:
-            stores.append(
-                _warm_history(trace, settings.sim_start, config.history_days)
-            )
-            caches.append(
-                PredictionCache()
-                if fast_predictor is not None and settings.use_prediction_cache
-                else None
-            )
-        else:
-            caches.append(None)
+    outcomes, maintenance_lists, stores = _per_trace_setup(
+        traces, proactive, config, settings
+    )
 
     sess_offsets, sess_starts, sess_ends = sessions_to_csr(
         [trace.sessions for trace in traces]
@@ -1326,18 +1271,12 @@ def simulate_region_columnar(
         meta=StoreMetadata(metadata, ids),
         cluster=StoreCluster(cluster, ids),
         fast_predictor=fast_predictor,
-        caches=caches,
         breaker=breaker,
         prorp_outages=settings.prorp_outages,
         collect_predictions=settings.collect_predictions,
         bank=_build_bank(settings, config, proactive),
     )
-
-    if fast_predictor is not None and settings.use_prediction_cache:
-        engine.seed_initial_predictions()
-
-    for d in range(state.n):
-        engine.start(d)
+    engine.start_all()
 
     resume_operation: Optional[ProactiveResumeOperation] = None
     if proactive:
@@ -1349,19 +1288,8 @@ def simulate_region_columnar(
             on_prewarm=lambda db_id, now: engine.prewarm(index_of[db_id], now),
             retain_iterations=settings.resume_iteration_retention,
         )
-
-        def run_resume_operation(now: int) -> None:
-            if not any(
-                start <= now < end for start, end in settings.prorp_outages
-            ):
-                resume_operation.run_once(now)
-            nxt = now + config.resume_operation_period_s
-            if nxt < settings.eval_end:
-                engine.schedule_resume_op(nxt)
-
-        engine.on_resume_op = run_resume_operation
-        engine.schedule_resume_op(
-            settings.sim_start + config.resume_operation_period_s
+        _start_resume_loop(
+            resume_operation.run_once, engine.schedule_resume_op, config, settings
         )
 
     engine.run_until(settings.eval_end)
@@ -1376,6 +1304,6 @@ def simulate_region_columnar(
         resume_iterations=(
             resume_operation.iterations if resume_operation else []
         ),
-        histories={ids[d]: stores[d] for d in range(len(stores))},
+        histories=dict(zip(ids, stores)),
         cluster_moves=cluster.moves,
     )

@@ -10,7 +10,7 @@ same observable semantics:
 
 * :class:`LeanHistory` -- per-database login cursors over one flat
   ``int64`` array, replaying Algorithm 2/3 (timestamp-dedup inserts,
-  witness-preserving trims, ``login_version`` bumps) without a table;
+  witness-preserving trims) without a table;
 * :class:`LeanMetadata` -- the ``sys.databases`` columns as arrays, with
   Algorithm 5's pre-warm scan as one masked array pass per region per
   tick, ordered exactly like the secondary-index scan
@@ -36,15 +36,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster import Cluster
 from repro.config import DEFAULT_CONFIG, ProRPConfig
-from repro.core.fast_predictor import FastPredictor
 from repro.core.kpi import IdleBreakdown, KpiReport, LoginStats, WorkflowCounts
 from repro.core.policy import PolicyKind
-from repro.core.prediction_cache import PredictionCache
 from repro.errors import SimulationError
 from repro.faults.runtime import FAULTS
-from repro.observability.runtime import OBS
 from repro.parallel import resolve_executor
 from repro.simulation.columnar import (
     PH_PHYSICAL,
@@ -53,9 +49,15 @@ from repro.simulation.columnar import (
     ColumnarState,
     NullHistory,
     StoreCluster,
-    _build_bank,
 )
-from repro.simulation.region import SimulationSettings
+from repro.simulation.region import (
+    SimulationSettings,
+    _build_bank,
+    _build_cluster,
+    _build_fast_predictor,
+    _build_kpi_stream,
+    _start_resume_loop,
+)
 from repro.types import SECONDS_PER_DAY, EventType
 from repro.workload.fleetgen import DriftSpec, FleetShardSpec, FleetSlice
 
@@ -252,7 +254,7 @@ class LeanHistory:
 
     Replays exactly what a warm :class:`HistoryStore` would observe
     (Algorithm 2's timestamp-dedup insert, Algorithm 3's
-    witness-preserving trim, login-only ``login_version`` bumps), but the
+    witness-preserving trim), but the
     only state per database is a handful of cursor scalars into a shared
     ``int64`` login array:
 
@@ -285,7 +287,6 @@ class LeanHistory:
         self.last_ts = np.full(n, -1, dtype=np.int64)
         self.top = np.zeros(n, dtype=np.int64)
         self.k = np.zeros(n, dtype=np.int64)
-        self.versions = np.zeros(n, dtype=np.int64)
 
         # Warm-start replay: the events a long-running tracker would have
         # inserted by sim_start -- the oldest event (witness) plus
@@ -325,7 +326,6 @@ class LeanHistory:
                 self.last_ts[d] = last
             warm.append(logins)
             self.top[d] = len(logins)
-            self.versions[d] = len(logins)
 
         # Capacity per database: warm logins + live session starts after
         # sim_start (the only candidates for further login inserts).
@@ -352,7 +352,6 @@ class LeanHistory:
             self.last_ts,
             self.top,
             self.k,
-            self.versions,
             self.off,
             self.logins,
         )
@@ -379,7 +378,6 @@ class LeanHistory:
                 )
             self.logins[pos] = t
             self.top[d] += 1
-            self.versions[d] += 1
 
     def trim(self, d: int, history_days: int, now: int) -> bool:
         history_start = now - history_days * SECONDS_PER_DAY
@@ -392,20 +390,14 @@ class LeanHistory:
             # Logins strictly between the witness and history_start are
             # deleted; everything at or past the cursor exceeds min_ts
             # already (timestamps are unique), so one bisect suffices.
-            new_k = k + int(
+            self.k[d] = k + int(
                 np.searchsorted(
                     self.logins[base + k : base + top],
                     history_start,
                     side="left",
                 )
             )
-            if new_k > k:
-                self.k[d] = new_k
-                self.versions[d] += 1
         return True
-
-    def login_version(self, d: int) -> int:
-        return int(self.versions[d])
 
     def login_array(self, d: int) -> np.ndarray:
         base = int(self.off[d])
@@ -422,17 +414,15 @@ class LeanHistory:
     def login_timestamps(self, d: int) -> Sequence[int]:
         return self.login_array(d).tolist()
 
-    def export_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(offsets, logins, versions)``: a compacted CSR snapshot of
-        every database's *effective* login view.
+    def export_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, logins)``: a compacted CSR snapshot of every
+        database's *effective* login view.
 
         The live layout keeps deleted-but-untrimmed slots and the
         witness-before-cursor special case; the export materialises what
         :meth:`login_array` would return for each database, back to back,
         so a consumer (the serving tier's shared-memory arena) can slice
         ``logins[offsets[d]:offsets[d+1]]`` with no per-read branching.
-        ``versions`` is copied so later live mutation cannot skew an
-        already-shared snapshot.
         """
         visible = self.top - self.k
         witness_extra = self.witness_login & (self.k > 1)
@@ -448,7 +438,7 @@ class LeanHistory:
             view = self.login_array(d)
             base = int(offsets[d])
             out[base : base + len(view)] = view
-        return offsets, out, self.versions.copy()
+        return offsets, out
 
     def store(self, d: int):
         raise SimulationError(
@@ -608,31 +598,10 @@ def simulate_fleet(
 
     proactive = policy is PolicyKind.PROACTIVE
     n = fleet.n
-    cluster = Cluster(
-        n_nodes=settings.n_nodes,
-        node_capacity=settings.node_capacity,
-        resume_latency_s=settings.resume_latency_s,
-        resume_latency_jitter_s=settings.resume_latency_jitter_s,
-        move_latency_s=settings.move_latency_s,
-        seed=settings.seed,
-    )
+    cluster = _build_cluster(settings)
     preplaced = cluster.place_fleet(fleet.ids)
 
-    stream = None
-    if OBS.enabled and OBS.metrics is not None:
-        from repro.observability.slo import KpiStream
-
-        stream = KpiStream(
-            OBS.metrics,
-            settings.eval_start,
-            settings.eval_end,
-            window_s=settings.slo_window_s,
-            labels=(
-                {"region": settings.region_label}
-                if settings.region_label
-                else None
-            ),
-        )
+    stream = _build_kpi_stream(settings)
     acct = LeanAccounting(n, settings.eval_start, settings.eval_end, stream=stream)
     hist = (
         LeanHistory(
@@ -646,10 +615,7 @@ def simulate_fleet(
         else NullHistory()
     )
     meta = LeanMetadata(fleet.ids)
-    fast_predictor = FastPredictor(config) if proactive else None
-    caches: Optional[List[Optional[PredictionCache]]] = None
-    if proactive and settings.use_prediction_cache:
-        caches = [PredictionCache() for _ in range(n)]
+    fast_predictor = _build_fast_predictor(config, settings, proactive)
 
     empty_offsets = np.zeros(n + 1, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
@@ -674,42 +640,31 @@ def simulate_fleet(
         meta=meta,
         cluster=StoreCluster(cluster, fleet.ids),
         fast_predictor=fast_predictor,
-        caches=caches,
         prorp_outages=settings.prorp_outages,
         preplaced_nodes=preplaced,
         bank=_build_bank(settings, config, proactive),
     )
 
-    if fast_predictor is not None and settings.use_prediction_cache:
-        engine.seed_initial_predictions()
-    for d in range(n):
-        engine.start(d)
+    engine.start_all()
 
     runs = 0
     prewarms = 0
     if proactive:
-        period = config.resume_operation_period_s
-        prewarm_s = config.prewarm_s
 
-        def run_resume_operation(now: int) -> None:
+        def run_once(now: int) -> None:
             # The happy path of ProactiveResumeOperation.run_once minus
             # the fault plumbing (faults are gated off above): one masked
             # scan, pre-warms in (pred_start, database_id) order.
             nonlocal runs, prewarms
-            if not any(
-                start <= now < end for start, end in settings.prorp_outages
-            ):
-                selected = meta.prewarm_indices(now, prewarm_s, period)
-                runs += 1
-                prewarms += int(selected.size)
-                for d in selected:
-                    engine.prewarm(int(d), now)
-            nxt = now + period
-            if nxt < settings.eval_end:
-                engine.schedule_resume_op(nxt)
+            selected = meta.prewarm_indices(
+                now, config.prewarm_s, config.resume_operation_period_s
+            )
+            runs += 1
+            prewarms += int(selected.size)
+            for d in selected:
+                engine.prewarm(int(d), now)
 
-        engine.on_resume_op = run_resume_operation
-        engine.schedule_resume_op(settings.sim_start + period)
+        _start_resume_loop(run_once, engine.schedule_resume_op, config, settings)
 
     engine.run_until(settings.eval_end)
     for d in range(n):

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster import Cluster
 from repro.config import DEFAULT_CONFIG, ProRPConfig
-from repro.core.fast_predictor import FastPredictor, get_fast_predictor
+from repro.core.fast_predictor import FastPredictor
 from repro.core.kpi import KpiReport
 from repro.core.policy import PolicyKind
-from repro.core.prediction_cache import PredictionCache
 from repro.core.resume_service import IterationRecord, ProactiveResumeOperation
 from repro.errors import SimulationError
 from repro.faults.resilience import CircuitBreaker
@@ -57,11 +56,6 @@ class SimulationSettings:
     seed: int = 0
     #: Use the vectorised predictor (reference predictor when False).
     use_fast_predictor: bool = True
-    #: Memoise predictions per database (exact-key, login-invalidated) and
-    #: batch the settle-phase predictions into one ``predict_fleet`` call.
-    #: Byte-identical results either way (see docs/performance.md); only
-    #: effective together with the fast predictor.
-    use_prediction_cache: bool = True
     #: Keep only the most recent N resume-operation iteration records,
     #: rolling older ones into aggregate counters (None keeps all; see
     #: ProactiveResumeOperation.retain_iterations).
@@ -87,7 +81,9 @@ class SimulationSettings:
     #: default; see docs/fleet_scale.md) or "actor" (one Python object per
     #: database).  Byte-identical results either way -- the equivalence
     #: suite proves it -- so this is a representation knob, not a
-    #: semantics knob.  Latency measurement always runs on the actors.
+    #: semantics knob.  Only the columnar engine batches the settle-phase
+    #: predictions (one ``predict_fleet`` call); the actors scan per
+    #: database.  Latency measurement always runs on the actors.
     engine: str = "columnar"
     #: Region label attached to the live SLO streams (``region=...``);
     #: empty means unlabelled series.  Purely observational: the KPI
@@ -213,40 +209,124 @@ def _warm_history(trace: ActivityTrace, sim_start: int, history_days: int) -> Hi
     return store
 
 
-def _seed_initial_predictions(
-    actors: Dict[str, _BaseActor],
-    fast_predictor: FastPredictor,
-    config: ProRPConfig,
-    sim_start: int,
-) -> None:
-    """Batch the settle-phase predictions into one fleet evaluation.
+# ---------------------------------------------------------------------------
+# Region wiring shared by the actor, columnar and lean drivers
+# ---------------------------------------------------------------------------
 
-    Every database that is idle-with-history at ``sim_start`` runs the
-    same prediction at the same instant inside ``actor.start()``.  Here
-    those D single-database Algorithm-4 scans become one
-    :meth:`FastPredictor.predict_fleet` call per distinct configuration
-    (adaptive seasonality can split the fleet); each actor's cache is
-    seeded so the in-start refresh replays as an exact-key hit.  Fault
-    injection and breaker consults stay inside the refresh, untouched.
-    """
-    groups: Dict[ProRPConfig, List[ProactiveActor]] = {}
-    for actor in actors.values():
-        if not isinstance(actor, ProactiveActor):
-            continue
-        request = actor.initial_prediction_request()
-        if request is not None:
-            groups.setdefault(request, []).append(actor)
-    for group_config, members in groups.items():
-        predictor = (
-            fast_predictor
-            if group_config == config
-            else get_fast_predictor(group_config)
-        )
-        predictions = predictor.predict_fleet(
-            [member.history.login_array() for member in members], sim_start
-        )
-        for member, prediction in zip(members, predictions):
-            member.seed_prediction(group_config, sim_start, prediction)
+
+def _new_outcome(trace: ActivityTrace, settings: SimulationSettings) -> DatabaseOutcome:
+    return DatabaseOutcome(
+        trace.database_id,
+        settings.eval_start,
+        settings.eval_end,
+        collect_timeline=settings.collect_timelines,
+    )
+
+
+def _build_cluster(settings: SimulationSettings) -> Cluster:
+    return Cluster(
+        n_nodes=settings.n_nodes,
+        node_capacity=settings.node_capacity,
+        resume_latency_s=settings.resume_latency_s,
+        resume_latency_jitter_s=settings.resume_latency_jitter_s,
+        move_latency_s=settings.move_latency_s,
+        seed=settings.seed,
+    )
+
+
+def _build_fast_predictor(
+    config: ProRPConfig, settings: SimulationSettings, proactive: bool
+) -> Optional[FastPredictor]:
+    vectorised = settings.use_fast_predictor and not settings.measure_prediction_latency
+    return FastPredictor(config) if proactive and vectorised else None
+
+
+def _build_breaker(proactive: bool) -> Optional[CircuitBreaker]:
+    """One predictor circuit breaker per region (the predictor is a shared
+    component): repeated injected failures open it, degrading the whole
+    fleet to reactive mode until the recovery window passes.  Built only
+    under an armed injector so un-chaosed runs carry zero extra state."""
+    if FAULTS.enabled and proactive:
+        return CircuitBreaker(failure_threshold=5, recovery_s=900, name="predictor")
+    return None
+
+
+def _build_bank(settings: SimulationSettings, config: ProRPConfig, proactive: bool):
+    """The region's shared PredictorBank, or None when disabled."""
+    if not settings.predictor_bank or not proactive:
+        return None
+    from repro.tuning.bank import PredictorBank
+
+    return PredictorBank(settings.predictor_bank, config)
+
+
+def _build_kpi_stream(settings: SimulationSettings):
+    """The live SLO stream the columnar accounting seams mirror KPI events
+    into, or None when observability is off."""
+    if not (OBS.enabled and OBS.metrics is not None):
+        return None
+    from repro.observability.slo import KpiStream
+
+    return KpiStream(
+        OBS.metrics,
+        settings.eval_start,
+        settings.eval_end,
+        window_s=settings.slo_window_s,
+        labels={"region": settings.region_label} if settings.region_label else None,
+    )
+
+
+def _per_trace_setup(
+    traces: Sequence[ActivityTrace],
+    proactive: bool,
+    config: ProRPConfig,
+    settings: SimulationSettings,
+) -> Tuple[List[DatabaseOutcome], List[List[Session]], List[HistoryStore]]:
+    """Per trace, in trace order: the outcome ledger, the maintenance
+    schedule (its own RNG stream per database) and, under the proactive
+    policy, the warm history store (an empty list otherwise)."""
+    outcomes: List[DatabaseOutcome] = []
+    maintenance_lists: List[List[Session]] = []
+    stores: List[HistoryStore] = []
+    for trace in traces:
+        outcomes.append(_new_outcome(trace, settings))
+        maintenance: List[Session] = []
+        if settings.maintenance_per_week > 0:
+            maintenance = maintenance_sessions(
+                settings.sim_start,
+                settings.eval_end,
+                random.Random(f"{settings.seed}:maint:{trace.database_id}"),
+                per_week=settings.maintenance_per_week,
+            )
+        maintenance_lists.append(maintenance)
+        if proactive:
+            stores.append(
+                _warm_history(trace, settings.sim_start, config.history_days)
+            )
+    return outcomes, maintenance_lists, stores
+
+
+def _start_resume_loop(
+    run_once: Callable[[int], object],
+    schedule: Callable[[int, Callable[[int], None]], object],
+    config: ProRPConfig,
+    settings: SimulationSettings,
+) -> None:
+    """Run Algorithm 5 (``run_once``) every ``resume_operation_period_s``
+    from ``sim_start``; ``schedule(at, tick)`` books one iteration on the
+    driver's own queue, consuming one sequence number each."""
+    period = config.resume_operation_period_s
+
+    def tick(now: int) -> None:
+        # Section 3.2: a downed ProRP skips its iterations entirely; the
+        # fleet falls back to reactive resumes until recovery.
+        if not any(start <= now < end for start, end in settings.prorp_outages):
+            run_once(now)
+        nxt = now + period
+        if nxt < settings.eval_end:
+            schedule(nxt, tick)
+
+    schedule(settings.sim_start + period, tick)
 
 
 def simulate_region(
@@ -304,108 +384,44 @@ def _simulate_region(
 
         return simulate_region_columnar(traces, policy, config, settings)
 
+    proactive = policy is PolicyKind.PROACTIVE
     queue = EventQueue(start=settings.sim_start)
-    cluster = Cluster(
-        n_nodes=settings.n_nodes,
-        node_capacity=settings.node_capacity,
-        resume_latency_s=settings.resume_latency_s,
-        resume_latency_jitter_s=settings.resume_latency_jitter_s,
-        move_latency_s=settings.move_latency_s,
-        seed=settings.seed,
-    )
+    cluster = _build_cluster(settings)
     metadata = MetadataStore()
-    outcomes: List[DatabaseOutcome] = []
+    fast_predictor = _build_fast_predictor(config, settings, proactive)
+    breaker = _build_breaker(proactive)
+    bank = _build_bank(settings, config, proactive)
+    outcomes, maintenance_lists, stores = _per_trace_setup(
+        traces, proactive, config, settings
+    )
+
+    window = (settings.sim_start, settings.eval_end)
     actors: Dict[str, _BaseActor] = {}
-    histories: Dict[str, HistoryStore] = {}
-    fast_predictor = (
-        FastPredictor(config)
-        if policy is PolicyKind.PROACTIVE
-        and settings.use_fast_predictor
-        and not settings.measure_prediction_latency
-        else None
-    )
-    # One predictor circuit breaker per region (the predictor is a shared
-    # component): repeated injected failures open it, degrading the whole
-    # fleet to reactive mode until the recovery window passes.  Built only
-    # under an armed injector so un-chaosed runs carry zero extra state.
-    breaker = (
-        CircuitBreaker(failure_threshold=5, recovery_s=900, name="predictor")
-        if FAULTS.enabled and policy is PolicyKind.PROACTIVE
-        else None
-    )
-    bank = None
-    if settings.predictor_bank and policy is PolicyKind.PROACTIVE:
-        from repro.tuning.bank import PredictorBank
-
-        bank = PredictorBank(settings.predictor_bank, config)
-
-    for trace in traces:
-        outcome = DatabaseOutcome(
-            trace.database_id,
-            settings.eval_start,
-            settings.eval_end,
-            collect_timeline=settings.collect_timelines,
-        )
-        outcomes.append(outcome)
-        maintenance: List[Session] = []
-        if settings.maintenance_per_week > 0:
-            maintenance = maintenance_sessions(
-                settings.sim_start,
-                settings.eval_end,
-                random.Random(f"{settings.seed}:maint:{trace.database_id}"),
-                per_week=settings.maintenance_per_week,
-            )
-        if policy is PolicyKind.PROACTIVE:
-            history = _warm_history(trace, settings.sim_start, config.history_days)
-            histories[trace.database_id] = history
-            actor: _BaseActor = ProactiveActor(
-                trace,
-                queue,
-                cluster,
-                metadata,
-                outcome,
-                config,
-                settings.sim_start,
-                settings.eval_end,
-                history=history,
+    for i, trace in enumerate(traces):
+        common = (trace, queue, cluster, metadata, outcomes[i], config)
+        if proactive:
+            actors[trace.database_id] = ProactiveActor(
+                *common,
+                *window,
+                history=stores[i],
                 fast_predictor=fast_predictor,
                 measure_prediction_latency=settings.measure_prediction_latency,
-                maintenance=maintenance,
+                maintenance=maintenance_lists[i],
                 collect_predictions=settings.collect_predictions,
                 prorp_outages=settings.prorp_outages,
                 breaker=breaker,
-                prediction_cache=(
-                    PredictionCache()
-                    if fast_predictor is not None and settings.use_prediction_cache
-                    else None
-                ),
                 bank=bank,
-                bank_key=trace.database_id,
             )
         else:
-            actor = ReactiveActor(
-                trace,
-                queue,
-                cluster,
-                metadata,
-                outcome,
-                config,
-                settings.sim_start,
-                settings.eval_end,
-                maintenance=maintenance,
+            actors[trace.database_id] = ReactiveActor(
+                *common, *window, maintenance=maintenance_lists[i]
             )
-        actors[trace.database_id] = actor
-
-    if fast_predictor is not None and settings.use_prediction_cache:
-        _seed_initial_predictions(
-            actors, fast_predictor, config, settings.sim_start
-        )
 
     for actor in actors.values():
         actor.start()
 
     resume_operation: Optional[ProactiveResumeOperation] = None
-    if policy is PolicyKind.PROACTIVE:
+    if proactive:
         resume_operation = ProactiveResumeOperation(
             metadata,
             prewarm_s=config.prewarm_s,
@@ -413,19 +429,8 @@ def _simulate_region(
             on_prewarm=lambda db_id, now: actors[db_id].prewarm(now),
             retain_iterations=settings.resume_iteration_retention,
         )
-
-        def run_resume_operation(now: int) -> None:
-            # Section 3.2: a downed ProRP skips its iterations entirely;
-            # the fleet falls back to reactive resumes until recovery.
-            if not any(start <= now < end for start, end in settings.prorp_outages):
-                resume_operation.run_once(now)
-            nxt = now + config.resume_operation_period_s
-            if nxt < settings.eval_end:
-                queue.schedule_oneshot(nxt, run_resume_operation)
-
-        queue.schedule_oneshot(
-            settings.sim_start + config.resume_operation_period_s,
-            run_resume_operation,
+        _start_resume_loop(
+            resume_operation.run_once, queue.schedule_oneshot, config, settings
         )
 
     queue.run_until(settings.eval_end)
@@ -438,7 +443,7 @@ def _simulate_region(
         config=config,
         outcomes=outcomes,
         resume_iterations=resume_operation.iterations if resume_operation else [],
-        histories=histories,
+        histories={t.database_id: store for t, store in zip(traces, stores)},
         cluster_moves=cluster.moves,
     )
 
@@ -454,12 +459,7 @@ def _simulate_optimal(
     nor unavailable, and used time equals demanded time."""
     outcomes: List[DatabaseOutcome] = []
     for trace in traces:
-        outcome = DatabaseOutcome(
-            trace.database_id,
-            settings.eval_start,
-            settings.eval_end,
-            collect_timeline=settings.collect_timelines,
-        )
+        outcome = _new_outcome(trace, settings)
         for session in trace.sessions:
             if session.end > settings.eval_start and session.start < settings.eval_end:
                 outcome.add_used(session.start, session.end)
@@ -489,12 +489,7 @@ def _simulate_provisioned(
     """
     outcomes: List[DatabaseOutcome] = []
     for trace in traces:
-        outcome = DatabaseOutcome(
-            trace.database_id,
-            settings.eval_start,
-            settings.eval_end,
-            collect_timeline=settings.collect_timelines,
-        )
+        outcome = _new_outcome(trace, settings)
         cursor = settings.eval_start
         for session in trace.sessions:
             if session.end <= settings.eval_start:

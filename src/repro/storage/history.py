@@ -13,19 +13,13 @@ The store also exposes the range aggregates Algorithm 4 issues (first/last
 login within a window of a previous day) and a sorted login-timestamp view
 consumed by the vectorised predictor.
 
-For the prediction hot path the store additionally maintains:
-
-* a **mutation counter** (:attr:`HistoryStore.version`) bumped by every
-  insert and every trim deletion, and a **login version**
-  (:attr:`HistoryStore.login_version`) bumped only when the set of login
-  timestamps changes -- the key the prediction cache invalidates on,
-  since Algorithm 4 reads logins only ("only logins invalidate");
-* an **amortised growth buffer** over the login timestamps
-  (:meth:`HistoryStore.login_array`): in-order logins append in O(1) into
-  a preallocated ``numpy`` array, so the vectorised predictor gets a
-  ready ``int64`` view instead of converting a Python list per call.
-  Out-of-order inserts and trims that actually delete logins mark the
-  buffer for a lazy rebuild.
+For the prediction hot path the store additionally maintains an
+**amortised growth buffer** over the login timestamps
+(:meth:`HistoryStore.login_array`): in-order logins append in O(1) into a
+preallocated ``numpy`` array, so the vectorised predictor gets a ready
+``int64`` view instead of converting a Python list per call.  Out-of-order
+inserts and trims that actually delete logins mark the buffer for a lazy
+rebuild.
 """
 
 from __future__ import annotations
@@ -79,8 +73,6 @@ class HistoryStore:
             row["time_snapshot"]
             for row in self._table.scan(lambda r: r["event_type"] == 1)
         ]
-        self._version = 0
-        self._login_version = 0
         # Amortised growth buffer over ``_logins``: valid prefix of length
         # ``_login_len``; ``_login_dirty`` forces a rebuild from the list
         # after an out-of-order insert or a trim that deleted logins.
@@ -88,25 +80,6 @@ class HistoryStore:
         self._login_len = len(self._logins)
         self._login_buf[: self._login_len] = self._logins
         self._login_dirty = False
-
-    # ------------------------------------------------------------------
-    # Mutation versions (prediction-cache keys)
-    # ------------------------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped by every insert and trim deletion."""
-        return self._version
-
-    @property
-    def login_version(self) -> int:
-        """Counter bumped only when the login set changes.
-
-        Algorithm 4 reads logins exclusively, so a prediction memoised
-        under a given ``login_version`` stays valid across ACTIVITY_END
-        inserts and trims that only dropped non-login tuples.
-        """
-        return self._login_version
 
     # ------------------------------------------------------------------
     # Algorithm 2: InsertHistory
@@ -118,16 +91,13 @@ class HistoryStore:
         inserted = self._table.insert_if_absent(
             {"time_snapshot": time_snapshot, "event_type": int(event_type)}
         )
-        if inserted:
-            self._version += 1
-            if event_type == EventType.ACTIVITY_START:
-                self._login_version += 1
-                if not self._logins or time_snapshot >= self._logins[-1]:
-                    self._logins.append(time_snapshot)
-                    self._append_login_buf(time_snapshot)
-                else:
-                    bisect.insort(self._logins, time_snapshot)
-                    self._login_dirty = True
+        if inserted and event_type == EventType.ACTIVITY_START:
+            if not self._logins or time_snapshot >= self._logins[-1]:
+                self._logins.append(time_snapshot)
+                self._append_login_buf(time_snapshot)
+            else:
+                bisect.insort(self._logins, time_snapshot)
+                self._login_dirty = True
         if OBS.enabled and inserted:
             OBS.metrics.counter("history.inserts").inc()
         return inserted
@@ -167,12 +137,10 @@ class HistoryStore:
             min_timestamp, history_start, include_lo=False, include_hi=False
         )
         if deleted:
-            self._version += 1
             lo = bisect.bisect_right(self._logins, min_timestamp)
             hi = bisect.bisect_left(self._logins, history_start)
             if hi > lo:
                 del self._logins[lo:hi]
-                self._login_version += 1
                 self._login_dirty = True
         if OBS.enabled:
             OBS.metrics.counter("history.trimmed_tuples").inc(deleted)

@@ -12,7 +12,7 @@ late-resume QoS miss), and routes the engine's prediction requests to
 the current best policy with hysteresis.
 
 Byte-identity contract: a bank restricted to ``("sliding",)`` delegates
-every call to the engine's existing cache + :class:`FastPredictor` path
+every call to the engine's existing :class:`FastPredictor` path
 and performs **no** shadow work -- KPIs, chaos ledgers, and hot-path
 counters are bit-for-bit those of a bank-less run (pinned by
 ``tests/test_tuning.py``).
@@ -195,7 +195,7 @@ class PredictorBank:
 
     The engine calls :meth:`predict` wherever it used to run its sliding
     path directly, handing the bank two closures: ``sliding_fn`` (the
-    engine's own cache + FastPredictor path) and ``logins_fn`` (the
+    engine's own FastPredictor path) and ``logins_fn`` (the
     database's sorted login array).  On every observed login the engine
     calls :meth:`observe_login`, which scores each policy's pending
     prediction and re-selects with hysteresis.
@@ -245,7 +245,7 @@ class PredictorBank:
         if self.sliding_only:
             return sliding_fn()
         # The sliding arm doubles as the hybrid fallback, so it is always
-        # evaluated (through the engine's own cache path).
+        # evaluated (through the engine's own sliding path).
         sliding = sliding_fn()
         state = self._dbs.get(key)
         if state is None:

@@ -47,8 +47,12 @@ class TestInsertHistory:
     def test_login_timestamps_sorted_on_out_of_order_insert(self):
         store = HistoryStore()
         store.insert_history(30, EventType.ACTIVITY_START)
+        assert list(store.login_array()) == [30]
         store.insert_history(10, EventType.ACTIVITY_START)
-        assert list(store.login_timestamps()) == [10, 30]
+        store.insert_history(20, EventType.ACTIVITY_START)
+        assert list(store.login_timestamps()) == [10, 20, 30]
+        # The growth buffer behind login_array() is rebuilt lazily.
+        assert list(store.login_array()) == [10, 20, 30]
 
 
 class TestDeleteOldHistory:
@@ -113,8 +117,10 @@ class TestDeleteOldHistory:
         store.insert_history(oldest, EventType.ACTIVITY_START)
         store.insert_history(now - 30 * DAY, EventType.ACTIVITY_START)
         store.insert_history(now - 5 * DAY, EventType.ACTIVITY_START)
+        assert len(store.login_array()) == 3
         store.delete_old_history(history_days=28, now=now)
         assert list(store.login_timestamps()) == [oldest, now - 5 * DAY]
+        assert list(store.login_array()) == [oldest, now - 5 * DAY]
 
     def test_invalid_history_days(self):
         store = HistoryStore()

@@ -1,21 +1,18 @@
 """Equivalence suite for the prediction hot path.
 
-The cache (exact-key, login-invalidated) and the batched fleet prediction
-(:meth:`FastPredictor.predict_fleet`) are pure optimisations: enabling them
-must leave every simulation result byte-identical.  This suite pins that
-contract:
+The batched fleet prediction (:meth:`FastPredictor.predict_fleet`) is a
+pure optimisation: using it must leave every simulation result
+byte-identical.  This suite pins that contract:
 
 * ``predict_fleet`` returns exactly the per-database ``predict`` answers
   (property-based, arbitrary login sets / instants / knob combinations);
-* end-to-end region simulations with the cache on and off produce
+* end-to-end region simulations on the actor engine (one scan per
+  prediction, never batched) and on the columnar engine (the settle phase
+  answered by one ``predict_fleet`` batch, delivered by slot) produce
   identical KPIs, identical workflow event times, and identical pre-warm
   batches across >= 20 seeded scenarios, including weekly and adaptive
   seasonality and armed fault plans (where the injector's consultation
-  ledger must match too -- the cache may not reorder fault points);
-* :attr:`HistoryStore.login_version` bumps exactly when the login set
-  changes ("only logins invalidate");
-* the cache actually pays for itself: fewer predictor invocations on the
-  same workload.
+  ledger must match too -- the batch may not reorder fault points).
 """
 
 import gc
@@ -29,17 +26,16 @@ from hypothesis import given, settings as hsettings, strategies as st
 from repro.config import DEFAULT_CONFIG, ProRPConfig, Seasonality
 from repro.core import fast_predictor
 from repro.core.fast_predictor import concat_logins, get_fast_predictor
-from repro.core.prediction_cache import HOT_PATH, PredictionCache
+from repro.core.prediction_cache import HOT_PATH
 from repro.core.resume_service import SCAN_FAULT_POINT
 from repro.faults import FaultPlan, FaultSpec, chaos
 from repro.simulation.actor import PREDICTOR_FAULT_POINT
+from repro.simulation.columnar import ColumnarRegionEngine
 from repro.simulation.region import SimulationSettings, simulate_region
-from repro.storage.history import HistoryStore
 from repro.types import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     ActivityTrace,
-    EventType,
     PredictedActivity,
     Session,
 )
@@ -64,8 +60,8 @@ CONFIG_VARIANTS = {
 }
 
 #: Fault plan armed in the chaos scenarios: the predictor raises sometimes
-#: and the resume-operation scan flakes -- the cache must not change which
-#: consultations happen, so both runs see the same fire sequence.
+#: and the resume-operation scan flakes -- the settle batch must not change
+#: which consultations happen, so both runs see the same fire sequence.
 CHAOS_PLAN = FaultPlan.of(
     FaultSpec(PREDICTOR_FAULT_POINT, probability=0.25),
     FaultSpec(SCAN_FAULT_POINT, probability=0.1),
@@ -369,7 +365,7 @@ def test_predict_fleet_memory_is_bounded_by_the_block():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: cache on == cache off
+# End-to-end: per-database scans (actor) == batched settle (columnar)
 # ----------------------------------------------------------------------
 
 
@@ -386,144 +382,167 @@ def _workflow_times(result):
     ]
 
 
-def _run(traces, config, use_cache, plan, chaos_seed=1234):
-    settings = SimulationSettings(use_prediction_cache=use_cache, **EVAL_KWARGS)
+def _run(traces, config, engine, plan, chaos_seed=1234):
+    settings = SimulationSettings(engine=engine, **EVAL_KWARGS)
+    HOT_PATH.reset()
     if plan is None:
-        return simulate_region(traces, "proactive", config, settings), None
+        result = simulate_region(traces, "proactive", config, settings)
+        return result, None, HOT_PATH.snapshot()
     with chaos(plan, seed=chaos_seed) as injector:
         result = simulate_region(traces, "proactive", config, settings)
         ledger = (injector.total_consults(), dict(injector.consults),
                   injector.total_fires())
-    return result, ledger
+    return result, ledger, HOT_PATH.snapshot()
 
 
 @pytest.mark.parametrize("seed, variant, plan", SCENARIOS)
 def test_cache_is_invisible_end_to_end(seed, variant, plan):
+    """The settle batch -- the one thing the deleted per-database cache
+    ever delivered -- is invisible: the actors scan every prediction
+    themselves, the columnar engine takes its ``sim_start`` answers from
+    one ``predict_fleet`` call, and nothing observable differs."""
     traces = make_fleet(seed)
     config = CONFIG_VARIANTS[variant]
-    on, on_ledger = _run(traces, config, True, plan)
-    off, off_ledger = _run(traces, config, False, plan)
-    assert on.kpis().to_dict() == off.kpis().to_dict()
-    assert on.prewarm_batch_sizes() == off.prewarm_batch_sizes()
-    assert _workflow_times(on) == _workflow_times(off)
+    scanned, scanned_ledger, scanned_hot = _run(traces, config, "actor", plan)
+    batched, batched_ledger, batched_hot = _run(traces, config, "columnar", plan)
+    assert batched.kpis().to_dict() == scanned.kpis().to_dict()
+    assert batched.prewarm_batch_sizes() == scanned.prewarm_batch_sizes()
+    assert _workflow_times(batched) == _workflow_times(scanned)
     # Under chaos the fault-point consultation sequence must match too:
-    # the cache sits *behind* the injector consult, never in front of it.
-    assert on_ledger == off_ledger
-
-
-def test_cache_reduces_predictor_invocations():
-    """The optimisation pays: same workload, fewer Algorithm-4 entries."""
-    traces = make_fleet(0, n=12)
-    settings_off = SimulationSettings(use_prediction_cache=False, **EVAL_KWARGS)
-    settings_on = SimulationSettings(use_prediction_cache=True, **EVAL_KWARGS)
-
-    HOT_PATH.reset()
-    simulate_region(traces, "proactive", DEFAULT_CONFIG, settings_off)
-    off = HOT_PATH.snapshot()
-    off_invocations = HOT_PATH.predictor_invocations
-
-    HOT_PATH.reset()
-    simulate_region(traces, "proactive", DEFAULT_CONFIG, settings_on)
-    on = HOT_PATH.snapshot()
-    on_invocations = HOT_PATH.predictor_invocations
-
-    assert off["batch_evals"] == 0 and off["cache_hits"] == 0
-    assert on["batch_evals"] >= 1  # the settle phase batched
-    assert on["cache_hits"] >= 1  # ...and the start() refreshes hit
-    assert on_invocations < off_invocations
+    # a settle answer is taken *behind* the injector consult, never in
+    # front of it.
+    assert batched_ledger == scanned_ledger
+    # The comparison is not vacuous: the batch ran and its answers were
+    # used, each one replacing exactly one of the actors' scans.
+    assert scanned_hot["batch_evals"] == 0
+    assert batched_hot["batch_evals"] >= 1
+    assert 1 <= batched_hot["cache_hits"] <= batched_hot["batch_databases"]
+    assert (
+        scanned_hot["full_scans"]
+        == batched_hot["full_scans"] + batched_hot["cache_hits"]
+    )
 
 
 # ----------------------------------------------------------------------
-# Invalidation semantics
+# The settle slots: filled once, emptied by the start loop, sim_start only
 # ----------------------------------------------------------------------
 
-
-class TestLoginVersion:
-    def test_login_insert_bumps(self):
-        store = HistoryStore()
-        before = store.login_version
-        assert store.insert_history(100, EventType.ACTIVITY_START)
-        assert store.login_version == before + 1
-
-    def test_activity_end_does_not_bump(self):
-        store = HistoryStore()
-        store.insert_history(100, EventType.ACTIVITY_START)
-        before = store.login_version
-        assert store.insert_history(200, EventType.ACTIVITY_END)
-        assert store.login_version == before
-        assert store.version > 0
-
-    def test_duplicate_insert_does_not_bump(self):
-        store = HistoryStore()
-        store.insert_history(100, EventType.ACTIVITY_START)
-        before = store.login_version
-        assert not store.insert_history(100, EventType.ACTIVITY_START)
-        assert store.login_version == before
-
-    def test_trim_deleting_logins_bumps(self):
-        store = HistoryStore()
-        store.insert_history(0, EventType.ACTIVITY_START)  # witness
-        store.insert_history(DAY, EventType.ACTIVITY_START)
-        store.insert_history(40 * DAY, EventType.ACTIVITY_START)
-        before = store.login_version
-        result = store.delete_old_history(28, 40 * DAY)
-        assert result.deleted == 1
-        assert store.login_version == before + 1
-        assert list(store.login_array()) == [0, 40 * DAY]
-
-    def test_trim_deleting_only_ends_does_not_bump(self):
-        store = HistoryStore()
-        store.insert_history(0, EventType.ACTIVITY_START)  # witness survives
-        store.insert_history(100, EventType.ACTIVITY_END)
-        store.insert_history(40 * DAY, EventType.ACTIVITY_START)
-        before = store.login_version
-        result = store.delete_old_history(28, 40 * DAY)
-        assert result.deleted == 1  # only the ACTIVITY_END tuple
-        assert store.login_version == before
-        assert list(store.login_array()) == [0, 40 * DAY]
-
-    def test_out_of_order_insert_rebuilds_array(self):
-        store = HistoryStore()
-        store.insert_history(300, EventType.ACTIVITY_START)
-        store.insert_history(100, EventType.ACTIVITY_START)
-        store.insert_history(200, EventType.ACTIVITY_START)
-        assert list(store.login_array()) == [100, 200, 300]
+SIM_START = EVAL_KWARGS["eval_start"] - EVAL_KWARGS["warmup_s"]
+AT_SIM_START = ((SIM_START, SIM_START + 1),)
 
 
-class TestPredictionCache:
-    CONFIG = DEFAULT_CONFIG
-    PREDICTION = PredictedActivity(start=100, end=200, confidence=0.5)
+@pytest.fixture
+def engines_at_loop_entry(monkeypatch):
+    """Every columnar engine, with a copy of its settle slots, captured as
+    its event loop begins -- i.e. just after the start loop ended."""
+    seen = []
+    run_until = ColumnarRegionEngine.run_until
 
-    def test_exact_key_hit(self):
-        cache = PredictionCache()
-        cache.put(3, self.CONFIG, 1000, self.PREDICTION)
-        assert cache.get(3, self.CONFIG, 1000) == self.PREDICTION
+    def probe(self, end):
+        seen.append((self, dict(self._settled)))
+        return run_until(self, end)
 
-    def test_different_now_misses(self):
-        cache = PredictionCache()
-        cache.put(3, self.CONFIG, 1000, self.PREDICTION)
-        assert cache.get(3, self.CONFIG, 1300) is None
+    monkeypatch.setattr(ColumnarRegionEngine, "run_until", probe)
+    return seen
 
-    def test_different_config_misses(self):
-        cache = PredictionCache()
-        cache.put(3, self.CONFIG, 1000, self.PREDICTION)
-        other = self.CONFIG.with_overrides(confidence=0.2)
-        assert cache.get(3, other, 1000) is None
 
-    def test_new_login_version_invalidates(self):
-        cache = PredictionCache()
-        cache.put(3, self.CONFIG, 1000, self.PREDICTION)
+def _settle_run(plan=None, **overrides):
+    """One 48-database region per engine; returns the columnar hot-path
+    snapshot and the injector ledger after checking the engines agree on
+    both."""
+    traces = make_fleet(0, n=48)
+    reports, hot, ledgers = {}, {}, {}
+    for engine in ("actor", "columnar"):
+        settings = SimulationSettings(engine=engine, **EVAL_KWARGS, **overrides)
         HOT_PATH.reset()
-        assert cache.get(4, self.CONFIG, 1000) is None
-        assert HOT_PATH.cache_invalidations == 1
-        # The slot was cleared: the stale value cannot resurface.
-        assert cache.get(3, self.CONFIG, 1000) is None
+        if plan is None:
+            result = simulate_region(traces, "proactive", DEFAULT_CONFIG, settings)
+        else:
+            with chaos(plan, seed=7) as injector:
+                result = simulate_region(
+                    traces, "proactive", DEFAULT_CONFIG, settings
+                )
+                ledgers[engine] = injector.snapshot()
+        reports[engine] = result.kpis().to_dict()
+        hot[engine] = HOT_PATH.snapshot()
+    assert reports["columnar"] == reports["actor"]
+    assert ledgers.get("columnar") == ledgers.get("actor")
+    return hot["columnar"], ledgers.get("columnar")
 
-    def test_counters(self):
-        cache = PredictionCache()
-        HOT_PATH.reset()
-        assert cache.get(1, self.CONFIG, 0) is None
-        cache.put(1, self.CONFIG, 0, self.PREDICTION)
-        assert cache.get(1, self.CONFIG, 0) == self.PREDICTION
-        assert HOT_PATH.cache_misses == 1
-        assert HOT_PATH.cache_hits == 1
+
+def test_settle_slots_are_taken_in_the_start_loop(engines_at_loop_entry):
+    hot, _ = _settle_run()
+    [(_, leftover)] = engines_at_loop_entry
+    assert leftover == {}
+    assert hot["batch_evals"] == 1
+    assert hot["cache_hits"] == hot["batch_databases"] >= 6
+
+
+def test_settle_slots_empty_after_injected_predictor_faults(engines_at_loop_entry):
+    """The first three settle predictions raise: their parked answers are
+    dropped by ``start``, the rest are taken."""
+    plan = FaultPlan.of(
+        FaultSpec(PREDICTOR_FAULT_POINT, windows=AT_SIM_START, max_fires=3)
+    )
+    hot, ledger = _settle_run(plan)
+    [(_, leftover)] = engines_at_loop_entry
+    assert leftover == {}
+    assert ledger["fires"] == {PREDICTOR_FAULT_POINT: 3}
+    assert hot["cache_hits"] == hot["batch_databases"] - 3
+
+
+def test_settle_slots_empty_under_an_open_breaker(engines_at_loop_entry):
+    """Five failures open the region's breaker; every later refresh of the
+    start loop returns before the predictor, consult included -- so the
+    fault, armed for all of ``sim_start``, fires only five times."""
+    plan = FaultPlan.of(FaultSpec(PREDICTOR_FAULT_POINT, windows=AT_SIM_START))
+    hot, ledger = _settle_run(plan)
+    [(_, leftover)] = engines_at_loop_entry
+    assert leftover == {}
+    assert ledger["fires"] == {PREDICTOR_FAULT_POINT: 5}
+    assert hot["batch_databases"] > 5 and hot["cache_hits"] == 0
+
+
+def test_nothing_is_parked_under_an_outage_at_sim_start(engines_at_loop_entry):
+    hot, _ = _settle_run(prorp_outages=((SIM_START - HOUR, SIM_START + HOUR),))
+    [(_, leftover)] = engines_at_loop_entry
+    assert leftover == {}
+    assert hot["batch_evals"] == 0 and hot["cache_hits"] == 0
+
+
+def test_settle_slots_empty_when_the_bank_skips_the_sliding_arm(
+    engines_at_loop_entry, monkeypatch
+):
+    from repro.tuning.bank import PredictorBank
+
+    monkeypatch.setattr(
+        PredictorBank,
+        "predict",
+        lambda self, key, now, logins_fn, sliding_fn: PredictedActivity.none(),
+    )
+    hot, _ = _settle_run(predictor_bank=("survival",))
+    [(_, leftover)] = engines_at_loop_entry
+    assert leftover == {}
+    assert hot["batch_databases"] >= 6
+    assert hot["cache_hits"] == 0 and hot["full_scans"] == 0
+
+
+def test_a_settle_answer_is_never_used_after_sim_start(monkeypatch):
+    """Slots planted once the start loop is over sit untouched to the end
+    of the run: every later prediction is at ``now > sim_start``."""
+    bogus = PredictedActivity(start=1, end=2, confidence=1.0)
+    planted = []
+    run_until = ColumnarRegionEngine.run_until
+
+    def plant(self, end):
+        for d in range(self.s.n):
+            self._settled[d] = (self.config, bogus)
+        planted.append(self)
+        return run_until(self, end)
+
+    baseline, _ = _settle_run()
+    monkeypatch.setattr(ColumnarRegionEngine, "run_until", plant)
+    hot, _ = _settle_run()  # KPIs still equal the actors'
+    [engine] = planted
+    assert len(engine._settled) == engine.s.n
+    assert hot == baseline

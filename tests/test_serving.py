@@ -651,6 +651,78 @@ class TestCodec:
         )
         assert extremes.logins == (-(2**63), 2**63 - 1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("type", [1]),
+            ("type", None),
+            ("request_id", 7),
+            ("request_id", None),
+            ("region", {"a": 1}),
+            ("config", ["default"]),
+            ("tenant", 3.5),
+            ("database_id", 12),
+            ("deadline_ms", "abc"),
+            ("deadline_ms", True),
+            ("deadline_ms", [5]),
+            ("deadline_ms", float("inf")),
+            ("deadline_ms", float("nan")),
+            ("deadline_ms", 10**400),
+            ("prewarm_s", "600"),
+            ("prewarm_s", 1.5),
+            ("prewarm_s", False),
+            ("prewarm_s", 2**63),
+            ("period_s", 0),
+            ("period_s", -60),
+            ("period_s", 60.0),
+            ("period_s", 2**63),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        """Every field's type is settled at the boundary: nothing past
+        ``decode_request`` meets a string deadline or a dict region."""
+        kind = "resume_scan" if field in ("prewarm_s", "period_s") else "predict"
+        doc = {"type": kind, "request_id": "x", "now": 0, field: value}
+        with pytest.raises(ServingProtocolError):
+            decode_request(doc)
+
+    def test_boundary_values_accepted(self):
+        predict = decode_request(
+            {
+                "type": "predict",
+                "request_id": "",
+                "now": -(2**63),
+                "database_id": None,
+                "deadline_ms": None,
+                "region": "",
+            }
+        )
+        assert predict.deadline_ms is None and predict.database_id is None
+        for deadline in (0, -1, 0.5, 2**62):
+            doc = {"type": "predict", "request_id": "x", "now": 0}
+            assert decode_request({**doc, "deadline_ms": deadline}).deadline_ms == (
+                deadline
+            )
+        scan = decode_request(
+            {
+                "type": "resume_scan",
+                "request_id": "s",
+                "now": 2**63 - 1,
+                "prewarm_s": -(2**63),
+                "period_s": 1,
+            }
+        )
+        assert (scan.prewarm_s, scan.period_s) == (-(2**63), 1)
+        assert decode_request({**vars(scan), "type": "resume_scan"}) == scan
+
+    def test_every_request_field_has_a_type_check(self):
+        from dataclasses import fields
+
+        from repro.serving import requests as codec
+
+        for cls in codec._REQUEST_TYPES.values():
+            assert {f.name for f in fields(cls)} <= set(codec._FIELD_CHECKS)
+
     def test_encode_error_response(self):
         doc = encode_response(Overloaded("x", "full"))
         assert doc == {
@@ -713,6 +785,60 @@ def test_tcp_front_end_round_trip():
         assert bad["type"] == "invalid"
         still_alive = await call({"type": "health", "request_id": "t5"})
         assert still_alive["status"] == "ok"
+
+        writer.close()
+        await writer.wait_closed()
+        listener.close()
+        await listener.wait_closed()
+        await server.stop()
+
+    asyncio.run(run())
+
+
+def test_tcp_front_end_contains_one_bad_request():
+    """A malformed request costs its sender one typed answer and nobody
+    else anything: the public connection answers and lives on, whether
+    the codec refuses the line or admission itself blows up."""
+
+    async def run():
+        server = PredictionServer()
+        listener = await serve_tcp(server, port=0)
+        port = listener.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+        async def call(doc):
+            writer.write((json.dumps(doc) + "\n").encode())
+            await writer.drain()
+            return json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+
+        base = {"type": "predict", "logins": list(FLEETS[0]), "now": NOW}
+        answers = [
+            await call({**base, "request_id": "d1", "deadline_ms": "abc"}),
+            await call({**base, "request_id": "d2", "region": {"a": 1}}),
+            await call({"type": [1], "request_id": "d3"}),
+        ]
+        assert [a["type"] for a in answers] == ["invalid"] * 3
+        assert server.stats.errors == 0
+
+        # Past the codec: an exception while admitting one request is that
+        # request's typed answer, not the connection's end.
+        admit = server.admission.admit
+
+        def flaky_admit(request, **kwargs):
+            if request.request_id == "boom":
+                raise RuntimeError("admission fell over")
+            if request.request_id == "bad":
+                raise TypeError("'<=' not supported")
+            return admit(request, **kwargs)
+
+        server.admission.admit = flaky_admit
+        boom = await call({**base, "request_id": "boom"})
+        bad = await call({**base, "request_id": "bad"})
+        good = await call({**base, "request_id": "good"})
+        assert (boom["type"], boom["request_id"]) == ("unavailable", "boom")
+        assert "RuntimeError" in boom["message"]
+        assert (bad["type"], bad["request_id"]) == ("invalid", "bad")
+        assert (good["type"], good["request_id"]) == ("predict", "good")
 
         writer.close()
         await writer.wait_closed()

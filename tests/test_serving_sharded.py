@@ -37,14 +37,22 @@ from repro.serving import (
     ServingSettings,
     encode_response,
     fleet_login_arrays,
+    serve_tcp,
 )
-from repro.serving.requests import Overloaded, PredictResponse
+from repro.serving.requests import (
+    InvalidRequest,
+    Overloaded,
+    PredictResponse,
+    decode_response,
+    encode_request,
+)
 from repro.serving.sharded import (
     HashRing,
     RouterSettings,
     ShardRouter,
     SharedHistoryArena,
 )
+from repro.serving.sharded.worker import handle_pipelined
 from repro.simulation.fleet import LeanHistory
 from repro.types import SECONDS_PER_DAY
 
@@ -157,13 +165,12 @@ def test_lean_history_export_feeds_arena():
     history = LeanHistory(
         sess_offsets, starts, ends, sim_start=2000, history_days=30
     )
-    offsets, logins, versions = history.export_csr()
+    offsets, logins = history.export_csr()
     for d in range(history.n):
         assert (
             logins[int(offsets[d]) : int(offsets[d + 1])].tolist()
             == history.login_array(d).tolist()
         )
-        assert versions[d] == history.login_version(d)
     arena = SharedHistoryArena.from_lean_history(
         "EU1", history, ["a", "b"], [True, False], slack=2
     )
@@ -585,3 +592,148 @@ def test_router_respawns_dead_worker_and_merges_metrics():
     # The exposition is the merge of both workers' registries.
     assert metrics.metric_count > 0
     assert "serving_requests" in metrics.body
+
+
+# ---------------------------------------------------------------------------
+# Containment: a malformed request costs its sender one typed answer
+# ---------------------------------------------------------------------------
+
+
+def test_mistyped_field_is_not_a_poison_pill_for_the_tier():
+    """20 well-formed by-id predicts beside one ``deadline_ms: "abc"``,
+    sent both ways -- as a JSON line through the public front end over
+    the router, and as an in-process request whose dataclass does not
+    validate, so it reaches the worker's codec.  Each offender gets its
+    own ``InvalidRequest``; no neighbour, connection or worker pays."""
+
+    def neighbours(prefix):
+        return [
+            PredictRequest(
+                f"{prefix}{i}",
+                (),
+                NOW,
+                region=REGIONS[i],
+                database_id=DATABASE_IDS[i],
+            )
+            for i in range(20)
+        ]
+
+    async def run():
+        router = ShardRouter.build(
+            sharded_fleet(),
+            n_workers=2,
+            settings=RouterSettings(health_interval_s=0.0),
+        )
+        listener = await serve_tcp(router, port=0)
+        try:
+            offender = PredictRequest(
+                "bad-inproc",
+                (),
+                NOW,
+                region=REGIONS[0],
+                database_id=DATABASE_IDS[0],
+                deadline_ms="abc",
+            )
+            burst = neighbours("a")
+            burst.insert(7, offender)
+            inproc = await asyncio.gather(*(router.submit(r) for r in burst))
+
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            docs = [encode_request(r) for r in neighbours("b")]
+            docs.insert(7, {**docs[0], "request_id": "bad-wire", "deadline_ms": "abc"})
+            wire = []
+            for doc in docs:
+                writer.write((json.dumps(doc) + "\n").encode())
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 10.0)
+                wire.append(decode_response(json.loads(line)))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            listener.close()
+            await listener.wait_closed()
+            await router.stop()
+        return router, inproc, wire
+
+    router, inproc, wire = asyncio.run(run())
+    # The public front end names an undecodable line "?"; the worker's
+    # codec, reached by the in-process offender, knows the request id.
+    for responses, offender_id in ((inproc, "bad-inproc"), (wire, "?")):
+        assert len(responses) == 21
+        for response in responses:
+            if response.request_id == offender_id:
+                assert isinstance(response, InvalidRequest)
+                assert "deadline_ms" in response.message
+            else:
+                assert isinstance(response, PredictResponse), response
+    assert router.stats.retries == 0
+    assert router.stats.respawns == 0
+
+
+def test_worker_front_end_survives_non_object_documents():
+    """``7``, ``null``, ``"x"`` and ``[1]`` -- inside a frame beside a
+    health probe and as whole frames -- each get one
+    ``InvalidRequest("?")``; the probe is answered and the same
+    connection serves the next frame.  Likewise an exception while
+    admitting one request of a frame is that request's answer only."""
+
+    async def run():
+        server = inprocess_server()
+        await server.start()
+        listener = await asyncio.start_server(
+            lambda r, w: handle_pipelined(server, r, w), host="127.0.0.1", port=0
+        )
+        port = listener.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+        async def exchange(frame):
+            """One frame out, its synchronous answers back as a list."""
+            writer.write((json.dumps(frame) + "\n").encode())
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), 5.0)
+            assert line, "the worker front end dropped the connection"
+            answer = json.loads(line)
+            return answer if isinstance(answer, list) else [answer]
+
+        try:
+            for n, junk in enumerate((7, None, "x", [1])):
+                health = {"type": "health", "request_id": f"h{n}"}
+                answers = await exchange([health, junk])
+                assert [(a["type"], a["request_id"]) for a in answers] == [
+                    ("health", f"h{n}"),
+                    ("invalid", "?"),
+                ]
+                answers = await exchange(junk)
+                assert [(a["type"], a["request_id"]) for a in answers] == [
+                    ("invalid", "?")
+                ]
+            [alive] = await exchange({"type": "health", "request_id": "after"})
+            assert alive["status"] == "ok"
+
+            submit_nowait = server.submit_nowait
+
+            def flaky(request):
+                if request.request_id == "boom":
+                    raise RuntimeError("admission fell over")
+                return submit_nowait(request)
+
+            server.submit_nowait = flaky
+            answers = await exchange(
+                [
+                    {"type": "health", "request_id": "boom"},
+                    {"type": "health", "request_id": "fine"},
+                ]
+            )
+            assert [(a["type"], a["request_id"]) for a in answers] == [
+                ("unavailable", "boom"),
+                ("health", "fine"),
+            ]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            listener.close()
+            await listener.wait_closed()
+            await server.stop()
+
+    asyncio.run(run())
