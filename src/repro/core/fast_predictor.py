@@ -32,7 +32,8 @@ building the (database x window x period) grid.  It sweeps intervals
   window reads, so an unsorted or out-of-range history can only spoil its
   own answer, never a co-batched neighbour's.
 
-:meth:`FastPredictor.predict_fleet` is the constant-``now`` case.  Fleets
+:meth:`FastPredictor.predict_fleet` is the same kernel over a list of
+histories, at one ``now`` or one per database.  Fleets
 are swept :data:`PAIR_BLOCK` databases at a time (O(block) temporaries);
 results are byte-identical to per-database ``predict`` calls.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 import time as _time
 from functools import lru_cache
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -167,12 +168,15 @@ class FastPredictor:
     # ------------------------------------------------------------------
 
     def predict_fleet(
-        self, fleet_logins: Sequence[Sequence[int]], now: int
+        self,
+        fleet_logins: Sequence[Sequence[int]],
+        now: Union[int, Sequence[int]],
     ) -> List[PredictedActivity]:
-        """Predict every database of a fleet at one instant: the
-        constant-``now`` case of :meth:`predict_pairs`.  ``fleet_logins``
-        holds each database's sorted login timestamps; the result is
-        byte-identical to calling :meth:`predict` per database."""
+        """Predict every database of a fleet: :meth:`predict_pairs` over
+        lists.  ``fleet_logins`` holds each database's sorted login
+        timestamps and ``now`` is one instant for all of them or a sequence
+        with each database's own; the result is byte-identical to calling
+        :meth:`predict` per database."""
         if not OBS.enabled:
             return self._predict_fleet(fleet_logins, now)
         started = _time.perf_counter()
@@ -188,10 +192,14 @@ class FastPredictor:
         return predictions
 
     def _predict_fleet(
-        self, fleet_logins: Sequence[Sequence[int]], now: int
+        self,
+        fleet_logins: Sequence[Sequence[int]],
+        now: Union[int, Sequence[int]],
     ) -> List[PredictedActivity]:
         concat, offsets = concat_logins(fleet_logins)
-        nows = np.full(len(fleet_logins), now, dtype=np.int64)
+        nows = np.asarray(now, dtype=np.int64)
+        if nows.ndim == 0:
+            nows = np.full(len(fleet_logins), nows)
         HOT_PATH.batch_evals += 1
         HOT_PATH.batch_databases += len(fleet_logins)
         return self.predict_pairs(concat, offsets, nows)

@@ -1,10 +1,10 @@
 """Dynamic micro-batching of prediction requests.
 
 The same shape inference servers use: concurrent requests for the same
-``(region, config, now)`` coalesce into one pending batch; the batch is
-evaluated -- one :meth:`repro.core.fast_predictor.FastPredictor.
-predict_fleet` call instead of N ``predict`` calls -- when any of three
-triggers fires:
+config coalesce into one pending batch, each entry carrying its own
+``now``; the batch is evaluated -- one :meth:`repro.core.fast_predictor.
+FastPredictor.predict_fleet` call instead of N ``predict`` calls -- when
+any of three triggers fires:
 
 * **size**: the batch reached ``max_batch_size``;
 * **linger**: ``max_linger_s`` elapsed since the batch opened (the upper
@@ -32,23 +32,23 @@ from repro.observability.metrics import LATENCY_BUCKETS_MS, SIZE_BUCKETS
 from repro.observability.runtime import OBS
 from repro.types import PredictedActivity
 
-#: ``run_batch(key, fleet_logins, now) -> [PredictedActivity, ...]``: the
-#: evaluation callback; the server wraps breaker/retry/faults around the
-#: raw ``predict_fleet`` here.  A result entry may be an exception
-#: instance, which is raised to that entry's request alone.
+#: ``run_batch(key, fleet_logins, nows) -> [PredictedActivity, ...]``: the
+#: evaluation callback, one ``now`` per entry; the server wraps
+#: breaker/retry/faults around the raw ``predict_fleet`` here.  A result
+#: entry may be an exception instance, which is raised to that entry's
+#: request alone.
 BatchFn = Callable[
-    [Hashable, List[Sequence[int]], int],
+    [Hashable, List[Sequence[int]], List[int]],
     List[Union[PredictedActivity, Exception]],
 ]
 
 
 class _PendingBatch:
-    __slots__ = ("key", "now", "entries", "timer", "flushed", "opened_at")
+    __slots__ = ("key", "entries", "timer", "flushed", "opened_at")
 
-    def __init__(self, key: Hashable, now: int, opened_at: float):
+    def __init__(self, key: Hashable, opened_at: float):
         self.key = key
-        self.now = now
-        self.entries: List[Tuple[Sequence[int], asyncio.Future]] = []
+        self.entries: List[Tuple[Sequence[int], int, asyncio.Future]] = []
         self.timer: Any = None
         self.flushed = False
         self.opened_at = opened_at
@@ -88,23 +88,22 @@ class MicroBatcher:
     async def submit(
         self, key: Hashable, logins: Sequence[int], now: int
     ) -> Tuple[PredictedActivity, int]:
-        """Join (or open) the pending batch for ``(key, now)`` and await
-        this request's slot of the batch result.  Returns ``(prediction,
-        batch_size)`` -- the size is how many requests shared the
-        evaluation, surfaced in :class:`~repro.serving.requests.
-        PredictResponse` and asserted by the batching tests."""
+        """Join (or open) the pending batch for ``key`` and await this
+        request's slot of the batch result, evaluated at its own ``now``.
+        Returns ``(prediction, batch_size)`` -- the size is how many
+        requests shared the evaluation, surfaced in :class:`~repro.serving.
+        requests.PredictResponse` and asserted by the batching tests."""
         loop = asyncio.get_running_loop()
-        batch_key = (key, now)
-        batch = self._pending.get(batch_key)
+        batch = self._pending.get(key)
         if batch is None:
-            batch = _PendingBatch(key, now, time.perf_counter())
-            self._pending[batch_key] = batch
+            batch = _PendingBatch(key, time.perf_counter())
+            self._pending[key] = batch
             if not self.immediate and self._max_batch_size > 1:
                 batch.timer = loop.call_later(
                     self._max_linger_s, self._flush, batch
                 )
         future: asyncio.Future = loop.create_future()
-        batch.entries.append((logins, future))
+        batch.entries.append((logins, now, future))
         if self.immediate or len(batch.entries) >= self._max_batch_size:
             self._flush(batch)
         return await future
@@ -118,6 +117,16 @@ class MicroBatcher:
     # better at the call site than the idle hint it happens to equal.
     flush_all = flush_ready
 
+    def note_batch(self, size: int) -> None:
+        """Count one kernel call that answered ``size`` predicts, whether
+        this batcher made it or the server's by-id frame path did."""
+        self.batches += 1
+        self.batched_requests += size
+        if OBS.enabled:
+            OBS.metrics.histogram(
+                "serving.batch.size", buckets=SIZE_BUCKETS
+            ).observe(size)
+
     def _flush(self, batch: _PendingBatch) -> None:
         if batch.flushed:
             return
@@ -125,14 +134,10 @@ class MicroBatcher:
         if batch.timer is not None:
             batch.timer.cancel()
             batch.timer = None
-        self._pending.pop((batch.key, batch.now), None)
-        self.batches += 1
-        self.batched_requests += len(batch.entries)
+        self._pending.pop(batch.key, None)
+        self.note_batch(len(batch.entries))
         if OBS.enabled:
             linger_ms = (time.perf_counter() - batch.opened_at) * 1000.0
-            OBS.metrics.histogram(
-                "serving.batch.size", buckets=SIZE_BUCKETS
-            ).observe(len(batch.entries))
             OBS.metrics.histogram(
                 "serving.batch.linger_ms", buckets=LATENCY_BUCKETS_MS
             ).observe(linger_ms)
@@ -147,21 +152,22 @@ class MicroBatcher:
                 window_s=1.0,
                 buckets=LATENCY_BUCKETS_MS,
             ).observe(now, linger_ms, exemplar=str(batch.key))
-        fleet = [logins for logins, _ in batch.entries]
+        fleet = [logins for logins, _, _ in batch.entries]
+        nows = [now for _, now, _ in batch.entries]
         try:
-            results = self._run_batch(batch.key, fleet, batch.now)
+            results = self._run_batch(batch.key, fleet, nows)
             if len(results) != len(batch.entries):
                 raise ConfigError(
                     f"batch of {len(batch.entries)} got "
                     f"{len(results)} results"
                 )
         except BaseException as exc:  # noqa: BLE001 - forwarded to futures
-            for _, future in batch.entries:
+            for _, _, future in batch.entries:
                 if not future.done():
                     future.set_exception(exc)
             return
         size = len(batch.entries)
-        for (_, future), prediction in zip(batch.entries, results):
+        for (_, _, future), prediction in zip(batch.entries, results):
             if future.done():
                 continue
             if isinstance(prediction, Exception):

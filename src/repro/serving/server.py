@@ -3,16 +3,22 @@
 Request flow (``docs/serving.md`` has the full diagram)::
 
     client -> submit() -> AdmissionController -> bounded queue
-           -> dispatch loop -> handler task -> MicroBatcher
-           -> FastPredictor.predict_fleet (breaker + retry guarded)
+           -> dispatch loop -> handler task -> MicroBatcher (per config)
+           -> _run_batch: FastPredictor.predict_fleet (breaker + retry)
            -> response future
+
+    worker frame -> submit_frame_nowait() -> AdmissionController
+           -> by-id memo probe -> misses grouped per config
+           -> _run_batch (same loop turn) -> answers in document order
 
 The server is a single asyncio event loop: handlers are coroutine tasks,
 the predictor evaluation itself is synchronous numpy (micro-batched, so
-one kernel sweep answers many requests).  Admission bounds queued +
-in-flight work and sheds the rest with typed rejections; the dispatch
-loop measures queue wait, re-checks deadlines, and hints the batcher to
-flush the moment the queue drains.
+one kernel sweep answers many requests, each at its own ``now``).
+Admission bounds queued + in-flight work and sheds the rest with typed
+rejections; the dispatch loop measures queue wait, re-checks deadlines,
+and hints the batcher to flush the moment the queue drains.  A decoded
+frame of by-id predicts needs none of that machinery: its misses are
+answered synchronously, one kernel call per config.
 
 Resilience wiring mirrors the simulator's proactive policy: the
 ``serving.handler`` fault point can fail an evaluation, a
@@ -106,6 +112,16 @@ _PREREGISTERED_COUNTERS = (
 #: What ``predict_fleet``'s one-shot int64 conversion raises for a history
 #: (or ``now``) that is not made of int64-representable integers.
 _CONVERSION_ERRORS = (OverflowError, TypeError, ValueError)
+
+
+def _by_id(request: Request) -> bool:
+    """A predict that names a registered database instead of carrying
+    its history: the only kind the memo and the frame path serve."""
+    return isinstance(request, PredictRequest) and request.database_id is not None
+
+
+def _elapsed_ms(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
 
 #: Wall-clock window for the gateway's live series (shed/latency per
 #: tenant): one second, matching the serving SLOs' fast window.
@@ -208,7 +224,7 @@ class PredictionServer:
             self.settings.admission_policy(), clock=clock
         )
         self.batcher = MicroBatcher(
-            self._run_request_batch,
+            self._run_batch,
             max_batch_size=self.settings.max_batch_size,
             max_linger_s=self.settings.max_linger_ms / 1000.0,
         )
@@ -246,6 +262,9 @@ class PredictionServer:
         #: by-id prediction memo: (region, config, database id, login
         #: version, now) -> PredictedActivity, FIFO-bounded.
         self._cache: Dict[tuple, "PredictedActivity"] = {}
+        #: tenant -> the latency streams of ``_streams_registry``.
+        self._streams_registry = None
+        self._streams: Dict[str, tuple] = {}
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._in_flight: set = set()
         self._dispatch_task: Optional[asyncio.Task] = None
@@ -302,10 +321,13 @@ class PredictionServer:
             bank.observe_login((region, database_id), ts)
 
     def _resolve_database(
-        self, region: str, database_id: str
-    ) -> Tuple[Sequence[int], int]:
-        """``(logins, login_version)`` for a by-id request, or a typed
-        protocol error when the database is not registered."""
+        self, request: PredictRequest
+    ) -> Tuple[Sequence[int], tuple]:
+        """``(logins, memo key)`` for a by-id request, or a typed protocol
+        error when the database is not registered.  The key carries the
+        history's login version, so an append invalidates exactly the
+        affected database's memo entries."""
+        region, database_id = request.region, request.database_id
         fleet = self._fleet.get(region)
         entry = fleet.get(database_id) if fleet is not None else None
         if entry is None:
@@ -315,8 +337,10 @@ class PredictionServer:
         logins, _paused = entry
         version_of = getattr(fleet, "login_version", None)
         if version_of is not None:
-            return logins, version_of(database_id)
-        return logins, self._login_versions.get((region, database_id), 0)
+            version = version_of(database_id)
+        else:
+            version = self._login_versions.get((region, database_id), 0)
+        return logins, (region, request.config, database_id, version, request.now)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -391,6 +415,7 @@ class PredictionServer:
             self._resolve(
                 entry,
                 Shutdown(entry.request.request_id, "server stopped while queued"),
+                None,
             )
         self._queue.put_nowait(_STOP)
         if self._dispatch_task is not None:
@@ -439,34 +464,17 @@ class PredictionServer:
         synchronously -- health/metrics probes, typed admission
         rejections, and by-id prediction-cache hits -- else ``(None,
         future)`` with the request enqueued for the dispatch loop;
-        awaiting the future yields the typed response.  The sharded
-        worker's pipelined front end calls this directly so the cache-hit
-        hot path never allocates a task or future.  Must be called from
-        within a running event loop.
+        awaiting the future yields the typed response.  Must be called
+        from within a running event loop.
         """
-        if OBS.enabled:
-            OBS.metrics.counter(f"serving.requests.{request.kind}").inc()
-            OBS.metrics.counter_series(
-                "serving.requests.window", window_s=SERVING_WINDOW_S
-            ).inc(self._clock())
-        if isinstance(request, HealthRequest):
-            return self._health(request), None
-        if isinstance(request, MetricsRequest):
-            return self._metrics(request), None
-        if not self._started and not self._stopping:
-            self._ensure_started()
-        rejection = self.admission.admit(
-            request, depth=self.depth(), stopping=self._stopping
-        )
-        if rejection is not None:
-            return rejection, None
-        if (
-            isinstance(request, PredictRequest)
-            and request.database_id is not None
-        ):
-            fast = self._fast_predict(request)
-            if fast is not None:
-                return fast, None
+        started = time.perf_counter()
+        response = self._admit(request)
+        if response is not None:
+            return response, None
+        if _by_id(request):
+            response, _, _ = self._fast_predict(request, started)
+            if response is not None:
+                return response, None
         loop = asyncio.get_running_loop()
         entry = _QueueEntry(request, loop.create_future(), self._clock())
         self._queue.put_nowait(entry)
@@ -477,47 +485,125 @@ class PredictionServer:
             OBS.metrics.gauge("serving.queue.depth").set(depth)
         return None, entry.future
 
-    def _fast_predict(self, request: PredictRequest) -> Optional[Response]:
+    def submit_frame_nowait(
+        self, requests: Sequence[Request]
+    ) -> List[Tuple[Optional[Response], Optional["asyncio.Future"]]]:
+        """Admit one decoded frame (the sharded worker's front end):
+        :meth:`submit_nowait`'s ``(response, future)`` per request, in
+        order.  By-id predicts never queue: each is admitted and probed
+        against the memo, and the misses are answered in this same call
+        with one guarded kernel call per config name (chunked at
+        ``max_batch_size``), each entry at its own ``now``.  Every other
+        request goes through :meth:`submit_nowait`.  An exception while
+        admitting one request is that request's answer alone."""
+        started = time.perf_counter()
+        answers: List[Tuple[Optional[Response], Optional[asyncio.Future]]] = []
+        misses: Dict[str, List[tuple]] = {}
+        for request in requests:
+            try:
+                if not _by_id(request):
+                    answers.append(self.submit_nowait(request))
+                    continue
+                response = self._admit(request)
+                if response is None:
+                    response, logins, key = self._fast_predict(request, started)
+                    if response is None:
+                        misses.setdefault(request.config, []).append(
+                            (len(answers), request, logins, key)
+                        )
+                answers.append((response, None))
+            except Exception as exc:  # noqa: BLE001 - see contained()
+                answers.append((contained(request.request_id, exc), None))
+        size = self.settings.max_batch_size
+        for config_name, entries in misses.items():
+            for lo in range(0, len(entries), size):
+                chunk = entries[lo : lo + size]
+                responses = self._answer_misses(config_name, chunk, started)
+                for (slot, _, _, _), response in zip(chunk, responses):
+                    answers[slot] = (response, None)
+        return answers
+
+    def _admit(self, request: Request) -> Optional[Response]:
+        """Count the request, answer probes, run admission: a response
+        here is final; ``None`` means admitted."""
+        if OBS.enabled:
+            OBS.metrics.counter(f"serving.requests.{request.kind}").inc()
+            OBS.metrics.counter_series(
+                "serving.requests.window", window_s=SERVING_WINDOW_S
+            ).inc(self._clock())
+        if isinstance(request, HealthRequest):
+            return self._health(request)
+        if isinstance(request, MetricsRequest):
+            return self._metrics(request)
+        if not self._started and not self._stopping:
+            self._ensure_started()
+        return self.admission.admit(
+            request, depth=self.depth(), stopping=self._stopping
+        )
+
+    def _fast_predict(
+        self, request: PredictRequest, started: float
+    ) -> Tuple[Optional[Response], Sequence[int], Optional[tuple]]:
         """The synchronous by-id path: resolve the history, probe the
         prediction cache.  A hit (or a typed resolution error) answers
-        immediately; ``None`` means cache miss -- fall through to the
-        batched path, which fills the cache."""
+        immediately as ``(response, ...)``; a miss returns ``(None,
+        logins, memo key)`` for whichever batched path fills the memo."""
         try:
             self._config(request.config)
-            _, version = self._resolve_database(
-                request.region, request.database_id
-            )
+            logins, key = self._resolve_database(request)
         except ServingProtocolError as exc:
-            self.stats.served += 1
-            self.stats.count("invalid")
-            if OBS.enabled:
-                OBS.metrics.counter("serving.served").inc()
-            return InvalidRequest(request.request_id, str(exc))
-        key = (
-            request.region,
-            request.config,
-            request.database_id,
-            version,
-            request.now,
-        )
+            response: Response = InvalidRequest(request.request_id, str(exc))
+            self._served(request, response, _elapsed_ms(started))
+            return response, (), None
         hit = self._cache.get(key)
         if hit is None:
             self.stats.cache_misses += 1
             if OBS.enabled:
                 OBS.metrics.counter("serving.cache.misses").inc()
-            return None
+            return None, logins, key
         self.stats.cache_hits += 1
-        self.stats.served += 1
-        self.stats.count("predict")
         if OBS.enabled:
             OBS.metrics.counter("serving.cache.hits").inc()
-            OBS.metrics.counter("serving.served").inc()
-        return PredictResponse(
+        response = PredictResponse(
             request_id=request.request_id,
             prediction=hit,
             batch_size=1,
             queue_wait_ms=0.0,
         )
+        self._served(request, response, _elapsed_ms(started))
+        return response, logins, key
+
+    def _answer_misses(
+        self, config_name: str, chunk: List[tuple], started: float
+    ) -> List[Response]:
+        """One kernel call for a frame's by-id memo misses of one config:
+        ``chunk`` holds ``(slot, request, logins, memo key)`` entries."""
+        self.batcher.note_batch(len(chunk))
+        try:
+            predictions: list = self._run_batch(
+                config_name,
+                [logins for _, _, logins, _ in chunk],
+                [request.now for _, request, _, _ in chunk],
+            )
+        except Exception as exc:  # noqa: BLE001 - every entry is answered
+            predictions = [exc] * len(chunk)
+        total_ms = _elapsed_ms(started)
+        responses: List[Response] = []
+        for (_, request, logins, key), prediction in zip(chunk, predictions):
+            # The same outcomes, in the same order, as _handle_predict.
+            try:
+                if isinstance(prediction, Exception):
+                    raise prediction
+                response: Response = self._predicted(
+                    request, logins, key, prediction, len(chunk), 0.0
+                )
+            except ServingProtocolError as exc:
+                response = InvalidRequest(request.request_id, str(exc))
+            except Exception as exc:  # noqa: BLE001 - every entry is answered
+                response = self._failed(request.request_id, exc)
+            self._served(request, response, total_ms)
+            responses.append(response)
+        return responses
 
     def _cache_put(self, key: tuple, prediction: PredictedActivity) -> None:
         limit = self.settings.prediction_cache_size
@@ -606,6 +692,7 @@ class PredictionServer:
                         waited_ms,
                         tenant=getattr(entry.request, "tenant", "default"),
                     ),
+                    None,
                 )
                 continue
             task = loop.create_task(self._handle(entry, waited_ms))
@@ -629,40 +716,21 @@ class PredictionServer:
                 response = InvalidRequest(
                     request.request_id, f"unhandled request {request!r}"
                 )
-        except CircuitOpenError as exc:
-            response = self._error(request.request_id, f"breaker open: {exc}")
-        except ProRPError as exc:
-            response = self._error(request.request_id, str(exc))
         except Exception as exc:  # noqa: BLE001 - the future must resolve
-            # Anything the typed handlers missed (e.g. a ValueError from
-            # numpy coercion of malformed logins) would otherwise strand
-            # this future -- and, via the batcher, every co-batched one.
-            response = self._error(
-                request.request_id, f"internal error: {exc!r}"
-            )
-        self._resolve(entry, response)
-        if OBS.enabled:
-            total_ms = (time.perf_counter() - started) * 1000.0 + waited_ms
-            OBS.metrics.histogram(
-                "serving.latency_ms", buckets=LATENCY_BUCKETS_MS
-            ).observe(total_ms)
-            now = self._clock()
-            # The per-tenant windowed stream the latency SLO evaluates;
-            # the exemplar pins each window's worst request by id, so a
-            # paging p99 links straight to the offending trace.
-            OBS.metrics.histogram_series(
-                "serving.latency_ms.window",
-                window_s=SERVING_WINDOW_S,
-                buckets=LATENCY_BUCKETS_MS,
-            ).observe(now, total_ms, exemplar=request.request_id)
-            OBS.metrics.histogram_series(
-                "serving.tenant.latency_ms",
-                window_s=SERVING_WINDOW_S,
-                buckets=LATENCY_BUCKETS_MS,
-                labels={"tenant": getattr(request, "tenant", "default")},
-            ).observe(now, total_ms, exemplar=request.request_id)
-            if self.slo_monitor is not None:
-                self.slo_monitor.maybe_evaluate(now)
+            # Besides the typed failures (breaker open, retries spent),
+            # anything the handlers missed (e.g. a ValueError from numpy
+            # coercion of malformed logins) would otherwise strand this
+            # future -- and, via the batcher, every co-batched one.
+            response = self._failed(request.request_id, exc)
+        self._resolve(entry, response, _elapsed_ms(started) + waited_ms)
+
+    def _failed(self, request_id: str, exc: Exception) -> Unavailable:
+        """The typed answer to an evaluation that raised."""
+        if isinstance(exc, CircuitOpenError):
+            return self._error(request_id, f"breaker open: {exc}")
+        if isinstance(exc, ProRPError):
+            return self._error(request_id, str(exc))
+        return self._error(request_id, f"internal error: {exc!r}")
 
     def _error(self, request_id: str, message: str) -> Unavailable:
         self.stats.errors += 1
@@ -670,13 +738,64 @@ class PredictionServer:
             OBS.metrics.counter("serving.errors").inc()
         return Unavailable(request_id, message)
 
-    def _resolve(self, entry: _QueueEntry, response: Response) -> None:
+    def _resolve(
+        self, entry: _QueueEntry, response: Response, total_ms: Optional[float]
+    ) -> None:
         if not entry.future.done():
-            self.stats.served += 1
-            self.stats.count(response.kind)
-            if OBS.enabled:
-                OBS.metrics.counter("serving.served").inc()
+            self._served(entry.request, response, total_ms)
             entry.future.set_result(response)
+
+    def _served(
+        self, request: Request, response: Response, total_ms: Optional[float]
+    ) -> None:
+        """Bookkeeping for one answered request, whichever path answered
+        it (dispatch loop, memo hit, frame): the served counters and --
+        unless it was shed unstarted (``total_ms is None``) -- the latency
+        streams the serving SLO evaluates, then the SLO tick."""
+        self.stats.served += 1
+        self.stats.count(response.kind)
+        if not OBS.enabled:
+            return
+        OBS.metrics.counter("serving.served").inc()
+        if total_ms is None:
+            return
+        latency, window, tenant = self._latency_streams(
+            getattr(request, "tenant", "default")
+        )
+        latency.observe(total_ms)
+        now = self._clock()
+        # The per-tenant windowed stream the latency SLO evaluates; the
+        # exemplar pins each window's worst request by id, so a paging
+        # p99 links straight to the offending trace.
+        window.observe(now, total_ms, exemplar=request.request_id)
+        tenant.observe(now, total_ms, exemplar=request.request_id)
+        if self.slo_monitor is not None:
+            self.slo_monitor.maybe_evaluate(now)
+
+    def _latency_streams(self, tenant: str) -> tuple:
+        """``serving.latency_ms``, its 1 s window and ``tenant``'s window
+        in the live registry, looked up once per registry and tenant:
+        the lookups cost twice what the observations do."""
+        registry = OBS.metrics
+        if self._streams_registry is not registry:
+            self._streams_registry, self._streams = registry, {}
+        streams = self._streams.get(tenant)
+        if streams is None:
+            streams = self._streams[tenant] = (
+                registry.histogram("serving.latency_ms", buckets=LATENCY_BUCKETS_MS),
+                registry.histogram_series(
+                    "serving.latency_ms.window",
+                    window_s=SERVING_WINDOW_S,
+                    buckets=LATENCY_BUCKETS_MS,
+                ),
+                registry.histogram_series(
+                    "serving.tenant.latency_ms",
+                    window_s=SERVING_WINDOW_S,
+                    buckets=LATENCY_BUCKETS_MS,
+                    labels={"tenant": tenant},
+                ),
+            )
+        return streams
 
     # ------------------------------------------------------------------
     # Handlers
@@ -716,26 +835,32 @@ class PredictionServer:
     ) -> Response:
         self._config(request.config)  # validate before batching
         logins: Sequence[int] = request.logins
-        cache_key: Optional[tuple] = None
+        key: Optional[tuple] = None
         if request.database_id is not None:
-            logins, version = self._resolve_database(
-                request.region, request.database_id
-            )
-            cache_key = (
-                request.region,
-                request.config,
-                request.database_id,
-                version,
-                request.now,
-            )
+            logins, key = self._resolve_database(request)
         try:
             prediction, batch_size = await self.batcher.submit(
-                (request.region, request.config), logins, request.now
+                request.config, logins, request.now
             )
         except ServingProtocolError as exc:
-            # This request's own logins / now (see _run_request_batch).
+            # This request's own logins / now (see _run_batch).
             return InvalidRequest(request.request_id, str(exc))
-        if request.database_id is not None:
+        return self._predicted(
+            request, logins, key, prediction, batch_size, waited_ms
+        )
+
+    def _predicted(
+        self,
+        request: PredictRequest,
+        logins: Sequence[int],
+        key: Optional[tuple],
+        prediction: PredictedActivity,
+        batch_size: int,
+        waited_ms: float,
+    ) -> PredictResponse:
+        """The answer to one evaluated predict.  A by-id one (memo ``key``
+        set) is re-ranked by the predictor bank and fills the memo."""
+        if key is not None:
             prediction = self._bank_predict(
                 request.config,
                 request.region,
@@ -744,8 +869,7 @@ class PredictionServer:
                 request.now,
                 prediction,
             )
-        if cache_key is not None:
-            self._cache_put(cache_key, prediction)
+            self._cache_put(key, prediction)
         return PredictResponse(
             request_id=request.request_id,
             prediction=prediction,
@@ -772,10 +896,14 @@ class PredictionServer:
                 scanned=0,
                 queue_wait_ms=waited_ms,
             )
-        key = (request.region, request.config)
         predictions = self._run_batch(
-            key, [logins for _, logins in paused], request.now
+            request.config,
+            [logins for _, logins in paused],
+            [request.now] * len(paused),
         )
+        for prediction in predictions:
+            if isinstance(prediction, ServingProtocolError):
+                raise prediction
         if self._banks:
             predictions = [
                 self._bank_predict(
@@ -821,51 +949,47 @@ class PredictionServer:
     # Guarded predictor evaluation
     # ------------------------------------------------------------------
 
-    def _run_request_batch(
-        self, key: Tuple[str, str], fleet_logins: List[Sequence[int]], now: int
-    ) -> List[Union[PredictedActivity, ServingProtocolError]]:
-        """The batcher's evaluation callback: :meth:`_run_batch`, except
-        that requests submitted in process were never decoded, so their
-        ``logins`` / ``now`` may not convert to int64.  Nothing is checked
-        up front; when the batch's one-shot conversion fails, each entry
-        is evaluated alone so only the offender gets the typed error."""
-        try:
-            return self._run_batch(key, fleet_logins, now)
-        except _CONVERSION_ERRORS:
-            return [self._run_alone(key, logins, now) for logins in fleet_logins]
-
-    def _run_alone(
-        self, key: Tuple[str, str], logins: Sequence[int], now: int
-    ) -> Union[PredictedActivity, ServingProtocolError]:
-        try:
-            return self._run_batch(key, [logins], now)[0]
-        except _CONVERSION_ERRORS as exc:
-            return ServingProtocolError(
-                f"logins and now must be int64 timestamps: {exc}"
-            )
-
     def _run_batch(
-        self, key: Tuple[str, str], fleet_logins: List[Sequence[int]], now: int
-    ) -> List[PredictedActivity]:
-        """Resolve the config and run ``predict_fleet`` behind the
-        breaker and retry policy (batched requests and the resume scan)."""
-        _, config_name = key
+        self,
+        config_name: str,
+        fleet_logins: List[Sequence[int]],
+        nows: List[int],
+    ) -> List[Union[PredictedActivity, ServingProtocolError]]:
+        """The one guarded evaluation (the batcher's callback, the frame
+        path and the resume scan): resolve the config and run
+        ``predict_fleet``, each history at its own ``now``, behind the
+        breaker and retry policy, consulting the ``serving.handler`` fault
+        point once per attempt.  Requests submitted in process were never
+        decoded, so their ``logins`` / ``now`` may not convert to int64;
+        nothing is checked up front, and when the one-shot conversion
+        fails each entry is evaluated alone, so only the offender's entry
+        is a :class:`ServingProtocolError`."""
         config = self._config(config_name)
-        breaker_now = self._clock()
-        if not self._breaker.allow(breaker_now):
+        if not self._breaker.allow(self._clock()):
             raise CircuitOpenError(
                 "serving.predictor breaker is open; shedding evaluation"
             )
+        predictor = get_fast_predictor(config)
 
-        def attempt() -> List[PredictedActivity]:
+        def alone(logins: Sequence[int], now: int):
+            try:
+                return predictor.predict_fleet([logins], [now])[0]
+            except _CONVERSION_ERRORS as exc:
+                return ServingProtocolError(
+                    f"logins and now must be int64 timestamps: {exc}"
+                )
+
+        def attempt() -> List[Union[PredictedActivity, ServingProtocolError]]:
             if FAULTS.enabled and FAULTS.injector is not None:
                 if FAULTS.injector.should_fire(HANDLER_FAULT_POINT):
                     raise FaultInjectedError(
                         HANDLER_FAULT_POINT,
                         "injected: serving handler backend failure",
                     )
-            predictor = get_fast_predictor(config)
-            return predictor.predict_fleet(fleet_logins, now)
+            try:
+                return predictor.predict_fleet(fleet_logins, nows)
+            except _CONVERSION_ERRORS:
+                return list(map(alone, fleet_logins, nows))
 
         def on_retry(attempt_no: int, delay_s: float, error: BaseException) -> None:
             if FAULTS.enabled and FAULTS.injector is not None:

@@ -1,15 +1,17 @@
 """The sharded serving worker process.
 
 Each worker is a full :class:`~repro.serving.server.PredictionServer`
-(admission -> micro-batcher -> ``FastPredictor.predict_fleet``) serving
+(admission -> frame path or micro-batcher ->
+``FastPredictor.predict_fleet``) serving
 its fleet straight off the shared-memory arena, fronted by a *pipelined*
 JSON-over-TCP handler: unlike the public front end (which answers each
 line before reading the next), the router's single connection per worker
 carries many requests in flight, and responses are written as they
-resolve -- out of order, correlated by ``request_id``.  Synchronously
-resolvable requests (cache hits, typed rejections, health/metrics) are
-answered inline via ``submit_nowait`` without ever allocating a task or
-future, which is the cache-hit hot path the sharded bench measures.
+resolve -- out of order, correlated by ``request_id``.  A frame's by-id
+predicts -- memo hits and misses alike -- are answered inline by
+``submit_frame_nowait``, the misses with one kernel call per config, so
+the by-id hot path never allocates a queue entry, task or future; only
+resume scans and anonymous predicts take the dispatch loop.
 
 Workers are spawned (never forked -- the router's event loop and the
 arena mapping must not be inherited) and bootstrapped over a
@@ -35,7 +37,7 @@ from repro.serving.requests import (
     decode_request,
     encode_response,
 )
-from repro.serving.server import PredictionServer, ServingSettings, contained
+from repro.serving.server import PredictionServer, ServingSettings
 from repro.serving.sharded.arena import ArenaSpec, SharedHistoryArena
 
 #: Above this many buffered outgoing bytes the pipelined handler awaits
@@ -72,10 +74,12 @@ async def handle_pipelined(
 
     A frame is either one request document or an array of them (the
     router coalesces every request submitted in the same event-loop
-    iteration).  Synchronously-resolvable requests of a frame -- cache
-    hits, typed rejections, health -- are answered together as one array
-    frame; requests that need the batcher resolve individually as their
-    futures complete."""
+    iteration).  The decoded frame goes to
+    :meth:`~repro.serving.server.PredictionServer.submit_frame_nowait`,
+    which answers every by-id predict in the same loop turn; those
+    answers, typed rejections and health probes go back together as one
+    array frame in document order, while resume scans and anonymous
+    predicts resolve individually as their futures complete."""
     pending: Set[asyncio.Task] = set()
 
     async def respond(future: "asyncio.Future") -> None:
@@ -99,30 +103,35 @@ async def handle_pipelined(
                 _write(writer, InvalidRequest("?", str(exc)))
                 continue
             docs = frame if isinstance(frame, list) else (frame,)
-            sync: list = []
+            # Decode the whole frame, then admit it in one call: by-id
+            # predicts are answered in this turn (one kernel call per
+            # config), everything else as submit_nowait answers it.
+            answers: list = []
+            requests: list = []
             for doc in docs:
                 try:
-                    request = decode_request(doc)
+                    requests.append(decode_request(doc))
+                    answers.append(None)
                 except ServingProtocolError as exc:
                     # Only an object can name the request it failed to be.
                     request_id = (
                         doc.get("request_id", "?") if isinstance(doc, dict) else "?"
                     )
-                    sync.append(InvalidRequest(str(request_id), str(exc)))
+                    answers.append(InvalidRequest(str(request_id), str(exc)))
+            admitted = iter(server.submit_frame_nowait(requests))
+            for slot, answer in enumerate(answers):
+                if answer is not None:
                     continue
-                try:
-                    response, future = server.submit_nowait(request)
-                except Exception as exc:  # noqa: BLE001 - see contained()
-                    sync.append(contained(request.request_id, exc))
-                    continue
+                response, future = next(admitted)
                 if response is not None:
-                    sync.append(response)
+                    answers[slot] = response
                 else:
                     task = asyncio.get_running_loop().create_task(
                         respond(future)
                     )
                     pending.add(task)
                     task.add_done_callback(pending.discard)
+            sync = [answer for answer in answers if answer is not None]
             if sync:
                 if len(sync) == 1:
                     _write(writer, sync[0])

@@ -272,6 +272,20 @@ def test_predict_fleet_is_the_constant_now_case(fleets, now, variant, block):
         assert predictor.predict_fleet(tuples[:1] + fleets[1:], now) == expected
 
 
+@hsettings(max_examples=40, deadline=None)
+@given(pair_batches(), st.sampled_from(sorted(PAIR_VARIANTS)))
+def test_predict_fleet_takes_one_now_per_database(batch, variant):
+    """``predict_fleet(logins, nows)`` -- the serving batcher's call, one
+    ``now`` per entry -- equals per-database ``predict`` at each instant,
+    whether ``nows`` is a list or an array and logins arrays or tuples."""
+    fleets, nows = batch
+    predictor = get_fast_predictor(PAIR_VARIANTS[variant])
+    expected = [predictor.predict(l, n) for l, n in zip(fleets, nows)]
+    tuples = [tuple(logins.tolist()) for logins in fleets]
+    assert predictor.predict_fleet(fleets, nows) == expected
+    assert predictor.predict_fleet(tuples, np.array(nows)) == expected
+
+
 #: Histories that break every part of the contract: unsorted, duplicated,
 #: negative, far future, and the int64 extremes.
 garbage_logins = st.lists(

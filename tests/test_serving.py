@@ -157,27 +157,33 @@ def test_batcher_flushes_at_max_size_without_linger():
     asyncio.run(run())
 
 
-def test_batcher_groups_by_key_and_now():
-    """Different (key, now) pairs never share a batch."""
+def test_batcher_groups_by_key_not_now():
+    """Different keys never share a batch; different ``now``s under one
+    key do, each entry evaluated at its own instant."""
     predictor = get_fast_predictor(DEFAULT_CONFIG)
+    calls = []
+
+    def run_batch(key, batch, nows):
+        calls.append((key, list(nows)))
+        return predictor.predict_fleet(batch, nows)
 
     async def run():
-        batcher = MicroBatcher(
-            lambda key, batch, now: predictor.predict_fleet(batch, now),
-            max_batch_size=16,
-            max_linger_s=0.001,
-        )
-        results = await asyncio.gather(
+        batcher = MicroBatcher(run_batch, max_batch_size=16, max_linger_s=0.001)
+        return await asyncio.gather(
             batcher.submit("a", FLEETS[0], NOW),
             batcher.submit("a", FLEETS[1], NOW),
             batcher.submit("b", FLEETS[2], NOW),
-            batcher.submit("a", FLEETS[3], NOW + 60),
-        )
-        sizes = [size for _, size in results]
-        assert sizes == [2, 2, 1, 1]
-        assert batcher.batches == 3
+            batcher.submit("a", FLEETS[3], NOW + 7 * HOUR),
+        ), batcher
 
-    asyncio.run(run())
+    results, batcher = asyncio.run(run())
+    assert [size for _, size in results] == [3, 3, 1, 3]
+    assert batcher.batches == 2 and batcher.batched_requests == 4
+    assert sorted(calls) == [("a", [NOW, NOW, NOW + 7 * HOUR]), ("b", [NOW])]
+    nows = [NOW, NOW, NOW, NOW + 7 * HOUR]
+    assert [p for p, _ in results] == [
+        predictor.predict(FLEETS[i], nows[i]) for i in range(4)
+    ]
 
 
 def test_batcher_rejects_bad_knobs():

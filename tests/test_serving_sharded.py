@@ -27,7 +27,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from repro.config import DEFAULT_CONFIG
+from repro.core.fast_predictor import get_fast_predictor
+from repro.core.prediction_cache import HOT_PATH
 from repro.errors import ConfigError
+from repro.faults import FaultPlan, FaultSpec, chaos
+from repro.observability import observed
 from repro.serving import (
     HealthRequest,
     MetricsRequest,
@@ -40,9 +45,11 @@ from repro.serving import (
     serve_tcp,
 )
 from repro.serving.requests import (
+    HealthResponse,
     InvalidRequest,
     Overloaded,
     PredictResponse,
+    Unavailable,
     decode_response,
     encode_request,
 )
@@ -54,9 +61,11 @@ from repro.serving.sharded import (
 )
 from repro.serving.sharded.worker import handle_pipelined
 from repro.simulation.fleet import LeanHistory
-from repro.types import SECONDS_PER_DAY
+from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from tests.test_prediction_cache import CONFIG_VARIANTS
 
 DAY = SECONDS_PER_DAY
+HOUR = SECONDS_PER_HOUR
 NOW = 29 * DAY
 
 #: Small deterministic fleet spread over four regions.
@@ -737,3 +746,255 @@ def test_worker_front_end_survives_non_object_documents():
             await server.stop()
 
     asyncio.run(run())
+
+
+# ---------------------------------------------------------------------------
+# The by-id frame path: one kernel call per config, answers in document order
+# ---------------------------------------------------------------------------
+
+#: The two configs the frame tests serve; misses group by config name only.
+FRAME_CONFIGS = {"default": DEFAULT_CONFIG, "tight": CONFIG_VARIANTS["tight"]}
+
+
+def by_id(i, now=NOW, **overrides):
+    fields = dict(request_id=f"p{i}", logins=(), now=now, region=REGIONS[i])
+    return PredictRequest(database_id=DATABASE_IDS[i], **{**fields, **overrides})
+
+
+def arena_server(arena, **settings) -> PredictionServer:
+    server = PredictionServer(
+        configs=FRAME_CONFIGS, settings=ServingSettings(**settings)
+    )
+    server.attach_fleet(arena.views())
+    return server
+
+
+def run_frames(server, *frames):
+    """Start ``server``, admit each frame with ``submit_frame_nowait``,
+    stop; the answers of each frame plus the kernel calls each made."""
+
+    async def run():
+        await server.start()
+        out = []
+        for frame in frames:
+            evals = HOT_PATH.batch_evals
+            answers = server.submit_frame_nowait(frame)
+            out.append((answers, HOT_PATH.batch_evals - evals, server.depth()))
+        await server.stop()
+        return out
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize("max_batch", [64, 4])
+def test_frame_answers_by_id_misses_with_one_kernel_call_per_config(max_batch):
+    """Ten by-id predicts over three regions and two ``now``s, an unknown
+    database and a health probe: one kernel call answers all ten misses
+    (``max_batch_size=4``: three), nothing is queued, the twelve answers
+    come back in document order, and the counters behind the health
+    stats' ``batches`` / ``batched_requests`` count the call.  The same
+    frame again is all memo hits."""
+    picks = [i for i in range(len(FLEETS)) if i % 4 != 3][:10]
+    nows = [NOW + (n % 2) * 7 * HOUR for n in range(10)]
+    frame = [by_id(i, now) for i, now in zip(picks, nows)]
+    frame.insert(4, PredictRequest("ghost", (), NOW, database_id="x"))
+    frame.insert(8, HealthRequest("h"))
+    assert len({REGIONS[i] for i in picks}) == 3
+    arena = SharedHistoryArena.build(sharded_fleet())
+    server = arena_server(arena, max_batch_size=max_batch)
+    try:
+        (first, evals, depth), (again, evals_again, _) = run_frames(
+            server, frame, frame
+        )
+    finally:
+        arena.close()
+        arena.unlink()
+    calls = -(-10 // max_batch)
+    assert evals == calls and evals_again == 0 and depth == 0
+    assert server.batcher.batches == calls
+    assert server.batcher.batched_requests == 10
+    assert all(future is None for _, future in first + again)
+    responses = [response for response, _ in first]
+    assert [r.request_id for r in responses] == [r.request_id for r in frame]
+    assert [r.kind for r in responses].count("predict") == 10
+    assert isinstance(responses[4], InvalidRequest)
+    assert isinstance(responses[8], HealthResponse)
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
+    predicts = [r for r in responses if isinstance(r, PredictResponse)]
+    for i, now, response in zip(picks, nows, predicts):
+        assert response.prediction == predictor.predict(FLEETS[i], now)
+    assert [r.batch_size for r in predicts] == [
+        min(max_batch, 10 - k // max_batch * max_batch) for k in range(10)
+    ]
+    assert [r for r, _ in again if r.kind == "predict"] == [
+        PredictResponse(r.request_id, r.prediction, 1, 0.0) for r in predicts
+    ]
+    assert server.stats.cache_hits == 10
+
+
+def test_frame_path_faults_fire_once_per_kernel_call():
+    """``serving.handler`` is consulted once per kernel call (two configs,
+    ``max_batch_size=4``: three calls for nine misses).  Once the breaker
+    is open every by-id entry of a frame is ``Unavailable`` without a
+    consult, and its health and invalid neighbours are still answered."""
+    frame = [by_id(i) for i in range(6)]
+    frame += [by_id(i, config="tight") for i in range(6, 9)]
+    frame.insert(2, HealthRequest("h"))
+    frame.insert(5, PredictRequest("ghost", (), NOW, database_id="x"))
+    plan = FaultPlan.of(FaultSpec("serving.handler", probability=1.0))
+    arena = SharedHistoryArena.build(sharded_fleet())
+    with chaos(plan, seed=0) as injector:
+        server = arena_server(
+            arena,
+            max_batch_size=4,
+            retry_attempts=1,
+            breaker_failure_threshold=3,
+            breaker_recovery_s=10_000.0,
+        )
+        try:
+            (failed, _, _), (refused, _, _) = run_frames(server, frame, frame)
+        finally:
+            arena.close()
+            arena.unlink()
+    assert injector.consults["serving.handler"] == 3
+    assert injector.fires["serving.handler"] == 3
+    assert server._breaker.opens == 1
+    neighbours = {"h": "health", "ghost": "invalid"}
+    want = [(r.request_id, neighbours.get(r.request_id, "unavailable")) for r in frame]
+    for answers, message in ((failed, "injected"), (refused, "breaker open")):
+        assert [(r.request_id, r.kind) for r, _ in answers] == want
+        assert all(
+            message in r.message for r, _ in answers if isinstance(r, Unavailable)
+        )
+
+
+def test_memo_hits_feed_the_latency_slo():
+    """Regression: an answer that skips the dispatch loop -- a memo hit, an
+    unknown database -- was counted as served but never reached the
+    latency streams the ``serving_latency_p99`` rule reads, nor ticked the
+    SLO monitor."""
+
+    class Ticks:
+        calls = 0
+
+        def maybe_evaluate(self, now):
+            self.calls += 1
+
+    server = inprocess_server()
+    server.slo_monitor = Ticks()
+    requests = [by_id(0), by_id(0), PredictRequest("x", (), NOW, database_id="x")]
+
+    async def run():
+        await server.start()
+        answers = [await server.submit(r) for r in requests]
+        await server.stop()
+        return answers
+
+    with observed() as runtime:
+        answers = asyncio.run(run())
+        metrics = runtime.metrics
+    assert [a.kind for a in answers] == ["predict", "predict", "invalid"]
+    assert server.stats.cache_hits == 1
+    assert metrics.get("serving.latency_ms").count == 3
+    assert metrics.get("serving.latency_ms.window").total_count() == 3
+    tenant = metrics.get("serving.tenant.latency_ms", {"tenant": "default"})
+    assert tenant.total_count() == 3
+    assert server.slo_monitor.calls == 3
+
+
+frame_item = st.one_of(
+    st.tuples(
+        st.just("predict"),
+        st.integers(0, len(FLEETS) - 1),
+        st.sampled_from(sorted(FRAME_CONFIGS)),
+        st.sampled_from([NOW, NOW + 5 * HOUR, NOW + DAY + 1]),
+    ),
+    st.tuples(st.just("ghost")),
+    st.tuples(st.just("bad_config"), st.integers(0, len(FLEETS) - 1)),
+    st.tuples(st.just("health")),
+    st.tuples(st.just("junk"), st.sampled_from([7, None, "x", [1]])),
+)
+
+
+@hsettings(max_examples=20, deadline=None)
+@given(
+    frames=st.lists(
+        st.tuples(
+            st.lists(frame_item, min_size=1, max_size=12),
+            st.lists(st.integers(0, len(FLEETS) - 1), max_size=3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    max_batch=st.sampled_from([1, 3, 64]),
+)
+def test_worker_frames_answer_like_per_request_predict(frames, max_batch):
+    """Random frames through the worker front end -- by-id predicts over
+    regions, configs and ``now``s, unknown databases, a bad config, health
+    probes and non-object documents, with appends between frames: one
+    array answer per frame, in document order, every prediction equal to
+    ``FastPredictor.predict`` over the arena history at that instant."""
+    arena = SharedHistoryArena.build(sharded_fleet(), slack=16)
+    server = arena_server(arena, max_batch_size=max_batch)
+
+    def document(n, k, item):
+        rid = f"f{n}-{k}"
+        if item[0] == "predict":
+            _, i, config, now = item
+            return encode_request(by_id(i, now, config=config, request_id=rid))
+        if item[0] == "ghost":
+            return encode_request(PredictRequest(rid, (), NOW, database_id="x"))
+        if item[0] == "bad_config":
+            return encode_request(by_id(item[1], config="nope", request_id=rid))
+        if item[0] == "health":
+            return {"type": "health", "request_id": rid}
+        return item[1]
+
+    def expected(n, k, item):
+        rid = f"f{n}-{k}"
+        if item[0] == "predict":
+            _, i, config, now = item
+            history = arena.login_view(REGIONS[i], DATABASE_IDS[i]).copy()
+            predictor = get_fast_predictor(FRAME_CONFIGS[config])
+            return ("predict", rid, predictor.predict(history, now))
+        kind = {"ghost": "invalid", "bad_config": "invalid", "health": "health"}
+        return (kind.get(item[0], "invalid"), rid if item[0] in kind else "?", None)
+
+    async def run():
+        await server.start()
+        listener = await asyncio.start_server(
+            lambda r, w: handle_pipelined(server, r, w), host="127.0.0.1", port=0
+        )
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", listener.sockets[0].getsockname()[1]
+        )
+        try:
+            for n, (items, appends) in enumerate(frames):
+                want = [expected(n, k, item) for k, item in enumerate(items)]
+                docs = [document(n, k, item) for k, item in enumerate(items)]
+                writer.write((json.dumps(docs) + "\n").encode())
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 5.0)
+                answer = json.loads(line)
+                if not isinstance(answer, list):
+                    answer = [answer]
+                got = [decode_response(doc) for doc in answer]
+                assert [(r.kind, r.request_id) for r in got] == [w[:2] for w in want]
+                for response, (kind, _, prediction) in zip(got, want):
+                    if kind == "predict":
+                        assert response.prediction == prediction
+                for i in appends:
+                    newest = int(arena.login_view(REGIONS[i], DATABASE_IDS[i])[-1])
+                    arena.append_login(REGIONS[i], DATABASE_IDS[i], newest + 600)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            listener.close()
+            await listener.wait_closed()
+            await server.stop()
+
+    try:
+        asyncio.run(run())
+    finally:
+        arena.close()
+        arena.unlink()
