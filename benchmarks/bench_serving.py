@@ -64,10 +64,7 @@ OVERLOAD_RATE_RPS = 60_000.0
 
 
 def _settings(batched: bool) -> ServingSettings:
-    return ServingSettings(
-        max_batch_size=64 if batched else 1,
-        max_linger_ms=2.0,
-    )
+    return ServingSettings(max_batch_size=64 if batched else 1)
 
 
 def _closed_run(

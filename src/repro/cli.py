@@ -258,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batcher flush size (1 disables batching)",
     )
     serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="micro-batcher max linger before a partial batch flushes",
-    )
-    serve.add_argument(
         "--tenant-rate", type=float, default=0.0,
         help="per-tenant token-bucket rate in requests/s (0 = unlimited)",
     )
@@ -743,7 +739,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     settings = ServingSettings(
         max_queue_depth=args.queue_depth,
         max_batch_size=args.max_batch_size,
-        max_linger_ms=args.linger_ms,
         tenant_rate=args.tenant_rate,
     )
     fleets = fleet_login_arrays(

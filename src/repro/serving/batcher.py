@@ -4,15 +4,15 @@ The same shape inference servers use: concurrent requests for the same
 config coalesce into one pending batch, each entry carrying its own
 ``now``; the batch is evaluated -- one :meth:`repro.core.fast_predictor.
 FastPredictor.predict_fleet` call instead of N ``predict`` calls -- when
-any of three triggers fires:
+it reaches ``max_batch_size`` or when the event-loop turn that opened it
+ends, whichever comes first.
 
-* **size**: the batch reached ``max_batch_size``;
-* **linger**: ``max_linger_s`` elapsed since the batch opened (the upper
-  bound a request can wait for co-batching under staggered arrivals);
-* **idle hint**: the dispatch loop drained its queue, so no further
-  co-batchable request is imminent -- flushing now trades nothing away
-  (:meth:`MicroBatcher.flush_ready`).  This is what keeps closed-loop
-  latency from paying the full linger on every round trip.
+The end of the turn is enough: ``asyncio.Queue.get`` does not yield
+while the queue is non-empty, so the server's dispatch loop drains a
+whole burst in one turn and every handler task it created runs in the
+next one -- before the flush callback the first of them scheduled.  No
+timer is needed and no request ever waits for a co-batcher that is not
+already runnable.
 
 Each request holds an asyncio future resolved from the batch result, so
 callers simply ``await submit(...)``.  Batching is a pure transport
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.observability.metrics import LATENCY_BUCKETS_MS, SIZE_BUCKETS
@@ -44,12 +44,11 @@ BatchFn = Callable[
 
 
 class _PendingBatch:
-    __slots__ = ("key", "entries", "timer", "flushed", "opened_at")
+    __slots__ = ("key", "entries", "flushed", "opened_at")
 
     def __init__(self, key: Hashable, opened_at: float):
         self.key = key
         self.entries: List[Tuple[Sequence[int], int, asyncio.Future]] = []
-        self.timer: Any = None
         self.flushed = False
         self.opened_at = opened_at
 
@@ -58,25 +57,15 @@ class MicroBatcher:
     """Coalesces concurrent ``submit`` calls into ``run_batch`` calls.
 
     ``max_batch_size=1`` degenerates to per-request serving (the benchmark
-    baseline).  ``immediate=True`` (set during server drain) flushes every
-    submission synchronously so shutdown can never wait on a linger timer.
+    baseline).
     """
 
-    def __init__(
-        self,
-        run_batch: BatchFn,
-        max_batch_size: int = 64,
-        max_linger_s: float = 0.002,
-    ):
+    def __init__(self, run_batch: BatchFn, max_batch_size: int = 64):
         if max_batch_size < 1:
             raise ConfigError("max_batch_size must be at least 1")
-        if max_linger_s < 0:
-            raise ConfigError("max_linger_s must be non-negative")
         self._run_batch = run_batch
         self._max_batch_size = max_batch_size
-        self._max_linger_s = max_linger_s
         self._pending: Dict[Hashable, _PendingBatch] = {}
-        self.immediate = False
         #: Batches evaluated and requests they carried (always-on ints).
         self.batches = 0
         self.batched_requests = 0
@@ -98,24 +87,12 @@ class MicroBatcher:
         if batch is None:
             batch = _PendingBatch(key, time.perf_counter())
             self._pending[key] = batch
-            if not self.immediate and self._max_batch_size > 1:
-                batch.timer = loop.call_later(
-                    self._max_linger_s, self._flush, batch
-                )
+            loop.call_soon(self._flush, batch)
         future: asyncio.Future = loop.create_future()
         batch.entries.append((logins, now, future))
-        if self.immediate or len(batch.entries) >= self._max_batch_size:
+        if len(batch.entries) >= self._max_batch_size:
             self._flush(batch)
         return await future
-
-    def flush_ready(self) -> None:
-        """Flush every pending batch now (the dispatch loop's idle hint)."""
-        for batch in list(self._pending.values()):
-            self._flush(batch)
-
-    # Kept as an explicit alias: shutdown flushes everything, and reads
-    # better at the call site than the idle hint it happens to equal.
-    flush_all = flush_ready
 
     def note_batch(self, size: int) -> None:
         """Count one kernel call that answered ``size`` predicts, whether
@@ -131,9 +108,6 @@ class MicroBatcher:
         if batch.flushed:
             return
         batch.flushed = True
-        if batch.timer is not None:
-            batch.timer.cancel()
-            batch.timer = None
         self._pending.pop(batch.key, None)
         self.note_batch(len(batch.entries))
         if OBS.enabled:
@@ -141,8 +115,9 @@ class MicroBatcher:
             OBS.metrics.histogram(
                 "serving.batch.linger_ms", buckets=LATENCY_BUCKETS_MS
             ).observe(linger_ms)
-            # Windowed view for the live dashboard: batches per second
-            # and the per-window worst linger (exemplar = batch key).
+            # ``linger`` is the batch's open-to-flush time.  Windowed view
+            # for the live dashboard: batches per second and the
+            # per-window worst linger (exemplar = batch key).
             now = time.monotonic()
             OBS.metrics.counter_series(
                 "serving.batch.window", window_s=1.0

@@ -15,10 +15,11 @@ The server is a single asyncio event loop: handlers are coroutine tasks,
 the predictor evaluation itself is synchronous numpy (micro-batched, so
 one kernel sweep answers many requests, each at its own ``now``).
 Admission bounds queued + in-flight work and sheds the rest with typed
-rejections; the dispatch loop measures queue wait, re-checks deadlines,
-and hints the batcher to flush the moment the queue drains.  A decoded
-frame of by-id predicts needs none of that machinery: its misses are
-answered synchronously, one kernel call per config.
+rejections; the dispatch loop measures queue wait and re-checks
+deadlines, and the batcher closes each batch at the end of the loop turn
+that opened it.  A decoded frame of by-id predicts needs none of that
+machinery: its misses are answered synchronously, one kernel call per
+config.
 
 Resilience wiring mirrors the simulator's proactive policy: the
 ``serving.handler`` fault point can fail an evaluation, a
@@ -29,10 +30,9 @@ immediately instead of burning the queue.
 
 ``stop()`` is the graceful-shutdown contract: new arrivals are rejected
 with :class:`~repro.serving.requests.Shutdown`, queued-but-unstarted
-requests are drained and rejected the same way, in-flight batches are
-flushed and awaited, and the metrics snapshot is exported when
-configured.  No request future is ever left pending -- a regression test
-pins that.
+requests are drained and rejected the same way, in-flight handlers are
+awaited, and the metrics snapshot is exported when configured.  No
+request future is ever left pending -- a regression test pins that.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class ServingSettings:
 
     max_queue_depth: int = 256
     max_batch_size: int = 64
-    max_linger_ms: float = 2.0
     tenant_rate: float = 0.0
     tenant_burst: float = 8.0
     retry_attempts: int = 2
@@ -224,9 +223,7 @@ class PredictionServer:
             self.settings.admission_policy(), clock=clock
         )
         self.batcher = MicroBatcher(
-            self._run_batch,
-            max_batch_size=self.settings.max_batch_size,
-            max_linger_s=self.settings.max_linger_ms / 1000.0,
+            self._run_batch, max_batch_size=self.settings.max_batch_size
         )
         self._retry = RetryPolicy(
             max_attempts=max(1, self.settings.retry_attempts),
@@ -391,15 +388,15 @@ class PredictionServer:
 
         Ordering matters: close admission first (new arrivals see
         ``Shutdown``), drain the queue (FIFO entries the dispatcher has
-        not started get ``Shutdown``), stop the dispatcher, then flush
-        the batcher until every in-flight handler resolved.  Finally
-        export the metrics snapshot when configured.
+        not started get ``Shutdown``), stop the dispatcher, then await
+        every in-flight handler (each batch closes at the end of the
+        turn that opened it, so none can hang).  Finally export the
+        metrics snapshot when configured.
         """
         if not self._started or self._stopping:
             self._stopping = True
             return
         self._stopping = True
-        self.batcher.immediate = True
         drained: List[_QueueEntry] = []
         while not self._queue.empty():
             entry = self._queue.get_nowait()
@@ -422,7 +419,6 @@ class PredictionServer:
             await self._dispatch_task
             self._dispatch_task = None
         while self._in_flight:
-            self.batcher.flush_all()
             await asyncio.gather(
                 *list(self._in_flight), return_exceptions=True
             )
@@ -698,11 +694,6 @@ class PredictionServer:
             task = loop.create_task(self._handle(entry, waited_ms))
             self._in_flight.add(task)
             task.add_done_callback(self._in_flight.discard)
-            if self._queue.qsize() == 0:
-                # The burst is fully dispatched; once the handler tasks
-                # have joined their batches (they run before this
-                # callback), flush rather than waiting out the linger.
-                loop.call_soon(self.batcher.flush_ready)
 
     async def _handle(self, entry: _QueueEntry, waited_ms: float) -> None:
         started = time.perf_counter()

@@ -630,14 +630,6 @@ class ShardRouter:
     # Convenience
     # ------------------------------------------------------------------
 
-    def queue_depths(self) -> Dict[int, int]:
-        """Live outstanding-request depth per worker (the router-side
-        queue-depth view the sharded bench reports)."""
-        return {
-            worker_id: handle.outstanding
-            for worker_id, handle in self.handles.items()
-        }
-
     async def serve_script(self, requests: List[Request]) -> List[Response]:
         """Start, serve ``requests`` concurrently, stop -- mirrors
         ``PredictionServer.serve_script`` for the CLI and tests."""

@@ -35,9 +35,6 @@ accounting) so the same handlers drive two backends:
 * the **lean** backend in :mod:`repro.simulation.fleet` replaces them with
   region-level arrays (cursor-based history views, columnar metadata,
   scalar accounting) for million-database runs.
-
-:class:`ActorView` preserves the actor API as a thin read view for tests,
-observability, and debugging.
 """
 
 from __future__ import annotations
@@ -157,21 +154,6 @@ def sessions_to_csr(
             ends[pos] = session.end
             pos += 1
     return offsets, starts, ends
-
-
-def first_relevant_indices(
-    offsets: np.ndarray, ends: np.ndarray, sim_start: int
-) -> np.ndarray:
-    """Vectorised equivalent of the actors' skip-while loop: for each
-    database, the global index of its first session (or maintenance op)
-    with ``end > sim_start``; equals ``offsets[d+1]`` when none remain."""
-    if len(ends) == 0:
-        return offsets[:-1].copy()
-    # Within each database's sorted slice, count the prefix of entries
-    # with end <= sim_start.
-    skipped = ends <= sim_start
-    cum = np.concatenate(([0], np.cumsum(skipped)))
-    return offsets[:-1] + (cum[offsets[1:]] - cum[offsets[:-1]])
 
 
 class ColumnarState:
@@ -1156,61 +1138,6 @@ class ColumnarRegionEngine:
             )
         self.events_dispatched += executed
         return executed
-
-
-class ActorView:
-    """Read-only per-database view over the columnar state.
-
-    Preserves the actor API surface (lifecycle state, slot, prediction,
-    outcome, history) for tests, observability tooling, and debugging --
-    the "thin view" the refactor keeps in place of the actor objects.
-    """
-
-    __slots__ = ("_engine", "_d")
-
-    def __init__(self, engine: ColumnarRegionEngine, d: int):
-        self._engine = engine
-        self._d = d
-
-    @property
-    def database_id(self) -> str:
-        return self._engine._db_label(self._d)
-
-    @property
-    def lifecycle_state(self) -> LifecycleState:
-        return STATE_FROM_CODE[self._engine.s.phase[self._d]]
-
-    @property
-    def holds_slot(self) -> bool:
-        return bool(self._engine.s.holds_slot[self._d])
-
-    @property
-    def old(self) -> bool:
-        return bool(self._engine.s.old[self._d])
-
-    @property
-    def next_activity(self) -> PredictedActivity:
-        return self._engine._next_activity(self._d)
-
-    @property
-    def outcome(self) -> Optional[DatabaseOutcome]:
-        outcomes = getattr(self._engine.acct, "outcomes", None)
-        return outcomes[self._d] if outcomes is not None else None
-
-    @property
-    def history(self) -> Optional[HistoryStore]:
-        stores = getattr(self._engine.hist, "stores", None)
-        return stores[self._d] if stores is not None else None
-
-    def __repr__(self) -> str:
-        return (
-            f"ActorView({self.database_id!r}, {self.lifecycle_state.value}, "
-            f"holds_slot={self.holds_slot})"
-        )
-
-
-def actor_views(engine: ColumnarRegionEngine) -> List[ActorView]:
-    return [ActorView(engine, d) for d in range(engine.s.n)]
 
 
 # ---------------------------------------------------------------------------

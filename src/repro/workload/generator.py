@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from repro.errors import TraceError
-from repro.types import SECONDS_PER_DAY, ActivityTrace, Session
+from repro.types import SECONDS_PER_DAY, ActivityTrace
 from repro.workload.archetypes import (
     Archetype,
     BurstyDev,
@@ -144,97 +144,3 @@ def generate_fleet(
             )
         )
     return traces
-
-
-# ---------------------------------------------------------------------------
-# Scalar drift transforms (the per-trace mirror of fleetgen.DriftSpec)
-# ---------------------------------------------------------------------------
-
-
-def _repair_sessions(sessions: List[Session]) -> List[Session]:
-    """Sort and de-overlap: a later session starts no earlier than the
-    previous one ends; sessions emptied by that clamp are dropped."""
-    out: List[Session] = []
-    for session in sorted(sessions, key=lambda s: (s.start, s.end)):
-        start, end = session.start, session.end
-        if out and start < out[-1].end:
-            start = out[-1].end
-        if end > start:
-            out.append(Session(start, end))
-    return out
-
-
-def switch_archetypes(
-    traces_a: List[ActivityTrace], traces_b: List[ActivityTrace], at_day: int
-) -> List[ActivityTrace]:
-    """Mid-trace archetype switch: each database follows its ``traces_a``
-    schedule before day ``at_day`` and its ``traces_b`` schedule after (a
-    session straddling the switch is truncated at it).  Both fleets must
-    be positionally aligned (same length, e.g. two ``generate_fleet``
-    calls with different seeds or specs)."""
-    if len(traces_a) != len(traces_b):
-        raise TraceError(
-            f"archetype switch needs aligned fleets, got "
-            f"{len(traces_a)} vs {len(traces_b)} traces"
-        )
-    t = at_day * DAY
-    out: List[ActivityTrace] = []
-    for a, b in zip(traces_a, traces_b):
-        sessions = [
-            Session(s.start, min(s.end, t)) for s in a.sessions if s.start < t
-        ] + [s for s in b.sessions if s.start >= t]
-        out.append(
-            ActivityTrace(
-                a.database_id,
-                _repair_sessions(sessions),
-                created_at=min(a.created_at, b.created_at),
-            )
-        )
-    return out
-
-
-def shift_schedule(
-    traces: List[ActivityTrace], at_day: int, shift_minutes: int
-) -> List[ActivityTrace]:
-    """DST/holiday schedule shift: every session starting on or after day
-    ``at_day`` moves by ``shift_minutes`` (may be negative)."""
-    t = at_day * DAY
-    shift_s = shift_minutes * 60
-    out: List[ActivityTrace] = []
-    for trace in traces:
-        sessions = [
-            Session(s.start + shift_s, s.end + shift_s)
-            if s.start >= t and s.start + shift_s >= 0
-            else s
-            for s in trace.sessions
-        ]
-        out.append(
-            ActivityTrace(
-                trace.database_id,
-                _repair_sessions(sessions),
-                created_at=trace.created_at,
-            )
-        )
-    return out
-
-
-def migrate_fleet(
-    traces: List[ActivityTrace],
-    at_day: int,
-    shift_minutes: int,
-    fraction: float = 0.3,
-    seed: object = 0,
-) -> List[ActivityTrace]:
-    """Region-mix change: a deterministic ``fraction`` of databases shifts
-    its schedule by ``shift_minutes`` from day ``at_day`` onward (tenants
-    migrating in from another timezone)."""
-    if not 0.0 < fraction <= 1.0:
-        raise TraceError(f"migration fraction must be in (0, 1], got {fraction}")
-    out: List[ActivityTrace] = []
-    for trace in traces:
-        rng = random.Random(f"{seed}:migrate:{trace.database_id}")
-        if rng.random() < fraction:
-            out.extend(shift_schedule([trace], at_day, shift_minutes))
-        else:
-            out.append(trace)
-    return out

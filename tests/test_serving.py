@@ -15,6 +15,7 @@ request future is ever left pending).
 
 import asyncio
 import json
+import time
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
@@ -92,15 +93,14 @@ def predict_request(i: int, **overrides) -> PredictRequest:
 
 @st.composite
 def arrival_schedule(draw):
-    """Batching knobs plus a per-request arrival plan: each request
-    either joins immediately or sleeps first, producing arbitrary
-    interleavings of batch membership."""
+    """A batch size cap plus a per-request arrival plan: each request
+    either joins immediately or sleeps first, so arrivals interleave
+    across event-loop turns and batch membership varies arbitrarily."""
     max_batch = draw(st.integers(min_value=1, max_value=8))
-    linger_ms = draw(st.sampled_from([0.0, 0.5, 2.0]))
     delays = draw(
         st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=12)
     )
-    return max_batch, linger_ms, delays
+    return max_batch, delays
 
 
 @hsettings(max_examples=25, deadline=None)
@@ -112,7 +112,7 @@ def arrival_schedule(draw):
 def test_batcher_matches_per_request_predict(fleets, schedule, variant):
     config = CONFIG_VARIANTS[variant]
     predictor = get_fast_predictor(config)
-    max_batch, linger_ms, delays = schedule
+    max_batch, delays = schedule
     # One request per delay slot, cycling over the drawn fleet.
     requests = [fleets[i % len(fleets)] for i in range(len(delays))]
 
@@ -120,7 +120,6 @@ def test_batcher_matches_per_request_predict(fleets, schedule, variant):
         batcher = MicroBatcher(
             lambda key, batch, now: predictor.predict_fleet(batch, now),
             max_batch_size=max_batch,
-            max_linger_s=linger_ms / 1000.0,
         )
 
         async def one(i):
@@ -135,26 +134,57 @@ def test_batcher_matches_per_request_predict(fleets, schedule, variant):
     assert batched == [predictor.predict(logins, NOW) for logins in requests]
 
 
-def test_batcher_flushes_at_max_size_without_linger():
-    """A full batch must not wait out a (here: absurd) linger window."""
+def test_batcher_caps_batches_at_max_size():
+    """Five submits in one turn under a cap of three: the third closes
+    a full batch on the spot, the remaining two share the next one."""
     predictor = get_fast_predictor(DEFAULT_CONFIG)
 
     async def run():
         batcher = MicroBatcher(
             lambda key, batch, now: predictor.predict_fleet(batch, now),
             max_batch_size=3,
-            max_linger_s=30.0,
         )
-        results = await asyncio.wait_for(
-            asyncio.gather(
-                *(batcher.submit("k", FLEETS[i], NOW) for i in range(3))
-            ),
-            timeout=5.0,
+        results = await asyncio.gather(
+            *(batcher.submit("k", FLEETS[i], NOW) for i in range(5))
         )
-        assert [size for _, size in results] == [3, 3, 3]
-        assert batcher.batches == 1 and batcher.batched_requests == 3
+        assert [size for _, size in results] == [3, 3, 3, 2, 2]
+        assert batcher.batches == 2 and batcher.batched_requests == 5
 
     asyncio.run(run())
+
+
+def test_batch_closes_at_end_of_turn(monkeypatch):
+    """Submits made in one event-loop turn share a batch; a submit in a
+    later turn opens a new one; no timer is ever scheduled."""
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
+    sizes = []
+
+    def run_batch(key, batch, nows):
+        sizes.append(len(batch))
+        return predictor.predict_fleet(batch, nows)
+
+    def no_timer(*args, **kwargs):
+        raise AssertionError("the batcher scheduled a timer")
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        monkeypatch.setattr(loop, "call_later", no_timer)
+        monkeypatch.setattr(loop, "call_at", no_timer)
+        batcher = MicroBatcher(run_batch, max_batch_size=64)
+
+        async def next_turn(i):
+            await asyncio.sleep(0)
+            return await batcher.submit("k", FLEETS[i], NOW)
+
+        return await asyncio.gather(
+            batcher.submit("k", FLEETS[0], NOW),
+            batcher.submit("k", FLEETS[1], NOW),
+            next_turn(2),
+        )
+
+    results = asyncio.run(run())
+    assert [size for _, size in results] == [2, 2, 1]
+    assert sizes == [2, 1]
 
 
 def test_batcher_groups_by_key_not_now():
@@ -168,7 +198,7 @@ def test_batcher_groups_by_key_not_now():
         return predictor.predict_fleet(batch, nows)
 
     async def run():
-        batcher = MicroBatcher(run_batch, max_batch_size=16, max_linger_s=0.001)
+        batcher = MicroBatcher(run_batch, max_batch_size=16)
         return await asyncio.gather(
             batcher.submit("a", FLEETS[0], NOW),
             batcher.submit("a", FLEETS[1], NOW),
@@ -189,8 +219,6 @@ def test_batcher_groups_by_key_not_now():
 def test_batcher_rejects_bad_knobs():
     with pytest.raises(ConfigError):
         MicroBatcher(lambda k, b, n: [], max_batch_size=0)
-    with pytest.raises(ConfigError):
-        MicroBatcher(lambda k, b, n: [], max_linger_s=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +230,7 @@ def test_server_serves_batched_predictions():
     predictor = get_fast_predictor(DEFAULT_CONFIG)
 
     async def run():
-        server = PredictionServer(
-            settings=ServingSettings(max_linger_ms=1.0)
-        )
+        server = PredictionServer()
         responses = await server.serve_script(
             [predict_request(i) for i in range(10)]
         )
@@ -239,7 +265,7 @@ def test_malformed_logins_resolve_not_hang():
 
     async def run():
         server = PredictionServer(
-            settings=ServingSettings(max_linger_ms=50.0, max_batch_size=64)
+            settings=ServingSettings(max_batch_size=64)
         )
         bad = predict_request(0, request_id="bad", logins=("bogus",))
         good = predict_request(1, request_id="good")
@@ -273,7 +299,7 @@ def test_unconvertible_request_fails_alone(overrides):
 
     async def run():
         server = PredictionServer(
-            settings=ServingSettings(max_linger_ms=50.0, max_batch_size=64)
+            settings=ServingSettings(max_batch_size=64)
         )
         script = [
             predict_request(0),
@@ -399,7 +425,6 @@ def test_server_sheds_overload_with_bounded_depth():
             settings=ServingSettings(
                 max_queue_depth=2,
                 max_batch_size=100,
-                max_linger_ms=10_000.0,
             )
         )
         await server.start()
@@ -453,9 +478,7 @@ def test_stop_resolves_every_future():
 
     async def run():
         server = PredictionServer(
-            settings=ServingSettings(
-                max_batch_size=100, max_linger_ms=10_000.0
-            )
+            settings=ServingSettings(max_batch_size=100)
         )
         await server.start()
         loop = asyncio.get_running_loop()
@@ -463,8 +486,8 @@ def test_stop_resolves_every_future():
             loop.create_task(server.submit(predict_request(i)))
             for i in range(8)
         ]
-        # One event-loop tick: some requests are dispatched into the
-        # stalled batcher, the rest are still queued.
+        # One event-loop tick: some requests are dispatched to
+        # handlers, the rest are still queued.
         await asyncio.sleep(0)
         await server.stop()
         responses = await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
@@ -895,6 +918,29 @@ def test_open_loop_loadgen_accounts_all_arrivals():
     report = asyncio.run(run())
     assert report.completed + report.shed == 40
     assert report.shed_by_kind.get("overloaded", 0) == report.shed
+
+
+def test_open_loop_latency_counts_time_behind_schedule():
+    """Coordinated omission: a submit that blocks the loop for 20 ms at
+    500 rps leaves every later arrival due before it can fire.  Timed
+    from its due instant, the backlog shows (p99 is several stalls long);
+    timed from when its task first ran, each request would report just
+    its own 20 ms stall."""
+    stall_s = 0.02
+
+    class BlockingServer:
+        async def submit(self, request):
+            time.sleep(stall_s)
+            return request
+
+    report = asyncio.run(
+        open_loop(
+            BlockingServer(), FLEETS, NOW, rate_rps=500.0, n_requests=10,
+            seed=2,
+        )
+    )
+    assert report.completed == 10 and report.shed == 0
+    assert report.percentile_ms(99.0) >= 2 * stall_s * 1000.0
 
 
 def test_fleet_login_arrays_are_sorted_and_windowed():
