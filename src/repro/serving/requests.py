@@ -41,18 +41,17 @@ class PredictRequest:
 
     ``logins`` is the database's sorted login-timestamp history (the
     serving analogue of ``HistoryStore.login_array()``); ``now`` anchors
-    Algorithm 4's candidate windows.  Requests sharing ``(region, config,
-    now)`` are coalesced into one ``FastPredictor.predict_fleet`` call by
-    the micro-batcher.  ``deadline_ms`` is the client's remaining latency
+    Algorithm 4's candidate windows.  Requests sharing ``config`` are
+    coalesced into one ``FastPredictor.predict_fleet`` call, each at its
+    own ``now``.  ``deadline_ms`` is the client's remaining latency
     budget at send time: admission rejects it once expired, and the
     dispatcher re-checks after the queue wait.
 
     A request may carry ``database_id`` *instead of* inline ``logins``:
     the server resolves the history from its fleet registry (in-process)
     or the shared-memory arena (sharded workers), so the hot path never
-    serialises login arrays -- and the identity makes the result
-    cacheable under the history's ``login_version``.  Carrying both is a
-    protocol error; inline logins remain the anonymous fallback.
+    serialises login arrays.  Carrying both is a protocol error; inline
+    logins remain the anonymous fallback.
     """
 
     kind: ClassVar[str] = "predict"

@@ -8,7 +8,7 @@ Request flow (``docs/serving.md`` has the full diagram)::
            -> response future
 
     worker frame -> submit_frame_nowait() -> AdmissionController
-           -> by-id memo probe -> misses grouped per config
+           -> by-id predicts grouped per config
            -> _run_batch (same loop turn) -> answers in document order
 
 The server is a single asyncio event loop: handlers are coroutine tasks,
@@ -18,8 +18,9 @@ Admission bounds queued + in-flight work and sheds the rest with typed
 rejections; the dispatch loop measures queue wait and re-checks
 deadlines, and the batcher closes each batch at the end of the loop turn
 that opened it.  A decoded frame of by-id predicts needs none of that
-machinery: its misses are answered synchronously, one kernel call per
-config.
+machinery: it is answered synchronously, one kernel call per config.
+Nothing is memoised: Algorithm 4 anchors its windows at ``now``, so a
+memo keyed on ``now`` could only replay a call already made.
 
 Resilience wiring mirrors the simulator's proactive policy: the
 ``serving.handler`` fault point can fail an evaluation, a
@@ -100,8 +101,6 @@ _PREREGISTERED_COUNTERS = (
     "serving.shed.rate_limited",
     "serving.shed.deadline",
     "serving.shed.shutdown",
-    "serving.cache.hits",
-    "serving.cache.misses",
     "serving.health.probes",
     "serving.health.metrics_scrapes",
     "slo.evaluations",
@@ -116,7 +115,7 @@ _CONVERSION_ERRORS = (OverflowError, TypeError, ValueError)
 
 def _by_id(request: Request) -> bool:
     """A predict that names a registered database instead of carrying
-    its history: the only kind the memo and the frame path serve."""
+    its history: the only kind the frame path serves."""
     return isinstance(request, PredictRequest) and request.database_id is not None
 
 
@@ -139,11 +138,6 @@ class ServingSettings:
     retry_attempts: int = 2
     breaker_failure_threshold: int = 5
     breaker_recovery_s: float = 1.0
-    #: Bound on the by-id prediction cache (entries); 0 disables it.
-    #: Only identity-carrying requests (``database_id``) are cacheable --
-    #: the key includes the history's login version, so a router-side
-    #: append invalidates exactly the affected database.
-    prediction_cache_size: int = 8192
     #: Predictor-bank policies (:data:`repro.tuning.bank.BANK_POLICIES`)
     #: routing identity-carrying predictions and resume scans.  Empty
     #: (the default) or ``("sliding",)`` leaves the batched
@@ -171,6 +165,7 @@ class ServerStats:
     served: int = 0
     errors: int = 0
     max_depth: int = 0
+    #: Never written; ``benchmarks/e2e/serve_workloads.py`` reads both.
     cache_hits: int = 0
     cache_misses: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
@@ -251,14 +246,6 @@ class PredictionServer:
         #: shared-memory views (:meth:`attach_fleet` on sharded workers);
         #: both speak ``get``/``__getitem__``/``items``.
         self._fleet: Dict[str, Dict[str, Tuple[Sequence[int], bool]]] = {}
-        #: (region, database id) -> registration stamp; the in-process
-        #: analogue of the arena's per-database login version, keyed into
-        #: the prediction cache so re-registration/appends invalidate.
-        self._login_versions: Dict[Tuple[str, str], int] = {}
-        self._version_stamp = 0
-        #: by-id prediction memo: (region, config, database id, login
-        #: version, now) -> PredictedActivity, FIFO-bounded.
-        self._cache: Dict[tuple, "PredictedActivity"] = {}
         #: tenant -> the latency streams of ``_streams_registry``.
         self._streams_registry = None
         self._streams: Dict[str, tuple] = {}
@@ -280,19 +267,15 @@ class PredictionServer:
         paused: bool = True,
     ) -> None:
         """Register one database's login history for resume scans and
-        by-id predictions.  Re-registering bumps the login version, so
-        cached predictions for the old history become unreachable."""
+        by-id predictions."""
         self._fleet.setdefault(region, {})[database_id] = (logins, paused)
-        self._version_stamp += 1
-        self._login_versions[(region, database_id)] = self._version_stamp
 
     def attach_fleet(self, views: Dict[str, object]) -> None:
         """Serve the fleet from externally-owned views (the sharded
         worker's read-only :class:`~repro.serving.sharded.arena.
         SharedHistoryArena` mapping).  Each region view must speak
-        ``get``/``__getitem__``/``items`` yielding ``(logins, paused)``
-        and, when it can, ``login_version(database_id)``; the writer (the
-        router) owns all mutation."""
+        ``get``/``__getitem__``/``items`` yielding ``(logins, paused)``;
+        the writer (the router) owns all mutation."""
         self._fleet = dict(views)  # type: ignore[assignment]
 
     def set_paused(self, region: str, database_id: str, paused: bool) -> None:
@@ -301,8 +284,8 @@ class PredictionServer:
 
     def append_login(self, region: str, database_id: str, ts: int) -> None:
         """Append one login to a registered history (ascending, deduped
-        on timestamp, mirroring ``HistoryStore`` semantics) and bump the
-        login version so cached predictions invalidate."""
+        on timestamp, mirroring ``HistoryStore`` semantics) and feed it
+        to the predictor bank."""
         logins, paused = self._fleet[region][database_id]
         if logins and ts < logins[-1]:
             raise ConfigError(
@@ -312,18 +295,12 @@ class PredictionServer:
         if logins and ts == logins[-1]:
             return
         self._fleet[region][database_id] = (tuple(logins) + (ts,), paused)
-        self._version_stamp += 1
-        self._login_versions[(region, database_id)] = self._version_stamp
         for bank in self._banks.values():
             bank.observe_login((region, database_id), ts)
 
-    def _resolve_database(
-        self, request: PredictRequest
-    ) -> Tuple[Sequence[int], tuple]:
-        """``(logins, memo key)`` for a by-id request, or a typed protocol
-        error when the database is not registered.  The key carries the
-        history's login version, so an append invalidates exactly the
-        affected database's memo entries."""
+    def _resolve_database(self, request: PredictRequest) -> Sequence[int]:
+        """The registered logins of a by-id request, or a typed protocol
+        error when the database is not registered."""
         region, database_id = request.region, request.database_id
         fleet = self._fleet.get(region)
         entry = fleet.get(database_id) if fleet is not None else None
@@ -331,13 +308,7 @@ class PredictionServer:
             raise ServingProtocolError(
                 f"unknown database {database_id!r} in region {region!r}"
             )
-        logins, _paused = entry
-        version_of = getattr(fleet, "login_version", None)
-        if version_of is not None:
-            version = version_of(database_id)
-        else:
-            version = self._login_versions.get((region, database_id), 0)
-        return logins, (region, request.config, database_id, version, request.now)
+        return entry[0]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -458,19 +429,17 @@ class PredictionServer:
 
         Returns ``(response, None)`` when the request resolves
         synchronously -- health/metrics probes, typed admission
-        rejections, and by-id prediction-cache hits -- else ``(None,
-        future)`` with the request enqueued for the dispatch loop;
-        awaiting the future yields the typed response.  Must be called
-        from within a running event loop.
+        rejections, and by-id predicts naming an unknown database or
+        config -- else ``(None, future)`` with the request enqueued for
+        the dispatch loop; awaiting the future yields the typed response.
+        Must be called from within a running event loop.
         """
         started = time.perf_counter()
         response = self._admit(request)
+        if response is None and _by_id(request):
+            response, _ = self._resolve_by_id(request, started)
         if response is not None:
             return response, None
-        if _by_id(request):
-            response, _, _ = self._fast_predict(request, started)
-            if response is not None:
-                return response, None
         loop = asyncio.get_running_loop()
         entry = _QueueEntry(request, loop.create_future(), self._clock())
         self._queue.put_nowait(entry)
@@ -486,15 +455,15 @@ class PredictionServer:
     ) -> List[Tuple[Optional[Response], Optional["asyncio.Future"]]]:
         """Admit one decoded frame (the sharded worker's front end):
         :meth:`submit_nowait`'s ``(response, future)`` per request, in
-        order.  By-id predicts never queue: each is admitted and probed
-        against the memo, and the misses are answered in this same call
-        with one guarded kernel call per config name (chunked at
-        ``max_batch_size``), each entry at its own ``now``.  Every other
-        request goes through :meth:`submit_nowait`.  An exception while
-        admitting one request is that request's answer alone."""
+        order.  By-id predicts never queue: each is admitted and resolved,
+        and all of them are answered in this same call with one guarded
+        kernel call per config name (chunked at ``max_batch_size``), each
+        entry at its own ``now``.  Every other request goes through
+        :meth:`submit_nowait`.  An exception while admitting one request
+        is that request's answer alone."""
         started = time.perf_counter()
         answers: List[Tuple[Optional[Response], Optional[asyncio.Future]]] = []
-        misses: Dict[str, List[tuple]] = {}
+        by_config: Dict[str, List[tuple]] = {}
         for request in requests:
             try:
                 if not _by_id(request):
@@ -502,20 +471,20 @@ class PredictionServer:
                     continue
                 response = self._admit(request)
                 if response is None:
-                    response, logins, key = self._fast_predict(request, started)
+                    response, logins = self._resolve_by_id(request, started)
                     if response is None:
-                        misses.setdefault(request.config, []).append(
-                            (len(answers), request, logins, key)
+                        by_config.setdefault(request.config, []).append(
+                            (len(answers), request, logins)
                         )
                 answers.append((response, None))
             except Exception as exc:  # noqa: BLE001 - see contained()
                 answers.append((contained(request.request_id, exc), None))
         size = self.settings.max_batch_size
-        for config_name, entries in misses.items():
+        for config_name, entries in by_config.items():
             for lo in range(0, len(entries), size):
                 chunk = entries[lo : lo + size]
-                responses = self._answer_misses(config_name, chunk, started)
-                for (slot, _, _, _), response in zip(chunk, responses):
+                responses = self._answer_chunk(config_name, chunk, started)
+                for (slot, _, _), response in zip(chunk, responses):
                     answers[slot] = (response, None)
         return answers
 
@@ -537,61 +506,42 @@ class PredictionServer:
             request, depth=self.depth(), stopping=self._stopping
         )
 
-    def _fast_predict(
+    def _resolve_by_id(
         self, request: PredictRequest, started: float
-    ) -> Tuple[Optional[Response], Sequence[int], Optional[tuple]]:
-        """The synchronous by-id path: resolve the history, probe the
-        prediction cache.  A hit (or a typed resolution error) answers
-        immediately as ``(response, ...)``; a miss returns ``(None,
-        logins, memo key)`` for whichever batched path fills the memo."""
+    ) -> Tuple[Optional[Response], Sequence[int]]:
+        """``(None, logins)`` for a by-id predict whose config and database
+        are known, else a served ``InvalidRequest`` and no logins."""
         try:
             self._config(request.config)
-            logins, key = self._resolve_database(request)
+            return None, self._resolve_database(request)
         except ServingProtocolError as exc:
-            response: Response = InvalidRequest(request.request_id, str(exc))
+            response = InvalidRequest(request.request_id, str(exc))
             self._served(request, response, _elapsed_ms(started))
-            return response, (), None
-        hit = self._cache.get(key)
-        if hit is None:
-            self.stats.cache_misses += 1
-            if OBS.enabled:
-                OBS.metrics.counter("serving.cache.misses").inc()
-            return None, logins, key
-        self.stats.cache_hits += 1
-        if OBS.enabled:
-            OBS.metrics.counter("serving.cache.hits").inc()
-        response = PredictResponse(
-            request_id=request.request_id,
-            prediction=hit,
-            batch_size=1,
-            queue_wait_ms=0.0,
-        )
-        self._served(request, response, _elapsed_ms(started))
-        return response, logins, key
+            return response, ()
 
-    def _answer_misses(
+    def _answer_chunk(
         self, config_name: str, chunk: List[tuple], started: float
     ) -> List[Response]:
-        """One kernel call for a frame's by-id memo misses of one config:
-        ``chunk`` holds ``(slot, request, logins, memo key)`` entries."""
+        """One kernel call for a frame's by-id predicts of one config:
+        ``chunk`` holds ``(slot, request, logins)`` entries."""
         self.batcher.note_batch(len(chunk))
         try:
             predictions: list = self._run_batch(
                 config_name,
-                [logins for _, _, logins, _ in chunk],
-                [request.now for _, request, _, _ in chunk],
+                [logins for _, _, logins in chunk],
+                [request.now for _, request, _ in chunk],
             )
         except Exception as exc:  # noqa: BLE001 - every entry is answered
             predictions = [exc] * len(chunk)
         total_ms = _elapsed_ms(started)
         responses: List[Response] = []
-        for (_, request, logins, key), prediction in zip(chunk, predictions):
+        for (_, request, logins), prediction in zip(chunk, predictions):
             # The same outcomes, in the same order, as _handle_predict.
             try:
                 if isinstance(prediction, Exception):
                     raise prediction
                 response: Response = self._predicted(
-                    request, logins, key, prediction, len(chunk), 0.0
+                    request, logins, prediction, len(chunk), 0.0
                 )
             except ServingProtocolError as exc:
                 response = InvalidRequest(request.request_id, str(exc))
@@ -600,15 +550,6 @@ class PredictionServer:
             self._served(request, response, total_ms)
             responses.append(response)
         return responses
-
-    def _cache_put(self, key: tuple, prediction: PredictedActivity) -> None:
-        limit = self.settings.prediction_cache_size
-        if limit <= 0:
-            return
-        cache = self._cache
-        if key not in cache and len(cache) >= limit:
-            del cache[next(iter(cache))]  # FIFO eviction
-        cache[key] = prediction
 
     def _health(self, request: HealthRequest) -> HealthResponse:
         if OBS.enabled:
@@ -622,8 +563,6 @@ class PredictionServer:
             "batches": self.batcher.batches,
             "batched_requests": self.batcher.batched_requests,
             "breaker_opens": self._breaker.opens,
-            "cache_hits": self.stats.cache_hits,
-            "cache_misses": self.stats.cache_misses,
             **{f"shed_{k}": v for k, v in self.admission.shed.items()},
         }
         if self._banks:
@@ -740,9 +679,10 @@ class PredictionServer:
         self, request: Request, response: Response, total_ms: Optional[float]
     ) -> None:
         """Bookkeeping for one answered request, whichever path answered
-        it (dispatch loop, memo hit, frame): the served counters and --
-        unless it was shed unstarted (``total_ms is None``) -- the latency
-        streams the serving SLO evaluates, then the SLO tick."""
+        it (dispatch loop, frame, synchronous refusal): the served
+        counters and -- unless it was shed unstarted (``total_ms is
+        None``) -- the latency streams the serving SLO evaluates, then
+        the SLO tick."""
         self.stats.served += 1
         self.stats.count(response.kind)
         if not OBS.enabled:
@@ -826,9 +766,8 @@ class PredictionServer:
     ) -> Response:
         self._config(request.config)  # validate before batching
         logins: Sequence[int] = request.logins
-        key: Optional[tuple] = None
         if request.database_id is not None:
-            logins, key = self._resolve_database(request)
+            logins = self._resolve_database(request)
         try:
             prediction, batch_size = await self.batcher.submit(
                 request.config, logins, request.now
@@ -836,22 +775,19 @@ class PredictionServer:
         except ServingProtocolError as exc:
             # This request's own logins / now (see _run_batch).
             return InvalidRequest(request.request_id, str(exc))
-        return self._predicted(
-            request, logins, key, prediction, batch_size, waited_ms
-        )
+        return self._predicted(request, logins, prediction, batch_size, waited_ms)
 
     def _predicted(
         self,
         request: PredictRequest,
         logins: Sequence[int],
-        key: Optional[tuple],
         prediction: PredictedActivity,
         batch_size: int,
         waited_ms: float,
     ) -> PredictResponse:
-        """The answer to one evaluated predict.  A by-id one (memo ``key``
-        set) is re-ranked by the predictor bank and fills the memo."""
-        if key is not None:
+        """The answer to one evaluated predict.  A by-id one is re-ranked
+        by the predictor bank."""
+        if request.database_id is not None:
             prediction = self._bank_predict(
                 request.config,
                 request.region,
@@ -860,7 +796,6 @@ class PredictionServer:
                 request.now,
                 prediction,
             )
-            self._cache_put(key, prediction)
         return PredictResponse(
             request_id=request.request_id,
             prediction=prediction,

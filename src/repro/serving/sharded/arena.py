@@ -1,7 +1,7 @@
 """Zero-copy shared-memory login history for the sharded serving tier.
 
 The router builds one :class:`SharedHistoryArena` for the whole fleet: a
-CSR layout (``offsets``/``top``/``versions``/``paused``/``logins``) over
+CSR layout (``offsets``/``top``/``paused``/``logins``) over
 a single ``multiprocessing.shared_memory`` segment.  Workers attach by
 name and map the same pages read-only through numpy views -- a worker's
 predict or resume-scan request reads login timestamps straight out of
@@ -13,11 +13,10 @@ Write discipline (single-writer, many-readers):
   flips (:meth:`SharedHistoryArena.set_paused`) and login appends
   (:meth:`SharedHistoryArena.append_login`, bounded by per-database
   ``slack`` capacity reserved at build time).
-* An append writes the timestamp *first*, advances ``top`` second and
-  bumps ``versions`` last, so a reader that observes the new version is
-  guaranteed to observe the new login too.  Workers key their prediction
-  caches on the version, which makes an append invalidate exactly the
-  affected database's cached predictions.
+* An append writes the timestamp *first* and advances ``top`` last, so
+  a reader that observes the new ``top`` observes the new login too.
+  Every worker read slices the live ``logins[offsets[i] : offsets[i] +
+  top[i]]``, so there is no per-database version to bump.
 * Workers treat the mapping as read-only; nothing enforces it at the MMU
   level (``shared_memory`` has no read-only attach), the contract is the
   API: attached arenas raise on mutators.
@@ -28,7 +27,6 @@ the spec -- the segment itself carries no header, the picklable
 
     offsets   int64[n + 1]   CSR base of each database's login slots
     top       int64[n]       live login count (<= capacity per database)
-    versions  int64[n]       login version, bumped by every append
     paused    uint8[n]       1 = physically paused
     logins    int64[L]       login timestamps, ascending per database
 
@@ -91,9 +89,9 @@ class RegionView:
 
     Speaks the mapping subset :class:`~repro.serving.server.
     PredictionServer` uses for its fleet registry (``get`` /
-    ``__getitem__`` / ``items`` yielding ``(logins, paused)``) plus
-    ``login_version`` -- so a worker serves straight off the arena with
-    the same code paths as the in-process registry.  Iteration order is
+    ``__getitem__`` / ``items`` yielding ``(logins, paused)``) -- so a
+    worker serves straight off the arena with the same code paths as the
+    in-process registry.  Iteration order is
     the build-time registration order, which keeps resume-scan orderings
     identical between the sharded and in-process paths.
     """
@@ -134,9 +132,6 @@ class RegionView:
         for i in range(self._start, self._end):
             yield ids[i], self._entry(i)
 
-    def login_version(self, database_id: str) -> int:
-        return int(self._arena.versions[self._index[database_id]])
-
 
 class SharedHistoryArena:
     """The shared CSR login store; one per sharded serving deployment.
@@ -169,7 +164,6 @@ class SharedHistoryArena:
 
         self.offsets = carve(n + 1, np.int64)
         self.top = carve(n, np.int64)
-        self.versions = carve(n, np.int64)
         self.paused = carve(n, np.uint8)
         self.logins = carve(capacity, np.int64)
         self._region_range = {
@@ -187,7 +181,7 @@ class SharedHistoryArena:
 
     @staticmethod
     def _required_bytes(databases: int, login_capacity: int) -> int:
-        return 8 * (databases + 1) + 8 * databases * 2 + databases + 8 * login_capacity
+        return 8 * (databases + 1) + 8 * databases + databases + 8 * login_capacity
 
     @classmethod
     def build(
@@ -244,7 +238,6 @@ class SharedHistoryArena:
         if n:
             np.cumsum(capacities, out=arena.offsets[1:])
             arena.top[:] = counts_arr
-            arena.versions[:] = counts_arr  # mirrors HistoryStore warm load
             arena.paused[:] = np.asarray(paused_flags, dtype=np.uint8)
             for i, chunk in enumerate(login_chunks):
                 base = int(arena.offsets[i])
@@ -304,9 +297,6 @@ class SharedHistoryArena:
             )
         return i
 
-    def login_version(self, region: str, database_id: str) -> int:
-        return int(self.versions[self._index_of(region, database_id)])
-
     def login_view(self, region: str, database_id: str) -> np.ndarray:
         i = self._index_of(region, database_id)
         base = int(self.offsets[i])
@@ -332,8 +322,8 @@ class SharedHistoryArena:
 
     def append_login(self, region: str, database_id: str, ts: int) -> None:
         """Append one login (ascending, deduped on timestamp) into the
-        database's slack capacity; bumps the version last so readers that
-        see the new version see the new login."""
+        database's slack capacity; advances ``top`` last so readers that
+        see the new ``top`` see the new login."""
         self._require_owner()
         i = self._index_of(region, database_id)
         base = int(self.offsets[i])
@@ -352,7 +342,6 @@ class SharedHistoryArena:
             )
         self.logins[base + top] = ts
         self.top[i] = top + 1
-        self.versions[i] += 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -360,7 +349,7 @@ class SharedHistoryArena:
 
     def close(self) -> None:
         """Drop this process's mapping (numpy views become invalid)."""
-        self.offsets = self.top = self.versions = None  # type: ignore[assignment]
+        self.offsets = self.top = None  # type: ignore[assignment]
         self.paused = self.logins = None  # type: ignore[assignment]
         self._shm.close()
 

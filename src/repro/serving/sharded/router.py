@@ -45,6 +45,7 @@ from repro.serving.requests import (
     Overloaded,
     Request,
     Response,
+    Shutdown,
     Unavailable,
     decode_response,
     encode_request,
@@ -211,6 +212,8 @@ class ShardRouter:
         startup), then readiness is awaited in worker order."""
         if self._started:
             return
+        if self._stopping:
+            raise ProRPError("a stopped ShardRouter cannot restart")
         self._started = True
         loop = asyncio.get_running_loop()
         spawned = []
@@ -312,7 +315,10 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     async def submit(self, request: Request) -> Response:
-        """Route one request; always returns a typed response."""
+        """Route one request; always returns a typed response (``Shutdown``
+        once :meth:`stop` has begun, whether or not the router started)."""
+        if self._stopping:
+            return Shutdown(request.request_id, "router stopped")
         if not self._started:
             await self.start()
         if OBS.enabled:

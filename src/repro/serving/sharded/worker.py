@@ -8,10 +8,10 @@ JSON-over-TCP handler: unlike the public front end (which answers each
 line before reading the next), the router's single connection per worker
 carries many requests in flight, and responses are written as they
 resolve -- out of order, correlated by ``request_id``.  A frame's by-id
-predicts -- memo hits and misses alike -- are answered inline by
-``submit_frame_nowait``, the misses with one kernel call per config, so
-the by-id hot path never allocates a queue entry, task or future; only
-resume scans and anonymous predicts take the dispatch loop.
+predicts are answered inline by ``submit_frame_nowait`` with one kernel
+call per config, so the by-id hot path never allocates a queue entry,
+task or future; only resume scans and anonymous predicts take the
+dispatch loop.
 
 Workers are spawned (never forked -- the router's event loop and the
 arena mapping must not be inherited) and bootstrapped over a
@@ -231,8 +231,6 @@ async def _amain(spec: WorkerSpec, conn) -> None:
                 {
                     "served": server.stats.served,
                     "shed": server.admission.total_shed(),
-                    "cache_hits": server.stats.cache_hits,
-                    "cache_misses": server.stats.cache_misses,
                 },
             )
         )

@@ -7,21 +7,24 @@ through the in-process gateway must yield byte-identical prediction
 payloads and resume-scan orderings.  Two layers pin it:
 
 * a hypothesis property test comparing the in-process registry against
-  arena-backed views under randomized traces (predicts, cache-hitting
-  repeats, appends, pause flips, scans) -- cheap, so it runs many
-  examples;
+  arena-backed views under randomized traces (predicts, repeats,
+  appends, pause flips, scans) -- cheap, so it runs many examples;
 * a full multi-process test driving an actual 4-worker router and the
   single-process server through one mixed trace.
 
 Around that: the arena's CSR layout and single-writer contract, the
 ``LeanHistory`` CSR export, consistent-hash stability, router
 backpressure (typed ``Overloaded`` when every replica's window is
-full), breaker-gated worker respawn, merged metrics exposition, and
+full, typed ``Shutdown`` once stopped), breaker-gated worker respawn,
+no segment or process outliving ``stop()``, merged metrics exposition, and
 the admission snapshot's consistency under concurrent admits.
 """
 
 import asyncio
 import json
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from repro.config import DEFAULT_CONFIG
 from repro.core.fast_predictor import get_fast_predictor
 from repro.core.prediction_cache import HOT_PATH
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProRPError
 from repro.faults import FaultPlan, FaultSpec, chaos
 from repro.observability import observed
 from repro.serving import (
@@ -49,6 +52,7 @@ from repro.serving.requests import (
     InvalidRequest,
     Overloaded,
     PredictResponse,
+    Shutdown,
     Unavailable,
     decode_response,
     encode_request,
@@ -100,18 +104,16 @@ def normalized(response) -> str:
 # ---------------------------------------------------------------------------
 
 
-def test_arena_roundtrip_views_and_versions():
+def test_arena_roundtrip_views():
     arena = SharedHistoryArena.build(sharded_fleet(), slack=4)
     try:
         views = arena.views()
         assert set(views) == set(REGIONS)
-        for i, (database_id, logins, region) in enumerate(
-            zip(DATABASE_IDS, FLEETS, REGIONS)
-        ):
+        for database_id, logins, region in zip(DATABASE_IDS, FLEETS, REGIONS):
             view_logins, paused = views[region][database_id]
             assert paused is True
             assert view_logins.tolist() == list(logins)
-            assert views[region].login_version(database_id) == len(logins)
+            assert arena.login_view(region, database_id).tolist() == list(logins)
         # Registration order is iteration order (resume-scan ordering).
         assert [db for db, _ in views["R0"].items()] == [
             db for db, r in zip(DATABASE_IDS, REGIONS) if r == "R0"
@@ -126,15 +128,15 @@ def test_arena_attach_sees_owner_writes():
     reader = SharedHistoryArena.attach(arena.spec)
     try:
         region, database_id = REGIONS[0], DATABASE_IDS[0]
-        before = reader.login_version(region, database_id)
         ts = int(FLEETS[0][-1]) + 60
+        after = list(FLEETS[0]) + [ts]
         arena.append_login(region, database_id, ts)
-        # Version bump and the new login are visible through the
-        # separately-mapped reader with no refresh step (same pages).
-        assert reader.login_version(region, database_id) == before + 1
-        assert int(reader.login_view(region, database_id)[-1]) == ts
+        # The new login is visible through the separately-mapped reader
+        # with no refresh step (same pages), by id and through the views.
+        assert reader.login_view(region, database_id).tolist() == after
+        assert reader.views()[region][database_id][0].tolist() == after
         arena.append_login(region, database_id, ts)  # dedup: no-op
-        assert reader.login_version(region, database_id) == before + 1
+        assert reader.login_view(region, database_id).tolist() == after
         arena.set_paused(region, database_id, False)
         assert reader.views()[region][database_id][1] is False
     finally:
@@ -288,71 +290,38 @@ def test_admission_snapshot_consistent_under_concurrent_admits():
 # ---------------------------------------------------------------------------
 
 
-def test_submit_nowait_sync_and_cached_paths():
+def test_submit_nowait_sync_paths():
+    """Health is answered synchronously; a by-id predict is queued and its
+    answer reads the history as it is now, append included; an unknown
+    database is a synchronous ``InvalidRequest``."""
     server = inprocess_server()
+    predictor = get_fast_predictor(DEFAULT_CONFIG)
+    # A login this database's Alg. 4 windows see: the answer must move.
+    i, ts = 5, NOW - DAY + HOUR
 
     async def run():
         await server.start()
         response, future = server.submit_nowait(HealthRequest("h0"))
         assert future is None and response.kind == "health"
-        by_id = PredictRequest(
-            "p0", (), NOW, region=REGIONS[0], database_id=DATABASE_IDS[0]
-        )
-        response, future = server.submit_nowait(by_id)
-        assert response is None  # cold: queued for the batched path
+        response, future = server.submit_nowait(by_id(i))
+        assert response is None  # queued for the batched path
         first = await future
-        assert isinstance(first, PredictResponse)
-        response, future = server.submit_nowait(
-            PredictRequest(
-                "p1", (), NOW, region=REGIONS[0], database_id=DATABASE_IDS[0]
-            )
-        )
-        # Warm: resolved synchronously from the prediction cache, and
-        # the payload is identical to the batched evaluation.
-        assert future is None
-        assert response.prediction == first.prediction
-        assert server.stats.cache_hits == 1
-        # An append bumps the version, so the cache entry is unreachable.
-        server.append_login(
-            REGIONS[0], DATABASE_IDS[0], int(FLEETS[0][-1]) + 60
-        )
-        response, future = server.submit_nowait(
-            PredictRequest(
-                "p2", (), NOW, region=REGIONS[0], database_id=DATABASE_IDS[0]
-            )
-        )
+        assert first.prediction == predictor.predict(FLEETS[i], NOW)
+        server.append_login(REGIONS[i], DATABASE_IDS[i], ts)
+        response, future = server.submit_nowait(by_id(i, request_id="again"))
         assert response is None
-        await future
-        # Unknown database: typed InvalidRequest, synchronously.
+        second = await future
+        assert second.prediction == predictor.predict(
+            list(FLEETS[i]) + [ts], NOW
+        )
+        assert second.prediction != first.prediction
         response, future = server.submit_nowait(
-            PredictRequest("p3", (), NOW, region=REGIONS[0], database_id="?")
+            PredictRequest("p2", (), NOW, region=REGIONS[i], database_id="?")
         )
         assert future is None and response.kind == "invalid"
         await server.stop()
 
     asyncio.run(run())
-    assert server.stats.cache_misses == 2
-
-
-def test_prediction_cache_bounded():
-    server = inprocess_server(prediction_cache_size=4)
-
-    async def run():
-        await server.start()
-        for i in range(12):
-            await server.submit(
-                PredictRequest(
-                    f"p{i}",
-                    (),
-                    NOW + i,
-                    region=REGIONS[0],
-                    database_id=DATABASE_IDS[0],
-                )
-            )
-        await server.stop()
-
-    asyncio.run(run())
-    assert len(server._cache) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +420,7 @@ def equivalence_trace():
                 f"p{i}", (), NOW, region=REGIONS[i], database_id=DATABASE_IDS[i]
             )
         )
-    # Repeats hit the worker-side prediction cache; payloads must not
-    # change between the batched and cached paths.
+    # Repeats must answer exactly like the first pass.
     for i in range(len(FLEETS)):
         requests.append(
             PredictRequest(
@@ -537,17 +505,44 @@ def test_router_window_backpressure_sheds_typed_overloaded():
             )
         finally:
             await router.stop()
-        return router, responses
+        late = await router.submit(
+            PredictRequest("late", (), NOW, region="R0", database_id="db-0")
+        )
+        return router, responses, late
 
-    router, responses = asyncio.run(run())
+    router, responses, late = asyncio.run(run())
     overloaded = [r for r in responses if isinstance(r, Overloaded)]
     served = [r for r in responses if isinstance(r, PredictResponse)]
     # The first submission occupies the only window slot; the other nine
     # are shed synchronously at the router, never reaching a worker.
     assert len(served) == 1
     assert len(overloaded) == 9
-    assert router.stats.shed_overloaded == 9
     assert "saturated" in overloaded[0].message
+    # After stop() the answer is Shutdown, not counted as overload.
+    assert isinstance(late, Shutdown)
+    assert router.stats.shed_overloaded == 9
+
+
+def test_router_stopped_before_start_answers_shutdown_without_spawning():
+    router = ShardRouter.build(
+        {"R0": [("db-0", tuple(FLEETS[0]), True)]},
+        n_workers=1,
+        settings=RouterSettings(health_interval_s=0.0),
+    )
+
+    async def run():
+        await router.stop()
+        with pytest.raises(ProRPError, match="cannot restart"):
+            await router.start()
+        return await router.submit(
+            PredictRequest("p0", (), NOW, region="R0", database_id="db-0")
+        )
+
+    response = asyncio.run(run())
+    assert isinstance(response, Shutdown)
+    assert response.request_id == "p0"
+    assert router.stats.shed_overloaded == 0
+    assert router.handles == {}
 
 
 def test_router_respawns_dead_worker_and_merges_metrics():
@@ -601,6 +596,14 @@ def test_router_respawns_dead_worker_and_merges_metrics():
     # The exposition is the merge of both workers' registries.
     assert metrics.metric_count > 0
     assert "serving_requests" in metrics.body
+    # Nothing outlives stop(): the segment is unlinked and every worker,
+    # the respawned one included, has exited and been reaped.
+    if sys.platform.startswith("linux"):
+        assert not os.path.exists(f"/dev/shm/{router.arena.spec.name}")
+    processes = [handle.process for handle in router.handles.values()]
+    assert all(process.exitcode is not None for process in processes)
+    live = {child.pid for child in multiprocessing.active_children()}
+    assert not live & {process.pid for process in processes}
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +792,11 @@ def run_frames(server, *frames):
 @pytest.mark.parametrize("max_batch", [64, 4])
 def test_frame_answers_by_id_misses_with_one_kernel_call_per_config(max_batch):
     """Ten by-id predicts over three regions and two ``now``s, an unknown
-    database and a health probe: one kernel call answers all ten misses
+    database and a health probe: one kernel call answers all ten predicts
     (``max_batch_size=4``: three), nothing is queued, the twelve answers
     come back in document order, and the counters behind the health
     stats' ``batches`` / ``batched_requests`` count the call.  The same
-    frame again is all memo hits."""
+    frame again makes the same kernel calls and gives the same answers."""
     picks = [i for i in range(len(FLEETS)) if i % 4 != 3][:10]
     nows = [NOW + (n % 2) * 7 * HOUR for n in range(10)]
     frame = [by_id(i, now) for i, now in zip(picks, nows)]
@@ -810,9 +813,9 @@ def test_frame_answers_by_id_misses_with_one_kernel_call_per_config(max_batch):
         arena.close()
         arena.unlink()
     calls = -(-10 // max_batch)
-    assert evals == calls and evals_again == 0 and depth == 0
-    assert server.batcher.batches == calls
-    assert server.batcher.batched_requests == 10
+    assert evals == evals_again == calls and depth == 0
+    assert server.batcher.batches == 2 * calls
+    assert server.batcher.batched_requests == 20
     assert all(future is None for _, future in first + again)
     responses = [response for response, _ in first]
     assert [r.request_id for r in responses] == [r.request_id for r in frame]
@@ -826,10 +829,7 @@ def test_frame_answers_by_id_misses_with_one_kernel_call_per_config(max_batch):
     assert [r.batch_size for r in predicts] == [
         min(max_batch, 10 - k // max_batch * max_batch) for k in range(10)
     ]
-    assert [r for r, _ in again if r.kind == "predict"] == [
-        PredictResponse(r.request_id, r.prediction, 1, 0.0) for r in predicts
-    ]
-    assert server.stats.cache_hits == 10
+    assert [r for r, _ in again if r.kind == "predict"] == predicts
 
 
 def test_frame_path_faults_fire_once_per_kernel_call():
@@ -868,11 +868,11 @@ def test_frame_path_faults_fire_once_per_kernel_call():
         )
 
 
-def test_memo_hits_feed_the_latency_slo():
-    """Regression: an answer that skips the dispatch loop -- a memo hit, an
-    unknown database -- was counted as served but never reached the
-    latency streams the ``serving_latency_p99`` rule reads, nor ticked the
-    SLO monitor."""
+def test_frame_answers_feed_the_latency_slo():
+    """Regression: an answer that skips the dispatch loop -- a frame
+    answer, an unknown database -- was counted as served but never reached
+    the latency streams the ``serving_latency_p99`` rule reads, nor ticked
+    the SLO monitor."""
 
     class Ticks:
         calls = 0
@@ -882,11 +882,13 @@ def test_memo_hits_feed_the_latency_slo():
 
     server = inprocess_server()
     server.slo_monitor = Ticks()
-    requests = [by_id(0), by_id(0), PredictRequest("x", (), NOW, database_id="x")]
 
     async def run():
         await server.start()
-        answers = [await server.submit(r) for r in requests]
+        answers = [r for r, _ in server.submit_frame_nowait([by_id(0), by_id(1)])]
+        answers.append(
+            await server.submit(PredictRequest("x", (), NOW, database_id="x"))
+        )
         await server.stop()
         return answers
 
@@ -894,7 +896,6 @@ def test_memo_hits_feed_the_latency_slo():
         answers = asyncio.run(run())
         metrics = runtime.metrics
     assert [a.kind for a in answers] == ["predict", "predict", "invalid"]
-    assert server.stats.cache_hits == 1
     assert metrics.get("serving.latency_ms").count == 3
     assert metrics.get("serving.latency_ms.window").total_count() == 3
     tenant = metrics.get("serving.tenant.latency_ms", {"tenant": "default"})
