@@ -7,10 +7,13 @@ Two sections, both on a region fleet (>= 200 databases at full scale):
   same login arrays.  The batch must run >= 3x fewer full Algorithm-4
   scans (it pays one kernel pass instead of D) and, at full scale, win
   on wall clock; the answers must be identical.
-* **Settle batch**: one proactive region simulation, reported in counts:
-  how many ``predict_fleet`` calls the settle phase made, how many
-  databases they covered and how many of those answers ``start(d)`` took
-  in place of a scan, beside the single-database scans of the event loop.
+* **Settle and bucket batches** (the ``settle_batch`` keys): one
+  proactive region simulation, reported in counts: how many
+  ``predict_fleet`` calls the columnar engine made -- the settle batch at
+  ``sim_start`` plus one per event-loop instant where >= 2 databases
+  refresh -- how many databases they covered and how many of those
+  answers the refreshes took in place of a scan, beside the
+  single-database scans that remain.
 
 Baselines are committed under ``benchmarks/results/``: the full run
 writes ``BENCH_fleet_hotpath.json``, the ``--quick`` variant writes
@@ -110,7 +113,7 @@ def run_bench(quick: bool = False) -> dict:
     loop_s = _min_of(reps, lambda: [predictor.predict(a, NOW) for a in fleets])
     batch_s = _min_of(reps, lambda: predictor.predict_fleet(fleets, NOW))
 
-    # -- the settle batch of one region simulation, in counts -----------
+    # -- the settle + bucket batches of one region simulation, in counts
     # Evaluate the final day: the 1-day warm-up puts sim_start at day 30,
     # leaving >28 days of lifespan so the fleet is "old" (predictable)
     # and the settle phase has databases to batch.
@@ -149,9 +152,9 @@ def _check(result: dict) -> None:
         f"expected >= 3x fewer full scans from batching, got "
         f"{sweep['scan_reduction']}x"
     )
-    assert settle["batch_evals"] >= 1, "the settle phase did not batch"
+    assert settle["batch_evals"] >= 1, "the simulation did not batch"
     assert settle["answers_taken"] == settle["batch_databases"] > 0, (
-        f"an un-faulted start loop takes every settle answer: "
+        f"an un-faulted run takes every parked answer: "
         f"{settle['answers_taken']} of {settle['batch_databases']}"
     )
     if not result["quick"]:
@@ -175,9 +178,9 @@ def _report(result: dict) -> str:
             f"({sweep['scan_reduction']}x fewer)",
             f"  sweep wall: loop {sweep['loop_s']}s vs batch {sweep['batch_s']}s "
             f"({sweep['speedup']}x)",
-            f"  settle batch: {settle['batch_evals']} predict_fleet call(s) over "
-            f"{settle['batch_databases']} databases, "
-            f"{settle['answers_taken']} answers taken by start()",
+            f"  settle + bucket batches: {settle['batch_evals']} predict_fleet "
+            f"call(s) over {settle['batch_databases']} databases, "
+            f"{settle['answers_taken']} answers taken by the refreshes",
             f"  event loop: {settle['full_scans']} single-database scans; "
             f"simulation wall {settle['simulation_s']}s",
         ]

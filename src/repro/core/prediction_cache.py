@@ -3,14 +3,14 @@
 Algorithm 4 anchors every candidate window at ``now`` (line 9), so a
 prediction is a pure function of (login timestamps, knobs, ``now``) and a
 memo keyed on ``now`` could only ever answer an exact replay of the same
-call.  The simulator therefore keeps no per-database prediction memo: the
-one batched evaluation it makes -- the settle phase at ``sim_start``, where
-every idle-old database predicts at the same instant -- is handed to the
-columnar engine by database index (``ColumnarRegionEngine.
-seed_initial_predictions``) and consumed inside ``start(d)``.
+call.  The simulator therefore keeps no per-database prediction memo: its
+batched evaluations are same-instant ones -- the settle phase at
+``sim_start`` (``ColumnarRegionEngine.seed_initial_predictions``) and each
+event-loop instant where several databases refresh -- parked by database
+index for the columnar engine's refreshes at that instant to take.
 
 :data:`HOT_PATH` counts that traffic: full Algorithm-4 scans, batched fleet
-evaluations, settle answers consumed (``cache_hits``) and columnar scalar
+evaluations, parked answers taken (``cache_hits``) and columnar scalar
 fall-throughs (``cache_misses``; the names are the ones ``benchmarks/e2e``
 reads).  They are plain integer attributes (no registry lookups) so the
 accounting itself stays off the profile.
@@ -27,7 +27,7 @@ class HotPathStats:
     ``full_scans`` counts complete Algorithm-4 evaluations (reference or
     vectorised, single-database); ``batch_evals`` counts
     ``predict_fleet`` invocations and ``batch_databases`` the databases
-    they covered.  ``cache_hits`` counts settle-batch answers the columnar
+    they covered.  ``cache_hits`` counts batched answers the columnar
     engine consumed instead of scanning, ``cache_misses`` the predictions
     it answered with the scalar kernel.
     """

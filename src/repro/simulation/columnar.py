@@ -10,10 +10,18 @@ This module re-hosts exactly the same state machine over numpy
 struct-of-arrays owned by the region: one ``int8`` phase column, ``int64``
 timer/anchor columns, bool flag columns, and CSR (offsets + flat values)
 layouts for each database's sessions and maintenance operations.  Events
-become flat heap tuples ``(time, seq, kind, db_index, epoch)`` instead of
-closures; cancellable wake timers become an epoch counter per database
-(a stale pop is skipped exactly like a cancelled :class:`~repro.simulation.
-engine.Timer`).
+become flat ``(kind, db_index, epoch)`` tuples instead of closures, held
+in a calendar queue: one list per simulated instant, in scheduling order,
+plus a heap of the distinct instants.  Cancellable wake timers become an
+epoch counter per database (a stale entry is skipped exactly like a
+cancelled :class:`~repro.simulation.engine.Timer`).
+
+The buckets are what make the proactive refresh (Algorithm 1 lines 7-8)
+batchable: on entering an instant, every database whose one event there
+will refresh its prediction is answered by a single
+:meth:`~repro.core.fast_predictor.FastPredictor.predict_fleet` call, and
+the answers are parked for the refresh to take at dispatch (the clipping
+argument that makes this exact is in ``docs/algorithms.md``).
 
 The engine is a line-by-line port of the actor code paths: every schedule
 call, RNG draw, fault-injector consult, policy decision, metadata write,
@@ -101,7 +109,7 @@ PH_LOGICAL = STATE_CODES[LifecycleState.LOGICALLY_PAUSED]
 PH_PHYSICAL = STATE_CODES[LifecycleState.PHYSICALLY_PAUSED]
 PH_RESUMING = STATE_CODES[LifecycleState.RESUMING]
 
-#: Event kinds of the flat heap tuples.
+#: Event kinds of the calendar-queue entries.
 EV_SESSION_START = 0
 EV_SESSION_END = 1
 EV_RESUME_COMPLETE = 2
@@ -285,6 +293,12 @@ class StoreHistory:
     def trim(self, d: int, history_days: int, now: int) -> bool:
         return self.stores[d].delete_old_history(history_days, now).old
 
+    def older_than(self, d: int, history_start: int) -> bool:
+        """The ``old`` flag a trim at ``history_start`` would return,
+        without deleting anything."""
+        min_timestamp = self.stores[d].min_timestamp()
+        return min_timestamp is not None and min_timestamp < history_start
+
     def login_array(self, d: int) -> np.ndarray:
         return self.stores[d].login_array()
 
@@ -352,10 +366,10 @@ class ColumnarRegionEngine:
 
     A mechanical port of :class:`repro.simulation.actor._BaseActor` /
     :class:`ReactiveActor` / :class:`ProactiveActor` plus the region loop
-    of ``_simulate_region``: every schedule call consumes one sequence
-    number in the same order, every cluster allocation draws the shared
-    RNG in the same order, and every fault point is consulted in the same
-    order as the actor path, which is what makes the two byte-identical.
+    of ``_simulate_region``: events run in the same ``(time, schedule
+    order)`` sequence, every cluster allocation draws the shared RNG in
+    the same order, and every fault point is consulted in the same order
+    as the actor path, which is what makes the two byte-identical.
     """
 
     def __init__(
@@ -397,14 +411,19 @@ class ColumnarRegionEngine:
         #: pure delegate, byte-identical to None.
         self.bank = bank
         self._now = sim_start
-        self._seq = 0
-        self._heap: List[Tuple[int, int, int, int, int]] = []
-        #: Dispatched after the heap pops an EV_RESUME_OP entry; installed
+        #: Calendar queue: ``time -> [(kind, d, epoch), ...]`` in schedule
+        #: order, plus a heap holding each pending instant once.
+        self._buckets: Dict[int, List[Tuple[int, int, int]]] = {}
+        self._times: List[int] = []
+        #: Dispatched after the queue pops an EV_RESUME_OP entry; installed
         #: by ``schedule_resume_op``.
         self.on_resume_op: Optional[Callable[[int], None]] = None
-        #: Settle-batch answers ``d -> (config, prediction)``: parked by
-        #: ``seed_initial_predictions``, taken (or dropped) inside ``start``.
+        #: Batched answers ``d -> (config, prediction)`` for the instant
+        #: ``_settled_at``: parked by ``seed_initial_predictions`` (taken
+        #: or dropped inside ``start``) and by each batched bucket of
+        #: ``run_until`` (leftovers dropped when the bucket ends).
         self._settled: Dict[int, Tuple[ProRPConfig, PredictedActivity]] = {}
+        self._settled_at = sim_start
         self.events_dispatched = 0
 
     # -- scheduling --------------------------------------------------------
@@ -414,14 +433,21 @@ class ColumnarRegionEngine:
         return self._now
 
     def _push(self, time: int, kind: int, d: int, epoch: int = 0) -> None:
-        """Mirror of ``EventQueue.schedule(_oneshot)``: consumes exactly
-        one sequence number, so same-time ordering matches the actors."""
+        """Mirror of ``EventQueue.schedule(_oneshot)``: appends to the
+        instant's bucket, so same-time ordering matches the actors.  A
+        push at the instant being dispatched opens a fresh bucket, which
+        runs after every event queued before it."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before now={self._now}"
             )
-        heapq.heappush(self._heap, (int(time), self._seq, kind, d, epoch))
-        self._seq += 1
+        time = int(time)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(kind, d, epoch)]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append((kind, d, epoch))
 
     def _cancel_wake(self, d: int) -> None:
         self.s.wake_epoch[d] += 1
@@ -571,13 +597,13 @@ class ColumnarRegionEngine:
     def _predict_sliding(
         self, d: int, config: ProRPConfig, now: int
     ) -> PredictedActivity:
-        """The paper's sliding-window path (Algorithm 4).  At ``sim_start``
-        a parked settle-batch answer for the same knobs replaces the scan;
-        it is taken only here, after the outage, breaker, trim and fault
+        """The paper's sliding-window path (Algorithm 4).  A parked batch
+        answer for this instant and the same knobs replaces the scan; it
+        is taken only here, after the outage, breaker, trim and fault
         checks of the refresh have all run for this database."""
         if self.fast_predictor is None:
             return predict_next_activity(self.hist.store(d), config, now)
-        if now == self.sim_start:
+        if now == self._settled_at:
             settled = self._settled.pop(d, None)
             if settled is not None and settled[0] == config:
                 HOT_PATH.cache_hits += 1
@@ -595,10 +621,10 @@ class ColumnarRegionEngine:
         """The Algorithm-4 configuration ``start(d)`` will predict with at
         ``sim_start``, or None when it will not reach the predictor: it
         does only for a born database idle between sessions whose history
-        is old.  Performs the same trim the refresh would (trimming twice
-        at one instant is idempotent).  Deliberately consults neither the
-        circuit breaker (``allow`` can mutate it) nor the fault injector:
-        the real refresh inside ``start`` does both, in unchanged order."""
+        is old.  Mutates nothing: ``older_than`` reads the flag the
+        refresh's trim will return, the breaker is not consulted
+        (``allow`` can mutate it) and neither is the fault injector; the
+        real refresh inside ``start`` does all three, in unchanged order."""
         s = self.s
         index = int(s.sess_offsets[d])
         hi = int(s.sess_offsets[d + 1])
@@ -610,7 +636,8 @@ class ColumnarRegionEngine:
             return None  # not born yet: physical pause until first login
         if s.sess_starts[index] <= self.sim_start:
             return None  # mid-session: active, no idle settling
-        if not self.hist.trim(d, self.config.history_days, self.sim_start):
+        history_start = self.sim_start - self.config.history_s
+        if not self.hist.older_than(d, history_start):
             return None  # new database: refresh skips the predictor
         return self._prediction_config(d, self.sim_start)
 
@@ -634,16 +661,63 @@ class ColumnarRegionEngine:
             if request is not None:
                 groups.setdefault(request, []).append(d)
         for group_config, members in groups.items():
-            predictor = (
-                self.fast_predictor
-                if group_config == self.config
-                else get_fast_predictor(group_config)
-            )
-            predictions = predictor.predict_fleet(
-                [self.hist.login_array(d) for d in members], self.sim_start
-            )
-            for d, prediction in zip(members, predictions):
-                self._settled[d] = (group_config, prediction)
+            self._park(members, group_config, self.sim_start)
+
+    def _park(self, members: List[int], config: ProRPConfig, now: int) -> None:
+        """One ``predict_fleet`` call for ``members`` at ``now``, over
+        their untrimmed login views (exact: every login the refresh's
+        trim would delete lies below every window Algorithm 4 reads)."""
+        predictor = (
+            self.fast_predictor
+            if config == self.config
+            else get_fast_predictor(config)
+        )
+        predictions = predictor.predict_fleet(
+            [self.hist.login_array(d) for d in members], now
+        )
+        self._settled_at = now
+        for d, prediction in zip(members, predictions):
+            self._settled[d] = (config, prediction)
+
+    def _park_bucket(self, now: int, bucket: List[Tuple[int, int, int]]) -> bool:
+        """Answer, with one kernel call, every database whose one event in
+        this bucket will refresh its prediction (Algorithm 1 lines 7-8):
+        a live wake ending a non-maintenance logical pause, or a logout
+        whose last prediction has expired, past any maintenance hold and
+        with old history.  Mirrors the dispatch-time checks that are
+        fixed on entering the instant -- no other database's event can
+        change them -- and leaves the breaker, fault and bank steps to the
+        refresh itself.  Returns whether anything was parked."""
+        if self._prorp_down(now):
+            return False
+        entries: Dict[int, int] = {}
+        for _, d, _ in bucket:
+            entries[d] = entries.get(d, 0) + 1
+        s = self.s
+        history_start = now - self.config.history_s
+        members: List[int] = []
+        for kind, d, epoch in bucket:
+            if kind == EV_WAKE:
+                refreshes = (
+                    epoch == s.wake_epoch[d]
+                    and s.phase[d] == PH_LOGICAL
+                    and s.pause_origin[d] != ORIGIN_MAINTENANCE
+                )
+            elif kind == EV_SESSION_END:
+                refreshes = s.phase[d] == PH_RESUMED and s.pred_end[d] < now
+            else:
+                continue
+            if (
+                refreshes
+                and entries[d] == 1
+                and now >= s.maint_until[d]
+                and self.hist.older_than(d, history_start)
+            ):
+                members.append(d)
+        if len(members) < 2:
+            return False
+        self._park(members, self.config, now)
+        return True
 
     # -- initialisation ----------------------------------------------------
 
@@ -1103,11 +1177,20 @@ class ColumnarRegionEngine:
 
     def run_until(self, end: int) -> int:
         """Mirror of ``EventQueue.run_until`` including its observability
-        spans/counters; stale wakes are skipped like cancelled timers."""
+        spans/counters; stale wakes are skipped like cancelled timers.
+        Pops one instant's bucket at a time and dispatches it in schedule
+        order; a proactive bucket first parks one batch of the refreshes
+        it will make (``_park_bucket``) and drops what was not taken."""
         executed = 0
         run_start = self._now
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         wake_epoch = self.s.wake_epoch
+        batching = (
+            self.proactive
+            and self.fast_predictor is not None
+            and not self.config.auto_seasonality
+        )
         obs_enabled = OBS.enabled
         monitor = OBS.slo if obs_enabled else None
         # Armed monitors cost one local float comparison per event; the
@@ -1115,21 +1198,26 @@ class ColumnarRegionEngine:
         next_eval = (
             monitor.next_boundary if monitor is not None else float("inf")
         )
-        while heap and heap[0][0] <= end:
-            time, _, kind, d, epoch = heapq.heappop(heap)
-            if kind == EV_WAKE and epoch != wake_epoch[d]:
-                continue  # cancelled wake: skipped, not dispatched
+        while times and times[0] <= end:
+            time = heapq.heappop(times)
+            bucket = buckets.pop(time)
             self._now = time
-            if obs_enabled:
-                with OBS.tracer.span("engine.event", t=time):
+            parked = batching and len(bucket) > 1 and self._park_bucket(time, bucket)
+            for kind, d, epoch in bucket:
+                if kind == EV_WAKE and epoch != wake_epoch[d]:
+                    continue  # cancelled wake: skipped, not dispatched
+                if obs_enabled:
+                    with OBS.tracer.span("engine.event", t=time):
+                        self._dispatch(kind, d, time)
+                    OBS.metrics.counter("engine.events_dispatched").inc()
+                    if time >= next_eval:
+                        monitor.maybe_evaluate(time)
+                        next_eval = monitor.next_boundary
+                else:
                     self._dispatch(kind, d, time)
-                OBS.metrics.counter("engine.events_dispatched").inc()
-                if time >= next_eval:
-                    monitor.maybe_evaluate(time)
-                    next_eval = monitor.next_boundary
-            else:
-                self._dispatch(kind, d, time)
-            executed += 1
+                executed += 1
+            if parked:
+                self._settled.clear()
         self._now = max(self._now, end)
         if obs_enabled and self._now > run_start:
             OBS.metrics.gauge("engine.sim_time").set(self._now)

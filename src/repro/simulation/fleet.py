@@ -399,6 +399,11 @@ class LeanHistory:
             )
         return True
 
+    def older_than(self, d: int, history_start: int) -> bool:
+        """The ``old`` flag a trim at ``history_start`` would return,
+        without moving the cursor."""
+        return bool(self.has_event[d] and self.min_ts[d] < history_start)
+
     def login_array(self, d: int) -> np.ndarray:
         base = int(self.off[d])
         top = int(self.top[d])

@@ -9,9 +9,10 @@ seeded multi-region scenarios:
   per-database outcome ledgers, same resume-operation iterations, same
   history contents -- including under an armed fault plan (same injector
   consult/fire ledger) and a control-plane outage window.  Only the
-  columnar engine batches the settle phase, so the hot-path counters are
-  tied by an invariant instead of equality: every prediction the actors
-  scanned, the columnar engine either scanned or took from its batch;
+  columnar engine batches (the settle phase and each instant's bucket of
+  refreshes), so the hot-path counters are tied by an invariant instead
+  of equality: every prediction the actors scanned, the columnar engine
+  either scanned or took from a batch;
 * lean fleet backends vs the full stores: same KPI report for both
   policies;
 * serial vs worker-pool sharding: identical merged and per-shard KPIs.
@@ -19,13 +20,27 @@ seeded multi-region scenarios:
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
+from repro.core.fast_predictor import FastPredictor
 from repro.core.prediction_cache import HOT_PATH
 from repro.errors import SimulationError, TraceError
 from repro.faults import FaultPlan, FaultSpec, chaos
 from repro.parallel import SerialExecutor
+from repro.simulation.columnar import (
+    EV_RESUME_OP,
+    EV_SESSION_END,
+    EV_SESSION_START,
+    EV_WAKE,
+    ORIGIN_MAINTENANCE,
+    PH_LOGICAL,
+    PH_RESUMED,
+    ColumnarRegionEngine,
+    ColumnarState,
+)
 from repro.simulation.fleet import (
     merge_kpi_reports,
     shard_bounds,
@@ -34,6 +49,7 @@ from repro.simulation.fleet import (
 )
 from repro.simulation.region import SimulationSettings, simulate_region
 from repro.types import SECONDS_PER_DAY as DAY
+from repro.types import ActivityTrace, Session
 from repro.workload.fleetgen import FleetShardSpec
 from repro.workload.regions import RegionPreset, generate_region_traces
 
@@ -73,7 +89,7 @@ def _run_both_engines(traces, policy, config, settings):
 def _assert_hot_path_invariant(snapshots):
     """Perf counters are not part of byte-identity (ROADMAP rule 3): the
     actors never batch, the columnar engine answers some of the same
-    predictions from its one settle batch."""
+    predictions from its settle and bucket batches."""
     actor, columnar = snapshots["actor"], snapshots["columnar"]
     assert actor["full_scans"] == columnar["full_scans"] + columnar["cache_hits"]
     assert columnar["cache_hits"] <= columnar["batch_databases"]
@@ -149,6 +165,176 @@ class TestColumnarMatchesActor:
             results["columnar"].outcomes, results["actor"].outcomes
         ):
             assert vars(mine) == vars(theirs)
+
+
+@pytest.fixture
+def hot_at_loop_entry(monkeypatch):
+    """``HOT_PATH`` snapshots taken as each columnar event loop begins,
+    i.e. after the settle batch and before any bucket batch."""
+    seen = []
+    run_until = ColumnarRegionEngine.run_until
+
+    def probe(self, end):
+        seen.append(HOT_PATH.snapshot())
+        return run_until(self, end)
+
+    monkeypatch.setattr(ColumnarRegionEngine, "run_until", probe)
+    return seen
+
+
+class TestBucketBatchesMatchActor:
+    """A 400-database fleet on a 2-day history puts dozens of refreshes on
+    one instant, so these runs reach the per-bucket ``predict_fleet``
+    batches that the 40-database scenarios above almost never form."""
+
+    def _traces(self, seed):
+        spec = FleetShardSpec(n_databases=400, span_days=4, seed=seed)
+        return spec.materialize().to_traces()
+
+    @pytest.mark.parametrize(
+        "seed, overrides",
+        [
+            (1, {}),
+            (2, {}),
+            (
+                1,
+                {
+                    "maintenance_per_week": 1.0,
+                    "prorp_outages": ((3 * DAY + 10 * 3600, 3 * DAY + 14 * 3600),),
+                },
+            ),
+        ],
+        ids=["seed1", "seed2", "seed1-maintenance-outage"],
+    )
+    def test_bucket_answers_equal_per_database_scans(
+        self, seed, overrides, hot_at_loop_entry
+    ):
+        settings = _region_settings(
+            span_days=4, collect_predictions=True, **overrides
+        )
+        results, snapshots = _run_both_engines(
+            self._traces(seed), "proactive", CONFIG, settings
+        )
+        _assert_ledgers_identical(results, snapshots)
+        assert sum(len(o.predictions) for o in results["columnar"].outcomes) > 0
+        # Un-faulted, every parked answer is taken, and the buckets (not
+        # just the settle batch) answered a good share of the refreshes.
+        columnar = snapshots["columnar"]
+        [settle] = hot_at_loop_entry
+        assert columnar["cache_hits"] == columnar["batch_databases"]
+        assert columnar["batch_databases"] - settle["batch_databases"] >= 100
+
+    def test_bucket_batches_under_armed_fault_plan(self):
+        traces = self._traces(1)
+        settings = _region_settings(span_days=4, collect_predictions=True)
+        ledgers, results, snapshots = {}, {}, {}
+        for engine in ("actor", "columnar"):
+            HOT_PATH.reset()
+            with chaos(ARMED_PLAN, seed=3) as injector:
+                results[engine] = simulate_region(
+                    traces,
+                    "proactive",
+                    CONFIG,
+                    dataclasses.replace(settings, engine=engine),
+                )
+                ledgers[engine] = injector.snapshot()
+            snapshots[engine] = HOT_PATH.snapshot()
+        assert ledgers["columnar"] == ledgers["actor"]
+        assert ledgers["columnar"]["fires"], "the armed plan never fired"
+        _assert_ledgers_identical(results, snapshots)
+        assert snapshots["columnar"]["batch_evals"] > 1
+
+    def test_bucket_parks_only_refreshes_that_take_their_answer(self):
+        """Membership cases the fleets above never put on a shared instant
+        (maintenance times are drawn to the second): a bucket parks an
+        answer only for a database whose one event there refreshes."""
+        now, n = 3 * DAY, 9
+        empty = np.zeros(n + 1, dtype=np.int64)
+        state = ColumnarState(
+            n, empty, empty[:0], empty[:0], empty, empty[:0], empty[:0],
+            np.zeros(n, dtype=np.int64),
+        )
+
+        class OldHistory:
+            def older_than(self, d, history_start):
+                return d != 8
+
+            def login_array(self, d):
+                return np.array([now - DAY + 60 * d], dtype=np.int64)
+
+        engine = ColumnarRegionEngine(
+            state, proactive=True, config=CONFIG, sim_start=0,
+            sim_end=4 * DAY, acct=None, hist=OldHistory(), meta=None,
+            cluster=None, fast_predictor=FastPredictor(CONFIG),
+        )
+        state.phase[:5] = PH_LOGICAL  # 0-4 wake, 5-8 log out
+        state.phase[5:] = PH_RESUMED
+        state.pause_origin[1] = ORIGIN_MAINTENANCE  # closes a maintenance pause
+        state.wake_epoch[2] = 1  # its wake below was cancelled
+        state.maint_until[3] = now + 1  # held by a running operation
+        state.pred_end[6] = now  # prediction still live
+        bucket = [
+            (EV_WAKE, 0, 0), (EV_WAKE, 1, 0), (EV_WAKE, 2, 0), (EV_WAKE, 3, 0),
+            (EV_SESSION_START, 4, 0), (EV_WAKE, 4, 0),  # two events
+            (EV_SESSION_END, 5, 0), (EV_SESSION_END, 6, 0),
+            (EV_SESSION_END, 7, 0), (EV_SESSION_END, 8, 0),  # 8: new database
+            (EV_RESUME_OP, -1, 0),
+        ]
+        assert engine._park_bucket(now, bucket)
+        assert sorted(engine._settled) == [0, 5, 7]
+        engine._settled.clear()
+        engine.prorp_outages = ((now, now + 1),)
+        assert not engine._park_bucket(now, bucket)
+        assert engine._settled == {}
+
+
+GRID = 15 * 60
+#: The Algorithm 5 scan runs on the same grid, so pre-warms and the wakes
+#: they arm share instants too (and a day takes 96 scans, not 1,440).
+GRID_CONFIG = dataclasses.replace(CONFIG, resume_operation_period_s=GRID)
+
+
+@st.composite
+def grid_fleets(draw):
+    """2-6 databases repeating a daily template whose session bounds sit
+    on a 15-minute grid inside one 8-hour band, so most instants hold
+    events of several databases; back-to-back sessions put a logout and
+    a login of one database on the same instant."""
+    traces = []
+    for i in range(draw(st.integers(min_value=2, max_value=6))):
+        template = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=32, max_value=63),
+                    st.integers(min_value=1, max_value=8),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        skipped = draw(st.sets(st.integers(min_value=0, max_value=3), max_size=2))
+        sessions = []
+        for day in range(4):
+            if day in skipped:
+                continue
+            for slot, length in sorted(template):
+                start = day * DAY + slot * GRID
+                if not sessions or start >= sessions[-1].end:
+                    sessions.append(Session(start, start + length * GRID))
+        traces.append(ActivityTrace(f"grid-{i}", sessions, created_at=0))
+    return traces
+
+
+@hsettings(max_examples=50, deadline=None)
+@given(traces=grid_fleets())
+def test_colliding_instants_match_actor(traces):
+    """Actor ≡ columnar, predictions included, when many databases -- and
+    sometimes two events of one database -- share an instant."""
+    settings = _region_settings(span_days=4, collect_predictions=True)
+    results, snapshots = _run_both_engines(
+        traces, "proactive", GRID_CONFIG, settings
+    )
+    _assert_ledgers_identical(results, snapshots)
 
 
 class TestLeanFleetMatchesFullStores:

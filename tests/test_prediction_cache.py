@@ -8,7 +8,8 @@ byte-identical.  This suite pins that contract:
   (property-based, arbitrary login sets / instants / knob combinations);
 * end-to-end region simulations on the actor engine (one scan per
   prediction, never batched) and on the columnar engine (the settle phase
-  answered by one ``predict_fleet`` batch, delivered by slot) produce
+  and every instant where several databases refresh answered by
+  ``predict_fleet`` batches, delivered by slot) produce
   identical KPIs, identical workflow event times, and identical pre-warm
   batches across >= 20 seeded scenarios, including weekly and adaptive
   seasonality and armed fault plans (where the injector's consultation
@@ -438,7 +439,7 @@ def test_cache_is_invisible_end_to_end(seed, variant, plan):
 
 
 # ----------------------------------------------------------------------
-# The settle slots: filled once, emptied by the start loop, sim_start only
+# The settle slots: filled once, emptied by the start loop, one instant only
 # ----------------------------------------------------------------------
 
 SIM_START = EVAL_KWARGS["eval_start"] - EVAL_KWARGS["warmup_s"]
@@ -447,13 +448,14 @@ AT_SIM_START = ((SIM_START, SIM_START + 1),)
 
 @pytest.fixture
 def engines_at_loop_entry(monkeypatch):
-    """Every columnar engine, with a copy of its settle slots, captured as
-    its event loop begins -- i.e. just after the start loop ended."""
+    """Every columnar engine, with a copy of its settle slots and of the
+    hot-path counters, captured as its event loop begins -- i.e. just
+    after the start loop ended, before any bucket batch of the loop."""
     seen = []
     run_until = ColumnarRegionEngine.run_until
 
     def probe(self, end):
-        seen.append((self, dict(self._settled)))
+        seen.append((self, dict(self._settled), HOT_PATH.snapshot()))
         return run_until(self, end)
 
     monkeypatch.setattr(ColumnarRegionEngine, "run_until", probe)
@@ -485,11 +487,11 @@ def _settle_run(plan=None, **overrides):
 
 
 def test_settle_slots_are_taken_in_the_start_loop(engines_at_loop_entry):
-    hot, _ = _settle_run()
-    [(_, leftover)] = engines_at_loop_entry
+    _settle_run()
+    [(_, leftover, settle)] = engines_at_loop_entry
     assert leftover == {}
-    assert hot["batch_evals"] == 1
-    assert hot["cache_hits"] == hot["batch_databases"] >= 6
+    assert settle["batch_evals"] == 1
+    assert settle["cache_hits"] == settle["batch_databases"] >= 6
 
 
 def test_settle_slots_empty_after_injected_predictor_faults(engines_at_loop_entry):
@@ -499,7 +501,7 @@ def test_settle_slots_empty_after_injected_predictor_faults(engines_at_loop_entr
         FaultSpec(PREDICTOR_FAULT_POINT, windows=AT_SIM_START, max_fires=3)
     )
     hot, ledger = _settle_run(plan)
-    [(_, leftover)] = engines_at_loop_entry
+    [(_, leftover, _)] = engines_at_loop_entry
     assert leftover == {}
     assert ledger["fires"] == {PREDICTOR_FAULT_POINT: 3}
     assert hot["cache_hits"] == hot["batch_databases"] - 3
@@ -510,18 +512,18 @@ def test_settle_slots_empty_under_an_open_breaker(engines_at_loop_entry):
     start loop returns before the predictor, consult included -- so the
     fault, armed for all of ``sim_start``, fires only five times."""
     plan = FaultPlan.of(FaultSpec(PREDICTOR_FAULT_POINT, windows=AT_SIM_START))
-    hot, ledger = _settle_run(plan)
-    [(_, leftover)] = engines_at_loop_entry
+    _, ledger = _settle_run(plan)
+    [(_, leftover, settle)] = engines_at_loop_entry
     assert leftover == {}
     assert ledger["fires"] == {PREDICTOR_FAULT_POINT: 5}
-    assert hot["batch_databases"] > 5 and hot["cache_hits"] == 0
+    assert settle["batch_databases"] > 5 and settle["cache_hits"] == 0
 
 
 def test_nothing_is_parked_under_an_outage_at_sim_start(engines_at_loop_entry):
-    hot, _ = _settle_run(prorp_outages=((SIM_START - HOUR, SIM_START + HOUR),))
-    [(_, leftover)] = engines_at_loop_entry
+    _settle_run(prorp_outages=((SIM_START - HOUR, SIM_START + HOUR),))
+    [(_, leftover, settle)] = engines_at_loop_entry
     assert leftover == {}
-    assert hot["batch_evals"] == 0 and hot["cache_hits"] == 0
+    assert settle["batch_evals"] == 0 and settle["cache_hits"] == 0
 
 
 def test_settle_slots_empty_when_the_bank_skips_the_sliding_arm(
@@ -535,15 +537,16 @@ def test_settle_slots_empty_when_the_bank_skips_the_sliding_arm(
         lambda self, key, now, logins_fn, sliding_fn: PredictedActivity.none(),
     )
     hot, _ = _settle_run(predictor_bank=("survival",))
-    [(_, leftover)] = engines_at_loop_entry
+    [(_, leftover, _)] = engines_at_loop_entry
     assert leftover == {}
     assert hot["batch_databases"] >= 6
     assert hot["cache_hits"] == 0 and hot["full_scans"] == 0
 
 
 def test_a_settle_answer_is_never_used_after_sim_start(monkeypatch):
-    """Slots planted once the start loop is over sit untouched to the end
-    of the run: every later prediction is at ``now > sim_start``."""
+    """Slots planted once the start loop is over are never taken: every
+    later prediction is at ``now > sim_start``, and the loop's first
+    bucket batch drops them with its own leftovers when it ends."""
     bogus = PredictedActivity(start=1, end=2, confidence=1.0)
     planted = []
     run_until = ColumnarRegionEngine.run_until
@@ -558,5 +561,6 @@ def test_a_settle_answer_is_never_used_after_sim_start(monkeypatch):
     monkeypatch.setattr(ColumnarRegionEngine, "run_until", plant)
     hot, _ = _settle_run()  # KPIs still equal the actors'
     [engine] = planted
-    assert len(engine._settled) == engine.s.n
+    assert baseline["batch_evals"] > 1  # the loop batched at least once
+    assert engine._settled == {}
     assert hot == baseline
