@@ -18,7 +18,8 @@ Three sections, all written to ``BENCH_observability.json`` (full) or
 * **alert_roundtrip**: the chaos scenario of
   :func:`repro.experiments.chaos.run_slo_chaos` -- a scheduled predictor
   outage and latency spike must fire and clear the stock alerts, and the
-  streaming totals must match the offline telemetry recomputation.
+  streaming totals must match the ``KpiReport`` and, on logins, the
+  traces' own session starts.
 
 Run directly::
 

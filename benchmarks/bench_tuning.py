@@ -11,7 +11,7 @@ failure mode and measures how much the online tuner + predictor bank
   daylight-saving/holiday change) with the drift landing *mid-evaluation*.
   The static arm keeps the swept-for-the-old-fleet config; the online
   arm runs :func:`repro.tuning.driver.run_online_tuning` with the
-  successive-halving challenger population and the three-policy
+  successive-halving challenger population and the two-policy
   predictor bank over the same aligned windows.  The headline per
   scenario is the paper objective (:func:`qos_priority_objective`) on
   the merged evaluation span -- the acceptance gate is that the online
@@ -84,7 +84,7 @@ BASELINE = ProRPConfig(
 
 SCENARIO_KINDS = ("archetype_switch", "dst_shift")
 SHIFT_MINUTES = 180
-POLICIES = ("sliding", "hybrid_histogram", "survival")
+POLICIES = ("sliding", "hybrid_histogram")
 ONLINE_WARMUP_S = 3 * DAY
 
 #: Allowed COGS give-back: online idle may exceed static idle by at

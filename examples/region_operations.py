@@ -77,18 +77,14 @@ def workflow_storm() -> None:
 
 
 def monitoring_dashboard(traces) -> None:
-    """The PowerBI substitute: KPI sparklines from the telemetry store."""
-    from repro.telemetry import TelemetryStore, emit_simulation_telemetry
-    from repro.telemetry.monitoring import kpi_rollup, render_dashboard
+    """The PowerBI substitute: per-hour KPI sparklines of one run."""
+    from repro.report import render_dashboard
     from repro.types import SECONDS_PER_HOUR as HOUR
 
     settings = SimulationSettings(eval_start=31 * DAY, eval_end=32 * DAY)
     result = simulate_region(traces, "proactive", settings=settings)
-    store = TelemetryStore()
-    emit_simulation_telemetry(result, traces, store)
-    rollups = kpi_rollup(store, 31 * DAY, 32 * DAY, bucket_s=HOUR)
     print()
-    print(render_dashboard(rollups, title="EU2 proactive, hourly"))
+    print(render_dashboard(result, traces, HOUR, "EU2 proactive, hourly"))
 
 
 def main() -> None:

@@ -16,8 +16,9 @@ SIGMOD-Companion 2024).  It contains:
   a region of serverless databases on capacity-constrained nodes.
 * ``repro.workload`` -- synthetic customer-activity generators standing in
   for Azure production telemetry.
-* ``repro.telemetry`` / ``repro.training`` -- long-term KPI telemetry and
-  the offline knob-tuning pipeline.
+* ``repro.training`` -- the offline knob-tuning pipeline; KPIs are read
+  straight from each run's ``RegionSimulationResult`` (``repro.report``
+  renders the per-bucket dashboard from it).
 * ``repro.experiments`` -- drivers regenerating every evaluation figure.
 
 Quickstart::

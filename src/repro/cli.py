@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_online.add_argument(
         "--policies", nargs="+", default=None, metavar="POLICY",
-        help="predictor-bank policies (default: sliding hybrid_histogram "
-        "survival); pass --no-bank to disable the bank entirely",
+        help="predictor-bank policies (default: sliding hybrid_histogram); "
+        "pass --no-bank to disable the bank entirely",
     )
     tune_online.add_argument(
         "--no-bank", action="store_true",
@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the SLO alerting scenario instead of the rate sweep: "
         "a scheduled predictor outage + latency spike must fire and "
         "clear the stock alerts, and the streaming KPI series must "
-        "reconcile with the offline telemetry (docs/observability.md)",
+        "reconcile with the KPI report and the traces' login count "
+        "(docs/observability.md)",
     )
     chaos.add_argument(
         "--crash-recovery",
@@ -525,7 +526,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if not result.ok:
             print("FAIL: SLO chaos scenario did not round-trip")
             return 1
-        print("OK: alerts fired and cleared; streaming == batch totals")
+        print(
+            "OK: alerts fired and cleared; streaming == batch totals "
+            f"({result.trace_logins} logins, as counted from the traces)"
+        )
         return 0
 
     plan = FaultPlan.load(args.plan) if args.plan else None
@@ -599,6 +603,7 @@ def cmd_tune_online(args: argparse.Namespace) -> int:
 
     from repro.config import DEFAULT_CONFIG
     from repro.simulation.region import SimulationSettings
+    from repro.tuning.bank import BANK_POLICIES
     from repro.tuning.candidates import candidate_population, default_candidates
     from repro.tuning.controller import OnlineKnobTuner
     from repro.tuning.driver import run_online_tuning
@@ -651,11 +656,7 @@ def cmd_tune_online(args: argparse.Namespace) -> int:
     )
     policies: tuple = ()
     if not args.no_bank:
-        policies = tuple(
-            args.policies
-            if args.policies
-            else ("sliding", "hybrid_histogram", "survival")
-        )
+        policies = tuple(args.policies or BANK_POLICIES)
     tuner = None
     if args.state_dir and (Path(args.state_dir) / "wal").exists():
         tuner = OnlineKnobTuner.recover(baseline, challengers, args.state_dir)

@@ -164,7 +164,7 @@ class ProRPConfig:
         return replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form used by the telemetry store and training pipeline."""
+        """Plain-dict form used by the training pipeline."""
         return {
             "logical_pause_s": self.logical_pause_s,
             "history_days": self.history_days,

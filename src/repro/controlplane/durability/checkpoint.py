@@ -9,8 +9,8 @@ replays only the WAL suffix past its LSN.
 
 Checkpoints are written crash-safely (same-directory temp file + fsync +
 atomic rename, :mod:`repro.storage.atomic`) and carry a whole-document
-crc32, mirroring the history-snapshot format of
-:mod:`repro.storage.durability`.  A corrupt checkpoint is skipped in
+crc32 through the same sealed-document codec as the history snapshots
+of :mod:`repro.storage.durability`.  A corrupt checkpoint is skipped in
 favour of the previous one -- the two newest are retained for exactly
 that fallback -- degrading recovery to a longer replay, never to data
 loss.
@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import json
 import re
-import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import WalError
-from repro.storage.atomic import atomic_write_text
+from repro.storage.atomic import (
+    atomic_write_text,
+    read_sealed_document,
+    seal_document,
+)
 
 #: Checkpoint format version, bumped on layout changes.
 CHECKPOINT_VERSION = 1
@@ -34,11 +37,6 @@ CHECKPOINT_VERSION = 1
 KEEP_CHECKPOINTS = 2
 
 _NAME = re.compile(r"^checkpoint-(\d{12})\.json$")
-
-
-def _payload(document: Dict[str, object]) -> bytes:
-    body = {k: v for k, v in document.items() if k != "file_checksum"}
-    return json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
 def checkpoint_paths(directory: Union[str, Path]) -> List[Path]:
@@ -56,12 +54,9 @@ def write_checkpoint(
     ``[0, last_lsn)``; prunes generations beyond :data:`KEEP_CHECKPOINTS`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    document: Dict[str, object] = {
-        "version": CHECKPOINT_VERSION,
-        "last_lsn": last_lsn,
-        "state": state,
-    }
-    document["file_checksum"] = zlib.crc32(_payload(document))
+    document = seal_document(
+        {"version": CHECKPOINT_VERSION, "last_lsn": last_lsn, "state": state}
+    )
     path = directory / f"checkpoint-{last_lsn:012d}.json"
     atomic_write_text(path, json.dumps(document))
     for stale in checkpoint_paths(directory)[:-KEEP_CHECKPOINTS]:
@@ -70,19 +65,6 @@ def write_checkpoint(
         except OSError:
             pass
     return path
-
-
-def _load(path: Path) -> Dict[str, object]:
-    document = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(document, dict):
-        raise WalError(f"checkpoint {path.name} does not hold an object")
-    if document.get("version") != CHECKPOINT_VERSION:
-        raise WalError(
-            f"unsupported checkpoint version {document.get('version')!r}"
-        )
-    if zlib.crc32(_payload(document)) != document.get("file_checksum"):
-        raise WalError(f"checkpoint {path.name} fails its file checksum")
-    return document
 
 
 def load_latest_checkpoint(
@@ -96,7 +78,8 @@ def load_latest_checkpoint(
     skipped = 0
     for path in reversed(checkpoint_paths(directory)):
         try:
-            return _load(path), skipped
-        except (WalError, ValueError, OSError):
+            document = read_sealed_document(path, CHECKPOINT_VERSION, WalError)
+            return document, skipped
+        except (WalError, OSError):
             skipped += 1
     return None, skipped

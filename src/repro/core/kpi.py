@@ -166,7 +166,7 @@ class KpiReport:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """Flat summary for the telemetry store and training pipeline."""
+        """Flat summary for the training pipeline."""
         return {
             "policy": self.policy,
             "n_databases": self.n_databases,

@@ -38,9 +38,6 @@ from repro.observability import (
 from repro.observability.runtime import observed
 from repro.parallel import SweepExecutor
 from repro.simulation.region import simulate_region
-from repro.telemetry.emitter import emit_simulation_telemetry
-from repro.telemetry.offline import evaluate_offline_kpis
-from repro.telemetry.store import TelemetryStore
 from repro.workload.regions import RegionPreset
 
 #: The x-axis of the default chaos sweep: per-consultation fault
@@ -186,8 +183,9 @@ class SloChaosResult:
     streaming: Dict[str, float] = field(default_factory=dict)
     #: The same quantities from the simulator's ``KpiReport``.
     report: Dict[str, float] = field(default_factory=dict)
-    #: Offline recomputation from the emitted telemetry stream.
-    offline: Dict[str, float] = field(default_factory=dict)
+    #: Logins counted straight from the traces' session starts in the
+    #: evaluation window (independent of the engine's accounting).
+    trace_logins: int = 0
 
     @property
     def alert_roundtrip_ok(self) -> bool:
@@ -211,13 +209,12 @@ class SloChaosResult:
 
     @property
     def equivalence_ok(self) -> bool:
-        """Summed windowed series == KpiReport == offline telemetry."""
-        s, r, o = self.streaming, self.report, self.offline
+        """Summed windowed series == KpiReport (== the traces, on logins)."""
+        s, r = self.streaming, self.report
         return (
-            s["logins"] == r["logins"] == o["logins"]
+            s["logins"] == r["logins"] == self.trace_logins
             and s["reactive"] == r["reactive"]
             and s["reactive_resume"] == r["reactive_resumes"]
-            == o["reactive_resumes"]
             and s["proactive_resume"] == r["proactive_resumes"]
             and s["used_s"] == r["used_s"]
             and s["unavailable_s"] == r["unavailable_s"]
@@ -270,10 +267,10 @@ def run_slo_chaos(
       disjoint window -- the ``predictor_latency_p99`` alert must fire
       and clear the same way.
 
-    The run also reconciles the streaming KPI series against both the
-    simulator's :class:`~repro.core.kpi.KpiReport` and the offline
-    telemetry recomputation (:func:`evaluate_offline_kpis`) -- the
-    streaming == batch equivalence this scenario exists to pin.
+    The run also reconciles the streaming KPI series against the
+    simulator's :class:`~repro.core.kpi.KpiReport`, and both login counts
+    against the traces' own session starts in the evaluation window --
+    the streaming == batch equivalence this scenario exists to pin.
     """
     settings = scale.settings(
         use_fast_predictor=False,  # route predictions through the
@@ -330,9 +327,6 @@ def run_slo_chaos(
             monitor.drain(eval_end)
 
     kpis = result.kpis()
-    store = TelemetryStore()
-    emit_simulation_telemetry(result, traces, store)
-    offline = evaluate_offline_kpis(store, start=eval_start, end=eval_end)
 
     def total(name: str) -> float:
         series = metrics.get(name, labels)
@@ -361,11 +355,12 @@ def run_slo_chaos(
             + kpis.maintenance_s
         ),
     }
-    offline_doc = {
-        "logins": float(offline.logins_total),
-        "reactive_resumes": float(offline.reactive_resumes),
-        "proactive_resumes": float(offline.proactive_resumes),
-    }
+    trace_logins = sum(
+        1
+        for trace in traces
+        for session in trace.sessions
+        if eval_start <= session.start < eval_end
+    )
     return SloChaosResult(
         fast_window_s=fast_window_s,
         fault_window=fault_window,
@@ -393,5 +388,5 @@ def run_slo_chaos(
         ],
         streaming=streaming,
         report=report,
-        offline=offline_doc,
+        trace_logins=trace_logins,
     )

@@ -19,8 +19,8 @@ budget burns too fast.  This module is that monitoring plane:
 * :class:`KpiStream` -- the bridge from the engines' KPI accounting to
   windowed series: logins, reactive resumes, workflow counts, and the
   used/idle/unavailable second ledgers, filtered to the same
-  ``[eval_start, eval_end)`` window as the offline evaluation so the
-  windowed sums reconcile exactly with ``evaluate_offline_kpis``.
+  ``[eval_start, eval_end)`` window as the batch ``KpiReport`` so the
+  windowed sums reconcile exactly with it.
 """
 
 from __future__ import annotations
@@ -390,8 +390,8 @@ class KpiStream:
     Attached to ``StoreAccounting``/``LeanAccounting``; every hook
     applies the same ``[eval_start, eval_end)`` filter (and interval
     clipping) as the offline ledger, so summed windows reconcile exactly
-    with ``KpiReport`` and ``evaluate_offline_kpis`` -- the streaming ==
-    batch equivalence the chaos scenario asserts.
+    with ``KpiReport`` -- the streaming == batch equivalence the chaos
+    scenario asserts.
     """
 
     __slots__ = (

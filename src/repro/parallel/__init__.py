@@ -6,7 +6,7 @@ parallel fan-out of independent candidate evaluations.  This package
 provides the execution layer for that fan-out:
 
 * :mod:`repro.parallel.base` -- the :class:`SweepExecutor` interface,
-  per-run :class:`SweepStats` telemetry, and the ``chunked`` /
+  per-run :class:`SweepStats`, and the ``chunked`` /
   ``merge_ordered`` primitives;
 * :mod:`repro.parallel.serial` -- the deterministic in-process reference
   backend (the default);

@@ -68,31 +68,19 @@ class SweepExecutor(abc.ABC):
     """Maps a worker function over sweep items, preserving item order.
 
     ``run`` is synchronous and returns one result per item; ``last_stats``
-    holds the :class:`SweepStats` of the most recent run.  Passing a
-    :class:`repro.telemetry.TelemetryStore` as ``telemetry_store`` makes
-    every run append its per-task records to the store (the same stream
-    the Section 9.1 components feed).
+    holds the :class:`SweepStats` of the most recent run.
     """
 
     name = "abstract"
 
-    def __init__(self, telemetry_store: Optional[Any] = None):
+    def __init__(self) -> None:
         self.last_stats: Optional[SweepStats] = None
-        self._telemetry_store = telemetry_store
 
     @abc.abstractmethod
     def run(
         self, worker: SweepWorker, context: Any, items: Sequence[Any]
     ) -> List[Any]:
         """Evaluate ``worker(context, item)`` for every item, in order."""
-
-    def _finish(self, stats: SweepStats) -> None:
-        """Record ``stats`` and emit telemetry if a store is attached."""
-        self.last_stats = stats
-        if self._telemetry_store is not None:
-            from repro.telemetry.emitter import emit_sweep_telemetry
-
-            emit_sweep_telemetry(stats, self._telemetry_store)
 
 
 def chunked(items: Sequence[ItemT], size: int) -> List[List[ItemT]]:

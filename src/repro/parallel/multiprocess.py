@@ -117,9 +117,8 @@ class MultiprocessExecutor(SweepExecutor):
         chunk_size: Optional[int] = None,
         fallback: bool = True,
         start_method: Optional[str] = None,
-        telemetry_store: Optional[Any] = None,
     ):
-        super().__init__(telemetry_store=telemetry_store)
+        super().__init__()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
@@ -200,7 +199,7 @@ class MultiprocessExecutor(SweepExecutor):
         results = merge_ordered(indexed, len(items))
         stats.wall_s = time.perf_counter() - run_start
         stats.tasks.sort(key=lambda record: record.index)
-        self._finish(stats)
+        self.last_stats = stats
         return results
 
     def _run_serial(
@@ -215,5 +214,5 @@ class MultiprocessExecutor(SweepExecutor):
         stats = serial.last_stats
         stats.backend = self.name
         stats.fallback_reason = reason
-        self._finish(stats)
+        self.last_stats = stats
         return results

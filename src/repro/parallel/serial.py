@@ -35,5 +35,5 @@ class SerialExecutor(SweepExecutor):
             stats.task_wall_s += wall
             stats.tasks_completed += 1
         stats.wall_s = time.perf_counter() - run_start
-        self._finish(stats)
+        self.last_stats = stats
         return results

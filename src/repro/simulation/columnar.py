@@ -1301,7 +1301,6 @@ def simulate_region_columnar(
             prewarm_s=config.prewarm_s,
             period_s=config.resume_operation_period_s,
             on_prewarm=lambda db_id, now: engine.prewarm(index_of[db_id], now),
-            retain_iterations=settings.resume_iteration_retention,
         )
         _start_resume_loop(
             resume_operation.run_once, engine.schedule_resume_op, config, settings

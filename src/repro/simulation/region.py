@@ -56,10 +56,6 @@ class SimulationSettings:
     seed: int = 0
     #: Use the vectorised predictor (reference predictor when False).
     use_fast_predictor: bool = True
-    #: Keep only the most recent N resume-operation iteration records,
-    #: rolling older ones into aggregate counters (None keeps all; see
-    #: ProactiveResumeOperation.retain_iterations).
-    resume_iteration_retention: Optional[int] = None
     #: System maintenance operations per database per week (Section 3.3);
     #: 0 disables them.  They hold/resume resources but are excluded from
     #: history, predictions, and the customer KPIs.
@@ -121,13 +117,6 @@ class SimulationSettings:
             raise SimulationError("warmup_s must be non-negative")
         if self.maintenance_per_week < 0:
             raise SimulationError("maintenance_per_week must be non-negative")
-        if (
-            self.resume_iteration_retention is not None
-            and self.resume_iteration_retention <= 0
-        ):
-            raise SimulationError(
-                "resume_iteration_retention must be positive (or None)"
-            )
         for outage in self.prorp_outages:
             start, end = outage
             if end <= start:
@@ -427,7 +416,6 @@ def _simulate_region(
             prewarm_s=config.prewarm_s,
             period_s=config.resume_operation_period_s,
             on_prewarm=lambda db_id, now: actors[db_id].prewarm(now),
-            retain_iterations=settings.resume_iteration_retention,
         )
         _start_resume_loop(
             resume_operation.run_once, queue.schedule_oneshot, config, settings

@@ -213,12 +213,14 @@ def aggregate(
 
 def bucket_event_times(times: List[int], start: int, end: int, bucket_s: int) -> List[int]:
     """Counts of events per ``bucket_s`` interval over [start, end) --
-    the per-interval workflow volumes of Figures 11 and 12."""
+    the per-interval workflow volumes of Figures 11 and 12.  When
+    ``bucket_s`` does not divide the window the last bucket is partial:
+    it counts the events up to ``end``."""
     if bucket_s <= 0:
         raise ValueError("bucket size must be positive")
-    n_buckets = max(0, (end - start) // bucket_s)
+    n_buckets = max(0, -(-(end - start) // bucket_s))
     counts = [0] * n_buckets
     for t in times:
-        if start <= t < start + n_buckets * bucket_s:
+        if start <= t < end:
             counts[(t - start) // bucket_s] += 1
     return counts

@@ -19,13 +19,24 @@ here once:
 A crash at any step leaves the destination untouched; the stray temp
 file, when one survives, is ignored by readers and overwritten by the
 next attempt.
+
+Both layers also share one checksummed document codec:
+:func:`seal_document` stamps a JSON object with ``file_checksum``, the
+crc32 of every other field as compact sorted-key JSON, and
+:func:`read_sealed_document` parses a file back and checks it is an
+object of the expected ``version`` whose checksum matches, so any
+single-byte corruption of the file fails the read.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Type, Union
+
+from repro.errors import StorageError
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
@@ -67,3 +78,33 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _document_crc(document: Dict[str, Any]) -> int:
+    body = {k: v for k, v in document.items() if k != "file_checksum"}
+    payload = json.dumps(body, separators=(",", ":"), sort_keys=True)
+    return zlib.crc32(payload.encode("utf-8"))
+
+
+def seal_document(document: Dict[str, Any]) -> Dict[str, Any]:
+    """Stamp ``document`` with its ``file_checksum``; returns it."""
+    document["file_checksum"] = _document_crc(document)
+    return document
+
+
+def read_sealed_document(
+    path: Union[str, Path], version: int, error: Type[StorageError]
+) -> Dict[str, Any]:
+    """Load a sealed document, raising ``error`` unless it parses to an
+    object of ``version`` whose ``file_checksum`` matches."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise error(f"{path} does not hold an object")
+    if document.get("version") != version:
+        raise error(f"{path}: unsupported version {document.get('version')!r}")
+    if document.get("file_checksum") != _document_crc(document):
+        raise error(f"{path} fails its file checksum")
+    return document

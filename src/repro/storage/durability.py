@@ -36,7 +36,11 @@ from typing import List, Tuple
 
 from repro.errors import StorageError
 from repro.faults.runtime import FAULTS
-from repro.storage.atomic import atomic_write_text
+from repro.storage.atomic import (
+    atomic_write_text,
+    read_sealed_document,
+    seal_document,
+)
 from repro.storage.history import HistoryStore
 from repro.types import EventType, HistoryEvent
 
@@ -113,13 +117,6 @@ def restore_history(snapshot: HistorySnapshot) -> HistoryStore:
 # ---------------------------------------------------------------------------
 
 
-def _document_payload(document: dict) -> bytes:
-    """The canonical serialization the file checksum covers: everything
-    except the ``file_checksum`` field itself, in sorted-key order."""
-    body = {k: v for k, v in document.items() if k != "file_checksum"}
-    return json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
-
-
 def write_snapshot(snapshot: HistorySnapshot, path: Path) -> None:
     """Persist a snapshot as JSON with a whole-document checksum.
 
@@ -128,15 +125,14 @@ def write_snapshot(snapshot: HistorySnapshot, path: Path) -> None:
     (:func:`repro.storage.atomic.atomic_write_text`), so a crash mid-write
     can never leave a half-written snapshot where a good one used to be.
     """
-    document = {
+    document = seal_document({
         "version": snapshot.version,
         "database_id": snapshot.database_id,
         "checksum": snapshot.checksum,
         "events": [
             [e.time_snapshot, int(e.event_type)] for e in snapshot.events
         ],
-    }
-    document["file_checksum"] = zlib.crc32(_document_payload(document))
+    })
     if FAULTS.enabled and FAULTS.injector.should_fire(CORRUPT_FAULT_POINT):
         # Bit rot on the backup medium: corrupt the payload *after* the
         # checksum was computed so the read path must catch it.
@@ -154,23 +150,8 @@ def read_snapshot(path: Path) -> HistorySnapshot:
     field, or a payload that fails the whole-document checksum -- raises
     :class:`StorageError` rather than yielding a silently wrong snapshot.
     """
+    document = read_sealed_document(path, SNAPSHOT_VERSION, StorageError)
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise StorageError(f"snapshot file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise StorageError(f"snapshot file {path} does not hold an object")
-    if document.get("version") != SNAPSHOT_VERSION:
-        raise StorageError(
-            f"unsupported snapshot version {document.get('version')!r}"
-        )
-    try:
-        stored_file_checksum = document["file_checksum"]
-        if zlib.crc32(_document_payload(document)) != stored_file_checksum:
-            raise StorageError(
-                f"snapshot file {path} fails its file checksum: "
-                "refusing to load a corrupt backup"
-            )
         events = tuple(
             HistoryEvent(t, EventType(e)) for t, e in document["events"]
         )
@@ -179,8 +160,6 @@ def read_snapshot(path: Path) -> HistorySnapshot:
             events=events,
             checksum=document["checksum"],
         )
-    except StorageError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"snapshot file {path} is malformed: {exc}") from exc
 

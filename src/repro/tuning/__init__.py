@@ -7,9 +7,8 @@ with two cooperating online subsystems:
   the paper's static config as a guarded incumbent, journaled through
   the durable control plane;
 - :mod:`repro.tuning.bank` -- a per-database :class:`PredictorBank`
-  selecting online between the sliding-window detector, a hybrid
-  histogram policy, and a survival-style idle model, scored by rolling
-  prediction regret.
+  selecting online between the sliding-window detector and a hybrid
+  histogram policy, scored by rolling prediction regret.
 
 The windowed driver that binds them to simulated fleets lives in
 :mod:`repro.tuning.driver` (imported explicitly to keep this package
@@ -21,7 +20,6 @@ from repro.tuning.bank import (
     BankSettings,
     PredictorBank,
     hybrid_histogram_predict,
-    survival_predict,
 )
 from repro.tuning.candidates import (
     TUNABLE_KNOBS,
@@ -43,7 +41,6 @@ __all__ = [
     "BankSettings",
     "PredictorBank",
     "hybrid_histogram_predict",
-    "survival_predict",
     "TUNABLE_KNOBS",
     "candidate_population",
     "default_candidates",

@@ -4,9 +4,8 @@ The paper commits every database to one sliding-window detector
 (Algorithm 4).  "Serverless in the Wild" showed a *hybrid* policy --
 histogram-driven keep-alive windows for applications with regular idle
 gaps, falling back to a fixed window otherwise -- beats any single
-policy fleet-wide, and survival-analysis models adapt the idle-duration
-estimate as idle time elapses.  The :class:`PredictorBank` runs those
-three policies side by side per database, scores each against observed
+policy fleet-wide.  The :class:`PredictorBank` runs the two policies
+side by side per database, scores each against observed
 logins with a rolling *prediction regret* (premature-resume cost vs.
 late-resume QoS miss), and routes the engine's prediction requests to
 the current best policy with hysteresis.
@@ -17,7 +16,7 @@ and performs **no** shadow work -- KPIs, chaos ledgers, and hot-path
 counters are bit-for-bit those of a bank-less run (pinned by
 ``tests/test_tuning.py``).
 
-All non-sliding policies are pure functions of the database's sorted
+The hybrid histogram is a pure function of the database's sorted
 login-timestamp array -- exactly what :class:`LeanHistory` retains --
 so the bank works unchanged on the per-actor, columnar, and lean fleet
 engines, and on the serving gateway's registered fleets.
@@ -36,9 +35,7 @@ from repro.observability.runtime import OBS
 from repro.types import PredictedActivity
 
 #: Every policy the bank knows, in priority (tie-break) order.
-BANK_POLICIES = ("sliding", "hybrid_histogram", "survival")
-
-_EMPTY = PredictedActivity.none()
+BANK_POLICIES = ("sliding", "hybrid_histogram")
 
 
 @dataclass(frozen=True)
@@ -132,48 +129,6 @@ def hybrid_histogram_predict(
     return PredictedActivity(start, max(end, start + 1), confidence)
 
 
-def survival_predict(
-    logins: np.ndarray,
-    now: int,
-    config: ProRPConfig,
-    *,
-    max_gaps: int = 64,
-    min_gaps: int = 6,
-    min_residuals: int = 3,
-) -> Optional[PredictedActivity]:
-    """Survival-style conditional idle-duration estimate.
-
-    Treat recent inter-login gaps as idle-duration samples; given the
-    idle time already *elapsed* since the last login, the conditional
-    median residual of the surviving samples (gaps longer than the
-    elapsed idle) estimates when the next login lands.  Re-evaluated at
-    every prediction refresh, so the estimate hazards forward as idle
-    time accrues -- the defining property of the survival model.
-    Returns ``None`` when too few samples survive.
-    """
-    if logins.size < min_gaps + 1:
-        return None
-    gaps = _recent_gaps(logins, max_gaps)
-    if gaps.size < min_gaps:
-        return None
-    elapsed = max(0, now - int(logins[-1]))
-    survivors = gaps[gaps > elapsed]
-    if survivors.size < min_residuals:
-        return None
-    residuals = survivors - elapsed
-    start = now + int(np.percentile(residuals, 50))
-    end = now + int(np.percentile(residuals, 90))
-    confidence = float(survivors.size) / float(gaps.size)
-    return PredictedActivity(start, max(end, start + 1), confidence)
-
-
-#: Pure gap-based policies by name (sliding routes through the engine).
-_GAP_POLICIES: Dict[str, Callable[..., Optional[PredictedActivity]]] = {
-    "hybrid_histogram": hybrid_histogram_predict,
-    "survival": survival_predict,
-}
-
-
 class _DbState:
     """Per-database bank state (selected policy, regret, pending shadows)."""
 
@@ -226,9 +181,6 @@ class PredictorBank:
         self._default = (
             self.policies.index("sliding") if "sliding" in self.policies else 0
         )
-        self._sliding_index = (
-            self.policies.index("sliding") if "sliding" in self.policies else None
-        )
         self._dbs: Dict[Hashable, _DbState] = {}
         self.switches = 0
 
@@ -251,19 +203,14 @@ class PredictorBank:
         if state is None:
             state = _DbState(len(self.policies), self._default)
             self._dbs[key] = state
-        logins: Optional[np.ndarray] = None
-        s = self.settings
         for i, name in enumerate(self.policies):
-            if name == "sliding":
-                prediction = sliding
-            else:
-                if logins is None:
-                    logins = logins_fn()
-                prediction = _GAP_POLICIES[name](
-                    logins, now, self.config, max_gaps=s.max_gaps
+            prediction = sliding
+            if name == "hybrid_histogram":
+                hybrid = hybrid_histogram_predict(
+                    logins_fn(), now, self.config, max_gaps=self.settings.max_gaps
                 )
-                if prediction is None:
-                    prediction = sliding  # hybrid fallback to the paper policy
+                if hybrid is not None:  # else: fall back to the paper policy
+                    prediction = hybrid
             state.pending[i] = (now, prediction)
         made_at, prediction = state.pending[state.selected]  # type: ignore[misc]
         return prediction

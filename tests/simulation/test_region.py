@@ -153,6 +153,10 @@ class TestBucketing:
         counts = bucket_event_times([0, 5, 10, 15, 29], start=0, end=30, bucket_s=10)
         assert counts == [2, 2, 1]
 
+    def test_partial_last_bucket(self):
+        counts = bucket_event_times([0, 25, 29, 30], start=0, end=30, bucket_s=20)
+        assert counts == [1, 2]
+
     def test_bucket_ignores_out_of_range(self):
         counts = bucket_event_times([-5, 35], start=0, end=30, bucket_s=10)
         assert counts == [0, 0, 0]

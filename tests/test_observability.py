@@ -32,11 +32,6 @@ from repro.observability import (
 from repro.parallel import MultiprocessExecutor
 from repro.simulation import SimulationSettings, simulate_region
 from repro.simulation.engine import EventQueue
-from repro.telemetry import (
-    Component,
-    TelemetryStore,
-    emit_observability_telemetry,
-)
 from repro.types import SECONDS_PER_DAY
 from repro.workload import RegionPreset, generate_region_traces
 
@@ -415,37 +410,3 @@ class TestWorkerRegistryMerge:
         out = executor.run(_metered_square, None, [1, 2, 3, 4])
         assert out == [1, 4, 9, 16]
         assert OBS.metrics is None
-
-
-# ----------------------------------------------------------------------
-# Telemetry adapter
-# ----------------------------------------------------------------------
-
-
-class TestTelemetryAdapter:
-    def test_spans_drain_into_store(self):
-        tracer = Tracer()
-        with tracer.span("resume.scan", t=100, batch_size=3):
-            pass
-        with tracer.span("predictor.reference", t=200, db="db-7"):
-            pass
-        with tracer.span("sql.execute", kind="select"):  # no t: skipped
-            pass
-        store = TelemetryStore()
-        assert emit_observability_telemetry(tracer.spans, store) == 2
-        events = list(store.scan())
-        by_component = {e.component: e for e in events}
-        resume = by_component[Component.RESUME_OPERATION]
-        assert resume.time == 100
-        assert resume.payload == {"batch_size": 3}
-        obs = by_component[Component.OBSERVABILITY]
-        assert obs.time == 200
-        assert obs.database_id == "db-7"
-        assert obs.payload["span"] == "predictor.reference"
-        assert obs.payload["duration_us"] >= 0
-
-    def test_component_roundtrips_through_json(self):
-        from repro.telemetry import TelemetryEvent
-
-        event = TelemetryEvent(1, "db", Component.OBSERVABILITY, {"span": "x"})
-        assert TelemetryEvent.from_json(event.to_json()) == event

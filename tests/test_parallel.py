@@ -2,7 +2,7 @@
 
 The contract under test: any backend returns the same results in the
 same order as the serial reference, degrades to serial when the pool
-infrastructure fails, and reports honest per-task telemetry.
+infrastructure fails, and reports honest per-task stats.
 """
 
 import os
@@ -19,7 +19,6 @@ from repro.parallel import (
     resolve_executor,
 )
 from repro.simulation import SimulationSettings
-from repro.telemetry import Component, TelemetryStore
 from repro.training import ParameterGrid, TrainingPipeline
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.workload import RegionPreset, generate_region_traces
@@ -174,20 +173,6 @@ class TestResolveExecutor:
     def test_explicit_executor_wins(self):
         explicit = SerialExecutor()
         assert resolve_executor(executor=explicit, workers=8) is explicit
-
-
-class TestSweepTelemetry:
-    def test_run_emits_task_and_summary_events(self):
-        store = TelemetryStore()
-        executor = SerialExecutor(telemetry_store=store)
-        executor.run(_square, {"base": 0}, [1, 2, 3])
-        events = list(store.scan(component=Component.SWEEP_EXECUTOR))
-        kinds = [e.payload["kind"] for e in events]
-        assert kinds.count("task") == 3
-        assert kinds.count("run") == 1
-        run = [e for e in events if e.payload["kind"] == "run"][0]
-        assert run.payload["backend"] == "serial"
-        assert run.payload["tasks_completed"] == 3
 
 
 class TestTrainingDeterminism:

@@ -536,7 +536,7 @@ def test_settle_slots_empty_when_the_bank_skips_the_sliding_arm(
         "predict",
         lambda self, key, now, logins_fn, sliding_fn: PredictedActivity.none(),
     )
-    hot, _ = _settle_run(predictor_bank=("survival",))
+    hot, _ = _settle_run(predictor_bank=("hybrid_histogram",))
     [(_, leftover, _)] = engines_at_loop_entry
     assert leftover == {}
     assert hot["batch_databases"] >= 6

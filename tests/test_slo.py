@@ -415,10 +415,11 @@ class TestSloChaosScenario:
         assert result.latency_fired_at is not None
         assert result.latency_cleared_at > result.latency_fired_at
         assert result.alert_roundtrip_ok
-        # Streaming windowed sums == simulator KPI report == offline
-        # telemetry recomputation (exact, not approximate).
+        # Streaming windowed sums == simulator KPI report == the traces'
+        # own login count (exact, not approximate).
         assert result.equivalence_ok
         assert result.streaming["logins"] == result.report["logins"]
+        assert result.trace_logins == result.report["logins"] > 0
         assert result.streaming["used_s"] == result.report["used_s"]
         assert result.ok
         states = [

@@ -48,7 +48,6 @@ from repro.tuning import (
     default_candidates,
     hybrid_histogram_predict,
     register_tuning_metrics,
-    survival_predict,
     validate_knob_candidates,
 )
 from repro.tuning.driver import run_online_tuning
@@ -95,7 +94,7 @@ SCENARIOS = [
     ]
 ]
 
-ALL_POLICIES = ("sliding", "hybrid_histogram", "survival")
+ALL_POLICIES = ("sliding", "hybrid_histogram")
 
 
 def make_fleet(seed: int, n: int = 6):
@@ -184,7 +183,7 @@ class TestSlidingBankByteIdentity:
         assert HOT_PATH.snapshot() == off_hot
 
     def test_full_bank_runs_and_observes(self):
-        """The three-policy bank completes end-to-end on both engines and
+        """The full bank completes end-to-end on both engines and
         produces a well-formed KPI report (it may legitimately differ)."""
         spec = FleetShardSpec(n_databases=12, span_days=8, seed=3)
         settings = SimulationSettings(
@@ -276,24 +275,6 @@ class TestPredictorBank:
         # Stale: the expected gap elapsed long ago.
         assert hybrid_histogram_predict(
             daily_logins(10), int(daily_logins(10)[-1]) + 5 * DAY, DEFAULT_CONFIG
-        ) is None
-
-    def test_survival_hazards_forward(self):
-        gaps = [6 * HOUR, 12 * HOUR, DAY, DAY, 2 * DAY, 2 * DAY, 3 * DAY]
-        logins = np.cumsum(np.array([0] + gaps, dtype=np.int64))
-        last = int(logins[-1])
-        early = survival_predict(logins, last + HOUR, DEFAULT_CONFIG)
-        late = survival_predict(
-            logins, last + DAY + 12 * HOUR, DEFAULT_CONFIG
-        )
-        assert early is not None and late is not None
-        # The conditional estimate hazards forward: once the short gaps
-        # are ruled out by elapsed idle, only the long ones survive and
-        # the predicted start moves later.
-        assert late.start > early.start
-        # Few survivors (elapsed beyond almost every observed gap) -> None.
-        assert survival_predict(
-            logins, last + 2 * DAY + 12 * HOUR, DEFAULT_CONFIG
         ) is None
 
     def test_switches_to_better_policy_with_hysteresis(self):
@@ -783,4 +764,4 @@ class TestTuningObservability:
         assert monitor.ledger.is_firing("bank_regret_p95")
 
     def test_bank_policies_constant(self):
-        assert BANK_POLICIES == ("sliding", "hybrid_histogram", "survival")
+        assert BANK_POLICIES == ("sliding", "hybrid_histogram")
