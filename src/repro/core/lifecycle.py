@@ -135,14 +135,9 @@ class TransitionRecord:
 class Lifecycle:
     """Tracks and validates the state of one database over time."""
 
-    def __init__(
-        self,
-        database_id: str,
-        initial_state: LifecycleState = LifecycleState.RESUMED,
-        record_log: bool = True,
-    ):
+    def __init__(self, database_id: str, record_log: bool = True):
         self.database_id = database_id
-        self.state = initial_state
+        self.state = LifecycleState.RESUMED
         self._record_log = record_log
         self.log: List[TransitionRecord] = []
         self._last_transition_time: int = -1

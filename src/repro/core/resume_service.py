@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, Protocol
 
 from repro.errors import FaultInjectedError, ProRPError
 from repro.faults.resilience import RetryPolicy
@@ -67,38 +67,23 @@ class ProactiveResumeOperation:
         prewarm_s: int,
         period_s: int,
         on_prewarm: Callable[[str, int], None],
-        retry: Optional[RetryPolicy] = None,
-        retain_iterations: Optional[int] = None,
     ):
         """``on_prewarm(database_id, now)`` performs the actual allocation
-        (Algorithm 5 line 8 calls the database's LogicalPause()).
-
-        ``retain_iterations`` caps the in-memory iteration log on long
-        runs: only the most recent N full :class:`IterationRecord`\\ s are
-        kept, older ones are rolled into the ``rolled_*`` aggregate
-        counters.  None (the default) retains everything.
-        """
+        (Algorithm 5 line 8 calls the database's LogicalPause())."""
         if period_s <= 0:
             raise ValueError("the operation period must be positive")
-        if retain_iterations is not None and retain_iterations <= 0:
-            raise ValueError("retain_iterations must be positive (or None)")
         self._metadata = metadata
         self._prewarm_s = prewarm_s
         self._period_s = period_s
         self._on_prewarm = on_prewarm
-        self._retry = retry if retry is not None else RetryPolicy(
+        self._retry = RetryPolicy(
             max_attempts=3, base_delay_s=1.0, multiplier=2.0, jitter=0.1
         )
-        self._retain_iterations = retain_iterations
         self.iterations: List[IterationRecord] = []
         #: Scan attempts that failed across the whole run (transient).
         self.scan_failures = 0
         #: Iterations abandoned after exhausting the retry budget.
         self.failed_iterations = 0
-        #: Aggregates of records dropped by the retention window.
-        self.rolled_iterations = 0
-        self.rolled_prewarms = 0
-        self.rolled_scan_failures = 0
 
     @property
     def period_s(self) -> int:
@@ -162,46 +147,6 @@ class ProactiveResumeOperation:
             scan_failures=self.scan_failures - failures_before,
         )
         self.iterations.append(record)
-        self._roll_up()
         for database_id in selected:
             self._on_prewarm(database_id, now)
         return record
-
-    def _roll_up(self) -> None:
-        """Fold records beyond the retention window into aggregates, so
-        ``iterations`` stays bounded on long simulations while the recent
-        window (the one Figure 11 plots) keeps its full records."""
-        if self._retain_iterations is None:
-            return
-        excess = len(self.iterations) - self._retain_iterations
-        if excess <= 0:
-            return
-        for record in self.iterations[:excess]:
-            self.rolled_iterations += 1
-            self.rolled_prewarms += record.batch_size
-            self.rolled_scan_failures += record.scan_failures
-        del self.iterations[:excess]
-
-    @property
-    def total_iterations(self) -> int:
-        """Iterations executed, including those rolled into aggregates."""
-        return self.rolled_iterations + len(self.iterations)
-
-    @property
-    def total_prewarms(self) -> int:
-        """Databases pre-warmed, including rolled-up iterations."""
-        return self.rolled_prewarms + sum(
-            record.batch_size for record in self.iterations
-        )
-
-    def batch_sizes(self, start: int = 0, end: Optional[int] = None) -> List[int]:
-        """Per-iteration batch sizes within [start, end) -- Figure 11's y.
-
-        Only retained records are visible: with ``retain_iterations`` set,
-        callers must size the window to cover the span they plot.
-        """
-        return [
-            record.batch_size
-            for record in self.iterations
-            if record.time >= start and (end is None or record.time < end)
-        ]

@@ -66,10 +66,6 @@ class SqlBindingError(SqlError):
     """A ``@parameter`` placeholder was unbound or of the wrong type."""
 
 
-class SqlPlanError(SqlError):
-    """The planner could not produce a plan for a parsed statement."""
-
-
 class SqlExecutionError(SqlError):
     """A runtime failure while executing a planned statement."""
 

@@ -158,8 +158,8 @@ class CircuitBreaker:
 
     CLOSED counts consecutive failures; at ``failure_threshold`` it OPENs
     and :meth:`allow` refuses calls for ``recovery_s``.  The first allowed
-    call after the recovery window runs HALF_OPEN: ``half_open_successes``
-    consecutive successes re-CLOSE it, any failure re-OPENs it.
+    call after the recovery window runs HALF_OPEN: its success re-CLOSEs
+    the breaker, its failure re-OPENs it.
 
     All transitions are driven by the ``now`` the caller passes in, so a
     breaker inside the discrete-event simulator trips and recovers on the
@@ -170,22 +170,17 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         recovery_s: int = 900,
-        half_open_successes: int = 1,
         name: str = "breaker",
     ):
         if failure_threshold < 1:
             raise ConfigError("failure_threshold must be at least 1")
         if recovery_s < 0:
             raise ConfigError("recovery_s must be non-negative")
-        if half_open_successes < 1:
-            raise ConfigError("half_open_successes must be at least 1")
         self.name = name
         self._failure_threshold = failure_threshold
         self._recovery_s = recovery_s
-        self._half_open_successes = half_open_successes
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
-        self._half_open_streak = 0
         self._opened_at: Optional[int] = None
         #: Times the breaker transitioned CLOSED/HALF_OPEN -> OPEN.
         self.opens = 0
@@ -222,20 +217,15 @@ class CircuitBreaker:
         if self._state is BreakerState.OPEN:
             assert self._opened_at is not None
             if now - self._opened_at >= self._recovery_s:
-                self._half_open_streak = 0
                 self._transition(BreakerState.HALF_OPEN, now)
                 return True
             return False
         return True
 
     def record_success(self, now: int) -> None:
+        self._consecutive_failures = 0
         if self._state is BreakerState.HALF_OPEN:
-            self._half_open_streak += 1
-            if self._half_open_streak >= self._half_open_successes:
-                self._consecutive_failures = 0
-                self._transition(BreakerState.CLOSED, now)
-        else:
-            self._consecutive_failures = 0
+            self._transition(BreakerState.CLOSED, now)
 
     def record_failure(self, now: int) -> None:
         if self._state is BreakerState.HALF_OPEN:

@@ -16,7 +16,7 @@ instead of queueing -- the same load-shedding posture as the in-process
 admission layer, one hop earlier.  A per-worker
 :class:`~repro.faults.resilience.CircuitBreaker` accumulates transport
 failures; the maintenance loop health-probes workers, evicts dead ones,
-and (when ``respawn`` is on) restarts them against the same arena --
+and restarts them against the same arena --
 consistent hashing keeps the rest of the fleet's routing untouched.
 
 Health and metrics are aggregated: a health probe fans out and sums the
@@ -60,6 +60,10 @@ from repro.serving.sharded.worker import (
 )
 
 
+#: Seconds a freshly spawned worker has to report its listening port.
+WORKER_READY_TIMEOUT_S = 60.0
+
+
 class WorkerTransportError(ProRPError):
     """The pipelined connection to a worker failed mid-request."""
 
@@ -79,9 +83,6 @@ class RouterSettings:
     health_interval_s: float = 1.0
     breaker_failure_threshold: int = 3
     breaker_recovery_s: float = 2.0
-    #: Respawn workers the maintenance loop finds dead.
-    respawn: bool = True
-    worker_ready_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -247,7 +248,7 @@ class ShardRouter:
             await_ready,
             handle.conn,
             handle.process,
-            self.settings.worker_ready_timeout_s,
+            WORKER_READY_TIMEOUT_S,
         )
         handle.reader, handle.writer = await asyncio.open_connection(
             handle.spec.host, handle.port
@@ -578,8 +579,7 @@ class ShardRouter:
 
     async def _maintenance(self) -> None:
         """Periodic sweep: probe live workers (breaker-accounted), evict
-        dead ones, respawn when configured.  Runs until cancelled by
-        ``stop``."""
+        and respawn dead ones.  Runs until cancelled by ``stop``."""
         loop = asyncio.get_running_loop()
         probe_seq = 0
         while True:
@@ -588,13 +588,11 @@ class ShardRouter:
                 process_dead = (
                     handle.process is None or not handle.process.is_alive()
                 )
-                if (not handle.alive or process_dead) and self.settings.respawn:
+                if not handle.alive or process_dead:
                     try:
                         await self._respawn(handle, loop)
                     except Exception:  # noqa: BLE001 - keep sweeping
                         handle.breaker.record_failure(self._clock())
-                    continue
-                if not handle.alive:
                     continue
                 probe_seq += 1
                 try:

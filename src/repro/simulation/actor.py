@@ -494,7 +494,6 @@ class ProactiveActor(_BaseActor):
         prorp_outages: Sequence = (),
         breaker: Optional[CircuitBreaker] = None,
         bank: Optional["PredictorBank"] = None,
-        bank_key: Optional[str] = None,
     ):
         super().__init__(
             trace,
@@ -512,7 +511,6 @@ class ProactiveActor(_BaseActor):
         #: paper's single sliding-window path.  A sliding-only bank is a
         #: pure delegate, byte-identical to None.
         self._bank = bank
-        self._bank_key = bank_key if bank_key is not None else trace.database_id
         self._fast_predictor = fast_predictor
         self._measure_latency = measure_prediction_latency
         self._collect_predictions = collect_predictions
@@ -531,7 +529,7 @@ class ProactiveActor(_BaseActor):
     def _record_history(self, now: int, event_type: EventType) -> None:
         self.history.insert_history(now, event_type)
         if self._bank is not None and event_type is EventType.ACTIVITY_START:
-            self._bank.observe_login(self._bank_key, now)
+            self._bank.observe_login(self.database_id, now)
 
     def _prediction_config(self, now: int) -> ProRPConfig:
         """The Algorithm 4 configuration for this database right now: the
@@ -617,7 +615,7 @@ class ProactiveActor(_BaseActor):
             return
         if self._bank is not None:
             self.next_activity = self._bank.predict(
-                self._bank_key,
+                self.database_id,
                 now,
                 self.history.login_array,
                 lambda: self._predict_sliding(config, now),

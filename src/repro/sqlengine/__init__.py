@@ -9,12 +9,18 @@ procedures need, from scratch:
 * lexer (:mod:`repro.sqlengine.lexer`) and recursive-descent parser
   (:mod:`repro.sqlengine.parser`) producing a typed AST
   (:mod:`repro.sqlengine.ast`);
-* a planner (:mod:`repro.sqlengine.planner`) that turns conjunctive
-  predicates on indexed columns into clustered/secondary index range scans
-  and everything else into filtered full scans;
+* a planner (:mod:`repro.sqlengine.planner`) that turns AND-ed comparisons
+  on indexed columns into clustered/secondary index range scans and
+  everything else into filtered full scans;
 * an executor (:mod:`repro.sqlengine.executor`) with ``@parameter``
-  binding, the aggregates ``MIN``/``MAX``/``COUNT``, ``ORDER BY``/``LIMIT``,
-  and ``INSERT``/``DELETE``/``UPDATE``/``CREATE TABLE``.
+  binding, ``MIN``/``MAX``/``COUNT(*)``, a one-column ascending
+  ``ORDER BY``, and ``INSERT``/``DELETE``/``UPDATE``/``CREATE TABLE``/
+  ``CREATE INDEX``.
+
+The dialect is exactly what :mod:`repro.sqlengine.procedures` issues: WHERE
+clauses are ANDs of ``=``, ``<``, ``<=``, ``>`` and ``>=`` over integer and
+string literals, ``@params``, columns and ``+``.  Anything else raises
+:class:`repro.errors.SqlSyntaxError`.
 
 Entry point::
 

@@ -13,7 +13,7 @@ from typing import Optional, Tuple, Union
 
 @dataclass(frozen=True)
 class Literal:
-    value: object  # int, float, str, or None
+    value: object  # int or str
 
 
 @dataclass(frozen=True)
@@ -27,48 +27,31 @@ class ColumnRef:
 
 
 @dataclass(frozen=True)
-class BinaryOp:
-    op: str  # '=', '<>', '<', '<=', '>', '>=', '+', '-', '*', '/', 'AND', 'OR'
-    left: "Expression"
-    right: "Expression"
+class Add:
+    """``left + right`` (Algorithm 5's ``@now + @k``)."""
+
+    left: "Operand"
+    right: "Operand"
+
+
+Operand = Union[Literal, Param, ColumnRef, Add]
 
 
 @dataclass(frozen=True)
-class UnaryOp:
-    op: str  # 'NOT', '-'
-    operand: "Expression"
+class Comparison:
+    op: str  # '=', '<', '<=', '>', '>='
+    left: Operand
+    right: Operand
 
 
-@dataclass(frozen=True)
-class IsNull:
-    operand: "Expression"
-    negated: bool
-
-
-@dataclass(frozen=True)
-class Between:
-    operand: "Expression"
-    low: "Expression"
-    high: "Expression"
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class InList:
-    operand: "Expression"
-    items: Tuple["Expression", ...]
-    negated: bool = False
+#: A WHERE clause: its comparisons, AND-ed (empty means no filter).
+Where = Tuple[Comparison, ...]
 
 
 @dataclass(frozen=True)
 class Aggregate:
     func: str  # 'MIN', 'MAX', 'COUNT'
-    argument: Optional["Expression"]  # None for COUNT(*)
-
-
-Expression = Union[
-    Literal, Param, ColumnRef, BinaryOp, UnaryOp, IsNull, Between, InList, Aggregate
-]
+    argument: Optional[ColumnRef]  # None for COUNT(*)
 
 
 # ---------------------------------------------------------------------------
@@ -78,57 +61,48 @@ Expression = Union[
 
 @dataclass(frozen=True)
 class SelectItem:
-    expression: Expression
+    expression: Union[ColumnRef, Aggregate]
     alias: Optional[str] = None
-    star: bool = False
-
-
-@dataclass(frozen=True)
-class OrderItem:
-    column: str
-    descending: bool = False
 
 
 @dataclass(frozen=True)
 class Select:
-    items: Tuple[SelectItem, ...]
-    table: Optional[str]
-    where: Optional[Expression] = None
-    group_by: Optional[str] = None
-    order_by: Tuple[OrderItem, ...] = ()
-    limit: Optional[int] = None
+    items: Tuple[SelectItem, ...]  # empty for SELECT *
+    table: str
+    where: Where = ()
+    order_by: Optional[str] = None  # one column, ascending
 
 
 @dataclass(frozen=True)
 class Insert:
     table: str
     columns: Tuple[str, ...]
-    values: Tuple[Expression, ...]
+    values: Tuple[Operand, ...]
 
 
 @dataclass(frozen=True)
 class Delete:
     table: str
-    where: Optional[Expression] = None
+    where: Where = ()
 
 
 @dataclass(frozen=True)
 class Assignment:
     column: str
-    value: Expression
+    value: Operand
 
 
 @dataclass(frozen=True)
 class Update:
     table: str
     assignments: Tuple[Assignment, ...]
-    where: Optional[Expression] = None
+    where: Where = ()
 
 
 @dataclass(frozen=True)
 class ColumnDef:
     name: str
-    type_name: str  # BIGINT, INT, FLOAT, TEXT
+    type_name: str  # BIGINT, INT, TEXT
     primary_key: bool = False
     not_null: bool = False
 
@@ -145,11 +119,4 @@ class CreateIndex:
     column: str
 
 
-@dataclass(frozen=True)
-class Explain:
-    """EXPLAIN <statement>: return the planner's decision as rows."""
-
-    statement: "Statement"
-
-
-Statement = Union[Select, Insert, Delete, Update, CreateTable, CreateIndex, Explain]
+Statement = Union[Select, Insert, Delete, Update, CreateTable, CreateIndex]

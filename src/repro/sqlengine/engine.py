@@ -91,9 +91,6 @@ class SqlEngine:
             return StatementResult(rows=[], rowcount=self._executor.create_table(statement))
         if isinstance(statement, ast.CreateIndex):
             return StatementResult(rows=[], rowcount=self._executor.create_index(statement))
-        if isinstance(statement, ast.Explain):
-            rows = self._executor.explain(statement.statement)
-            return StatementResult(rows=rows, rowcount=len(rows))
         raise TypeError(f"unhandled statement type {type(statement).__name__}")
 
     def exists(self, sql: str, params: Optional[Dict[str, Any]] = None) -> bool:

@@ -8,6 +8,7 @@ and COUNT(*) of an empty set is 0.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import SqlBindingError, SqlExecutionError
@@ -21,140 +22,58 @@ from repro.storage.table import Table
 Row = Dict[str, Any]
 Params = Dict[str, Any]
 
+_COMPARE = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
 
 # ---------------------------------------------------------------------------
 # Expression evaluation
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expression: ast.Expression, row: Optional[Row], params: Params) -> Any:
-    """Evaluate an expression against one row (row may be None for
-    constant expressions such as index bounds or INSERT values)."""
-    if isinstance(expression, ast.Literal):
-        return expression.value
-    if isinstance(expression, ast.Param):
-        if expression.name not in params:
-            raise SqlBindingError(f"unbound parameter @{expression.name}")
-        return params[expression.name]
-    if isinstance(expression, ast.ColumnRef):
+def evaluate(operand: ast.Operand, row: Optional[Row], params: Params) -> Any:
+    """Evaluate an operand against one row (row may be None for constant
+    operands such as index bounds or INSERT values)."""
+    if isinstance(operand, ast.Literal):
+        return operand.value
+    if isinstance(operand, ast.Param):
+        if operand.name not in params:
+            raise SqlBindingError(f"unbound parameter @{operand.name}")
+        return params[operand.name]
+    if isinstance(operand, ast.ColumnRef):
         if row is None:
             raise SqlExecutionError(
-                f"column {expression.name!r} referenced in a row-free context"
+                f"column {operand.name!r} referenced in a row-free context"
             )
-        if expression.name not in row:
-            raise SqlExecutionError(f"unknown column {expression.name!r}")
-        return row[expression.name]
-    if isinstance(expression, ast.UnaryOp):
-        value = evaluate(expression.operand, row, params)
-        if expression.op == "NOT":
-            if value is None:
-                return None
-            return not _truthy(value)
-        if value is None:
-            return None
-        return -value
-    if isinstance(expression, ast.IsNull):
-        value = evaluate(expression.operand, row, params)
-        return (value is not None) if expression.negated else (value is None)
-    if isinstance(expression, ast.Between):
-        value = evaluate(expression.operand, row, params)
-        low = evaluate(expression.low, row, params)
-        high = evaluate(expression.high, row, params)
-        if value is None or low is None or high is None:
-            return None
-        _check_comparable(value, low)
-        _check_comparable(value, high)
-        inside = low <= value <= high
-        return not inside if expression.negated else inside
-    if isinstance(expression, ast.InList):
-        value = evaluate(expression.operand, row, params)
-        if value is None:
-            return None
-        saw_null = False
-        for item in expression.items:
-            candidate = evaluate(item, row, params)
-            if candidate is None:
-                saw_null = True
-                continue
-            _check_comparable(value, candidate)
-            if value == candidate:
-                return not expression.negated
-        if saw_null:
-            return None  # SQL three-valued IN semantics
-        return expression.negated
-    if isinstance(expression, ast.BinaryOp):
-        return _evaluate_binary(expression, row, params)
-    if isinstance(expression, ast.Aggregate):
-        raise SqlExecutionError(
-            f"aggregate {expression.func} outside a SELECT item list"
-        )
-    raise SqlExecutionError(f"cannot evaluate {expression!r}")
-
-
-def _truthy(value: Any) -> bool:
-    return bool(value)
-
-
-def _evaluate_binary(expression: ast.BinaryOp, row: Optional[Row], params: Params) -> Any:
-    op = expression.op
-    if op == "AND":
-        left = evaluate(expression.left, row, params)
-        if left is not None and not _truthy(left):
-            return False
-        right = evaluate(expression.right, row, params)
-        if right is not None and not _truthy(right):
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        left = evaluate(expression.left, row, params)
-        if left is not None and _truthy(left):
-            return True
-        right = evaluate(expression.right, row, params)
-        if right is not None and _truthy(right):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = evaluate(expression.left, row, params)
-    right = evaluate(expression.right, row, params)
+        if operand.name not in row:
+            raise SqlExecutionError(f"unknown column {operand.name!r}")
+        return row[operand.name]
+    left = evaluate(operand.left, row, params)
+    right = evaluate(operand.right, row, params)
     if left is None or right is None:
         return None
-    if op in ("=", "<>", "<", "<=", ">", ">="):
+    for value in (left, right):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SqlExecutionError("operator '+' requires numeric operands")
+    return left + right
+
+
+def _matches(where: ast.Where, row: Row, params: Params) -> bool:
+    """Whether every comparison holds; one involving NULL does not."""
+    for comparison in where:
+        left = evaluate(comparison.left, row, params)
+        right = evaluate(comparison.right, row, params)
+        if left is None or right is None:
+            return False
         _check_comparable(left, right)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    _check_numeric(left, op)
-    _check_numeric(right, op)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise SqlExecutionError("division by zero")
-        # Integer division stays integral, matching T-SQL's BIGINT math in
-        # the paper's procedures (@h*24*60*60 etc.).
-        if isinstance(left, int) and isinstance(right, int):
-            quotient = left // right
-            # T-SQL truncates toward zero.
-            if quotient < 0 and left % right != 0:
-                quotient += 1
-            return quotient
-        return left / right
-    raise SqlExecutionError(f"unsupported operator {op!r}")
+        if not _COMPARE[comparison.op](left, right):
+            return False
+    return True
 
 
 def _check_comparable(left: Any, right: Any) -> None:
@@ -166,11 +85,6 @@ def _check_comparable(left: Any, right: Any) -> None:
     raise SqlExecutionError(
         f"cannot compare {type(left).__name__} with {type(right).__name__}"
     )
-
-
-def _check_numeric(value: Any, op: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SqlExecutionError(f"operator {op!r} requires numeric operands")
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +119,28 @@ class Executor:
         if plan.kind == "full":
             rows: Iterable[Row] = table.scan()
         else:
-            lo = hi = None
-            include_lo = include_hi = True
-            if plan.lower is not None:
-                lo = evaluate(plan.lower.expression, None, params)
-                include_lo = plan.lower.inclusive
-            if plan.upper is not None:
-                hi = evaluate(plan.upper.expression, None, params)
-                include_hi = plan.upper.inclusive
+            # A stand-in value of the index column's type: a mistyped bound
+            # fails like a mistyped comparison, not inside the B-tree.
+            column_type = table.schema.column(plan.index_column).type
+            sample = "" if column_type is ColumnType.TEXT else 0
+            lower, upper = plan.lower, plan.upper
+            lo = None if lower is None else evaluate(lower.expression, None, params)
+            hi = None if upper is None else evaluate(upper.expression, None, params)
+            for bound, value in ((lower, lo), (upper, hi)):
+                if bound is not None:
+                    if value is None:
+                        return  # a comparison with NULL is never true
+                    _check_comparable(sample, value)
+            include_lo = lower is None or lower.inclusive
+            include_hi = upper is None or upper.inclusive
             if plan.kind == "clustered":
                 rows = table.key_range(lo, hi, include_lo, include_hi)
             else:
                 rows = self._secondary_rows(
                     table, plan.index_column, lo, hi, include_lo, include_hi
                 )
-        if plan.residual is None:
-            yield from rows
-            return
         for row in rows:
-            if evaluate(plan.residual, row, params) is True:
+            if _matches(plan.residual, row, params):
                 yield row
 
     @staticmethod
@@ -245,7 +162,7 @@ class Executor:
                 continue
             yield row
 
-    def _plan(self, table_name: str, where: Optional[ast.Expression]) -> ScanPlan:
+    def _plan(self, table_name: str, where: ast.Where) -> ScanPlan:
         table = self._database.table(table_name)
         secondary = [
             c for c in table.indexed_columns if c != table.schema.primary_key
@@ -255,118 +172,45 @@ class Executor:
     # -- SELECT ----------------------------------------------------------
 
     def select(self, statement: ast.Select, params: Params) -> List[Row]:
-        if statement.table is None:
-            return [self._project_row(statement.items, None, params, index=0)]
-        plan = self._plan(statement.table, statement.where)
-        rows = self._rows_for_plan(plan, params)
-        if statement.group_by is not None:
-            out = self._grouped(statement, rows, params)
-        elif _has_aggregates(statement.items):
-            return [self._aggregate(statement.items, rows, params)]
-        else:
-            out = [
-                self._project_row(statement.items, row, params, index=i)
-                for i, row in enumerate(rows)
-            ]
-        for order in reversed(statement.order_by):
-            out.sort(
-                key=lambda r: _null_safe_key(r[order.column]),
-                reverse=order.descending,
-            )
-        if statement.limit is not None:
-            out = out[: statement.limit]
-        return out
-
-    def _grouped(
-        self, statement: ast.Select, rows: Iterator[Row], params: Params
-    ) -> List[Row]:
-        """GROUP BY one column: each item must be that column or an
-        aggregate; groups come out in first-seen order (re-orderable with
-        ORDER BY)."""
-        key = statement.group_by
+        columns = self._database.table(statement.table).schema.column_names
+        names: List[str] = []
         for item in statement.items:
-            if item.star:
-                raise SqlExecutionError("SELECT * is not valid with GROUP BY")
             expression = item.expression
-            is_key = isinstance(expression, ast.ColumnRef) and expression.name == key
-            if not is_key and not isinstance(expression, ast.Aggregate):
-                raise SqlExecutionError(
-                    f"non-aggregated column in GROUP BY query: {expression!r}"
-                )
-        groups: Dict[Any, List[Row]] = {}
-        for row in rows:
-            if key not in row:
-                raise SqlExecutionError(f"unknown GROUP BY column {key!r}")
-            groups.setdefault(row[key], []).append(row)
-        out: List[Row] = []
-        for value, members in groups.items():
-            projected: Row = {}
-            for i, item in enumerate(statement.items):
-                expression = item.expression
-                if isinstance(expression, ast.ColumnRef):
-                    projected[item.alias or key] = value
-                else:
-                    aggregated = self._aggregate(
-                        [ast.SelectItem(expression, item.alias)],
-                        iter(members),
-                        params,
-                    )
-                    projected.update(aggregated)
-            out.append(projected)
-        return out
-
-    def _project_row(
-        self,
-        items: Iterable[ast.SelectItem],
-        row: Optional[Row],
-        params: Params,
-        index: int,
-    ) -> Row:
-        projected: Row = {}
-        for i, item in enumerate(items):
-            if item.star:
-                if row is None:
-                    raise SqlExecutionError("SELECT * requires a table")
-                projected.update(row)
-                continue
-            name = item.alias or _default_name(item.expression, i)
-            projected[name] = evaluate(item.expression, row, params)
-        return projected
-
-    def _aggregate(
-        self, items: Iterable[ast.SelectItem], rows: Iterator[Row], params: Params
-    ) -> Row:
-        materialized = list(rows)
-        out: Row = {}
-        for i, item in enumerate(items):
-            if item.star or not isinstance(item.expression, ast.Aggregate):
-                raise SqlExecutionError(
-                    "cannot mix aggregates with plain columns (no GROUP BY support)"
-                )
-            aggregate = item.expression
-            name = item.alias or aggregate.func.lower()
-            if aggregate.func == "COUNT":
-                if aggregate.argument is None:
-                    out[name] = len(materialized)
-                else:
-                    out[name] = sum(
-                        1
-                        for row in materialized
-                        if evaluate(aggregate.argument, row, params) is not None
-                    )
-                continue
-            values = [
-                value
-                for row in materialized
-                if (value := evaluate(aggregate.argument, row, params)) is not None
-            ]
-            if not values:
-                out[name] = None
-            elif aggregate.func == "MIN":
-                out[name] = min(values)
+            if isinstance(expression, ast.Aggregate):
+                column, name = expression.argument, expression.func.lower()
             else:
-                out[name] = max(values)
-        return out
+                column, name = expression, expression.name
+            if column is not None and column.name not in columns:
+                raise SqlExecutionError(f"unknown column {column.name!r}")
+            name = item.alias or name
+            if name in names:
+                raise SqlExecutionError(f"duplicate output column {name!r}")
+            names.append(name)
+        order_by = statement.order_by
+        if order_by is not None and order_by not in columns:
+            raise SqlExecutionError(f"unknown ORDER BY column {order_by!r}")
+        aggregates = [
+            isinstance(item.expression, ast.Aggregate) for item in statement.items
+        ]
+        if any(aggregates) and not all(aggregates):
+            raise SqlExecutionError("cannot mix aggregates with plain columns")
+        rows: Iterable[Row] = self._rows_for_plan(
+            self._plan(statement.table, statement.where), params
+        )
+        if order_by is not None:
+            # NULLs sort first, as in SQL Server.
+            rows = sorted(rows, key=lambda r: (r[order_by] is not None, r[order_by]))
+        if not statement.items:
+            return list(rows)
+        if any(aggregates):
+            return [_aggregate(statement.items, names, list(rows))]
+        return [
+            {
+                name: row[item.expression.name]
+                for name, item in zip(names, statement.items)
+            }
+            for row in rows
+        ]
 
     # -- INSERT / DELETE / UPDATE / CREATE --------------------------------
 
@@ -428,75 +272,22 @@ class Executor:
         self._database.table(statement.table).create_index(statement.column)
         return 0
 
-    # -- EXPLAIN -----------------------------------------------------------
 
-    def explain(self, statement: ast.Statement) -> List[Row]:
-        """Describe the access path the planner chose, without executing.
-
-        One row per plan: statement kind, scan kind (clustered / secondary /
-        full), the index column, which bounds exist (and their
-        inclusivity), and whether a residual filter remains.
-        """
-        if isinstance(statement, ast.Select):
-            kind, table, where = "SELECT", statement.table, statement.where
-        elif isinstance(statement, ast.Delete):
-            kind, table, where = "DELETE", statement.table, statement.where
-        elif isinstance(statement, ast.Update):
-            kind, table, where = "UPDATE", statement.table, statement.where
+def _aggregate(
+    items: Iterable[ast.SelectItem], names: List[str], rows: List[Row]
+) -> Row:
+    out: Row = {}
+    for name, item in zip(names, items):
+        aggregate = item.expression
+        if aggregate.argument is None:  # COUNT(*)
+            out[name] = len(rows)
+            continue
+        column = aggregate.argument.name
+        values = [row[column] for row in rows if row[column] is not None]
+        if not values:
+            out[name] = None
+        elif aggregate.func == "MIN":
+            out[name] = min(values)
         else:
-            raise SqlExecutionError(
-                f"EXPLAIN does not support {type(statement).__name__}"
-            )
-        if table is None:
-            return [{"statement": kind, "scan": "constant", "table": None,
-                     "index_column": None, "bounds": "", "residual": False}]
-        plan = self._plan(table, where)
-        bounds = []
-        if plan.lower is not None:
-            bounds.append(">=" if plan.lower.inclusive else ">")
-        if plan.upper is not None:
-            bounds.append("<=" if plan.upper.inclusive else "<")
-        return [
-            {
-                "statement": kind,
-                "scan": plan.kind,
-                "table": table,
-                "index_column": plan.index_column,
-                "bounds": " ".join(bounds),
-                "residual": plan.residual is not None,
-            }
-        ]
-
-
-def _has_aggregates(items: Iterable[ast.SelectItem]) -> bool:
-    return any(isinstance(item.expression, ast.Aggregate) for item in items)
-
-
-def _default_name(expression: ast.Expression, index: int) -> str:
-    if isinstance(expression, ast.ColumnRef):
-        return expression.name
-    if isinstance(expression, ast.Aggregate):
-        return expression.func.lower()
-    return f"column_{index}"
-
-
-class _NullLow:
-    """NULLs sort first, as in SQL Server ORDER BY."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: Any) -> bool:
-        return not isinstance(other, _NullLow)
-
-    def __gt__(self, other: Any) -> bool:
-        return False
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, _NullLow)
-
-
-_NULL_LOW = _NullLow()
-
-
-def _null_safe_key(value: Any) -> Any:
-    return _NULL_LOW if value is None else value
+            out[name] = max(values)
+    return out

@@ -3,7 +3,7 @@
 Produces a flat token stream for the parser.  Identifiers may be dotted
 (``sys.pause_resume_history``) because the paper's table names are
 schema-qualified; parameters use the T-SQL ``@name`` form matching the
-stored procedures of Algorithms 2-4.
+stored procedures of Algorithms 2-4.  Numbers are non-negative integers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class TokenType(enum.Enum):
     IDENTIFIER = "identifier"
     PARAM = "param"
     INTEGER = "integer"
-    FLOAT = "float"
     STRING = "string"
     OPERATOR = "operator"
     PUNCT = "punct"
@@ -30,16 +29,15 @@ class TokenType(enum.Enum):
 #: Reserved words recognized as keywords (case-insensitive).
 KEYWORDS = frozenset(
     {
-        "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "INSERT", "INTO",
-        "VALUES", "DELETE", "UPDATE", "SET", "CREATE", "TABLE", "PRIMARY",
-        "KEY", "ORDER", "BY", "ASC", "DESC", "LIMIT", "AS", "NULL", "IS",
-        "EXISTS", "MIN", "MAX", "COUNT", "BIGINT", "INT", "FLOAT", "TEXT",
-        "INDEX", "ON", "BETWEEN", "IN", "EXPLAIN", "GROUP",
+        "SELECT", "FROM", "WHERE", "AND", "INSERT", "INTO", "VALUES",
+        "DELETE", "UPDATE", "SET", "CREATE", "TABLE", "INDEX", "ON",
+        "PRIMARY", "KEY", "NOT", "NULL", "ORDER", "BY", "ASC", "AS",
+        "MIN", "MAX", "COUNT", "BIGINT", "INT", "TEXT",
     }
 )
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/")
-_PUNCT = "(),"
+_OPERATORS = ("<=", ">=", "=", "<", ">", "+")
+_PUNCT = "(),*"
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,6 @@ def _tokens(sql: str) -> Iterator[Token]:
         if ch.isspace():
             i += 1
             continue
-        if sql.startswith("--", i):  # line comment
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
         if ch == "'":
             yield _string_token(sql, i)
             i = _string_end(sql, i)
@@ -84,20 +78,11 @@ def _tokens(sql: str) -> Iterator[Token]:
             yield Token(TokenType.PARAM, sql[i + 1 : j], i)
             i = j
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+        if "0" <= ch <= "9":
             j = i
-            seen_dot = False
-            while j < n and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
-                if sql[j] == ".":
-                    # A dot not followed by a digit belongs to an identifier
-                    # chain, not this number.
-                    if j + 1 >= n or not sql[j + 1].isdigit():
-                        break
-                    seen_dot = True
+            while j < n and "0" <= sql[j] <= "9":
                 j += 1
-            text = sql[i:j]
-            token_type = TokenType.FLOAT if "." in text else TokenType.INTEGER
-            yield Token(token_type, text, i)
+            yield Token(TokenType.INTEGER, sql[i:j], i)
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -106,20 +91,16 @@ def _tokens(sql: str) -> Iterator[Token]:
                 j += 1
             text = sql[i:j]
             upper = text.upper()
-            if upper in KEYWORDS and "." not in text:
+            if upper in KEYWORDS:
                 yield Token(TokenType.KEYWORD, upper, i)
             else:
                 yield Token(TokenType.IDENTIFIER, text, i)
             i = j
             continue
-        matched = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                yield Token(TokenType.OPERATOR, op, i)
-                i += len(op)
-                matched = True
-                break
-        if matched:
+        op = next((op for op in _OPERATORS if sql.startswith(op, i)), None)
+        if op is not None:
+            yield Token(TokenType.OPERATOR, op, i)
+            i += len(op)
             continue
         if ch in _PUNCT:
             yield Token(TokenType.PUNCT, ch, i)

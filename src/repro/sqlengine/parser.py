@@ -3,22 +3,23 @@
 Grammar (informal)::
 
     statement   := select | insert | delete | update | create_table
-                 | create_index | explain
-    select      := SELECT items FROM table [WHERE expr] [GROUP BY col]
-                   [ORDER BY col [ASC|DESC] {, ...}] [LIMIT n]
+                 | create_index
+    select      := SELECT items FROM table [where] [ORDER BY col [ASC]]
     items       := '*' | item {',' item}
-    item        := expr [AS alias]
-    insert      := INSERT INTO table '(' cols ')' VALUES '(' exprs ')'
-    delete      := DELETE FROM table [WHERE expr]
-    update      := UPDATE table SET col '=' expr {',' ...} [WHERE expr]
+    item        := (col | MIN '(' col ')' | MAX '(' col ')' | COUNT '(' '*' ')')
+                   [AS alias]
+    insert      := INSERT INTO table '(' cols ')' VALUES '(' operands ')'
+    delete      := DELETE FROM table [where]
+    update      := UPDATE table SET col '=' operand {',' ...} [where]
     create_table:= CREATE TABLE table '(' coldef {',' coldef} ')'
-    coldef      := name type [PRIMARY KEY] [NOT NULL]
+    coldef      := name (BIGINT | INT | TEXT) {PRIMARY KEY | NOT NULL}
     create_index:= CREATE INDEX ON table '(' col ')'
-    explain     := EXPLAIN (select | delete | update)
+    where       := WHERE comparison {AND comparison}
+    comparison  := operand ('=' | '<' | '<=' | '>' | '>=') operand
+    operand     := term {'+' term}
+    term        := integer | 'string' | @param | col
 
-Expressions support AND/OR/NOT, comparisons, + - * /, parentheses,
-``IS [NOT] NULL``, ``[NOT] BETWEEN a AND b``, ``[NOT] IN (list)``, the
-aggregates MIN/MAX/COUNT, literals, ``@params``, and column references.
+Anything else raises :class:`SqlSyntaxError`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from repro.errors import SqlSyntaxError
 from repro.sqlengine import ast
 from repro.sqlengine.lexer import Token, TokenType, tokenize
 
-_COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+_COMPARISONS = frozenset({"=", "<", "<=", ">", ">="})
+_COLUMN_TYPES = frozenset({"BIGINT", "INT", "TEXT"})
 
 
 def parse(sql: str) -> ast.Statement:
@@ -55,16 +57,13 @@ class _Parser:
         self._pos += 1
         return token
 
-    def _check(self, token_type: TokenType, value: Optional[str] = None) -> bool:
-        return self._current.matches(token_type, value)
-
     def _accept(self, token_type: TokenType, value: Optional[str] = None) -> Optional[Token]:
-        if self._check(token_type, value):
+        if self._current.matches(token_type, value):
             return self._advance()
         return None
 
     def _expect(self, token_type: TokenType, value: Optional[str] = None) -> Token:
-        if not self._check(token_type, value):
+        if not self._current.matches(token_type, value):
             want = value or token_type.value
             got = self._current.value or self._current.type.value
             raise SqlSyntaxError(
@@ -73,98 +72,64 @@ class _Parser:
         return self._advance()
 
     def _expect_identifier(self) -> str:
-        token = self._accept(TokenType.IDENTIFIER)
-        if token is None:
-            raise SqlSyntaxError(
-                f"expected identifier, got {self._current.value!r}",
-                self._current.position,
-            )
-        return token.value
+        return self._expect(TokenType.IDENTIFIER).value
 
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        if self._accept(TokenType.KEYWORD, "EXPLAIN"):
-            inner = self._parse_explainable()
-            self._expect(TokenType.EOF)
-            return ast.Explain(inner)
-        if self._check(TokenType.KEYWORD, "SELECT"):
-            statement = self._parse_select()
-        elif self._check(TokenType.KEYWORD, "INSERT"):
-            statement = self._parse_insert()
-        elif self._check(TokenType.KEYWORD, "DELETE"):
-            statement = self._parse_delete()
-        elif self._check(TokenType.KEYWORD, "UPDATE"):
-            statement = self._parse_update()
-        elif self._check(TokenType.KEYWORD, "CREATE"):
-            statement = self._parse_create()
-        else:
+        token = self._current
+        parse = {
+            "SELECT": self._parse_select,
+            "INSERT": self._parse_insert,
+            "DELETE": self._parse_delete,
+            "UPDATE": self._parse_update,
+            "CREATE": self._parse_create,
+        }.get(token.value if token.type is TokenType.KEYWORD else "")
+        if parse is None:
             raise SqlSyntaxError(
-                f"unsupported statement start {self._current.value!r}",
-                self._current.position,
+                f"unsupported statement start {token.value!r}", token.position
             )
+        statement = parse()
         self._expect(TokenType.EOF)
         return statement
 
-    def _parse_explainable(self) -> ast.Statement:
-        if self._check(TokenType.KEYWORD, "SELECT"):
-            return self._parse_select()
-        if self._check(TokenType.KEYWORD, "DELETE"):
-            return self._parse_delete()
-        if self._check(TokenType.KEYWORD, "UPDATE"):
-            return self._parse_update()
-        raise SqlSyntaxError(
-            "EXPLAIN supports SELECT, DELETE, and UPDATE",
-            self._current.position,
-        )
-
     def _parse_select(self) -> ast.Select:
         self._expect(TokenType.KEYWORD, "SELECT")
-        items = self._parse_select_items()
-        table = None
-        if self._accept(TokenType.KEYWORD, "FROM"):
-            table = self._expect_identifier()
+        items = []
+        if not self._accept(TokenType.PUNCT, "*"):
+            items.append(self._parse_select_item())
+            while self._accept(TokenType.PUNCT, ","):
+                items.append(self._parse_select_item())
+        self._expect(TokenType.KEYWORD, "FROM")
+        table = self._expect_identifier()
         where = self._parse_optional_where()
-        group_by = None
-        if self._accept(TokenType.KEYWORD, "GROUP"):
-            self._expect(TokenType.KEYWORD, "BY")
-            group_by = self._expect_identifier()
-        order_by: List[ast.OrderItem] = []
+        order_by = None
         if self._accept(TokenType.KEYWORD, "ORDER"):
             self._expect(TokenType.KEYWORD, "BY")
-            while True:
-                column = self._expect_identifier()
-                descending = False
-                if self._accept(TokenType.KEYWORD, "DESC"):
-                    descending = True
-                else:
-                    self._accept(TokenType.KEYWORD, "ASC")
-                order_by.append(ast.OrderItem(column, descending))
-                if not self._accept(TokenType.PUNCT, ","):
-                    break
-        limit = None
-        if self._accept(TokenType.KEYWORD, "LIMIT"):
-            token = self._expect(TokenType.INTEGER)
-            limit = int(token.value)
-        return ast.Select(
-            tuple(items), table, where, group_by, tuple(order_by), limit
-        )
+            order_by = self._expect_identifier()
+            self._accept(TokenType.KEYWORD, "ASC")
+        return ast.Select(tuple(items), table, where, order_by)
 
-    def _parse_select_items(self) -> List[ast.SelectItem]:
-        if self._accept(TokenType.OPERATOR, "*"):
-            return [ast.SelectItem(ast.Literal(None), star=True)]
-        items = []
-        while True:
-            expression = self._parse_expression()
-            alias = None
-            if self._accept(TokenType.KEYWORD, "AS"):
-                alias = self._expect_identifier()
-            items.append(ast.SelectItem(expression, alias))
-            if not self._accept(TokenType.PUNCT, ","):
-                break
-        return items
+    def _parse_select_item(self) -> ast.SelectItem:
+        token = self._current
+        if token.type is TokenType.KEYWORD and token.value in ("MIN", "MAX", "COUNT"):
+            self._advance()
+            self._expect(TokenType.PUNCT, "(")
+            if token.value == "COUNT":
+                self._expect(TokenType.PUNCT, "*")
+                argument = None
+            else:
+                argument = ast.ColumnRef(self._expect_identifier())
+            self._expect(TokenType.PUNCT, ")")
+            expression = ast.Aggregate(token.value, argument)
+        else:
+            expression = ast.ColumnRef(self._expect_identifier())
+        alias = None
+        if self._accept(TokenType.KEYWORD, "AS"):
+            alias = self._expect_identifier()
+        return ast.SelectItem(expression, alias)
 
     def _parse_insert(self) -> ast.Insert:
         self._expect(TokenType.KEYWORD, "INSERT")
@@ -177,9 +142,9 @@ class _Parser:
         self._expect(TokenType.PUNCT, ")")
         self._expect(TokenType.KEYWORD, "VALUES")
         self._expect(TokenType.PUNCT, "(")
-        values = [self._parse_expression()]
+        values = [self._parse_operand()]
         while self._accept(TokenType.PUNCT, ","):
-            values.append(self._parse_expression())
+            values.append(self._parse_operand())
         self._expect(TokenType.PUNCT, ")")
         if len(columns) != len(values):
             raise SqlSyntaxError(
@@ -202,7 +167,7 @@ class _Parser:
         while True:
             column = self._expect_identifier()
             self._expect(TokenType.OPERATOR, "=")
-            assignments.append(ast.Assignment(column, self._parse_expression()))
+            assignments.append(ast.Assignment(column, self._parse_operand()))
             if not self._accept(TokenType.PUNCT, ","):
                 break
         return ast.Update(table, tuple(assignments), self._parse_optional_where())
@@ -227,17 +192,15 @@ class _Parser:
 
     def _parse_column_def(self) -> ast.ColumnDef:
         name = self._expect_identifier()
-        type_token = self._advance()
-        if type_token.type is not TokenType.KEYWORD or type_token.value not in (
-            "BIGINT",
-            "INT",
-            "FLOAT",
-            "TEXT",
+        type_token = self._current
+        if not (
+            type_token.type is TokenType.KEYWORD and type_token.value in _COLUMN_TYPES
         ):
             raise SqlSyntaxError(
                 f"expected a column type, got {type_token.value!r}",
                 type_token.position,
             )
+        self._advance()
         primary_key = False
         not_null = False
         while True:
@@ -251,123 +214,45 @@ class _Parser:
                 break
         return ast.ColumnDef(name, type_token.value, primary_key, not_null)
 
-    def _parse_optional_where(self) -> Optional[ast.Expression]:
-        if self._accept(TokenType.KEYWORD, "WHERE"):
-            return self._parse_expression()
-        return None
-
     # ------------------------------------------------------------------
-    # Expressions (precedence climbing)
+    # WHERE clauses and operands
     # ------------------------------------------------------------------
 
-    def _parse_expression(self) -> ast.Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expression:
-        left = self._parse_and()
-        while self._accept(TokenType.KEYWORD, "OR"):
-            left = ast.BinaryOp("OR", left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> ast.Expression:
-        left = self._parse_not()
+    def _parse_optional_where(self) -> ast.Where:
+        if not self._accept(TokenType.KEYWORD, "WHERE"):
+            return ()
+        comparisons = [self._parse_comparison()]
         while self._accept(TokenType.KEYWORD, "AND"):
-            left = ast.BinaryOp("AND", left, self._parse_not())
-        return left
+            comparisons.append(self._parse_comparison())
+        return tuple(comparisons)
 
-    def _parse_not(self) -> ast.Expression:
-        if self._accept(TokenType.KEYWORD, "NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expression:
-        left = self._parse_additive()
-        if self._accept(TokenType.KEYWORD, "IS"):
-            negated = bool(self._accept(TokenType.KEYWORD, "NOT"))
-            self._expect(TokenType.KEYWORD, "NULL")
-            return ast.IsNull(left, negated)
-        negated = False
-        if self._check(TokenType.KEYWORD, "NOT") and self._peek_is_between_or_in():
-            self._advance()
-            negated = True
-        if self._accept(TokenType.KEYWORD, "BETWEEN"):
-            low = self._parse_additive()
-            self._expect(TokenType.KEYWORD, "AND")
-            high = self._parse_additive()
-            return ast.Between(left, low, high, negated)
-        if self._accept(TokenType.KEYWORD, "IN"):
-            self._expect(TokenType.PUNCT, "(")
-            items = [self._parse_additive()]
-            while self._accept(TokenType.PUNCT, ","):
-                items.append(self._parse_additive())
-            self._expect(TokenType.PUNCT, ")")
-            return ast.InList(left, tuple(items), negated)
-        if negated:  # pragma: no cover - guarded by _peek_is_between_or_in
-            raise SqlSyntaxError("dangling NOT", self._current.position)
-        if self._current.type is TokenType.OPERATOR and self._current.value in _COMPARISONS:
-            op = self._advance().value
-            if op == "!=":
-                op = "<>"
-            return ast.BinaryOp(op, left, self._parse_additive())
-        return left
-
-    def _peek_is_between_or_in(self) -> bool:
-        nxt = self._tokens[self._pos + 1]
-        return nxt.type is TokenType.KEYWORD and nxt.value in ("BETWEEN", "IN")
-
-    def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
-        while self._current.type is TokenType.OPERATOR and self._current.value in ("+", "-"):
-            op = self._advance().value
-            left = ast.BinaryOp(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while self._current.type is TokenType.OPERATOR and self._current.value in ("*", "/"):
-            op = self._advance().value
-            left = ast.BinaryOp(op, left, self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> ast.Expression:
-        if self._accept(TokenType.OPERATOR, "-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> ast.Expression:
+    def _parse_comparison(self) -> ast.Comparison:
+        left = self._parse_operand()
         token = self._current
+        if token.type is not TokenType.OPERATOR or token.value not in _COMPARISONS:
+            raise SqlSyntaxError(
+                f"expected a comparison operator, got {token.value!r}",
+                token.position,
+            )
+        self._advance()
+        return ast.Comparison(token.value, left, self._parse_operand())
+
+    def _parse_operand(self) -> ast.Operand:
+        operand = self._parse_term()
+        while self._accept(TokenType.OPERATOR, "+"):
+            operand = ast.Add(operand, self._parse_term())
+        return operand
+
+    def _parse_term(self) -> ast.Operand:
+        token = self._advance()
         if token.type is TokenType.INTEGER:
-            self._advance()
             return ast.Literal(int(token.value))
-        if token.type is TokenType.FLOAT:
-            self._advance()
-            return ast.Literal(float(token.value))
         if token.type is TokenType.STRING:
-            self._advance()
             return ast.Literal(token.value)
         if token.type is TokenType.PARAM:
-            self._advance()
             return ast.Param(token.value)
-        if token.type is TokenType.KEYWORD and token.value == "NULL":
-            self._advance()
-            return ast.Literal(None)
-        if token.type is TokenType.KEYWORD and token.value in ("MIN", "MAX", "COUNT"):
-            self._advance()
-            self._expect(TokenType.PUNCT, "(")
-            if token.value == "COUNT" and self._accept(TokenType.OPERATOR, "*"):
-                argument = None
-            else:
-                argument = self._parse_expression()
-            self._expect(TokenType.PUNCT, ")")
-            return ast.Aggregate(token.value, argument)
         if token.type is TokenType.IDENTIFIER:
-            self._advance()
             return ast.ColumnRef(token.value)
-        if token.matches(TokenType.PUNCT, "("):
-            self._advance()
-            inner = self._parse_expression()
-            self._expect(TokenType.PUNCT, ")")
-            return inner
         raise SqlSyntaxError(
             f"unexpected token {token.value!r} in expression", token.position
         )

@@ -2,12 +2,12 @@
 
 The paper's complexity analysis assumes the range queries of Algorithms 3-4
 run through the clustered B-tree index in O(log n + m).  The planner makes
-that happen: it splits the WHERE clause into AND-ed conjuncts, extracts
+that happen: it takes the WHERE clause's AND-ed comparisons, extracts
 constant lower/upper bounds on the clustered key (or on a secondary indexed
-column), and leaves the remaining conjuncts as a residual filter.
+column), and leaves the remaining comparisons as a residual filter.
 
-Bounds may contain ``@params`` and arithmetic, so they are kept as
-expressions and evaluated at execution time after parameter binding.
+Bounds may contain ``@params`` and ``+``, so they are kept as operands and
+evaluated at execution time after parameter binding.
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ from typing import List, Optional, Tuple
 
 from repro.sqlengine import ast
 
-#: Comparison operators usable as index bounds, with their mirror image for
-#: the ``literal OP column`` orientation.
+#: The mirror image of each comparison, for the ``constant OP column``
+#: orientation.
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
 @dataclass(frozen=True)
 class Bound:
-    """One side of a key range: a constant expression plus inclusivity."""
+    """One side of a key range: a constant operand plus inclusivity."""
 
-    expression: ast.Expression
+    expression: ast.Operand
     inclusive: bool
 
 
@@ -36,8 +36,8 @@ class ScanPlan:
 
     ``index_column`` is None for a full scan; otherwise the clustered key
     (``kind == 'clustered'``) or a secondary indexed column
-    (``kind == 'secondary'``).  ``residual`` is the conjunction of WHERE
-    conjuncts not absorbed into the bounds (None means no filter).
+    (``kind == 'secondary'``).  ``residual`` holds the WHERE comparisons
+    not absorbed into the bounds (empty means no filter).
     """
 
     table: str
@@ -45,111 +45,72 @@ class ScanPlan:
     index_column: Optional[str] = None
     lower: Optional[Bound] = None
     upper: Optional[Bound] = None
-    residual: Optional[ast.Expression] = None
+    residual: ast.Where = ()
 
 
-def split_conjuncts(expression: Optional[ast.Expression]) -> List[ast.Expression]:
-    """Flatten a WHERE tree into its top-level AND-ed conjuncts."""
-    if expression is None:
-        return []
-    if isinstance(expression, ast.BinaryOp) and expression.op == "AND":
-        return split_conjuncts(expression.left) + split_conjuncts(expression.right)
-    return [expression]
-
-
-def _is_constant(expression: ast.Expression) -> bool:
-    """Whether the expression references no columns (safe as an index bound)."""
-    if isinstance(expression, (ast.Literal, ast.Param)):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return _is_constant(expression.left) and _is_constant(expression.right)
-    if isinstance(expression, ast.UnaryOp):
-        return _is_constant(expression.operand)
-    return False
+def _is_constant(operand: ast.Operand) -> bool:
+    """Whether the operand references no columns (safe as an index bound)."""
+    if isinstance(operand, ast.Add):
+        return _is_constant(operand.left) and _is_constant(operand.right)
+    return not isinstance(operand, ast.ColumnRef)
 
 
 def _as_column_bound(
-    conjunct: ast.Expression, column: str
-) -> Optional[Tuple[str, ast.Expression]]:
-    """If ``conjunct`` is ``column OP constant`` (either orientation), return
-    (normalized_op, constant_expression) with the column on the left."""
-    if not isinstance(conjunct, ast.BinaryOp) or conjunct.op not in _MIRROR:
-        return None
-    left, right = conjunct.left, conjunct.right
+    comparison: ast.Comparison, column: str
+) -> Optional[Tuple[str, ast.Operand]]:
+    """If ``comparison`` is ``column OP constant`` (either orientation),
+    return (normalized_op, constant) with the column on the left."""
+    left, right = comparison.left, comparison.right
     if isinstance(left, ast.ColumnRef) and left.name == column and _is_constant(right):
-        return conjunct.op, right
+        return comparison.op, right
     if isinstance(right, ast.ColumnRef) and right.name == column and _is_constant(left):
-        return _MIRROR[conjunct.op], left
+        return _MIRROR[comparison.op], left
     return None
-
-
-def _combine(conjuncts: List[ast.Expression]) -> Optional[ast.Expression]:
-    if not conjuncts:
-        return None
-    combined = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        combined = ast.BinaryOp("AND", combined, conjunct)
-    return combined
 
 
 def plan_scan(
     table: str,
-    where: Optional[ast.Expression],
+    where: ast.Where,
     primary_key: str,
     secondary_columns: List[str],
 ) -> ScanPlan:
     """Build the cheapest scan for ``where`` given the available indexes.
 
     Preference order: clustered-key bounds, then any secondary index with
-    bounds, then a full scan.  OR-rooted predicates are never split, so they
-    always fall through to a residual filter over a full scan -- correct,
-    just not index-accelerated (matching the engine's modest scope).
+    bounds, then a full scan.  Each bound is one of ``>``, ``>=``, ``<`` and
+    ``<=``; ``=`` sets both inclusive bounds.
     """
-    conjuncts = split_conjuncts(where)
     for kind, column in [("clustered", primary_key)] + [
         ("secondary", c) for c in secondary_columns
     ]:
         lower: Optional[Bound] = None
         upper: Optional[Bound] = None
-        residual: List[ast.Expression] = []
-        for conjunct in conjuncts:
-            if (
-                isinstance(conjunct, ast.Between)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ast.ColumnRef)
-                and conjunct.operand.name == column
-                and _is_constant(conjunct.low)
-                and _is_constant(conjunct.high)
-                and lower is None
-                and upper is None
-            ):
-                lower = Bound(conjunct.low, inclusive=True)
-                upper = Bound(conjunct.high, inclusive=True)
-                continue
-            bound = _as_column_bound(conjunct, column)
+        residual: List[ast.Comparison] = []
+        for comparison in where:
+            bound = _as_column_bound(comparison, column)
             if bound is None:
-                residual.append(conjunct)
+                residual.append(comparison)
                 continue
             op, constant = bound
             if op == "=":
                 # Equality sets both bounds; if either side is already
-                # constrained, re-check the whole conjunct in the residual
+                # constrained, re-check the whole comparison in the residual
                 # instead of merging bounds.
                 if lower is None and upper is None:
                     lower = Bound(constant, inclusive=True)
                     upper = Bound(constant, inclusive=True)
                 else:
-                    residual.append(conjunct)
+                    residual.append(comparison)
             elif op in (">", ">="):
                 if lower is None:
                     lower = Bound(constant, inclusive=(op == ">="))
                 else:
-                    residual.append(conjunct)
+                    residual.append(comparison)
             else:  # '<' or '<='
                 if upper is None:
                     upper = Bound(constant, inclusive=(op == "<="))
                 else:
-                    residual.append(conjunct)
+                    residual.append(comparison)
         if lower is not None or upper is not None:
             return ScanPlan(
                 table=table,
@@ -157,6 +118,6 @@ def plan_scan(
                 index_column=column,
                 lower=lower,
                 upper=upper,
-                residual=_combine(residual),
+                residual=tuple(residual),
             )
-    return ScanPlan(table=table, kind="full", residual=_combine(conjuncts))
+    return ScanPlan(table=table, kind="full", residual=where)

@@ -95,68 +95,21 @@ class TestProactiveResumeOperation:
             metadata.record_physical_pause(f"db-{i}", 100 * MIN + 5 * MIN + 10 + i)
         operation.run_once(100 * MIN)
         operation.run_once(101 * MIN)
-        assert operation.batch_sizes() == [6, 0]
+        assert [r.batch_size for r in operation.iterations] == [6, 0]
 
     def test_batch_sizes_window_filter(self):
         metadata, operation, _ = self._setup()
         operation.run_once(10)
         operation.run_once(20)
         operation.run_once(30)
-        assert operation.batch_sizes(start=15, end=30) == [0]
+        assert [
+            r.batch_size for r in operation.iterations if 15 <= r.time < 30
+        ] == [0]
 
     def test_invalid_period_rejected(self):
         metadata = MetadataStore()
         with pytest.raises(ValueError):
             ProactiveResumeOperation(metadata, 300, 0, lambda d, n: None)
-
-    def test_invalid_retention_rejected(self):
-        metadata = MetadataStore()
-        with pytest.raises(ValueError):
-            ProactiveResumeOperation(
-                metadata, 300, MIN, lambda d, n: None, retain_iterations=0
-            )
-
-    def test_retention_caps_records_and_rolls_aggregates(self):
-        """With ``retain_iterations`` set the in-memory log stays bounded
-        while the totals still count every iteration."""
-        metadata = MetadataStore()
-        operation = ProactiveResumeOperation(
-            metadata, 5 * MIN, MIN, lambda d, n: None, retain_iterations=4
-        )
-        for i in range(10):
-            now = (100 + i) * MIN
-            metadata.register(f"db-{i}")
-            metadata.record_physical_pause(f"db-{i}", now + 5 * MIN + 10)
-            operation.run_once(now)
-        assert len(operation.iterations) == 4
-        assert operation.total_iterations == 10
-        assert operation.total_prewarms == 10  # one pre-warm per iteration
-        assert operation.rolled_iterations == 6
-        assert operation.rolled_prewarms == 6
-
-    def test_retention_preserves_figure11_window(self):
-        """``batch_sizes()`` over the retained window must match the
-        unbounded operation's answer for the same window -- the retention
-        cap only drops records Figure 11 is not plotting."""
-        runs = {}
-        for retain in (None, 5):
-            metadata = MetadataStore()
-            operation = ProactiveResumeOperation(
-                metadata, 5 * MIN, MIN, lambda d, n: None,
-                retain_iterations=retain,
-            )
-            for i in range(20):
-                now = (100 + i) * MIN
-                for j in range(i % 3):
-                    db = f"db-{i}-{j}"
-                    metadata.register(db)
-                    metadata.record_physical_pause(db, now + 5 * MIN + 10 + j)
-                operation.run_once(now)
-            runs[retain] = operation
-        window = (115 * MIN, 120 * MIN)  # the last 5 iterations
-        assert runs[5].batch_sizes(*window) == runs[None].batch_sizes(*window)
-        assert len(runs[5].batch_sizes(*window)) == 5
-        assert runs[5].total_prewarms == runs[None].total_prewarms
 
     def test_longer_period_larger_batches(self):
         """Figure 11's driver: batch size grows with the operation period."""

@@ -29,9 +29,9 @@ class TestLexer:
             tokenize("@ 5")
 
     def test_numbers(self):
-        tokens = tokenize("42 3.14")
-        assert tokens[0].type is TokenType.INTEGER
-        assert tokens[1].type is TokenType.FLOAT
+        tokens = tokenize("42 7")
+        assert [t.type for t in tokens[:-1]] == [TokenType.INTEGER] * 2
+        assert tokens[0].value == "42"
 
     def test_string_with_escaped_quote(self):
         tokens = tokenize("'it''s'")
@@ -43,12 +43,8 @@ class TestLexer:
             tokenize("'oops")
 
     def test_two_char_operators(self):
-        tokens = tokenize("<= >= <> !=")
-        assert [t.value for t in tokens[:-1]] == ["<=", ">=", "<>", "!="]
-
-    def test_line_comment_skipped(self):
-        tokens = tokenize("SELECT -- comment\n 1")
-        assert [t.value for t in tokens[:-1]] == ["SELECT", "1"]
+        tokens = tokenize("<= >= < > = +")
+        assert [t.value for t in tokens[:-1]] == ["<=", ">=", "<", ">", "=", "+"]
 
     def test_unexpected_character(self):
         with pytest.raises(SqlSyntaxError):
@@ -62,7 +58,7 @@ class TestParser:
     def test_select_star(self):
         statement = parse("SELECT * FROM t")
         assert isinstance(statement, ast.Select)
-        assert statement.items[0].star
+        assert statement.items == ()
         assert statement.table == "t"
 
     def test_select_with_where_and_params(self):
@@ -70,25 +66,17 @@ class TestParser:
             "SELECT a, b FROM t WHERE a = @x AND b < @y + 1"
         )
         assert len(statement.items) == 2
-        conjuncts = statement.where
-        assert isinstance(conjuncts, ast.BinaryOp) and conjuncts.op == "AND"
+        assert statement.where == (
+            ast.Comparison("=", ast.ColumnRef("a"), ast.Param("x")),
+            ast.Comparison(
+                "<", ast.ColumnRef("b"), ast.Add(ast.Param("y"), ast.Literal(1))
+            ),
+        )
 
     def test_select_alias(self):
         statement = parse("SELECT MIN(a) AS lo FROM t")
         assert statement.items[0].alias == "lo"
         assert isinstance(statement.items[0].expression, ast.Aggregate)
-
-    def test_select_order_limit(self):
-        statement = parse("SELECT a FROM t ORDER BY a DESC, b LIMIT 5")
-        assert statement.order_by == (
-            ast.OrderItem("a", True),
-            ast.OrderItem("b", False),
-        )
-        assert statement.limit == 5
-
-    def test_select_constant_without_table(self):
-        statement = parse("SELECT 1 + 2 AS three")
-        assert statement.table is None
 
     def test_count_star(self):
         statement = parse("SELECT COUNT(*) FROM t")
@@ -117,7 +105,7 @@ class TestParser:
 
     def test_create_table(self):
         statement = parse(
-            "CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT NOT NULL, score FLOAT)"
+            "CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT NOT NULL, score INT)"
         )
         assert isinstance(statement, ast.CreateTable)
         assert statement.columns[0].primary_key
@@ -128,31 +116,6 @@ class TestParser:
         statement = parse("CREATE INDEX ON t (col)")
         assert isinstance(statement, ast.CreateIndex)
         assert statement.column == "col"
-
-    def test_is_null(self):
-        statement = parse("SELECT a FROM t WHERE a IS NOT NULL")
-        assert isinstance(statement.where, ast.IsNull)
-        assert statement.where.negated
-
-    def test_operator_precedence(self):
-        statement = parse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3")
-        # AND binds tighter than OR.
-        assert statement.where.op == "OR"
-        assert statement.where.right.op == "AND"
-
-    def test_arithmetic_precedence(self):
-        statement = parse("SELECT 1 + 2 * 3 AS v")
-        expression = statement.items[0].expression
-        assert expression.op == "+"
-        assert expression.right.op == "*"
-
-    def test_parenthesized_expression(self):
-        statement = parse("SELECT (1 + 2) * 3 AS v")
-        assert statement.items[0].expression.op == "*"
-
-    def test_unary_minus(self):
-        statement = parse("SELECT -5 AS v")
-        assert isinstance(statement.items[0].expression, ast.UnaryOp)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SqlSyntaxError):
@@ -165,3 +128,46 @@ class TestParser:
     def test_missing_identifier(self):
         with pytest.raises(SqlSyntaxError):
             parse("SELECT * FROM WHERE a = 1")
+
+    def test_select_order_by(self):
+        statement = parse("SELECT a FROM t WHERE a > 1 ORDER BY b ASC")
+        assert statement.order_by == "b"
+
+
+#: One example of each construct outside the dialect the stored procedures
+#: use; every one must fail to parse rather than misparse.
+OUTSIDE_DIALECT = {
+    "explain": "EXPLAIN SELECT * FROM t WHERE id = 1",
+    "group_by": "SELECT kind, COUNT(*) AS n FROM t GROUP BY kind",
+    "limit": "SELECT id FROM t LIMIT 3",
+    "desc": "SELECT id FROM t ORDER BY id DESC",
+    "multi_key_order_by": "SELECT id FROM t ORDER BY kind, id",
+    "or": "SELECT id FROM t WHERE id = 1 OR id = 8",
+    "not": "SELECT id FROM t WHERE NOT id = 1",
+    "is_null": "SELECT id FROM t WHERE value IS NULL",
+    "is_not_null": "SELECT id FROM t WHERE value IS NOT NULL",
+    "in": "SELECT id FROM t WHERE id IN (1, 5)",
+    "not_in": "SELECT id FROM t WHERE id NOT IN (1, 5)",
+    "between": "SELECT id FROM t WHERE id BETWEEN 3 AND 6",
+    "not_between": "SELECT id FROM t WHERE id NOT BETWEEN 3 AND 6",
+    "not_equal": "SELECT id FROM t WHERE id <> 1",
+    "bang_equal": "SELECT id FROM t WHERE id != 1",
+    "minus": "SELECT id FROM t WHERE id < @now - 2",
+    "times": "SELECT id FROM t WHERE id < @h * 24",
+    "divide": "SELECT id FROM t WHERE id < 7 / 2",
+    "unary_minus": "SELECT id FROM t WHERE id > -1",
+    "count_column": "SELECT COUNT(value) AS n FROM t",
+    "select_without_from": "SELECT 1 AS one",
+    "select_expression": "SELECT id + 100 AS shifted FROM t",
+    "parentheses": "SELECT id FROM t WHERE (id = 1)",
+    "null_literal": "INSERT INTO t (id, kind, value) VALUES (100, 'x', NULL)",
+    "float_column": "CREATE TABLE f (id BIGINT PRIMARY KEY, v FLOAT)",
+    "float_literal": "SELECT id FROM t WHERE value >= 1.5",
+    "comment": "SELECT id FROM t -- comment",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_DIALECT))
+def test_construct_outside_dialect_rejected(name):
+    with pytest.raises(SqlSyntaxError):
+        parse(OUTSIDE_DIALECT[name])
