@@ -10,10 +10,11 @@ event-loop instant where several databases refresh -- parked by database
 index for the columnar engine's refreshes at that instant to take.
 
 :data:`HOT_PATH` counts that traffic: full Algorithm-4 scans, batched fleet
-evaluations, parked answers taken (``cache_hits``) and columnar scalar
-fall-throughs (``cache_misses``; the names are the ones ``benchmarks/e2e``
-reads).  They are plain integer attributes (no registry lookups) so the
-accounting itself stays off the profile.
+evaluations, parked answers taken (``cache_hits``) and the columnar
+refreshes no batch answered, each one ``FastPredictor.predict_one``
+(``cache_misses``: a single-pair sweep at the paper's knobs; the names are
+the ones ``benchmarks/e2e`` reads).  They are plain integer attributes (no
+registry lookups) so the accounting itself stays off the profile.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class HotPathStats:
     ``predict_fleet`` invocations and ``batch_databases`` the databases
     they covered.  ``cache_hits`` counts batched answers the columnar
     engine consumed instead of scanning, ``cache_misses`` the predictions
-    it answered with the scalar kernel.
+    it answered one at a time (``FastPredictor.predict_one``).
     """
 
     __slots__ = (

@@ -39,9 +39,10 @@ class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 
     ``delays()`` exposes the full backoff schedule (seconds before attempt
-    2, 3, ...); ``call`` runs a function under the policy.  The simulator
-    never sleeps -- callers pass ``sleep=None`` (the default) to merely
-    count the backoff, or their own sink to account simulated delay.
+    2, 3, ...), fixed at construction; ``call`` runs a function under the
+    policy.  The simulator never sleeps -- callers pass ``sleep=None`` (the
+    default) to merely count the backoff, or their own sink to account
+    simulated delay.
     """
 
     def __init__(
@@ -66,21 +67,21 @@ class RetryPolicy:
         self.multiplier = multiplier
         self.max_delay_s = max_delay_s
         self.jitter = jitter
-        self._seed = seed
+        # The schedule depends only on the arguments: drawn once, here.
+        rng = random.Random(f"{seed}:retry")
+        self._delays: List[float] = []
+        delay = base_delay_s
+        for _ in range(max_attempts - 1):
+            bounded = min(delay, max_delay_s)
+            if jitter:
+                # Full jitter around the nominal delay: +/- jitter fraction.
+                bounded *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
+            self._delays.append(bounded)
+            delay *= multiplier
 
     def delays(self) -> List[float]:
         """Backoff before each retry (length ``max_attempts - 1``)."""
-        rng = random.Random(f"{self._seed}:retry")
-        delays = []
-        delay = self.base_delay_s
-        for _ in range(self.max_attempts - 1):
-            bounded = min(delay, self.max_delay_s)
-            if self.jitter:
-                # Full jitter around the nominal delay: +/- jitter fraction.
-                bounded *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-            delays.append(bounded)
-            delay *= self.multiplier
-        return delays
+        return list(self._delays)
 
     def call(
         self,
@@ -92,7 +93,7 @@ class RetryPolicy:
         """Run ``fn`` with retries; re-raises the last failure when the
         attempts are exhausted.  ``on_retry(attempt, delay_s, error)`` is
         invoked before each retry."""
-        schedule = self.delays()
+        schedule = self._delays
         last: Optional[BaseException] = None
         for attempt in range(1, self.max_attempts + 1):
             try:

@@ -600,7 +600,8 @@ class ColumnarRegionEngine:
         """The paper's sliding-window path (Algorithm 4).  A parked batch
         answer for this instant and the same knobs replaces the scan; it
         is taken only here, after the outage, breaker, trim and fault
-        checks of the refresh have all run for this database."""
+        checks of the refresh have all run for this database.  Any other
+        refresh is one single-pair interval sweep."""
         if self.fast_predictor is None:
             return predict_next_activity(self.hist.store(d), config, now)
         if now == self._settled_at:
@@ -613,7 +614,7 @@ class ColumnarRegionEngine:
         else:
             predictor = get_fast_predictor(config)
         HOT_PATH.cache_misses += 1
-        return predictor.predict(self.hist.login_array(d), now)
+        return predictor.predict_one(self.hist.login_array(d), now)
 
     # -- settle-phase batching ---------------------------------------------
 

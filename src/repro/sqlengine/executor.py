@@ -236,6 +236,16 @@ class Executor:
 
     def update(self, statement: ast.Update, params: Params) -> int:
         table = self._database.table(statement.table)
+        # Checked before matching, so the error does not depend on whether
+        # any row matches.
+        columns = table.schema.column_names
+        for assignment in statement.assignments:
+            if assignment.column not in columns:
+                raise SqlExecutionError(f"unknown column {assignment.column!r}")
+            if assignment.column == table.schema.primary_key:
+                raise SqlExecutionError(
+                    f"cannot update the primary key {assignment.column!r}"
+                )
         plan = self._plan(statement.table, statement.where)
         matched = list(self._rows_for_plan(plan, params))
         count = 0

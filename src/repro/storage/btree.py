@@ -8,7 +8,8 @@ implements that index from scratch:
 * ``insert`` / ``delete`` / ``get`` in O(log n),
 * ``range_items(lo, hi)`` returning key-ordered items in O(log n + m),
 * ``min_key`` / ``max_key`` in O(log n),
-* ``delete_range`` in O(log n + m).
+* ``delete_range`` in O(m log n): one range scan, then a delete per key,
+* ``from_sorted`` building a tree bottom-up from ascending items in O(n).
 
 Keys may be any totally ordered type; in this project they are integers
 (epoch seconds) or strings (database identifiers).
@@ -17,7 +18,7 @@ Keys may be any totally ordered type; in this project they are integers
 from __future__ import annotations
 
 import bisect
-from typing import Any, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 from repro.observability.runtime import OBS
@@ -58,6 +59,53 @@ class BTree(Generic[K, V]):
         self._min_keys = (order - 1) // 2
         self._root: _Node[K, V] = _Node()
         self._size = 0
+
+    @classmethod
+    def from_sorted(
+        cls, items: Sequence[Tuple[K, V]], order: int = DEFAULT_ORDER
+    ) -> "BTree[K, V]":
+        """Build a tree from items in strictly ascending key order (not
+        re-checked), bottom-up in O(n).
+
+        Each level splits its keys evenly into the fewest nodes of at most
+        ``order`` keys, and the key between two neighbours moves up as
+        their separator: with two or more nodes, each gets at least
+        ``(order + 1) // 2 - 1`` keys, the non-root minimum.  A level that
+        fits one node is the root.  Counted as ``len(items)`` inserts.
+        """
+        tree: BTree[K, V] = cls(order)
+        keys = [key for key, _ in items]
+        values = [value for _, value in items]
+        children: List[_Node[K, V]] = []
+        while True:
+            # A node with k keys spans k + 1 slots: its keys, then the
+            # separator after it (the last node's slot is the level's end).
+            slots = len(keys) + 1
+            count = -(-slots // (order + 1))
+            share, extra = divmod(slots, count)
+            level: List[_Node[K, V]] = []
+            up_keys: List[K] = []
+            up_values: List[V] = []
+            lo = 0
+            for i in range(count):
+                hi = lo + share - 1 + (i < extra)
+                node: _Node[K, V] = _Node()
+                node.keys, node.values = keys[lo:hi], values[lo:hi]
+                if children:
+                    node.children = children[lo : hi + 1]
+                level.append(node)
+                if hi < len(keys):
+                    up_keys.append(keys[hi])
+                    up_values.append(values[hi])
+                lo = hi + 1
+            if count == 1:
+                break
+            keys, values, children = up_keys, up_values, level
+        tree._root = level[0]
+        tree._size = len(items)
+        if OBS.enabled and items:
+            OBS.metrics.counter("btree.inserts").inc(len(items))
+        return tree
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -9,7 +9,7 @@ carries the per-database state and the start of the next predicted activity
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import SchemaError
@@ -27,17 +27,22 @@ class ColumnType(enum.Enum):
         """Coerce/validate a Python value for this column type."""
         if value is None:
             return None
-        if self in (ColumnType.BIGINT, ColumnType.INT):
+        # Members compared through module globals: enum attribute lookups
+        # are slow, and every stored value passes through here.
+        if self is _BIGINT or self is _INT:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"expected an integer for {self.value}, got {value!r}")
             return value
-        if self is ColumnType.FLOAT:
+        if self is _FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected a number for FLOAT, got {value!r}")
             return float(value)
         if not isinstance(value, str):
             raise SchemaError(f"expected a string for TEXT, got {value!r}")
         return value
+
+
+_BIGINT, _INT, _FLOAT = ColumnType.BIGINT, ColumnType.INT, ColumnType.FLOAT
 
 
 @dataclass(frozen=True)
@@ -67,31 +72,38 @@ class TableSchema:
     name: str
     columns: Tuple[Column, ...]
     primary_key: str
+    #: Column name -> position, built once.
+    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        positions = {c.name: i for i, c in enumerate(self.columns)}
+        if len(positions) != len(self.columns):
             raise SchemaError(f"duplicate column names in table {self.name!r}")
-        if self.primary_key not in names:
+        if self.primary_key not in positions:
             raise SchemaError(
                 f"primary key {self.primary_key!r} is not a column of {self.name!r}"
             )
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
+        return list(self._positions)
 
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return self.columns[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
+
+    def _check_known(self, row: Dict[str, Any]) -> None:
+        if not self._positions.keys() >= row.keys():
+            unknown = row.keys() - self._positions.keys()
+            raise SchemaError(
+                f"unknown columns {sorted(unknown)} for table {self.name!r}"
+            )
 
     def validate_row(self, row: Dict[str, Any]) -> Tuple[Any, ...]:
         """Validate a column-name -> value mapping into a storage tuple.
@@ -99,24 +111,25 @@ class TableSchema:
         Missing nullable columns default to None; unknown columns and NOT
         NULL violations raise :class:`SchemaError`.
         """
-        unknown = set(row) - set(self.column_names)
-        if unknown:
-            raise SchemaError(
-                f"unknown columns {sorted(unknown)} for table {self.name!r}"
-            )
-        values: List[Any] = []
-        for col in self.columns:
-            values.append(col.validate(row.get(col.name)))
-        pk = values[self.column_index(self.primary_key)]
-        if pk is None:
+        self._check_known(row)
+        values = tuple(col.validate(row.get(col.name)) for col in self.columns)
+        if values[self._positions[self.primary_key]] is None:
             raise SchemaError(
                 f"primary key {self.primary_key!r} of {self.name!r} cannot be NULL"
             )
-        return tuple(values)
+        return values
+
+    def validate_changes(self, changes: Dict[str, Any]) -> List[Tuple[int, Any]]:
+        """Validate a partial row into ``(position, value)`` pairs in column
+        order, with :meth:`validate_row`'s errors for those columns."""
+        self._check_known(changes)
+        positions, columns = self._positions, self.columns
+        pairs = sorted([(positions[name], value) for name, value in changes.items()])
+        return [(i, columns[i].validate(value)) for i, value in pairs]
 
     def row_to_dict(self, values: Sequence[Any]) -> Dict[str, Any]:
         """Inverse of :meth:`validate_row` for a stored tuple."""
-        return dict(zip(self.column_names, values))
+        return dict(zip(self._positions, values))
 
 
 def history_schema() -> TableSchema:

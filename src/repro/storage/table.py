@@ -9,7 +9,7 @@ full scan otherwise.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.btree import BTree
@@ -103,6 +103,19 @@ class Table:
             col_idx = self.schema.column_index(column)
             index.insert((values[col_idx], pk), pk)
 
+    def load_sorted(self, rows: Sequence[Tuple[Any, ...]]) -> None:
+        """Fill an empty table from validated storage tuples in strictly
+        ascending primary-key order, building the clustered index bottom-up
+        in O(n) (the caller guarantees both; neither is re-checked)."""
+        if self._clustered:
+            raise StorageError(f"load_sorted needs an empty {self.name!r}")
+        pk_idx = self._pk_index
+        self._clustered = BTree.from_sorted([(row[pk_idx], row) for row in rows])
+        for column, index in self._secondary.items():
+            col_idx = self.schema.column_index(column)
+            for row in rows:
+                index.insert((row[col_idx], row[pk_idx]), row[pk_idx])
+
     def insert_if_absent(self, row: Row) -> bool:
         """Insert unless the primary key exists; True if inserted.
 
@@ -135,7 +148,8 @@ class Table:
     ) -> int:
         """Delete rows whose primary key lies in the range; returns count.
 
-        This is the range delete of Algorithm 3, O(log n + m).
+        This is the range delete of Algorithm 3: one O(log n + m) range
+        scan, then one O(log n) delete per row, so O(m log n) in all.
         """
         doomed = list(self._clustered.range_items(lo, hi, include_lo, include_hi))
         for pk, values in doomed:
@@ -165,14 +179,18 @@ class Table:
         values = self._clustered.get(pk)
         if values is None:
             return False
-        row = self.schema.row_to_dict(values)
-        row.update(changes)
-        new_values = self.schema.validate_row(row)
-        self._remove_from_secondary(pk, values)
+        updated = list(values)
+        for col_idx, value in self.schema.validate_changes(changes):
+            updated[col_idx] = value
+        new_values = tuple(updated)
         self._clustered.upsert(pk, new_values)
+        # Stored values are already valid, so only the changed columns are
+        # checked above, and only an index whose column moved is touched.
         for column, index in self._secondary.items():
             col_idx = self.schema.column_index(column)
-            index.insert((new_values[col_idx], pk), pk)
+            if values[col_idx] != new_values[col_idx]:
+                index.discard((values[col_idx], pk))
+                index.insert((new_values[col_idx], pk), pk)
         return True
 
     def _remove_from_secondary(self, pk: Any, values: Tuple[Any, ...]) -> None:

@@ -146,6 +146,22 @@ class TestMutations:
         row = engine.execute("SELECT value FROM t WHERE id = 3").rows[0]
         assert row["value"] == 6
 
+    @pytest.mark.parametrize(
+        "sql",
+        ["UPDATE t SET nope = 1 WHERE id = @id", "UPDATE t SET id = 7 WHERE id = @id"],
+    )
+    @pytest.mark.parametrize("target", [6, 60])
+    def test_update_of_unknown_or_key_column_fails_with_or_without_a_match(
+        self, engine, sql, target
+    ):
+        with pytest.raises(SqlExecutionError):
+            engine.execute(sql, {"id": target})
+        rows = engine.execute("SELECT * FROM t WHERE id >= 6 AND id <= 7").rows
+        assert rows == [
+            {"id": 6, "kind": "even", "value": 6},
+            {"id": 7, "kind": "odd", "value": 7},
+        ]
+
     def test_insert_null_into_not_null_rejected(self, engine):
         from repro.errors import SchemaError
 

@@ -268,3 +268,76 @@ def test_delete_range_matches_filter(keys, a, b):
     assert deleted == len(keys) - len(expected_remaining)
     assert [k for k, _ in tree.items()] == expected_remaining
     tree.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# Bottom-up bulk build
+# ---------------------------------------------------------------------------
+
+
+def _leaf_depths_and_fills(tree):
+    """Depth of every leaf, and (is_root, key count) of every node."""
+    depths, fills = [], []
+    stack = [(tree._root, 1, True)]
+    while stack:
+        node, depth, is_root = stack.pop()
+        fills.append((is_root, len(node.keys)))
+        if node.is_leaf:
+            depths.append(depth)
+        stack.extend((child, depth + 1, False) for child in node.children)
+    return depths, fills
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5, 6, 7, 63]),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_from_sorted_builds_a_valid_tree(order, size, seed):
+    rng = random.Random(seed)
+    keys, key = [], -rng.randrange(100)
+    for _ in range(size):
+        key += rng.randrange(1, 5)
+        keys.append(key)
+    items = [(k, k * 3) for k in keys]
+    tree = BTree.from_sorted(items, order=order)
+
+    depths, fills = _leaf_depths_and_fills(tree)
+    assert len(set(depths)) == 1
+    for is_root, count in fills:
+        assert count <= order
+        if not is_root:
+            assert tree._min_keys <= count
+    assert len(tree) == size
+    assert list(tree.items()) == items
+    tree.check_invariants()
+
+    # The built tree keeps working as a B-tree under inserts and deletes.
+    model = dict(items)
+    low, high = (keys[0] - 10, keys[-1] + 10) if keys else (0, 50)
+    for _ in range(300):
+        k = rng.randrange(low, high)
+        if k in model and rng.random() < 0.6:
+            assert tree.delete(k) == model.pop(k)
+        elif k not in model:
+            tree.insert(k, -k)
+            model[k] = -k
+    tree.check_invariants()
+    assert list(tree.items()) == sorted(model.items())
+
+
+def test_from_sorted_counts_inserts_under_obs():
+    from repro.observability.runtime import OBS, observed
+    from repro.observability.tracer import NULL_TRACER
+
+    items = [(i, i) for i in range(500)]
+    with observed(tracer=NULL_TRACER):
+        BTree.from_sorted(items, order=5)
+        bulk = OBS.metrics.counter("btree.inserts").value
+    with observed(tracer=NULL_TRACER):
+        tree = BTree(order=5)
+        for key, value in items:
+            tree.insert(key, value)
+        loop = OBS.metrics.counter("btree.inserts").value
+    assert bulk == loop == 500

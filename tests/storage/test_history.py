@@ -217,3 +217,108 @@ def test_trace_events_round_trip():
     assert store.tuple_count == 6
     assert list(store.login_timestamps()) == [10, 30, 50]
     assert store.first_last_login(25, 55) == (30, 50)
+
+
+def _loaded(events, preload=(), bulk=True):
+    """A store holding ``preload`` (inserted one by one), then ``events``
+    through ``bulk_load`` or through the per-event loop; returns the store,
+    the load's return value and the OBS insert counters of the load."""
+    from repro.observability.runtime import OBS, observed
+    from repro.observability.tracer import NULL_TRACER
+
+    store = HistoryStore()
+    for event in preload:
+        store.insert_history(event.time_snapshot, event.event_type)
+    with observed(tracer=NULL_TRACER):
+        if bulk:
+            loaded = store.bulk_load(iter(events))
+        else:
+            loaded = sum(
+                store.insert_history(e.time_snapshot, e.event_type) for e in events
+            )
+        counters = {
+            name: OBS.metrics.counter(name).value
+            for name in ("history.inserts", "btree.inserts")
+        }
+    return store, loaded, counters
+
+
+def _state(store):
+    return (
+        store.all_events(),
+        store.login_array().tolist(),
+        list(store.login_timestamps()),
+        store.tuple_count,
+        store.min_timestamp(),
+        store.max_timestamp(),
+    )
+
+
+_events = st.lists(
+    st.builds(
+        HistoryEvent,
+        st.integers(min_value=0, max_value=400),
+        st.sampled_from([EventType.ACTIVITY_START, EventType.ACTIVITY_END]),
+    ),
+    max_size=300,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_events, st.booleans(), st.lists(st.integers(0, 400), max_size=5))
+def test_bulk_load_equals_per_event_loop(events, ascending, preload_times):
+    """Same return value, rows, logins and OBS counters as Algorithm 2 per
+    event: sorted input with duplicate timestamps (the first wins), input
+    out of order, and a store that already holds rows."""
+    if ascending:
+        events = sorted(events, key=lambda e: e.time_snapshot)
+    preload = [HistoryEvent(t, EventType.ACTIVITY_START) for t in preload_times]
+    bulk, bulk_loaded, bulk_counters = _loaded(events, preload)
+    loop, loop_loaded, loop_counters = _loaded(events, preload, bulk=False)
+    assert bulk_loaded == loop_loaded
+    assert _state(bulk) == _state(loop)
+    assert bulk_counters == loop_counters
+    bulk.table._clustered.check_invariants()
+    # Both keep behaving alike afterwards (Algorithms 2 and 3).
+    for store in (bulk, loop):
+        store.insert_history(200, EventType.ACTIVITY_START)
+        store.insert_history(401, EventType.ACTIVITY_START)
+        store.delete_old_history(history_days=1, now=DAY + 100)
+    assert _state(bulk) == _state(loop)
+
+
+def test_bulk_load_builds_sorted_input_without_per_event_inserts(monkeypatch):
+    def per_event(*_args):
+        raise AssertionError("sorted input into an empty store replayed events")
+
+    events = [
+        HistoryEvent(10, EventType.ACTIVITY_START),
+        HistoryEvent(20, EventType.ACTIVITY_END),
+        HistoryEvent(20, EventType.ACTIVITY_START),
+        HistoryEvent(30, EventType.ACTIVITY_START),
+    ]
+    store = HistoryStore()
+    monkeypatch.setattr(HistoryStore, "insert_history", per_event)
+    assert store.bulk_load(events) == 3
+    assert [e.event_type for e in store.all_events()] == [
+        EventType.ACTIVITY_START,
+        EventType.ACTIVITY_END,
+        EventType.ACTIVITY_START,
+    ]
+    assert store.login_array().tolist() == [10, 30]
+
+
+def test_bulk_load_validates_every_row_before_loading():
+    from types import SimpleNamespace
+
+    from repro.errors import SchemaError
+
+    store = HistoryStore()
+    for bad in (
+        SimpleNamespace(time_snapshot=None, event_type=EventType.ACTIVITY_START),
+        SimpleNamespace(time_snapshot=True, event_type=EventType.ACTIVITY_START),
+        SimpleNamespace(time_snapshot=20, event_type=None),
+    ):
+        with pytest.raises((SchemaError, TypeError)):
+            store.bulk_load([HistoryEvent(10, EventType.ACTIVITY_START), bad])
+        assert store.tuple_count == 0

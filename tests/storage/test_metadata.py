@@ -1,9 +1,12 @@
 """Tests for the region metadata store and Algorithm 5's scan query."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateKeyError, StorageError
-from repro.storage.metadata import DatabaseState, MetadataStore
+from repro.storage.metadata import DatabaseRecord, DatabaseState, MetadataStore
 from repro.types import SECONDS_PER_MINUTE
 
 MIN = SECONDS_PER_MINUTE
@@ -132,3 +135,74 @@ class TestPrewarmScan:
         store, _, __ = self._store()
         assert len(store.databases_in_state(DatabaseState.PHYSICAL_PAUSE)) == 5
         assert store.databases_in_state(DatabaseState.RESUMED) == []
+
+
+_ids = st.sampled_from(["a", "b", "c", "d", "e"])
+_op = st.one_of(
+    st.tuples(
+        st.just("register"),
+        _ids,
+        st.sampled_from(list(DatabaseState)),
+        st.sampled_from([None, "n1", "n2"]),
+        st.one_of(st.none(), st.integers(0, 50)),
+    ),
+    st.tuples(st.just("set_state"), _ids, st.sampled_from(list(DatabaseState))),
+    st.tuples(st.just("record_physical_pause"), _ids, st.integers(0, 12)),
+    st.tuples(st.just("clear_prediction"), _ids),
+    st.tuples(st.just("set_node"), _ids, st.sampled_from([None, "n1", "n2"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op, max_size=60))
+def test_metadata_matches_dict_model(ops):
+    """Random register / state / prediction / node updates: after every
+    step, ``get`` and Algorithm 5's indexed scan equal a brute-force dict
+    model, so an update re-indexes exactly the columns it changed."""
+    store = MetadataStore()
+    model = {}
+    for op, db_id, *args in ops:
+        registered = db_id in model
+        if op == "register":
+            state, node_id, created_at = args
+            if registered:
+                with pytest.raises(DuplicateKeyError):
+                    store.register(db_id, state, node_id, created_at)
+            else:
+                store.register(db_id, state, node_id, created_at)
+                model[db_id] = DatabaseRecord(db_id, state, 0, node_id, created_at)
+        elif op == "clear_prediction":
+            store.clear_prediction(db_id)
+            if registered:
+                model[db_id] = replace(model[db_id], start_of_pred_activity=0)
+        elif not registered:
+            with pytest.raises(StorageError):
+                getattr(store, op)(db_id, *args)
+        elif op == "set_state":
+            store.set_state(db_id, args[0])
+            model[db_id] = replace(model[db_id], state=args[0])
+        elif op == "record_physical_pause":
+            store.record_physical_pause(db_id, args[0])
+            model[db_id] = replace(
+                model[db_id],
+                state=DatabaseState.PHYSICAL_PAUSE,
+                start_of_pred_activity=args[0],
+            )
+        else:
+            store.set_node(db_id, args[0])
+            model[db_id] = replace(model[db_id], node_id=args[0])
+
+        assert len(store) == len(model)
+        for record in model.values():
+            assert store.get(record.database_id) == record
+        for now, prewarm_s, period_s in ((0, 0, 12), (1, 2, 3), (5, 0, 0), (0, 7, 5)):
+            lo, hi = now + prewarm_s, now + prewarm_s + period_s
+            expected = sorted(
+                (r.start_of_pred_activity, r.database_id)
+                for r in model.values()
+                if r.state is DatabaseState.PHYSICAL_PAUSE
+                and lo <= r.start_of_pred_activity <= hi
+            )
+            assert store.databases_to_prewarm(now, prewarm_s, period_s) == [
+                db_id for _, db_id in expected
+            ]

@@ -248,6 +248,21 @@ class TestSecondaryIndex:
         rows = list(table.secondary_range("score", 0.0, 4.0))
         assert sorted(r["id"] for r in rows) == [5, 6, 7, 8, 9]
 
+    def test_load_sorted_fills_clustered_and_secondary_indexes(self):
+        table = Table(users_schema())
+        table.create_index("score")
+        rows = [
+            users_schema().validate_row({"id": i, "name": str(i), "score": i % 3})
+            for i in range(200)
+        ]
+        table.load_sorted(rows)
+        assert [tuple(r.values()) for r in table.scan()] == rows
+        assert sorted(r["id"] for r in table.secondary_range("score", 1.0, 1.0)) == [
+            i for i in range(200) if i % 3 == 1
+        ]
+        with pytest.raises(StorageError):
+            table.load_sorted(rows)
+
     def test_unindexed_secondary_range_raises(self):
         table = Table(users_schema())
         with pytest.raises(StorageError):

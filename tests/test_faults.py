@@ -258,6 +258,25 @@ class TestRetryPolicy:
             bounded = min(base, 60.0)
             assert bounded * 0.8 <= got <= bounded * 1.2
 
+    def test_jittered_schedule_is_fixed_at_construction(self):
+        policy = RetryPolicy(max_attempts=5, base_delay_s=1.0, multiplier=2.0,
+                             max_delay_s=6.0, jitter=0.5, seed=7)
+        expected = [0.6528197213188431, 1.4647742553548126,
+                    3.451495025326623, 4.4552807680792945]
+        assert policy.delays() == expected
+        # Every call returns the same schedule, and mutating a returned
+        # list does not change the next one.
+        policy.delays().append(99.0)
+        assert policy.delays() == expected
+
+        def always_down():
+            raise StorageError("down")
+
+        slept = []
+        with pytest.raises(StorageError):
+            policy.call(always_down, sleep=slept.append)
+        assert slept == expected
+
     def test_call_retries_then_succeeds(self):
         attempts = []
         retries = []

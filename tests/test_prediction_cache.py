@@ -16,6 +16,7 @@ byte-identical.  This suite pins that contract:
   ledger must match too -- the batch may not reorder fault points).
 """
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -217,6 +218,41 @@ def test_predict_pairs_matches_per_pair_predict(batch, variant):
     ]
 
 
+@hsettings(max_examples=80, deadline=None)
+@given(pair_batches(), st.sampled_from(sorted(PAIR_VARIANTS)))
+def test_single_pair_sweep_matches_predict(batch, variant):
+    """The single-pair sweep behind ``predict_one`` answers and counts
+    exactly as the grid: an empty history is no scan."""
+    predictor = get_fast_predictor(PAIR_VARIANTS[variant])
+    for logins, now in zip(*batch):
+        before = HOT_PATH.full_scans
+        grid = predictor.predict(logins, now)
+        grid_scans = HOT_PATH.full_scans - before
+        assert predictor._sweep_one(logins, now) == grid
+        assert predictor.predict_one(logins, now) == grid
+        assert HOT_PATH.full_scans - before == 3 * grid_scans
+        assert grid_scans == (len(logins) > 0)
+
+
+@pytest.mark.parametrize("history_days, sweeps", [(2, False), (28, True)])
+def test_predict_one_sweeps_large_grids_only(monkeypatch, history_days, sweeps):
+    """``predict_one`` sweeps the paper's 205 x 28 grid and keeps the grid
+    for 205 x 2, where the sweep's fixed numpy cost is the larger."""
+    config = dataclasses.replace(DEFAULT_CONFIG, history_days=history_days)
+    swept = []
+    sweep = fast_predictor.FastPredictor._sweep
+
+    def spy(self, *args):
+        swept.append(1)
+        return sweep(self, *args)
+
+    monkeypatch.setattr(fast_predictor.FastPredictor, "_sweep", spy)
+    logins, now = np.array([20 * DAY, 27 * DAY + 600], dtype=np.int64), 28 * DAY
+    predictor = fast_predictor.FastPredictor(config)
+    assert predictor.predict_one(logins, now) == predictor.predict(logins, now)
+    assert swept == ([1] if sweeps else [])
+
+
 @pytest.mark.parametrize("variant", sorted(PAIR_VARIANTS))
 def test_predict_pairs_on_window_and_period_boundaries(variant):
     """Logins placed exactly on (and one second either side of) window
@@ -249,6 +285,7 @@ def test_predict_pairs_on_window_and_period_boundaries(variant):
             nows.append(now)
         expected = [predictor.predict(l, n) for l, n in zip(fleets, nows)]
         assert _pairs(predictor, fleets, nows) == expected
+        assert [predictor._sweep_one(l, n) for l, n in zip(fleets, nows)] == expected
         predicted += sum(not p.is_empty for p in expected)
     assert predicted  # the cases are not all trivially "no prediction"
 
