@@ -1,17 +1,20 @@
 """The durable, exactly-once workflow engine.
 
-:class:`DurableWorkflowEngine` wraps the in-memory
-:class:`~repro.controlplane.workflows.WorkflowEngine` with an
-event-sourced ledger:
+:class:`DurableWorkflowEngine` is a subclass of the in-memory
+:class:`~repro.controlplane.workflows.WorkflowEngine` that backs it with
+an event-sourced ledger:
 
-* every state transition (submitted / started / stuck / crashed /
-  mitigated / succeeded / failed) is appended to a checksummed, segmented
-  :class:`~repro.controlplane.durability.wal.WriteAheadLog` *before* the
-  in-memory mutation happens (journal-before-apply);
+* it overrides ``_journal`` so every transition record (submitted /
+  started / stuck / crashed / mitigated / succeeded / failed) is appended
+  to a checksummed, segmented
+  :class:`~repro.controlplane.durability.wal.WriteAheadLog` *before*
+  ``WorkflowEngine._apply`` changes the in-memory state
+  (journal-before-apply);
 * every ``checkpoint_every`` records a full-state checkpoint is written
   crash-safely, bounding recovery replay to the WAL suffix;
 * :meth:`recover` rebuilds an identical engine from the ledger after a
-  crash -- pending/running orders, terminal outcomes, retry counts, the
+  crash by checking each journaled record and handing it to the same
+  ``_apply`` the live path uses -- pending/running orders, terminal outcomes, retry counts, the
   id allocator, *and* the fault injector's PRNG streams, so post-recovery
   stuck/crash decisions continue the exact schedule an uninterrupted run
   would have produced.
@@ -60,7 +63,7 @@ from repro.controlplane.workflows import (
 )
 from repro.errors import WalCorruptionError, WalError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan
 from repro.observability.runtime import OBS
 
 #: Transition record types, in the order the engine can emit them.
@@ -78,13 +81,13 @@ EVENT_TYPES = (
 TERMINAL_EVENTS = ("crashed", "succeeded", "failed")
 
 
-class DurableWorkflowEngine:
+class DurableWorkflowEngine(WorkflowEngine):
     """A :class:`WorkflowEngine` whose state survives process death.
 
     Use the constructor for a fresh ledger directory and
-    :meth:`recover` to resume from an existing one.  The public surface
-    mirrors the in-memory engine (submit/tick/retry/fail/monitoring),
-    plus checkpointing and ledger introspection.
+    :meth:`recover` to resume from an existing one.  On top of the
+    in-memory engine's surface it adds checkpointing and ledger
+    introspection.
     """
 
     def __init__(
@@ -106,28 +109,19 @@ class DurableWorkflowEngine:
                 f"{self._directory} already holds a WAL; use "
                 "DurableWorkflowEngine.recover() to resume it"
             )
-        if plan is None:
-            plan = (
-                FaultPlan.of(FaultSpec(STUCK_POINT, probability=stuck_probability))
-                if stuck_probability > 0.0
-                else FaultPlan.empty()
-            )
+        super().__init__(
+            max_concurrent=max_concurrent,
+            default_duration_s=default_duration_s,
+            stuck_probability=stuck_probability,
+            seed=seed,
+            injector=None if plan is None else FaultInjector(plan, seed=seed),
+        )
         self._config = {
             "max_concurrent": max_concurrent,
             "default_duration_s": default_duration_s,
             "stuck_probability": stuck_probability,
             "seed": seed,
         }
-        self._plan = plan
-        self._injector = FaultInjector(plan, seed=seed)
-        self._engine = WorkflowEngine(
-            max_concurrent=max_concurrent,
-            default_duration_s=default_duration_s,
-            stuck_probability=stuck_probability,
-            seed=seed,
-            injector=self._injector,
-            journal=self._journal,
-        )
         self._checkpoint_every = checkpoint_every
         self._lsn = 0
         self._last_checkpoint_lsn = 0
@@ -142,7 +136,7 @@ class DurableWorkflowEngine:
                 {
                     "type": "open",
                     "config": dict(self._config),
-                    "plan": plan.to_dict(),
+                    "plan": self._injector.plan.to_dict(),
                 }
             )
 
@@ -150,14 +144,38 @@ class DurableWorkflowEngine:
     # Journal side (write path)
     # ------------------------------------------------------------------
 
-    def _journal(self, event: Dict[str, object]) -> None:
-        """The engine's journal-before-apply hook: stamp the LSN and
-        append.  A raise here (injected control-plane crash) aborts the
-        in-memory mutation -- the transition never happened."""
-        document = dict(event)
+    def _journal(self, record: Dict[str, object]) -> None:
+        """Stamp the LSN and append.  A raise here (injected control-plane
+        crash) aborts the transition before ``_apply`` -- it never
+        happened."""
+        document = dict(record)
         document["lsn"] = self._lsn
-        self._wal.append(document, now=event.get("at"))
+        self._wal.append(document, now=record.get("at"))
         self._lsn += 1
+
+    def submit(
+        self,
+        kind: WorkflowKind,
+        database_id: str,
+        now: int,
+        duration_s: Optional[int] = None,
+    ) -> Workflow:
+        workflow = super().submit(kind, database_id, now, duration_s)
+        self._maybe_checkpoint()
+        return workflow
+
+    def tick(self, now: int) -> List[Workflow]:
+        completed = super().tick(now)
+        self._maybe_checkpoint()
+        return completed
+
+    def retry(self, workflow: Workflow, now: int) -> None:
+        super().retry(workflow, now)
+        self._maybe_checkpoint()
+
+    def fail(self, workflow: Workflow, now: int) -> None:
+        super().fail(workflow, now)
+        self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> None:
         if (
@@ -174,7 +192,7 @@ class DurableWorkflowEngine:
         """
         started = time.perf_counter()
         self._wal.sync()
-        path = write_checkpoint(self._directory, self._state_doc(), self._lsn)
+        path = write_checkpoint(self._directory, self.state_doc(), self._lsn)
         self._last_checkpoint_lsn = self._lsn
         if OBS.enabled:
             OBS.metrics.counter("workflow.checkpoint.writes").inc()
@@ -217,11 +235,13 @@ class DurableWorkflowEngine:
     # State serialization
     # ------------------------------------------------------------------
 
-    def _state_doc(self) -> Dict[str, object]:
-        engine = self._engine
+    def state_doc(self) -> Dict[str, object]:
+        """A canonical snapshot of everything recovery must reproduce --
+        the checkpoint body, and the document the crash/recovery property
+        tests compare."""
         return {
             "config": dict(self._config),
-            "next_id": engine._next_id,
+            "next_id": self._next_id,
             "workflows": [
                 {
                     "wf": w.workflow_id,
@@ -234,22 +254,16 @@ class DurableWorkflowEngine:
                     "finished_at": w.finished_at,
                     "retries": w.retries,
                 }
-                for w in engine.workflows.values()
+                for w in self.workflows.values()
             ],
-            "pending": [w.workflow_id for w in engine._pending],
-            "running": [w.workflow_id for w in engine._running],
+            "pending": [w.workflow_id for w in self._pending],
+            "running": [w.workflow_id for w in self._running],
             "injector": self._injector.state_snapshot(),
         }
 
-    def state_doc(self) -> Dict[str, object]:
-        """A canonical snapshot of everything recovery must reproduce --
-        the document the crash/recovery property tests compare."""
-        return self._state_doc()
-
     def _restore_state(self, state: Dict[str, object]) -> None:
-        engine = self._engine
-        engine._next_id = int(state["next_id"])
-        engine.workflows = {}
+        self._next_id = int(state["next_id"])
+        self.workflows = {}
         for doc in state["workflows"]:
             workflow = Workflow(
                 workflow_id=int(doc["wf"]),
@@ -262,12 +276,10 @@ class DurableWorkflowEngine:
                 finished_at=doc["finished_at"],
                 retries=int(doc["retries"]),
             )
-            engine.workflows[workflow.workflow_id] = workflow
-        engine._pending.clear()
-        engine._pending.extend(
-            engine.workflows[wf] for wf in state["pending"]
-        )
-        engine._running = [engine.workflows[wf] for wf in state["running"]]
+            self.workflows[workflow.workflow_id] = workflow
+        self._pending.clear()
+        self._pending.extend(self.workflows[wf] for wf in state["pending"])
+        self._running = [self.workflows[wf] for wf in state["running"]]
         self._injector.restore_state(state["injector"])
 
     # ------------------------------------------------------------------
@@ -361,43 +373,30 @@ class DurableWorkflowEngine:
         return engine
 
     def _replay(self, record: Dict[str, object]) -> bool:
-        """Apply one journaled transition to the in-memory state.
+        """Check one journaled transition, then ``_apply`` it.
 
         Returns False when the record was deduplicated (its workflow is
         already terminal / already submitted).  Start decisions re-consult
         the injector so the PRNG streams advance exactly as they did
         live; a disagreement with the journaled outcome is corruption.
         """
-        engine = self._engine
         kind = record["type"]
+        if kind not in EVENT_TYPES:
+            raise WalCorruptionError(f"unknown WAL record type {kind!r}")
         wf_id = int(record["wf"])
-        at = record.get("at")
-
+        workflow = self.workflows.get(wf_id)
         if kind == "submitted":
-            if wf_id in engine.workflows:
+            if workflow is not None:
                 return False
-            workflow = Workflow(
-                workflow_id=wf_id,
-                kind=WorkflowKind(record["kind"]),
-                database_id=record["db"],
-                submitted_at=int(at),
-                duration_s=int(record["duration_s"]),
-            )
-            engine.workflows[wf_id] = workflow
-            engine._pending.append(workflow)
-            engine._next_id = max(engine._next_id, wf_id + 1)
-            return True
-
-        workflow = engine.workflows.get(wf_id)
-        if workflow is None:
+        elif workflow is None:
             raise WalCorruptionError(
                 f"WAL record {record['lsn']} references unknown workflow "
                 f"{wf_id}: its submission record is missing"
             )
-        if workflow.terminal:
+        elif workflow.terminal:
             return False  # exactly-once: completed work is never redone
-
-        if kind in ("started", "stuck", "crashed"):
+        elif kind in ("started", "stuck", "crashed"):
+            at = record["at"]
             crash_fired = self._injector.should_fire(CRASH_POINT, at)
             if crash_fired != (kind == "crashed"):
                 raise WalCorruptionError(
@@ -413,105 +412,13 @@ class DurableWorkflowEngine:
                         "diverges from the journal: the log was written "
                         "under a different fault plan or seed"
                     )
-            if not engine._pending or engine._pending[0] is not workflow:
+            if not self._pending or self._pending[0] is not workflow:
                 raise WalCorruptionError(
                     f"WAL record {record['lsn']}: workflow {wf_id} is not "
                     "at the head of the pending queue"
                 )
-            engine._pending.popleft()
-            if kind == "crashed":
-                workflow.state = WorkflowState.FAILED
-                workflow.started_at = int(at)
-                workflow.finished_at = int(at)
-            else:
-                workflow.state = (
-                    WorkflowState.STUCK
-                    if kind == "stuck"
-                    else WorkflowState.RUNNING
-                )
-                workflow.started_at = int(at)
-                engine._running.append(workflow)
-            return True
-
-        if kind == "succeeded":
-            engine._running.remove(workflow)
-            workflow.state = WorkflowState.SUCCEEDED
-            workflow.finished_at = int(at)
-            return True
-
-        if kind == "mitigated":
-            engine._running.remove(workflow)
-            workflow.state = WorkflowState.MITIGATED
-            workflow.retries += 1
-            workflow.started_at = None
-            engine._pending.appendleft(workflow)
-            return True
-
-        if kind == "failed":
-            if workflow in engine._running:
-                engine._running.remove(workflow)
-            try:
-                engine._pending.remove(workflow)
-            except ValueError:
-                pass
-            workflow.state = WorkflowState.FAILED
-            workflow.finished_at = int(at)
-            return True
-
-        raise WalCorruptionError(f"unknown WAL record type {kind!r}")
-
-    # ------------------------------------------------------------------
-    # WorkflowEngine surface (durable delegation)
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        kind: WorkflowKind,
-        database_id: str,
-        now: int,
-        duration_s: Optional[int] = None,
-    ) -> Workflow:
-        workflow = self._engine.submit(kind, database_id, now, duration_s)
-        self._maybe_checkpoint()
-        return workflow
-
-    def tick(self, now: int) -> List[Workflow]:
-        completed = self._engine.tick(now)
-        self._maybe_checkpoint()
-        return completed
-
-    def retry(self, workflow: Workflow, now: int) -> None:
-        self._engine.retry(workflow, now)
-        self._maybe_checkpoint()
-
-    def fail(self, workflow: Workflow, now: int) -> None:
-        self._engine.fail(workflow, now)
-        self._maybe_checkpoint()
-
-    def stuck_workflows(self, now: int, stuck_after_s: int) -> List[Workflow]:
-        return self._engine.stuck_workflows(now, stuck_after_s)
-
-    @property
-    def workflows(self) -> Dict[int, Workflow]:
-        return self._engine.workflows
-
-    @property
-    def injector(self) -> FaultInjector:
-        return self._engine.injector
-
-    @property
-    def pending_count(self) -> int:
-        return self._engine.pending_count
-
-    @property
-    def running_count(self) -> int:
-        return self._engine.running_count
-
-    def queue_depth(self, kind: WorkflowKind) -> int:
-        return self._engine.queue_depth(kind)
-
-    def drained(self) -> bool:
-        return self._engine.drained()
+        self._apply(record)
+        return True
 
     # ------------------------------------------------------------------
     # Ledger introspection
@@ -539,7 +446,7 @@ class DurableWorkflowEngine:
         known workflow -- what a submission driver compares against its
         schedule to resubmit idempotently after recovery."""
         counts: Dict[Tuple[str, str, int], int] = {}
-        for workflow in self._engine.workflows.values():
+        for workflow in self.workflows.values():
             key = (
                 workflow.database_id,
                 workflow.kind.value,

@@ -4,6 +4,13 @@ concurrency and fault injection.
 Workflows are driven by explicit ``tick(now)`` calls so the engine can be
 tested standalone and stress-tested at the volumes of Figures 11-12
 without entangling the KPI simulator.
+
+Every state change is a plain-dict transition record passed through
+``WorkflowEngine._journal`` and then ``WorkflowEngine._apply``, the one
+place the queues, the workflow table and the id allocator change.  The
+durable subclass in :mod:`repro.controlplane.durability.engine` journals
+those records to a write-ahead log and recovers by replaying them
+through the same ``_apply``.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import WorkflowError
 from repro.faults.injector import FaultInjector
@@ -75,13 +82,15 @@ class WorkflowEngine:
     may pass their own ``injector`` with :data:`STUCK_POINT` and/or
     :data:`CRASH_POINT` specs to drive richer failure schedules.
 
-    ``journal`` is the durability hook: when set, it is called with one
-    plain-dict event *before* the corresponding state mutation is applied
-    (journal-before-apply).  :class:`repro.controlplane.durability.engine.
-    DurableWorkflowEngine` points it at a write-ahead log so every
-    transition is on stable storage before the in-memory state reflects
-    it; if the journal call raises (an injected control-plane crash), the
-    mutation never happens.
+    Every transition is a plain-dict record (``submitted``, ``started``,
+    ``stuck``, ``crashed``, ``mitigated``, ``succeeded``, ``failed``).  The
+    public operations decide a transition, hand its record to
+    :meth:`_journal`, then to :meth:`_apply` -- the one place the queues,
+    the workflow table and the id allocator change.  ``_journal`` is a
+    no-op here; :class:`repro.controlplane.durability.engine.
+    DurableWorkflowEngine` overrides it to append to a write-ahead log
+    (journal-before-apply: if the append raises, the transition never
+    happened) and replays that log through the same ``_apply``.
     """
 
     def __init__(
@@ -91,7 +100,6 @@ class WorkflowEngine:
         stuck_probability: float = 0.0,
         seed: int = 0,
         injector: Optional[FaultInjector] = None,
-        journal: Optional[Callable[[Dict[str, object]], None]] = None,
     ):
         if max_concurrent <= 0:
             raise WorkflowError("max_concurrent must be positive")
@@ -99,7 +107,6 @@ class WorkflowEngine:
             raise WorkflowError("stuck_probability must be in [0, 1)")
         self._max_concurrent = max_concurrent
         self._default_duration_s = default_duration_s
-        self._stuck_probability = stuck_probability
         if injector is None:
             plan = (
                 FaultPlan.of(FaultSpec(STUCK_POINT, probability=stuck_probability))
@@ -108,20 +115,82 @@ class WorkflowEngine:
             )
             injector = FaultInjector(plan, seed=seed)
         self._injector = injector
-        self._journal = journal
         self._next_id = 0
         self._pending: Deque[Workflow] = deque()
         self._running: List[Workflow] = []
         self.workflows: Dict[int, Workflow] = {}
 
-    def _emit(self, event: Dict[str, object]) -> None:
-        if self._journal is not None:
-            self._journal(event)
-
     @property
     def injector(self) -> FaultInjector:
         """The fault injector driving stuck/crash decisions."""
         return self._injector
+
+    # ------------------------------------------------------------------
+    # Transitions
+    # ------------------------------------------------------------------
+
+    def _journal(self, record: Dict[str, object]) -> None:
+        """Persist ``record`` before it is applied; in memory, nothing."""
+
+    def _step(self, record: Dict[str, object]) -> Workflow:
+        self._journal(record)
+        return self._apply(record)
+
+    def _apply(self, record: Dict[str, object]) -> Workflow:
+        """Apply one transition record; returns the workflow it moved.
+
+        Records are trusted: the live operations only build valid ones,
+        and recovery checks each journaled record before applying it.
+        """
+        kind = record["type"]
+        at = int(record["at"])
+        if kind == "submitted":
+            workflow = Workflow(
+                workflow_id=int(record["wf"]),
+                kind=WorkflowKind(record["kind"]),
+                database_id=record["db"],
+                submitted_at=at,
+                duration_s=int(record["duration_s"]),
+            )
+            self.workflows[workflow.workflow_id] = workflow
+            self._pending.append(workflow)
+            self._next_id = max(self._next_id, workflow.workflow_id + 1)
+            return workflow
+        workflow = self.workflows[int(record["wf"])]
+        if kind in ("started", "stuck", "crashed"):
+            # Start decisions are taken for the pending head only.
+            self._pending.popleft()
+            workflow.started_at = at
+            if kind == "crashed":
+                workflow.state = WorkflowState.FAILED
+                workflow.finished_at = at
+            else:
+                workflow.state = (
+                    WorkflowState.STUCK if kind == "stuck" else WorkflowState.RUNNING
+                )
+                self._running.append(workflow)
+        elif kind == "succeeded":
+            self._running.remove(workflow)
+            workflow.state = WorkflowState.SUCCEEDED
+            workflow.finished_at = at
+        elif kind == "mitigated":
+            self._running.remove(workflow)
+            workflow.state = WorkflowState.MITIGATED
+            workflow.retries += 1
+            workflow.started_at = None
+            self._pending.appendleft(workflow)
+        elif kind == "failed":
+            # A mitigated workflow waits in ``_pending``; failing it there
+            # must not leave a terminal workflow behind for ``_tick``.
+            if workflow in self._running:
+                self._running.remove(workflow)
+            if workflow in self._pending:
+                self._pending.remove(workflow)
+            workflow.state = WorkflowState.FAILED
+            workflow.finished_at = at
+        else:
+            raise WorkflowError(f"unknown transition record type {kind!r}")
+        return workflow
 
     # ------------------------------------------------------------------
     # Submission
@@ -134,26 +203,18 @@ class WorkflowEngine:
         now: int,
         duration_s: Optional[int] = None,
     ) -> Workflow:
-        workflow = Workflow(
-            workflow_id=self._next_id,
-            kind=kind,
-            database_id=database_id,
-            submitted_at=now,
-            duration_s=duration_s if duration_s is not None else self._default_duration_s,
-        )
-        self._emit(
+        workflow = self._step(
             {
                 "type": "submitted",
-                "wf": workflow.workflow_id,
+                "wf": self._next_id,
                 "kind": kind.value,
                 "db": database_id,
                 "at": now,
-                "duration_s": workflow.duration_s,
+                "duration_s": (
+                    duration_s if duration_s is not None else self._default_duration_s
+                ),
             }
         )
-        self._next_id += 1
-        self.workflows[workflow.workflow_id] = workflow
-        self._pending.append(workflow)
         if OBS.enabled:
             OBS.metrics.counter(f"workflow.submitted.{kind.value}").inc()
             OBS.metrics.gauge("workflow.pending").set(len(self._pending))
@@ -178,59 +239,33 @@ class WorkflowEngine:
 
     def _tick(self, now: int) -> List[Workflow]:
         completed: List[Workflow] = []
-        # Each completion is journaled and applied in full before the next
-        # one is considered: an exception from the journal hook must leave
-        # every earlier transition fully applied (including its removal
-        # from the running list) and the interrupted one not at all.
+        # Each transition is journaled and applied in full before the next
+        # one is decided: an exception from ``_journal`` leaves every
+        # earlier transition applied and the interrupted one not at all.
         index = 0
         while index < len(self._running):
             workflow = self._running[index]
-            if workflow.state is WorkflowState.STUCK:
-                index += 1
-                continue
-            if workflow.started_at + workflow.duration_s <= now:
-                self._emit(
+            if (
+                workflow.state is not WorkflowState.STUCK
+                and workflow.started_at + workflow.duration_s <= now
+            ):
+                self._step(
                     {"type": "succeeded", "wf": workflow.workflow_id, "at": now}
                 )
-                self._running.pop(index)
-                workflow.state = WorkflowState.SUCCEEDED
-                workflow.finished_at = now
                 completed.append(workflow)
             else:
                 index += 1
         while self._pending and len(self._running) < self._max_concurrent:
-            # Peek, don't pop: the dequeue is part of the state mutation
-            # and must not happen until the decision is journaled -- a
-            # failed journal append would otherwise lose the workflow
-            # from both queues.
-            workflow = self._pending[0]
+            wf = self._pending[0].workflow_id
             if self._injector.should_fire(CRASH_POINT, now):
                 # The workflow dies outright: terminal, one incident-worthy
                 # failure, never enters the running set.
-                self._emit(
-                    {"type": "crashed", "wf": workflow.workflow_id, "at": now}
-                )
-                self._pending.popleft()
-                workflow.state = WorkflowState.FAILED
-                workflow.started_at = now
-                workflow.finished_at = now
+                self._step({"type": "crashed", "wf": wf, "at": now})
                 if OBS.enabled:
                     OBS.metrics.counter("workflow.crashed").inc()
                 continue
             stuck = self._injector.should_fire(STUCK_POINT, now)
-            self._emit(
-                {
-                    "type": "stuck" if stuck else "started",
-                    "wf": workflow.workflow_id,
-                    "at": now,
-                }
-            )
-            self._pending.popleft()
-            workflow.state = (
-                WorkflowState.STUCK if stuck else WorkflowState.RUNNING
-            )
-            workflow.started_at = now
-            self._running.append(workflow)
+            self._step({"type": "stuck" if stuck else "started", "wf": wf, "at": now})
         return completed
 
     # ------------------------------------------------------------------
@@ -252,31 +287,18 @@ class WorkflowEngine:
             raise WorkflowError(
                 f"workflow {workflow.workflow_id} is {workflow.state.value}, not stuck"
             )
-        self._emit({"type": "mitigated", "wf": workflow.workflow_id, "at": now})
-        self._running.remove(workflow)
-        workflow.state = WorkflowState.MITIGATED
-        workflow.retries += 1
-        workflow.started_at = None
-        self._pending.appendleft(workflow)
+        self._step({"type": "mitigated", "wf": workflow.workflow_id, "at": now})
         if OBS.enabled:
             OBS.metrics.counter("workflow.mitigated").inc()
 
     def fail(self, workflow: Workflow, now: int) -> None:
-        """Give up on a workflow (incident escalation).
-
-        The workflow leaves *both* queues: a previously mitigated workflow
-        waits in ``_pending``, and failing it there must not leave a
-        terminal workflow behind for ``_tick`` to start later.
-        """
-        self._emit({"type": "failed", "wf": workflow.workflow_id, "at": now})
-        if workflow in self._running:
-            self._running.remove(workflow)
-        try:
-            self._pending.remove(workflow)
-        except ValueError:
-            pass
-        workflow.state = WorkflowState.FAILED
-        workflow.finished_at = now
+        """Give up on a workflow (incident escalation); a terminal
+        workflow cannot be failed again."""
+        if workflow.terminal:
+            raise WorkflowError(
+                f"workflow {workflow.workflow_id} is already {workflow.state.value}"
+            )
+        self._step({"type": "failed", "wf": workflow.workflow_id, "at": now})
         if OBS.enabled:
             OBS.metrics.counter("workflow.failed").inc()
 

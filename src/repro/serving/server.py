@@ -41,8 +41,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-
-import numpy as np
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -138,14 +136,6 @@ class ServingSettings:
     retry_attempts: int = 2
     breaker_failure_threshold: int = 5
     breaker_recovery_s: float = 1.0
-    #: Predictor-bank policies (:data:`repro.tuning.bank.BANK_POLICIES`)
-    #: routing identity-carrying predictions and resume scans.  Empty
-    #: (the default) or ``("sliding",)`` leaves the batched
-    #: FastPredictor path byte-identical; richer banks re-rank each
-    #: database's prediction *after* the batched evaluation, so the
-    #: micro-batching hot path is untouched.  ``append_login`` is the
-    #: bank's login-feedback hook.
-    predictor_bank: Tuple[str, ...] = ()
     #: When set, ``stop()`` flushes the live metrics snapshot here
     #: (JSON when the path ends in .json, plain text otherwise).
     metrics_out: Optional[str] = None
@@ -231,16 +221,6 @@ class PredictionServer:
             name="serving.predictor",
         )
         self.stats = ServerStats()
-        #: config name -> PredictorBank, keyed per (region, database id).
-        #: Built eagerly so bad policy names fail at construction time.
-        self._banks: Dict[str, "PredictorBank"] = {}
-        if self.settings.predictor_bank:
-            from repro.tuning.bank import PredictorBank
-
-            self._banks = {
-                name: PredictorBank(self.settings.predictor_bank, config)
-                for name, config in self._configs.items()
-            }
         #: region -> database id -> (sorted logins, physically paused?).
         #: Values may be plain dicts (in-process registry) or read-only
         #: shared-memory views (:meth:`attach_fleet` on sharded workers);
@@ -284,8 +264,7 @@ class PredictionServer:
 
     def append_login(self, region: str, database_id: str, ts: int) -> None:
         """Append one login to a registered history (ascending, deduped
-        on timestamp, mirroring ``HistoryStore`` semantics) and feed it
-        to the predictor bank."""
+        on timestamp, mirroring ``HistoryStore`` semantics)."""
         logins, paused = self._fleet[region][database_id]
         if logins and ts < logins[-1]:
             raise ConfigError(
@@ -295,8 +274,6 @@ class PredictionServer:
         if logins and ts == logins[-1]:
             return
         self._fleet[region][database_id] = (tuple(logins) + (ts,), paused)
-        for bank in self._banks.values():
-            bank.observe_login((region, database_id), ts)
 
     def _resolve_database(self, request: PredictRequest) -> Sequence[int]:
         """The registered logins of a by-id request, or a typed protocol
@@ -535,13 +512,13 @@ class PredictionServer:
             predictions = [exc] * len(chunk)
         total_ms = _elapsed_ms(started)
         responses: List[Response] = []
-        for (_, request, logins), prediction in zip(chunk, predictions):
+        for (_, request, _), prediction in zip(chunk, predictions):
             # The same outcomes, in the same order, as _handle_predict.
             try:
                 if isinstance(prediction, Exception):
                     raise prediction
                 response: Response = self._predicted(
-                    request, logins, prediction, len(chunk), 0.0
+                    request, prediction, len(chunk), 0.0
                 )
             except ServingProtocolError as exc:
                 response = InvalidRequest(request.request_id, str(exc))
@@ -565,12 +542,6 @@ class PredictionServer:
             "breaker_opens": self._breaker.opens,
             **{f"shed_{k}": v for k, v in self.admission.shed.items()},
         }
-        if self._banks:
-            stats["bank_switches"] = sum(
-                bank.switches for bank in self._banks.values()
-            )
-            for bank in self._banks.values():
-                bank.publish_shares()
         if self.slo_monitor is not None:
             ledger = self.slo_monitor.ledger
             active = ledger.active()
@@ -738,29 +709,6 @@ class PredictionServer:
             raise ServingProtocolError(f"unknown config {name!r}")
         return config
 
-    def _bank_predict(
-        self,
-        config_name: str,
-        region: str,
-        database_id: str,
-        logins: Sequence[int],
-        now: int,
-        sliding: PredictedActivity,
-    ) -> PredictedActivity:
-        """Route one identity-carrying prediction through the predictor
-        bank.  The batched FastPredictor result doubles as the bank's
-        sliding arm (and the hybrid fallback), so a ``("sliding",)`` bank
-        -- or no bank at all -- returns ``sliding`` unchanged."""
-        bank = self._banks.get(config_name)
-        if bank is None:
-            return sliding
-        return bank.predict(
-            (region, database_id),
-            now,
-            lambda: np.asarray(logins, dtype=np.int64),
-            lambda: sliding,
-        )
-
     async def _handle_predict(
         self, request: PredictRequest, waited_ms: float
     ) -> Response:
@@ -775,27 +723,16 @@ class PredictionServer:
         except ServingProtocolError as exc:
             # This request's own logins / now (see _run_batch).
             return InvalidRequest(request.request_id, str(exc))
-        return self._predicted(request, logins, prediction, batch_size, waited_ms)
+        return self._predicted(request, prediction, batch_size, waited_ms)
 
     def _predicted(
         self,
         request: PredictRequest,
-        logins: Sequence[int],
         prediction: PredictedActivity,
         batch_size: int,
         waited_ms: float,
     ) -> PredictResponse:
-        """The answer to one evaluated predict.  A by-id one is re-ranked
-        by the predictor bank."""
-        if request.database_id is not None:
-            prediction = self._bank_predict(
-                request.config,
-                request.region,
-                request.database_id,
-                logins,
-                request.now,
-                prediction,
-            )
+        """The answer to one evaluated predict."""
         return PredictResponse(
             request_id=request.request_id,
             prediction=prediction,
@@ -830,20 +767,6 @@ class PredictionServer:
         for prediction in predictions:
             if isinstance(prediction, ServingProtocolError):
                 raise prediction
-        if self._banks:
-            predictions = [
-                self._bank_predict(
-                    request.config,
-                    request.region,
-                    database_id,
-                    logins,
-                    request.now,
-                    prediction,
-                )
-                for (database_id, logins), prediction in zip(
-                    paused, predictions
-                )
-            ]
         window_start = request.now + request.prewarm_s
         window_end = window_start + request.period_s
         selected = tuple(

@@ -17,7 +17,6 @@ importable from the simulation layer without a cycle).
 
 from repro.tuning.bank import (
     BANK_POLICIES,
-    BankSettings,
     PredictorBank,
     hybrid_histogram_predict,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "TUNING_METRICS",
     "register_tuning_metrics",
     "BANK_POLICIES",
-    "BankSettings",
     "PredictorBank",
     "hybrid_histogram_predict",
     "TUNABLE_KNOBS",

@@ -24,7 +24,6 @@ engines, and on the serving gateway's registered fleets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -38,46 +37,23 @@ from repro.types import PredictedActivity
 BANK_POLICIES = ("sliding", "hybrid_histogram")
 
 
-@dataclass(frozen=True)
-class BankSettings:
-    """Scoring and hysteresis knobs for the predictor bank."""
+# Scoring and hysteresis constants.
 
-    #: EWMA smoothing factor for per-(database, policy) regret.
-    regret_alpha: float = 0.25
-    #: A challenger policy must beat the incumbent's regret by this much...
-    switch_margin: float = 0.05
-    #: ...for this many consecutive scored logins before the bank switches.
-    #: Most databases log in about once a day, so this is roughly "two
-    #: consecutive days of clearly better predictions".
-    switch_after: int = 2
-    #: Regret charged when a policy missed the login (no or late prediction):
-    #: the database would have resumed reactively (a QoS miss).
-    miss_cost: float = 1.0
-    #: Weight of premature-resume regret (idle-COGS is cheaper than a miss).
-    premature_weight: float = 0.5
-    #: How many recent inter-login gaps the gap-based policies look at.
-    max_gaps: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.regret_alpha <= 1.0:
-            raise ConfigError(
-                f"regret_alpha must be in (0, 1], got {self.regret_alpha}"
-            )
-        if self.switch_margin < 0:
-            raise ConfigError(
-                f"switch_margin must be >= 0, got {self.switch_margin}"
-            )
-        if self.switch_after < 1:
-            raise ConfigError(
-                f"switch_after must be >= 1, got {self.switch_after}"
-            )
-        if self.miss_cost < 0 or self.premature_weight < 0:
-            raise ConfigError("regret costs must be >= 0")
-        if self.max_gaps < 2:
-            raise ConfigError(f"max_gaps must be >= 2, got {self.max_gaps}")
-
-
-DEFAULT_BANK_SETTINGS = BankSettings()
+#: EWMA smoothing factor for per-(database, policy) regret.
+REGRET_ALPHA = 0.25
+#: A challenger policy must beat the incumbent's regret by this much...
+SWITCH_MARGIN = 0.05
+#: ...for this many consecutive scored logins before the bank switches.
+#: Most databases log in about once a day, so this is roughly "two
+#: consecutive days of clearly better predictions".
+SWITCH_AFTER = 2
+#: Regret charged when a policy missed the login (no or late prediction):
+#: the database would have resumed reactively (a QoS miss).
+MISS_COST = 1.0
+#: Weight of premature-resume regret (idle-COGS is cheaper than a miss).
+PREMATURE_WEIGHT = 0.5
+#: How many recent inter-login gaps the gap-based policies look at.
+MAX_GAPS = 64
 
 
 def _recent_gaps(logins: np.ndarray, max_gaps: int) -> np.ndarray:
@@ -94,7 +70,7 @@ def hybrid_histogram_predict(
     now: int,
     config: ProRPConfig,
     *,
-    max_gaps: int = 64,
+    max_gaps: int = MAX_GAPS,
     min_gaps: int = 6,
     max_cv: float = 1.5,
 ) -> Optional[PredictedActivity]:
@@ -160,7 +136,6 @@ class PredictorBank:
         self,
         policies: Tuple[str, ...],
         config: ProRPConfig,
-        settings: Optional[BankSettings] = None,
     ):
         if not policies:
             raise ConfigError("PredictorBank needs at least one policy")
@@ -175,7 +150,6 @@ class PredictorBank:
                 ordered.append(name)
         self.policies: Tuple[str, ...] = tuple(ordered)
         self.config = config
-        self.settings = settings or DEFAULT_BANK_SETTINGS
         #: Sliding-only banks are pure delegates: zero shadow work.
         self.sliding_only = self.policies == ("sliding",)
         self._default = (
@@ -206,9 +180,7 @@ class PredictorBank:
         for i, name in enumerate(self.policies):
             prediction = sliding
             if name == "hybrid_histogram":
-                hybrid = hybrid_histogram_predict(
-                    logins_fn(), now, self.config, max_gaps=self.settings.max_gaps
-                )
+                hybrid = hybrid_histogram_predict(logins_fn(), now, self.config)
                 if hybrid is not None:  # else: fall back to the paper policy
                     prediction = hybrid
             state.pending[i] = (now, prediction)
@@ -223,13 +195,12 @@ class PredictorBank:
     # -- regret scoring ----------------------------------------------------
 
     def _cost(self, made_at: int, prediction: PredictedActivity, t: int) -> float:
-        s = self.settings
         empty = prediction.start == 0 and prediction.end == 0
         if empty or prediction.start > t:
-            return s.miss_cost  # no/late prediction: a reactive resume
+            return MISS_COST  # no/late prediction: a reactive resume
         early = t - max(prediction.start, made_at)
         horizon = max(1, self.config.logical_pause_s)
-        return s.premature_weight * min(1.0, early / horizon)
+        return PREMATURE_WEIGHT * min(1.0, early / horizon)
 
     def observe_login(self, key: Hashable, t: int) -> None:
         """Score pending predictions against an actual login at ``t``."""
@@ -238,14 +209,13 @@ class PredictorBank:
         state = self._dbs.get(key)
         if state is None:
             return
-        s = self.settings
         scored_any = False
         for i, pending in enumerate(state.pending):
             if pending is None:
                 continue
             made_at, prediction = pending
             cost = self._cost(made_at, prediction, t)
-            state.regret[i] += s.regret_alpha * (cost - state.regret[i])
+            state.regret[i] += REGRET_ALPHA * (cost - state.regret[i])
             state.pending[i] = None
             scored_any = True
             if OBS.enabled:
@@ -262,10 +232,10 @@ class PredictorBank:
         incumbent = state.selected
         if (
             best != incumbent
-            and state.regret[incumbent] - state.regret[best] > s.switch_margin
+            and state.regret[incumbent] - state.regret[best] > SWITCH_MARGIN
         ):
             state.streak += 1
-            if state.streak >= s.switch_after:
+            if state.streak >= SWITCH_AFTER:
                 state.selected = best
                 state.streak = 0
                 self.switches += 1
@@ -285,19 +255,3 @@ class PredictorBank:
         for state in self._dbs.values():
             counts[self.policies[state.selected]] += 1
         return counts
-
-    def selection_shares(self) -> Dict[str, float]:
-        counts = self.selection_counts()
-        total = sum(counts.values())
-        if total == 0:
-            return {name: 0.0 for name in self.policies}
-        return {name: count / total for name, count in counts.items()}
-
-    def publish_shares(self) -> None:
-        """Export selection shares as ``tuning.bank.share`` gauges."""
-        if not OBS.enabled:
-            return
-        for name, share in self.selection_shares().items():
-            OBS.metrics.gauge(
-                "tuning.bank.share", labels={"policy": name}
-            ).set(share)

@@ -20,6 +20,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from repro.controlplane import (
     DiagnosticsRunner,
     DurableWorkflowEngine,
+    WorkflowEngine,
     WorkflowKind,
     WorkflowState,
 )
@@ -36,10 +37,15 @@ from repro.controlplane.durability import (
     terminal_record_counts,
     write_checkpoint,
 )
-from repro.controlplane.workflows import STUCK_POINT
-from repro.errors import ControlPlaneCrashError, WalCorruptionError, WalError
+from repro.controlplane.workflows import CRASH_POINT, STUCK_POINT
+from repro.errors import (
+    ControlPlaneCrashError,
+    WalCorruptionError,
+    WalError,
+    WorkflowError,
+)
 from repro.experiments.crash_recovery import _drive
-from repro.faults import FaultPlan, FaultSpec, chaos
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, chaos
 from repro.faults.runtime import FAULTS
 
 RECORDS = [
@@ -357,6 +363,65 @@ class TestDurableEngine:
         assert recovered.recovery_info["deduped"] == 1
         assert canonical(recovered.state_doc()) == canonical(live)
 
+    def test_replayed_duplicate_submission_is_deduplicated(self, tmp_path):
+        engine = DurableWorkflowEngine(tmp_path)
+        engine.submit(WorkflowKind.PROACTIVE_RESUME, "db-0", 0)
+        lsn = engine.lsn
+        live = engine.state_doc()
+        engine.close()
+        wal = WriteAheadLog(tmp_path)
+        wal.append(
+            {"type": "submitted", "wf": 0, "kind": "proactive_resume",
+             "db": "db-0", "at": 0, "duration_s": 45, "lsn": lsn}
+        )
+        wal.close()
+        recovered = DurableWorkflowEngine.recover(tmp_path)
+        assert recovered.recovery_info["deduped"] == 1
+        assert canonical(recovered.state_doc()) == canonical(live)
+
+    def test_fail_on_terminal_workflow_refused(self, tmp_path):
+        """Failing a finished workflow is refused before anything is
+        journaled, so the live state is the one recovery rebuilds and the
+        ledger holds one terminal record per workflow."""
+        engine = DurableWorkflowEngine(tmp_path, default_duration_s=10)
+        workflow = engine.submit(WorkflowKind.REACTIVE_RESUME, "db-0", 0)
+        engine.tick(0)
+        engine.tick(10)
+        assert workflow.state is WorkflowState.SUCCEEDED
+        lsn = engine.lsn
+        with pytest.raises(WorkflowError):
+            engine.fail(workflow, 20)
+        assert engine.lsn == lsn
+        live = engine.state_doc()
+        engine._wal.sync()  # the process dies without close()
+        recovered = DurableWorkflowEngine.recover(tmp_path)
+        assert canonical(recovered.state_doc()) == canonical(live)
+        terminals = terminal_record_counts(recovered.read_ledger())
+        assert all(count <= 1 for count in terminals.values())
+
+    # Each case: submissions before the crafted record, the record, and
+    # how many LSNs it skips.
+    CRAFTED = {
+        "no_submission_record": (1, {"type": "started", "wf": 3}, 0),
+        "not_pending_head": (2, {"type": "started", "wf": 1}, 0),
+        "unknown_type": (1, {"type": "resumed", "wf": 0}, 0),
+        "lsn_gap": (1, {"type": "started", "wf": 0}, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_ledger_refused(self, tmp_path, case):
+        submissions, record, skip = self.CRAFTED[case]
+        engine = DurableWorkflowEngine(tmp_path)
+        for i in range(submissions):
+            engine.submit(WorkflowKind.PROACTIVE_RESUME, f"db-{i}", 0)
+        lsn = engine.lsn
+        engine.close()
+        wal = WriteAheadLog(tmp_path)
+        wal.append({**record, "at": 0, "lsn": lsn + skip})
+        wal.close()
+        with pytest.raises(WalCorruptionError):
+            DurableWorkflowEngine.recover(tmp_path)
+
     def test_wrong_seed_replay_detected(self, tmp_path):
         """A WAL replayed against mismatched fault-injection state (here:
         a checkpoint from a different PRNG position) is corruption, not a
@@ -401,6 +466,57 @@ class TestDurableEngine:
         engine.close()
         recovered = DurableWorkflowEngine.recover(tmp_path)
         assert canonical(recovered.state_doc()) == canonical(live)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_durable_engine_steps_like_in_memory_engine(tmp_path, seed):
+    """The WAL changes nothing but the disk: driven over one seeded
+    schedule with stuck and crash faults plus diagnostics, the in-memory
+    and the durable engine agree on the workflows and both queue orders
+    after every tick."""
+    plan = FaultPlan.of(
+        FaultSpec(STUCK_POINT, probability=0.3),
+        FaultSpec(CRASH_POINT, probability=0.05),
+    )
+    memory = WorkflowEngine(
+        max_concurrent=4, injector=FaultInjector(plan, seed=seed)
+    )
+    durable = DurableWorkflowEngine(
+        tmp_path, max_concurrent=4, seed=seed, plan=plan, checkpoint_every=10
+    )
+    engines = (memory, durable)
+    runners = [
+        DiagnosticsRunner(engine, stuck_after_s=60, max_retries=2)
+        for engine in engines
+    ]
+
+    def snapshot(engine):
+        return (
+            dict(engine.workflows),
+            [w.workflow_id for w in engine._pending],
+            [w.workflow_id for w in engine._running],
+        )
+
+    schedule = synthetic_schedule(seed, entries=40)
+    index = 0
+    for now in range(0, 3000, 30):
+        while index < len(schedule) and schedule[index][0] <= now:
+            _, kind, db = schedule[index]
+            for engine in engines:
+                engine.submit(WorkflowKind(kind), db, now)
+            index += 1
+        for engine, runner in zip(engines, runners):
+            runner.run_once(now)
+            engine.tick(now)
+        assert snapshot(memory) == snapshot(durable)
+    assert durable.drained()
+    assert runners[0].incidents == runners[1].incidents
+    assert any(w.retries for w in durable.workflows.values())
+    assert any(
+        w.state is WorkflowState.FAILED and w.retries == 0
+        for w in durable.workflows.values()
+    )
+    durable.close()
 
 
 # ----------------------------------------------------------------------
@@ -566,6 +682,6 @@ def test_scenario_report_counts_sum(tmp_path):
 
 def test_workflow_state_values_cover_ledger():
     """Every state the engine can journal has a WorkflowState round trip
-    (guards the replay switch in ``engine._replay``)."""
+    (guards the record switch in ``WorkflowEngine._apply``)."""
     for state in WorkflowState:
         assert WorkflowState(state.value) is state

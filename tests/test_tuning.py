@@ -40,7 +40,6 @@ from repro.simulation.fleet import simulate_fleet
 from repro.simulation.region import SimulationSettings, simulate_region
 from repro.tuning import (
     BANK_POLICIES,
-    BankSettings,
     OnlineKnobTuner,
     PredictorBank,
     TunerSettings,
@@ -50,6 +49,7 @@ from repro.tuning import (
     register_tuning_metrics,
     validate_knob_candidates,
 )
+from repro.tuning.bank import PREMATURE_WEIGHT
 from repro.tuning.driver import run_online_tuning
 from repro.types import (
     SECONDS_PER_DAY,
@@ -278,11 +278,7 @@ class TestPredictorBank:
         ) is None
 
     def test_switches_to_better_policy_with_hysteresis(self):
-        bank = PredictorBank(
-            ("sliding", "hybrid_histogram"),
-            DEFAULT_CONFIG,
-            BankSettings(switch_after=2),
-        )
+        bank = PredictorBank(("sliding", "hybrid_histogram"), DEFAULT_CONFIG)
         key = "db"
         empty = PredictedActivity.none()
         n = 10
@@ -312,15 +308,7 @@ class TestPredictorBank:
         early = bank._cost(
             0, PredictedActivity(t - horizon // 2, t + 1, 0.9), t
         )
-        assert 0.0 < early <= bank.settings.premature_weight
-
-    def test_bank_settings_validation(self):
-        with pytest.raises(ConfigError):
-            BankSettings(regret_alpha=0.0)
-        with pytest.raises(ConfigError):
-            BankSettings(switch_after=0)
-        with pytest.raises(ConfigError):
-            BankSettings(max_gaps=1)
+        assert 0.0 < early <= PREMATURE_WEIGHT
 
 
 # ----------------------------------------------------------------------
