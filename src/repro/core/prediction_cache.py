@@ -3,18 +3,21 @@
 Algorithm 4 anchors every candidate window at ``now`` (line 9), so a
 prediction is a pure function of (login timestamps, knobs, ``now``) and a
 memo keyed on ``now`` could only ever answer an exact replay of the same
-call.  The simulator therefore keeps no per-database prediction memo: its
-batched evaluations are same-instant ones -- the settle phase at
-``sim_start`` (``ColumnarRegionEngine.seed_initial_predictions``) and each
-event-loop instant where several databases refresh -- parked by database
-index for the columnar engine's refreshes at that instant to take.
+call.  The simulator therefore keeps no per-database prediction memo:
+the columnar engine computes answers ahead for refreshes whose instant
+is already known -- the settle phase at ``sim_start``
+(``ColumnarRegionEngine.seed_initial_predictions``) and the speculation
+batch a refresh with no parked answer opens over the next simulated hour
+-- and parks each under (instant, config, login count) for that
+database's refresh to take.
 
-:data:`HOT_PATH` counts that traffic: full Algorithm-4 scans, batched fleet
-evaluations, parked answers taken (``cache_hits``) and the columnar
-refreshes no batch answered, each one ``FastPredictor.predict_one``
-(``cache_misses``: a single-pair sweep at the paper's knobs; the names are
-the ones ``benchmarks/e2e`` reads).  They are plain integer attributes (no
-registry lookups) so the accounting itself stays off the profile.
+:data:`HOT_PATH` counts that traffic: full Algorithm-4 scans, batched
+fleet evaluations, speculated answers taken (``cache_hits``) and the
+refreshes that found none and opened a speculation batch
+(``cache_misses``), so ``batch_databases - cache_misses`` is the answers
+speculated (the names are the ones ``benchmarks/e2e`` reads).  They are
+plain integer attributes (no registry lookups) so the accounting itself
+stays off the profile.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ class HotPathStats:
     ``full_scans`` counts complete Algorithm-4 evaluations (reference or
     vectorised, single-database); ``batch_evals`` counts
     ``predict_fleet`` invocations and ``batch_databases`` the databases
-    they covered.  ``cache_hits`` counts batched answers the columnar
-    engine consumed instead of scanning, ``cache_misses`` the predictions
-    it answered one at a time (``FastPredictor.predict_one``).
+    they covered.  ``cache_hits`` counts parked answers the columnar
+    engine's refreshes took, ``cache_misses`` the refreshes that found
+    none and opened a batch (with adaptive seasonality, one
+    ``FastPredictor.predict_one``).
     """
 
     __slots__ = (

@@ -117,13 +117,20 @@ class FaultSpec:
             raise FaultPlanError(
                 f"fault spec for {doc['point']!r} has unknown fields {sorted(unknown)}"
             )
-        return cls(
-            point=str(doc["point"]),
-            probability=float(doc.get("probability", 1.0)),
-            windows=tuple(tuple(w) for w in doc.get("windows", ())),
-            max_fires=doc.get("max_fires"),
-            latency_s=float(doc.get("latency_s", 0.0)),
-        )
+        try:
+            return cls(
+                point=str(doc["point"]),
+                probability=float(doc.get("probability", 1.0)),
+                windows=tuple(tuple(w) for w in doc.get("windows", ())),
+                max_fires=doc.get("max_fires"),
+                latency_s=float(doc.get("latency_s", 0.0)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            # A field of the wrong type (a number for `windows`, text for
+            # `probability` or `max_fires`) is a malformed plan too.
+            raise FaultPlanError(
+                f"fault spec for {doc['point']!r} is malformed: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -626,7 +626,7 @@ class ProactiveActor(_BaseActor):
     def _predict_sliding(self, config: ProRPConfig, now: int) -> PredictedActivity:
         """The paper's sliding-window path (Algorithm 4): one scan per
         call, never batched -- the per-database reference the columnar
-        engine's settle and bucket batches are compared against."""
+        engine's settle and speculation batches are compared against."""
         if self._fast_predictor is not None:
             if config is self.config:
                 predictor = self._fast_predictor

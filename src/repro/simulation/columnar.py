@@ -16,12 +16,14 @@ plus a heap of the distinct instants.  Cancellable wake timers become an
 epoch counter per database (a stale entry is skipped exactly like a
 cancelled :class:`~repro.simulation.engine.Timer`).
 
-The buckets are what make the proactive refresh (Algorithm 1 lines 7-8)
-batchable: on entering an instant, every database whose one event there
-will refresh its prediction is answered by a single
-:meth:`~repro.core.fast_predictor.FastPredictor.predict_fleet` call, and
-the answers are parked for the refresh to take at dispatch (the clipping
-argument that makes this exact is in ``docs/algorithms.md``).
+The proactive refresh (Algorithm 1 lines 7-8) is batched by speculation:
+the time of every refresh the next simulated hour will make is already
+known -- a logout from the trace, a wake from its scheduled instant -- so
+a refresh that finds no parked answer answers itself and all of those
+with one :meth:`~repro.core.fast_predictor.FastPredictor.predict_fleet`
+call, each at its own instant.  An answer is taken only at the instant,
+knobs and login count it was computed for (why that is exact is in
+``docs/algorithms.md``).
 
 The engine is a line-by-line port of the actor code paths: every schedule
 call, RNG draw, fault-injector consult, policy decision, metadata write,
@@ -125,6 +127,11 @@ ORIGIN_MAINTENANCE = 2
 #: Sentinel for "no timestamp" columns (valid simulated times are >= 0).
 NONE_TS = -1
 
+#: Simulated seconds ahead a refresh with no parked answer speculates:
+#: the known wakes and logouts up to ``now + SPECULATION_S`` share its
+#: kernel call.
+SPECULATION_S = 3600
+
 #: Integer edge table of Figure 4: transition -> (from_code, to_code).
 _EDGE_CODES: Dict[LifecycleTransition, Tuple[int, int]] = transition_edge_codes()
 
@@ -216,6 +223,11 @@ class ColumnarState:
         self.pred_start = np.zeros(n, dtype=np.int64)
         self.pred_end = np.zeros(n, dtype=np.int64)
         self.pred_conf = np.zeros(n, dtype=np.float64)
+        # Logins seen since sim_start, and the instant and login count of
+        # the parked answer (NONE_TS: none) -- stale once the count moves.
+        self.login_count = np.zeros(n, dtype=np.int64)
+        self.parked_at = np.full(n, NONE_TS, dtype=np.int64)
+        self.parked_logins = np.zeros(n, dtype=np.int64)
         # Lifecycle monotonicity guard (Lifecycle._last_transition_time).
         self.last_transition = np.full(n, -1, dtype=np.int64)
 
@@ -418,12 +430,11 @@ class ColumnarRegionEngine:
         #: Dispatched after the queue pops an EV_RESUME_OP entry; installed
         #: by ``schedule_resume_op``.
         self.on_resume_op: Optional[Callable[[int], None]] = None
-        #: Batched answers ``d -> (config, prediction)`` for the instant
-        #: ``_settled_at``: parked by ``seed_initial_predictions`` (taken
-        #: or dropped inside ``start``) and by each batched bucket of
-        #: ``run_until`` (leftovers dropped when the bucket ends).
-        self._settled: Dict[int, Tuple[ProRPConfig, PredictedActivity]] = {}
-        self._settled_at = sim_start
+        #: Batched answers ``d -> (config, prediction)``, parked by
+        #: ``seed_initial_predictions`` and by ``_speculate`` and stamped
+        #: in the ``parked_at`` / ``parked_logins`` columns; a refresh
+        #: unparks its entry and takes it only if all three still match.
+        self._parked: Dict[int, Tuple[ProRPConfig, PredictedActivity]] = {}
         self.events_dispatched = 0
 
     # -- scheduling --------------------------------------------------------
@@ -597,24 +608,105 @@ class ColumnarRegionEngine:
     def _predict_sliding(
         self, d: int, config: ProRPConfig, now: int
     ) -> PredictedActivity:
-        """The paper's sliding-window path (Algorithm 4).  A parked batch
-        answer for this instant and the same knobs replaces the scan; it
-        is taken only here, after the outage, breaker, trim and fault
-        checks of the refresh have all run for this database.  Any other
-        refresh is one single-pair interval sweep."""
+        """The paper's sliding-window path (Algorithm 4).  A parked answer
+        for this instant, these knobs and this login count replaces the
+        scan; it is taken only here, after the outage, breaker, trim and
+        fault checks of the refresh have all run for this database.  Any
+        other refresh opens a speculation batch (``_speculate``)."""
         if self.fast_predictor is None:
             return predict_next_activity(self.hist.store(d), config, now)
-        if now == self._settled_at:
-            settled = self._settled.pop(d, None)
-            if settled is not None and settled[0] == config:
-                HOT_PATH.cache_hits += 1
-                return settled[1]
-        if config is self.config:
-            predictor = self.fast_predictor
-        else:
-            predictor = get_fast_predictor(config)
+        s = self.s
+        taken = (
+            s.parked_at[d] == now
+            and s.parked_logins[d] == s.login_count[d]
+            and self._parked[d][0] == config
+        )
+        prediction = self._unpark(d)
+        if taken:
+            HOT_PATH.cache_hits += 1
+            return prediction
         HOT_PATH.cache_misses += 1
-        return predictor.predict_one(self.hist.login_array(d), now)
+        if self.config.auto_seasonality:
+            return get_fast_predictor(config).predict_one(
+                self.hist.login_array(d), now
+            )
+        return self._speculate(d, now)
+
+    def _hold(
+        self, d: int, at: int, config: ProRPConfig, prediction: PredictedActivity
+    ) -> None:
+        """Park ``prediction`` as ``d``'s refresh at ``at`` under
+        ``config``, stamped with its login count as of now."""
+        self.s.parked_at[d] = at
+        self.s.parked_logins[d] = self.s.login_count[d]
+        self._parked[d] = (config, prediction)
+
+    def _unpark(self, d: int) -> Optional[PredictedActivity]:
+        """Drop ``d``'s parked answer, returning its prediction if any."""
+        self.s.parked_at[d] = NONE_TS
+        parked = self._parked.pop(d, None)
+        return None if parked is None else parked[1]
+
+    def _speculation_candidates(
+        self, d: int, now: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(databases, instants)`` of the refreshes other than ``d``'s
+        that are known to come by ``now + SPECULATION_S`` as things stand:
+        a live wake ending a non-maintenance logical pause past any
+        maintenance hold, or the logout ending a resumed database's
+        session whose prediction has expired by then, past any hold."""
+        s = self.s
+        horizon = now + SPECULATION_S
+        wake_at = s.wake_at
+        wakes = (
+            (wake_at >= now)
+            & (wake_at <= horizon)
+            & (s.phase == PH_LOGICAL)
+            & (s.pause_origin != ORIGIN_MAINTENANCE)
+            & (s.maint_until <= wake_at)
+        )
+        wakes[d] = False
+        resumed = np.flatnonzero(s.phase == PH_RESUMED)
+        resumed = resumed[resumed != d]
+        index = s.session_idx[resumed]
+        in_trace = index < s.sess_offsets[resumed + 1]
+        resumed, index = resumed[in_trace], index[in_trace]
+        ends = np.minimum(s.sess_ends[index], self.sim_end)
+        logouts = (
+            (ends <= horizon)
+            & (s.pred_end[resumed] < ends)
+            & (s.maint_until[resumed] <= ends)
+        )
+        waking = np.flatnonzero(wakes)
+        return (
+            np.concatenate((waking, resumed[logouts])),
+            np.concatenate((wake_at[waking], ends[logouts])),
+        )
+
+    def _speculate(self, d: int, now: int) -> PredictedActivity:
+        """Answer ``d``'s refresh at ``now`` and park, from the same kernel
+        call, an answer for each speculation candidate whose history will
+        be old at its own instant and that holds no valid answer for it
+        yet.  A candidate's refresh may never come (a login cancels the
+        wake) or come later; its answer is then simply not taken."""
+        s = self.s
+        members, instants = [d], [now]
+        config = self.config
+        history_s = config.history_s
+        candidates, ats = self._speculation_candidates(d, now)
+        # Without adaptive seasonality every answer is parked under this
+        # engine's knobs, so a matching instant and login count is valid.
+        unanswered = (s.parked_at[candidates] != ats) | (
+            s.parked_logins[candidates] != s.login_count[candidates]
+        )
+        for c, at in zip(
+            candidates[unanswered].tolist(), ats[unanswered].tolist()
+        ):
+            if self.hist.older_than(c, at - history_s):
+                members.append(c)
+                instants.append(at)
+        self._park(members, config, instants)
+        return self._unpark(d)
 
     # -- settle-phase batching ---------------------------------------------
 
@@ -662,63 +754,25 @@ class ColumnarRegionEngine:
             if request is not None:
                 groups.setdefault(request, []).append(d)
         for group_config, members in groups.items():
-            self._park(members, group_config, self.sim_start)
+            self._park(members, group_config, [self.sim_start] * len(members))
 
-    def _park(self, members: List[int], config: ProRPConfig, now: int) -> None:
-        """One ``predict_fleet`` call for ``members`` at ``now``, over
-        their untrimmed login views (exact: every login the refresh's
-        trim would delete lies below every window Algorithm 4 reads)."""
+    def _park(
+        self, members: List[int], config: ProRPConfig, instants: List[int]
+    ) -> None:
+        """One ``predict_fleet`` call answering each member at its own
+        instant over its login view as it is now (exact: every login a
+        later trim deletes lies below every window Algorithm 4 reads, and
+        a login in between moves the count the answer is parked under)."""
         predictor = (
             self.fast_predictor
             if config == self.config
             else get_fast_predictor(config)
         )
         predictions = predictor.predict_fleet(
-            [self.hist.login_array(d) for d in members], now
+            [self.hist.login_array(d) for d in members], instants
         )
-        self._settled_at = now
-        for d, prediction in zip(members, predictions):
-            self._settled[d] = (config, prediction)
-
-    def _park_bucket(self, now: int, bucket: List[Tuple[int, int, int]]) -> bool:
-        """Answer, with one kernel call, every database whose one event in
-        this bucket will refresh its prediction (Algorithm 1 lines 7-8):
-        a live wake ending a non-maintenance logical pause, or a logout
-        whose last prediction has expired, past any maintenance hold and
-        with old history.  Mirrors the dispatch-time checks that are
-        fixed on entering the instant -- no other database's event can
-        change them -- and leaves the breaker, fault and bank steps to the
-        refresh itself.  Returns whether anything was parked."""
-        if self._prorp_down(now):
-            return False
-        entries: Dict[int, int] = {}
-        for _, d, _ in bucket:
-            entries[d] = entries.get(d, 0) + 1
-        s = self.s
-        history_start = now - self.config.history_s
-        members: List[int] = []
-        for kind, d, epoch in bucket:
-            if kind == EV_WAKE:
-                refreshes = (
-                    epoch == s.wake_epoch[d]
-                    and s.phase[d] == PH_LOGICAL
-                    and s.pause_origin[d] != ORIGIN_MAINTENANCE
-                )
-            elif kind == EV_SESSION_END:
-                refreshes = s.phase[d] == PH_RESUMED and s.pred_end[d] < now
-            else:
-                continue
-            if (
-                refreshes
-                and entries[d] == 1
-                and now >= s.maint_until[d]
-                and self.hist.older_than(d, history_start)
-            ):
-                members.append(d)
-        if len(members) < 2:
-            return False
-        self._park(members, self.config, now)
-        return True
+        for d, at, prediction in zip(members, instants, predictions):
+            self._hold(d, at, config, prediction)
 
     # -- initialisation ----------------------------------------------------
 
@@ -765,7 +819,7 @@ class ColumnarRegionEngine:
             # settle answer the refresh did not take (outage, open breaker,
             # injected fault, non-sliding bank arm) is dropped here.
             self._enter_initial_idle(d)
-            self._settled.pop(d, None)
+            self._unpark(d)
             self._push(cur_start, EV_SESSION_START, d)
 
     def _enter_initial_physical_pause(self, d: int) -> None:
@@ -873,6 +927,7 @@ class ColumnarRegionEngine:
         """Port of ``_BaseActor._on_session_start``."""
         s = self.s
         self.hist.record(d, now, EventType.ACTIVITY_START)
+        s.login_count[d] += 1
         if self.bank is not None:
             self.bank.observe_login(d, now)
         s.idle_since[d] = NONE_TS
@@ -1180,18 +1235,12 @@ class ColumnarRegionEngine:
         """Mirror of ``EventQueue.run_until`` including its observability
         spans/counters; stale wakes are skipped like cancelled timers.
         Pops one instant's bucket at a time and dispatches it in schedule
-        order; a proactive bucket first parks one batch of the refreshes
-        it will make (``_park_bucket``) and drops what was not taken."""
+        order."""
         executed = 0
         run_start = self._now
         times = self._times
         buckets = self._buckets
         wake_epoch = self.s.wake_epoch
-        batching = (
-            self.proactive
-            and self.fast_predictor is not None
-            and not self.config.auto_seasonality
-        )
         obs_enabled = OBS.enabled
         monitor = OBS.slo if obs_enabled else None
         # Armed monitors cost one local float comparison per event; the
@@ -1203,7 +1252,6 @@ class ColumnarRegionEngine:
             time = heapq.heappop(times)
             bucket = buckets.pop(time)
             self._now = time
-            parked = batching and len(bucket) > 1 and self._park_bucket(time, bucket)
             for kind, d, epoch in bucket:
                 if kind == EV_WAKE and epoch != wake_epoch[d]:
                     continue  # cancelled wake: skipped, not dispatched
@@ -1217,8 +1265,6 @@ class ColumnarRegionEngine:
                 else:
                     self._dispatch(kind, d, time)
                 executed += 1
-            if parked:
-                self._settled.clear()
         self._now = max(self._now, end)
         if obs_enabled and self._now > run_start:
             OBS.metrics.gauge("engine.sim_time").set(self._now)

@@ -77,9 +77,9 @@ class SimulationSettings:
     #: default; see docs/fleet_scale.md) or "actor" (one Python object per
     #: database).  Byte-identical results either way -- the equivalence
     #: suite proves it -- so this is a representation knob, not a
-    #: semantics knob.  Only the columnar engine batches the settle-phase
-    #: predictions (one ``predict_fleet`` call); the actors scan per
-    #: database.  Latency measurement always runs on the actors.
+    #: semantics knob.  Only the columnar engine batches predictions (the
+    #: settle phase and speculation over the next hour); the actors scan
+    #: per database.  Latency measurement always runs on the actors.
     engine: str = "columnar"
     #: Region label attached to the live SLO streams (``region=...``);
     #: empty means unlabelled series.  Purely observational: the KPI

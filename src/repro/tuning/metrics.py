@@ -25,7 +25,6 @@ TUNING_METRICS = (
     ("tuning.demotions.window", "counter_series"),
     ("tuning.bank.regret.window", "histogram_series"),
     ("tuning.bank.switches", "counter"),
-    ("tuning.bank.share", "gauge"),
     ("tuning.bank.regret", "histogram"),
 )
 
@@ -33,7 +32,7 @@ TUNING_METRICS = (
 def register_tuning_metrics(registry, window_s=None) -> None:
     """Create every ``tuning.*`` metric in ``registry`` (idempotent).
 
-    Per-policy metrics (switches, shares, regret histograms) register one
+    Per-policy metrics (switches, regret histograms) register one
     labelled child per bank policy; ``window_s`` sizes the windowed
     series feeding the tuning SLOs.
     """
@@ -50,5 +49,4 @@ def register_tuning_metrics(registry, window_s=None) -> None:
     registry.histogram_series("tuning.bank.regret.window", window_s)
     for policy in BANK_POLICIES:
         registry.counter("tuning.bank.switches", labels={"policy": policy})
-        registry.gauge("tuning.bank.share", labels={"policy": policy})
         registry.histogram("tuning.bank.regret", labels={"policy": policy})

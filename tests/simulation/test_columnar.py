@@ -9,10 +9,10 @@ seeded multi-region scenarios:
   per-database outcome ledgers, same resume-operation iterations, same
   history contents -- including under an armed fault plan (same injector
   consult/fire ledger) and a control-plane outage window.  Only the
-  columnar engine batches (the settle phase and each instant's bucket of
-  refreshes), so the hot-path counters are tied by an invariant instead
+  columnar engine batches (the settle phase and speculation over the
+  next hour), so the hot-path counters are tied by an invariant instead
   of equality: every prediction the actors scanned, the columnar engine
-  either scanned or took from a batch;
+  answered exactly once, from a parked answer or by opening a batch;
 * lean fleet backends vs the full stores: same KPI report for both
   policies;
 * serial vs worker-pool sharding: identical merged and per-shard KPIs.
@@ -31,13 +31,12 @@ from repro.errors import SimulationError, TraceError
 from repro.faults import FaultPlan, FaultSpec, chaos
 from repro.parallel import SerialExecutor
 from repro.simulation.columnar import (
-    EV_RESUME_OP,
-    EV_SESSION_END,
-    EV_SESSION_START,
-    EV_WAKE,
+    NONE_TS,
     ORIGIN_MAINTENANCE,
     PH_LOGICAL,
     PH_RESUMED,
+    PH_RESUMING,
+    SPECULATION_S,
     ColumnarRegionEngine,
     ColumnarState,
 )
@@ -49,7 +48,7 @@ from repro.simulation.fleet import (
 )
 from repro.simulation.region import SimulationSettings, simulate_region
 from repro.types import SECONDS_PER_DAY as DAY
-from repro.types import ActivityTrace, Session
+from repro.types import ActivityTrace, PredictedActivity, Session
 from repro.workload.fleetgen import FleetShardSpec
 from repro.workload.regions import RegionPreset, generate_region_traces
 
@@ -88,10 +87,11 @@ def _run_both_engines(traces, policy, config, settings):
 
 def _assert_hot_path_invariant(snapshots):
     """Perf counters are not part of byte-identity (ROADMAP rule 3): the
-    actors never batch, the columnar engine answers some of the same
-    predictions from its settle and bucket batches."""
+    actors never batch; the columnar engine answers every refresh they
+    scanned exactly once, either from a parked answer or by opening a
+    batch."""
     actor, columnar = snapshots["actor"], snapshots["columnar"]
-    assert actor["full_scans"] == columnar["full_scans"] + columnar["cache_hits"]
+    assert actor["full_scans"] == columnar["cache_hits"] + columnar["cache_misses"]
     assert columnar["cache_hits"] <= columnar["batch_databases"]
     assert actor["batch_evals"] == 0
 
@@ -170,7 +170,7 @@ class TestColumnarMatchesActor:
 @pytest.fixture
 def hot_at_loop_entry(monkeypatch):
     """``HOT_PATH`` snapshots taken as each columnar event loop begins,
-    i.e. after the settle batch and before any bucket batch."""
+    i.e. after the settle batch and before any speculation batch."""
     seen = []
     run_until = ColumnarRegionEngine.run_until
 
@@ -183,9 +183,10 @@ def hot_at_loop_entry(monkeypatch):
 
 
 class TestBucketBatchesMatchActor:
-    """A 400-database fleet on a 2-day history puts dozens of refreshes on
-    one instant, so these runs reach the per-bucket ``predict_fleet``
-    batches that the 40-database scenarios above almost never form."""
+    """A 400-database fleet on a 2-day history refreshes hundreds of times
+    in the loop, so these runs reach the speculation batches -- answers
+    computed at one instant and taken at a later one -- far more often
+    than the 40-database scenarios above."""
 
     def _traces(self, seed):
         spec = FleetShardSpec(n_databases=400, span_days=4, seed=seed)
@@ -217,12 +218,30 @@ class TestBucketBatchesMatchActor:
         )
         _assert_ledgers_identical(results, snapshots)
         assert sum(len(o.predictions) for o in results["columnar"].outcomes) > 0
-        # Un-faulted, every parked answer is taken, and the buckets (not
-        # just the settle batch) answered a good share of the refreshes.
+        # Each kernel call of the loop was opened by exactly one refresh
+        # that found no parked answer, none was a scalar scan, and the
+        # speculated answers (not just the settle batch) answered a good
+        # share of the refreshes.
         columnar = snapshots["columnar"]
         [settle] = hot_at_loop_entry
-        assert columnar["cache_hits"] == columnar["batch_databases"]
-        assert columnar["batch_databases"] - settle["batch_databases"] >= 100
+        assert columnar["cache_misses"] == (
+            columnar["batch_evals"] - settle["batch_evals"]
+        )
+        assert columnar["full_scans"] == 0
+        assert columnar["cache_hits"] - settle["cache_hits"] >= 100
+
+    def test_answers_are_taken_at_later_instants(self, taken_answers):
+        """Speculation is not same-instant batching in disguise: most taken
+        answers were computed at an earlier instant than the refresh
+        that took them, and every ledger still equals the actors'."""
+        settings = _region_settings(span_days=4, collect_predictions=True)
+        results, snapshots = _run_both_engines(
+            self._traces(2), "proactive", CONFIG, settings
+        )
+        _assert_ledgers_identical(results, snapshots)
+        later = [entry for entry in taken_answers if entry[1] < entry[2]]
+        assert len(later) >= 300
+        assert all(taken - computed <= SPECULATION_S for _, computed, taken in later)
 
     def test_bucket_batches_under_armed_fault_plan(self):
         traces = self._traces(1)
@@ -244,48 +263,179 @@ class TestBucketBatchesMatchActor:
         _assert_ledgers_identical(results, snapshots)
         assert snapshots["columnar"]["batch_evals"] > 1
 
-    def test_bucket_parks_only_refreshes_that_take_their_answer(self):
-        """Membership cases the fleets above never put on a shared instant
-        (maintenance times are drawn to the second): a bucket parks an
-        answer only for a database whose one event there refreshes."""
-        now, n = 3 * DAY, 9
-        empty = np.zeros(n + 1, dtype=np.int64)
+    def test_speculation_candidates(self):
+        """Membership cases the fleets above rarely produce (maintenance
+        times are drawn to the second): speculation picks exactly the live
+        wakes and the expired logouts of the next hour, past any hold,
+        never the refreshing database itself."""
+        now = 3 * DAY
+        soon, later = now + 600, now + SPECULATION_S + 1
+        # (phase, wake_at, session end, pred_end, maint_until, origin)
+        rows = [
+            (PH_LOGICAL, soon, 0, 0, 0, 0),  # 0: wake -> yes
+            (PH_LOGICAL, soon, 0, 0, 0, ORIGIN_MAINTENANCE),  # 1: closes a hold
+            (PH_LOGICAL, NONE_TS, 0, 0, 0, 0),  # 2: wake cancelled
+            (PH_LOGICAL, soon, 0, 0, soon + 1, 0),  # 3: held past its wake
+            (PH_LOGICAL, later, 0, 0, 0, 0),  # 4: past the horizon
+            (PH_LOGICAL, now, 0, 0, 0, 0),  # 5: queued at this instant -> yes
+            (PH_RESUMED, NONE_TS, soon, 0, 0, 0),  # 6: logout -> yes
+            (PH_RESUMED, NONE_TS, soon, soon, 0, 0),  # 7: prediction live
+            (PH_RESUMED, NONE_TS, later, 0, 0, 0),  # 8: past the horizon
+            (PH_RESUMED, NONE_TS, soon, 0, soon + 1, 0),  # 9: held
+            (PH_RESUMED, NONE_TS, now + SPECULATION_S, 0, 0, 0),  # 10: yes
+            (PH_RESUMED, NONE_TS, soon, 0, 0, 0),  # 11: the refresher
+            (PH_RESUMING, NONE_TS, soon, 0, 0, 0),  # 12: not a logout refresh
+        ]
+        n = len(rows)
+        offsets = np.arange(n + 1, dtype=np.int64)
+        ends = np.array([row[2] for row in rows], dtype=np.int64)
+        no_maintenance = np.zeros(n + 1, dtype=np.int64)
         state = ColumnarState(
-            n, empty, empty[:0], empty[:0], empty, empty[:0], empty[:0],
+            n, offsets, ends - 60, ends,
+            no_maintenance, no_maintenance[:0], no_maintenance[:0],
             np.zeros(n, dtype=np.int64),
         )
-
-        class OldHistory:
+        for d, (phase, wake_at, _, pred_end, maint_until, origin) in enumerate(rows):
+            state.phase[d] = phase
+            state.wake_at[d] = wake_at
+            state.pred_end[d] = pred_end
+            state.maint_until[d] = maint_until
+            state.pause_origin[d] = origin
+        class History:
             def older_than(self, d, history_start):
-                return d != 8
+                return d != 6  # 6: a new database, its refresh never predicts
 
             def login_array(self, d):
                 return np.array([now - DAY + 60 * d], dtype=np.int64)
 
         engine = ColumnarRegionEngine(
             state, proactive=True, config=CONFIG, sim_start=0,
-            sim_end=4 * DAY, acct=None, hist=OldHistory(), meta=None,
+            sim_end=4 * DAY, acct=None, hist=History(), meta=None,
             cluster=None, fast_predictor=FastPredictor(CONFIG),
         )
-        state.phase[:5] = PH_LOGICAL  # 0-4 wake, 5-8 log out
-        state.phase[5:] = PH_RESUMED
-        state.pause_origin[1] = ORIGIN_MAINTENANCE  # closes a maintenance pause
-        state.wake_epoch[2] = 1  # its wake below was cancelled
-        state.maint_until[3] = now + 1  # held by a running operation
-        state.pred_end[6] = now  # prediction still live
-        bucket = [
-            (EV_WAKE, 0, 0), (EV_WAKE, 1, 0), (EV_WAKE, 2, 0), (EV_WAKE, 3, 0),
-            (EV_SESSION_START, 4, 0), (EV_WAKE, 4, 0),  # two events
-            (EV_SESSION_END, 5, 0), (EV_SESSION_END, 6, 0),
-            (EV_SESSION_END, 7, 0), (EV_SESSION_END, 8, 0),  # 8: new database
-            (EV_RESUME_OP, -1, 0),
-        ]
-        assert engine._park_bucket(now, bucket)
-        assert sorted(engine._settled) == [0, 5, 7]
-        engine._settled.clear()
-        engine.prorp_outages = ((now, now + 1),)
-        assert not engine._park_bucket(now, bucket)
-        assert engine._settled == {}
+        members, instants = engine._speculation_candidates(11, now)
+        assert dict(zip(members.tolist(), instants.tolist())) == {
+            0: soon, 5: now, 6: soon, 10: now + SPECULATION_S,
+        }
+        engine.sim_end = now + 900  # 8's logout clips to the end of the run
+        members, instants = engine._speculation_candidates(11, now)
+        assert dict(zip(members.tolist(), instants.tolist())) == {
+            0: soon, 5: now, 6: soon, 8: now + 900, 10: now + 900,
+        }
+        engine.sim_end = 4 * DAY
+        # _speculate drops 6 (history new at its own instant) and 0 (it
+        # holds a valid answer for its wake), then answers 11, 5 and 10.
+        engine._hold(0, soon, CONFIG, PredictedActivity.none())
+        HOT_PATH.reset()
+        engine._speculate(11, now)
+        assert HOT_PATH.batch_evals == 1 and HOT_PATH.batch_databases == 3
+        assert {d: int(state.parked_at[d]) for d in engine._parked} == {
+            0: soon, 5: now, 10: now + SPECULATION_S,
+        }
+
+    def test_a_parked_answer_needs_instant_knobs_and_login_count(self):
+        """A refresh takes a parked answer only when all three match."""
+        n, now = 1, 3 * DAY
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        state = ColumnarState(
+            n, offsets, offsets[:0], offsets[:0], offsets, offsets[:0],
+            offsets[:0], np.zeros(n, dtype=np.int64),
+        )
+
+        class History:
+            def older_than(self, d, history_start):
+                return True
+
+            def login_array(self, d):
+                return np.array([now - DAY + 60], dtype=np.int64)
+
+        engine = ColumnarRegionEngine(
+            state, proactive=True, config=CONFIG, sim_start=0,
+            sim_end=4 * DAY, acct=None, hist=History(), meta=None,
+            cluster=None, fast_predictor=FastPredictor(CONFIG),
+        )
+        truth = FastPredictor(CONFIG).predict([now - DAY + 60], now)
+        bogus = PredictedActivity(start=1, end=2, confidence=1.0)
+        assert bogus != truth
+        other = dataclasses.replace(CONFIG, history_days=3)
+        for at, config, logins_since in (
+            (now - 1, CONFIG, 0), (now, other, 0), (now, CONFIG, 1),
+        ):
+            engine._hold(0, at, config, bogus)
+            state.login_count[0] += logins_since
+            assert engine._predict_sliding(0, CONFIG, now) == truth
+            # dropped, not left behind
+            assert 0 not in engine._parked and state.parked_at[0] == NONE_TS
+        engine._hold(0, now, CONFIG, bogus)
+        assert engine._predict_sliding(0, CONFIG, now) == bogus
+
+
+def _speculation_fleet(extra_login):
+    """Two databases on a 2-day history, evaluated on day 3.  ``b`` logs in
+    at 10:00 and 14:00 each day but skips 14:00 on day 3: its 10:20
+    logout predicts (14:00, 14:00), so it waits in a logical pause for a
+    wake at 14:00.  ``a``'s 13:20 logout misses and speculates that wake.
+    ``extra_login`` puts a login of ``b`` between the two."""
+    hour = 3600
+    a = [Session(day * DAY + 13 * hour + 600, day * DAY + 13 * hour + 1200)
+         for day in range(4)]
+    b = []
+    for day in range(4):
+        b.append(Session(day * DAY + 10 * hour, day * DAY + 10 * hour + 1200))
+        if day < 3:
+            b.append(Session(day * DAY + 14 * hour, day * DAY + 14 * hour + 1200))
+    if extra_login:
+        b.insert(-1, Session(3 * DAY + 13 * hour + 1800, 3 * DAY + 13 * hour + 2400))
+    return [
+        ActivityTrace("a", a, created_at=0),
+        ActivityTrace("b", sorted(b, key=lambda s: s.start), created_at=0),
+    ]
+
+
+@pytest.fixture
+def taken_answers(monkeypatch):
+    """``(database, computed at, taken at)`` of every parked answer a
+    columnar refresh takes."""
+    taken, computed = [], {}
+    park = ColumnarRegionEngine._park
+    predict_sliding = ColumnarRegionEngine._predict_sliding
+
+    def record_park(self, members, config, instants):
+        for d, at in zip(members, instants):
+            computed[(id(self), d)] = self.now
+        return park(self, members, config, instants)
+
+    def record_take(self, d, config, now):
+        hits = HOT_PATH.cache_hits
+        prediction = predict_sliding(self, d, config, now)
+        if HOT_PATH.cache_hits > hits:
+            taken.append((d, computed[(id(self), d)], now))
+        return prediction
+
+    monkeypatch.setattr(ColumnarRegionEngine, "_park", record_park)
+    monkeypatch.setattr(ColumnarRegionEngine, "_predict_sliding", record_take)
+    return taken
+
+
+def test_a_login_between_speculation_and_use_drops_the_answer(taken_answers):
+    """The wake's refresh still comes at 14:00 after ``b``'s extra login
+    (its prediction is live, so the 13:40 logout does not refresh and the
+    pause re-arms the same wake), but the answer parked at 13:20 was
+    computed before that login: it is dropped and rescanned."""
+    settings = _region_settings(span_days=4, collect_predictions=True)
+    wake = 3 * DAY + 14 * 3600
+    snapshots = {}
+    for extra_login in (False, True):
+        taken_answers.clear()
+        results, snapshots[extra_login] = _run_both_engines(
+            _speculation_fleet(extra_login), "proactive", CONFIG, settings
+        )
+        _assert_ledgers_identical(results, snapshots[extra_login])
+        b_wakes = [entry for entry in taken_answers if entry[2] == wake]
+        assert b_wakes == ([] if extra_login else [(1, wake - 2400, wake)])
+    plain, relogged = snapshots[False]["columnar"], snapshots[True]["columnar"]
+    assert relogged["cache_hits"] == plain["cache_hits"] - 1
+    assert relogged["cache_misses"] == plain["cache_misses"] + 1
 
 
 GRID = 15 * 60

@@ -8,6 +8,7 @@ multiprocess chaos sweeps produce identical rows.
 """
 
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.cluster import Cluster
 from repro.config import DEFAULT_CONFIG
@@ -116,6 +117,50 @@ class TestFaultSpec:
             FaultSpec.from_dict({"point": "p", "probabilty": 0.5})
 
 
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+#: A well-typed value per plan field ("bogus" is an unknown field).
+_TYPED = {
+    "point": st.text(max_size=4),
+    "probability": st.floats(min_value=0, max_value=1),
+    "windows": st.lists(
+        st.lists(st.integers(min_value=0, max_value=10), max_size=3),
+        max_size=2,
+    ),
+    "max_fires": st.integers(min_value=-1, max_value=5),
+    "latency_s": st.floats(min_value=0, max_value=5),
+    "bogus": _JSON,
+}
+
+
+@st.composite
+def plan_documents(draw):
+    """JSON documents shaped roughly like fault plans: any value where a
+    field goes, often a well-typed one, plus the odd unknown field or
+    non-object at either level."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(_JSON)
+    specs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            specs.append(draw(_JSON))
+            continue
+        names = draw(st.sets(st.sampled_from(sorted(_TYPED)), max_size=6))
+        specs.append({name: draw(_TYPED[name] | _JSON) for name in names})
+    return {"points": specs}
+
+
 class TestFaultPlan:
     def test_of_and_mapping_surface(self):
         plan = FaultPlan.of(FaultSpec("a"), FaultSpec("b", probability=0.5))
@@ -151,6 +196,22 @@ class TestFaultPlan:
             FaultPlan.load(bad)
         with pytest.raises(FaultPlanError):
             FaultPlan.from_dict({"points": {"a": 1}})
+
+    @pytest.mark.parametrize(
+        "field", [{"windows": 5}, {"probability": "a"}, {"max_fires": "3"}]
+    )
+    def test_mistyped_fields_rejected(self, field):
+        with pytest.raises(FaultPlanError):
+            FaultPlan.from_dict({"points": [{"point": "p", **field}]})
+
+    @hsettings(max_examples=100, deadline=None)
+    @given(doc=plan_documents())
+    def test_only_fault_plan_errors_escape(self, doc):
+        try:
+            plan = FaultPlan.from_dict(doc)
+        except FaultPlanError:
+            return
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,7 @@ def test_cache_is_invisible_end_to_end(seed, variant, plan):
     assert 1 <= batched_hot["cache_hits"] <= batched_hot["batch_databases"]
     assert (
         scanned_hot["full_scans"]
-        == batched_hot["full_scans"] + batched_hot["cache_hits"]
+        == batched_hot["cache_hits"] + batched_hot["cache_misses"]
     )
 
 
@@ -487,12 +487,12 @@ AT_SIM_START = ((SIM_START, SIM_START + 1),)
 def engines_at_loop_entry(monkeypatch):
     """Every columnar engine, with a copy of its settle slots and of the
     hot-path counters, captured as its event loop begins -- i.e. just
-    after the start loop ended, before any bucket batch of the loop."""
+    after the start loop ended, before any speculation batch."""
     seen = []
     run_until = ColumnarRegionEngine.run_until
 
     def probe(self, end):
-        seen.append((self, dict(self._settled), HOT_PATH.snapshot()))
+        seen.append((self, dict(self._parked), HOT_PATH.snapshot()))
         return run_until(self, end)
 
     monkeypatch.setattr(ColumnarRegionEngine, "run_until", probe)
@@ -537,11 +537,11 @@ def test_settle_slots_empty_after_injected_predictor_faults(engines_at_loop_entr
     plan = FaultPlan.of(
         FaultSpec(PREDICTOR_FAULT_POINT, windows=AT_SIM_START, max_fires=3)
     )
-    hot, ledger = _settle_run(plan)
-    [(_, leftover, _)] = engines_at_loop_entry
+    _, ledger = _settle_run(plan)
+    [(_, leftover, settle)] = engines_at_loop_entry
     assert leftover == {}
     assert ledger["fires"] == {PREDICTOR_FAULT_POINT: 3}
-    assert hot["cache_hits"] == hot["batch_databases"] - 3
+    assert settle["cache_hits"] == settle["batch_databases"] - 3
 
 
 def test_settle_slots_empty_under_an_open_breaker(engines_at_loop_entry):
@@ -582,15 +582,15 @@ def test_settle_slots_empty_when_the_bank_skips_the_sliding_arm(
 
 def test_a_settle_answer_is_never_used_after_sim_start(monkeypatch):
     """Slots planted once the start loop is over are never taken: every
-    later prediction is at ``now > sim_start``, and the loop's first
-    bucket batch drops them with its own leftovers when it ends."""
+    later prediction is at ``now > sim_start``, so a refresh pops its
+    planted entry as stale, and the counters match a run without them."""
     bogus = PredictedActivity(start=1, end=2, confidence=1.0)
     planted = []
     run_until = ColumnarRegionEngine.run_until
 
     def plant(self, end):
         for d in range(self.s.n):
-            self._settled[d] = (self.config, bogus)
+            self._hold(d, self.sim_start, self.config, bogus)
         planted.append(self)
         return run_until(self, end)
 
@@ -599,5 +599,6 @@ def test_a_settle_answer_is_never_used_after_sim_start(monkeypatch):
     hot, _ = _settle_run()  # KPIs still equal the actors'
     [engine] = planted
     assert baseline["batch_evals"] > 1  # the loop batched at least once
-    assert engine._settled == {}
+    left = [entry for entry in engine._parked.values() if entry[1] is bogus]
+    assert len(left) < engine.s.n  # refreshes popped some of them
     assert hot == baseline

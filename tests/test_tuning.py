@@ -731,9 +731,9 @@ class TestTuningObservability:
             "tuning_promotions",
             "tuning_demotions",
             "tuning_bank_regret",
-            "tuning_bank_share",
         ):
             assert needle in body
+        assert "tuning_bank_share" not in body  # registered, never set: gone
 
     def test_tuning_slos_fire_on_their_series(self):
         from repro.observability.metrics import MetricsRegistry
