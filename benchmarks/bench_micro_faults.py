@@ -32,7 +32,6 @@ from repro.faults import FAULTS, FaultInjector, FaultPlan, FaultSpec, chaos
 from repro.simulation.actor import PREDICTOR_FAULT_POINT
 from repro.simulation.region import simulate_region
 from repro.sqlengine.engine import EXECUTE_FAULT_POINT
-from repro.storage.durability import CORRUPT_FAULT_POINT, RESTORE_FAULT_POINT
 from repro.workload.regions import RegionPreset
 
 #: Every fault point the codebase consults (docs/resilience.md catalog).
@@ -42,8 +41,6 @@ ALL_FAULT_POINTS = (
     SCAN_FAULT_POINT,
     PREDICTOR_FAULT_POINT,
     LATENCY_FAULT_POINT,
-    CORRUPT_FAULT_POINT,
-    RESTORE_FAULT_POINT,
     EXECUTE_FAULT_POINT,
     "cluster.node.crash",
     # The controlplane.wal.* family is consulted by WriteAheadLog.append,

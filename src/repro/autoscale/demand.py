@@ -39,12 +39,6 @@ class CapacityTrace:
     def end(self) -> int:
         return self.start + len(self.levels) * self.slot_s
 
-    def level_at(self, t: int) -> int:
-        """Demanded cores at time ``t`` (0 outside the trace)."""
-        if t < self.start or t >= self.end:
-            return 0
-        return int(self.levels[(t - self.start) // self.slot_s])
-
     def slot_index(self, t: int) -> int:
         return (t - self.start) // self.slot_s
 
@@ -55,10 +49,6 @@ class CapacityTrace:
         if lo < 0 or hi > len(self.levels):
             raise TraceError("window outside the capacity trace")
         return self.levels[lo:hi]
-
-    def core_seconds(self) -> int:
-        """Total demanded core-seconds."""
-        return int(self.levels.sum()) * self.slot_s
 
 
 def capacity_from_activity(

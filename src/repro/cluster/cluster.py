@@ -60,10 +60,6 @@ class Cluster:
         self.moves = 0
 
     @property
-    def total_capacity(self) -> int:
-        return sum(node.capacity for node in self.nodes)
-
-    @property
     def total_allocated(self) -> int:
         return sum(len(node.allocated) for node in self.nodes)
 

@@ -9,11 +9,10 @@ replays only the WAL suffix past its LSN.
 
 Checkpoints are written crash-safely (same-directory temp file + fsync +
 atomic rename, :mod:`repro.storage.atomic`) and carry a whole-document
-crc32 through the same sealed-document codec as the history snapshots
-of :mod:`repro.storage.durability`.  A corrupt checkpoint is skipped in
-favour of the previous one -- the two newest are retained for exactly
-that fallback -- degrading recovery to a longer replay, never to data
-loss.
+crc32 through the sealed-document codec of the same module.  A corrupt
+checkpoint is skipped in favour of the previous one -- the two newest are
+retained for exactly that fallback -- degrading recovery to a longer
+replay, never to data loss.
 """
 
 from __future__ import annotations

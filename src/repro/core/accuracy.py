@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.stats import percentile
 from repro.simulation.results import DatabaseOutcome
@@ -110,22 +110,3 @@ def evaluate_predictions(
         else:
             report.true_quiet += 1
     return report
-
-
-def evaluate_fleet_predictions(
-    outcomes: Sequence[DatabaseOutcome],
-    traces: Sequence[ActivityTrace],
-    horizon_s: int,
-    tolerance_s: int = DEFAULT_TOLERANCE_S,
-) -> AccuracyReport:
-    """Fleet-wide accuracy: the union of every database's report."""
-    by_id: Dict[str, ActivityTrace] = {t.database_id: t for t in traces}
-    fleet = AccuracyReport()
-    for outcome in outcomes:
-        trace = by_id.get(outcome.database_id)
-        if trace is None:
-            continue
-        fleet.merge(
-            evaluate_predictions(outcome, trace, horizon_s, tolerance_s)
-        )
-    return fleet

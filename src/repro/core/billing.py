@@ -40,12 +40,6 @@ class BillingReport:
             return 0.0
         return self.customer_billed_s / self.provider_allocated_s
 
-    @property
-    def unbilled_fraction(self) -> float:
-        if self.provider_allocated_s == 0:
-            return 0.0
-        return self.unbilled_idle_s / self.provider_allocated_s
-
 
 def billing_report(kpis: KpiReport) -> BillingReport:
     """Derive the billing view from the Section 8 KPI accounting.

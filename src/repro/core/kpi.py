@@ -42,15 +42,6 @@ class LoginStats:
         """Figure 6(a)/7(a): % of logins with resources available."""
         return _percent(self.with_resources, self.total)
 
-    @property
-    def reactive_percent(self) -> float:
-        return _percent(self.reactive, self.total)
-
-    @property
-    def fault_affected_percent(self) -> float:
-        """% of first logins degraded by faults rather than by the policy."""
-        return _percent(self.reactive_faulted, self.total)
-
 
 @dataclass(frozen=True)
 class IdleBreakdown:
@@ -139,18 +130,6 @@ class KpiReport:
     @property
     def unavailable_percent(self) -> float:
         return _percent(self.unavailable_s, self.fleet_seconds)
-
-    @property
-    def used_percent(self) -> float:
-        return _percent(self.used_s, self.fleet_seconds)
-
-    @property
-    def saved_percent(self) -> float:
-        return _percent(self.saved_s, self.fleet_seconds)
-
-    @property
-    def maintenance_percent(self) -> float:
-        return _percent(self.maintenance_s, self.fleet_seconds)
 
     def accounted_seconds(self) -> int:
         """used + saved + idle + unavailable (+ maintenance-held time):

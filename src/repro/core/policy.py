@@ -130,11 +130,6 @@ def decide_after_logical_pause(
     return _record_decision("after_logical_pause", IdleDecision.LOGICAL_PAUSE)
 
 
-def reactive_idle_decision() -> IdleDecision:
-    """The reactive policy (Section 2.2) always logically pauses on idle."""
-    return IdleDecision.LOGICAL_PAUSE
-
-
 def reactive_wake_time(pause_start: int, logical_pause_s: int) -> int:
     """Reactive logical pauses always last exactly ``l``."""
     return pause_start + logical_pause_s

@@ -41,12 +41,6 @@ class SeasonalityDiagnosis:
     observed_days: int
     weekday_concentration: float
 
-    @property
-    def activity_density(self) -> float:
-        if self.observed_days == 0:
-            return 0.0
-        return self.active_days / self.observed_days
-
 
 def detect_seasonality(
     logins: Sequence[int], now: int, history_days: int

@@ -128,9 +128,6 @@ class Deadline:
         self._clock = clock
         self._expires_at = clock() + budget_s
 
-    def remaining_s(self) -> float:
-        return max(0.0, self._expires_at - self._clock())
-
     @property
     def expired(self) -> bool:
         return self._clock() >= self._expires_at
@@ -238,11 +235,3 @@ class CircuitBreaker:
             and self._consecutive_failures >= self._failure_threshold
         ):
             self._transition(BreakerState.OPEN, now)
-
-    def tripped(self, now: int) -> bool:
-        """True while calls are being refused (OPEN inside recovery)."""
-        return (
-            self._state is BreakerState.OPEN
-            and self._opened_at is not None
-            and now - self._opened_at < self._recovery_s
-        )

@@ -183,9 +183,6 @@ class AlertLedger:
     def is_firing(self, name: str) -> bool:
         return name in self._active
 
-    def events_for(self, name: str) -> List[AlertEvent]:
-        return [e for e in self.events if e.name == name]
-
     def first_time(self, name: str, state: str) -> Optional[float]:
         for event in self.events:
             if event.name == name and event.state == state:

@@ -103,9 +103,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, next(self._sequence), None, action))
         self._live += 1
 
-    def schedule_after(self, delay: int, action: Action) -> Timer:
-        return self.schedule(self._now + delay, action)
-
     def _dispatch(self, time: int, action: Action) -> None:
         """Execute one popped event, tracing it when observability is on.
 

@@ -1,11 +1,10 @@
 """Crash-safe file replacement: temp file + fsync + atomic rename.
 
-Both durability layers (history snapshots, control-plane checkpoints)
-persist whole documents that a reader must see either entirely or not at
-all.  A naive ``write_text`` truncates the destination first, so a crash
-mid-write leaves a half-written file that the read path then rejects as
-corrupt -- losing the previous good copy.  The standard fix, implemented
-here once:
+Control-plane checkpoints are whole documents that a reader must see
+either entirely or not at all.  A naive ``write_text`` truncates the
+destination first, so a crash mid-write leaves a half-written file that
+the read path then rejects as corrupt -- losing the previous good copy.
+The standard fix, implemented here once:
 
 1. write the new bytes to a temporary file *in the same directory* (so
    the final rename never crosses a filesystem boundary);
@@ -20,7 +19,7 @@ A crash at any step leaves the destination untouched; the stray temp
 file, when one survives, is ignored by readers and overwritten by the
 next attempt.
 
-Both layers also share one checksummed document codec:
+Checkpoints also go through one checksummed document codec:
 :func:`seal_document` stamps a JSON object with ``file_checksum``, the
 crc32 of every other field as compact sorted-key JSON, and
 :func:`read_sealed_document` parses a file back and checks it is an

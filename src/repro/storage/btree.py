@@ -425,10 +425,6 @@ class BTree(Generic[K, V]):
             node.children[stop], lo, hi, include_lo, include_hi
         )
 
-    def range_count(self, lo: Optional[K] = None, hi: Optional[K] = None) -> int:
-        """Number of keys in the inclusive range [lo, hi]."""
-        return sum(1 for _ in self.range_items(lo, hi))
-
     def delete_range(
         self,
         lo: Optional[K] = None,

@@ -52,15 +52,3 @@ class Database:
                 f"no table {name!r} in database {self.name!r} "
                 f"(have: {self.table_names})"
             ) from None
-
-    def drop_table(self, name: str) -> None:
-        """Drop a table; raises :class:`TableNotFoundError` if absent."""
-        if name not in self._tables:
-            raise TableNotFoundError(
-                f"no table {name!r} in database {self.name!r}"
-            )
-        del self._tables[name]
-
-    def total_size_bytes(self) -> int:
-        """Logical size of all tables (used for Figure 10(b))."""
-        return sum(table.size_bytes() for table in self._tables.values())

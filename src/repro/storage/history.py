@@ -244,13 +244,6 @@ class HistoryStore:
             self._login_dirty = False
         return self._login_buf[: self._login_len]
 
-    def events_in_range(self, lo: int, hi: int) -> List[HistoryEvent]:
-        """All events with ``lo <= time_snapshot <= hi`` in time order."""
-        return [
-            HistoryEvent(row["time_snapshot"], EventType(row["event_type"]))
-            for row in self._table.key_range(lo, hi)
-        ]
-
     def all_events(self) -> List[HistoryEvent]:
         """Every stored event in time order."""
         return [

@@ -144,17 +144,3 @@ class MetadataStore:
             if row["state"] == DatabaseState.PHYSICAL_PAUSE.value:
                 selected.append(row["database_id"])
         return selected
-
-    def databases_in_state(self, state: DatabaseState) -> List[str]:
-        """All database ids currently in ``state`` (diagnostics runner)."""
-        return [
-            row["database_id"]
-            for row in self._table.scan(lambda r: r["state"] == state.value)
-        ]
-
-    def state_counts(self) -> dict:
-        """Histogram of lifecycle states over the region."""
-        counts = {state: 0 for state in DatabaseState}
-        for row in self._table.scan():
-            counts[DatabaseState(row["state"])] += 1
-        return counts

@@ -157,18 +157,6 @@ class Table:
             self._remove_from_secondary(pk, values)
         return len(doomed)
 
-    def delete_where(self, predicate: Predicate) -> int:
-        """Delete rows matching an arbitrary predicate (full scan)."""
-        doomed = [
-            (pk, values)
-            for pk, values in self._clustered.items()
-            if predicate(self.schema.row_to_dict(values))
-        ]
-        for pk, values in doomed:
-            self._clustered.delete(pk)
-            self._remove_from_secondary(pk, values)
-        return len(doomed)
-
     def update_by_key(self, pk: Any, changes: Row) -> bool:
         """Update non-key columns of the row with primary key ``pk``."""
         if self.schema.primary_key in changes:
@@ -249,9 +237,6 @@ class Table:
 
     def max_key(self) -> Optional[Any]:
         return self._clustered.max_key()
-
-    def count_key_range(self, lo: Optional[Any] = None, hi: Optional[Any] = None) -> int:
-        return self._clustered.range_count(lo, hi)
 
 
 class _Extreme:

@@ -71,17 +71,3 @@ def rank_knobs(
         )
     impacts.sort(key=lambda k: k.impact, reverse=True)
     return impacts
-
-
-def select_knobs(
-    pipeline: TrainingPipeline,
-    base: ProRPConfig,
-    candidates: Dict[str, Sequence[Any]],
-    top_k: int = 2,
-) -> List[str]:
-    """The names of the ``top_k`` most impactful knobs -- what the full
-    grid sweep should vary (the paper's production pick, window size and
-    confidence, are exactly the ones this returns on its fleets)."""
-    if top_k <= 0:
-        raise ConfigError("top_k must be positive")
-    return [impact.knob for impact in rank_knobs(pipeline, base, candidates)[:top_k]]

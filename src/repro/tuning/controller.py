@@ -168,10 +168,6 @@ class OnlineKnobTuner:
         return self._state.active
 
     @property
-    def active_config(self) -> ProRPConfig:
-        return self.candidates[self._state.active]
-
-    @property
     def alive_indices(self) -> Tuple[int, ...]:
         return tuple(self._state.alive)
 

@@ -8,16 +8,7 @@ from typing import Callable, List, Tuple
 
 from repro.errors import TraceError
 from repro.types import SECONDS_PER_DAY, ActivityTrace
-from repro.workload.archetypes import (
-    Archetype,
-    BurstyDev,
-    DailyBusinessHours,
-    Dormant,
-    NightlyJob,
-    Sporadic,
-    Stable,
-    WeeklyBatch,
-)
+from repro.workload.archetypes import Archetype
 
 DAY = SECONDS_PER_DAY
 
@@ -56,56 +47,6 @@ class FleetSpec:
                 return name, factory(rng)
         name, _, factory = self.mixture[-1]
         return name, factory(rng)
-
-
-def default_spec() -> FleetSpec:
-    """A generic serverless fleet: dominated by rarely-used databases, with
-    meaningful daily/nightly/weekly pattern populations (Section 1)."""
-    return FleetSpec(
-        mixture=(
-            ("sporadic", 0.28, lambda r: Sporadic(
-                days_between_sessions=r.uniform(3.0, 9.0),
-                session_minutes=r.uniform(20, 90),
-                sessions_per_episode=3,
-            )),
-            ("dormant", 0.22, lambda r: Dormant(
-                days_between_sessions=r.uniform(8.0, 21.0),
-                session_minutes=r.uniform(10, 60),
-            )),
-            ("bursty_dev", 0.14, lambda r: BurstyDev(
-                days_between_episodes=r.uniform(1.5, 4.0),
-                sessions_per_episode=4,
-                preferred_hour=r.uniform(8.0, 20.0),
-                session_minutes=r.uniform(20, 60),
-            )),
-            ("daily", 0.20, lambda r: DailyBusinessHours(
-                workday_start_h=r.uniform(7.5, 10.0),
-                workday_end_h=r.uniform(16.0, 19.0),
-                breaks_per_day=r.uniform(4.0, 7.0),
-                start_jitter_min=r.uniform(30.0, 60.0),
-                weekdays_only=r.random() < 0.45,
-            )),
-            ("nightly", 0.07, lambda r: NightlyJob(
-                job_hour=r.uniform(0.0, 5.0),
-                duration_min=r.uniform(20, 90),
-            )),
-            ("chatty", 0.01, lambda r: DailyBusinessHours(
-                workday_start_h=7.0 + r.uniform(-1, 1),
-                workday_end_h=22.0 + r.uniform(-1, 1),
-                breaks_per_day=r.uniform(30, 80),
-                break_minutes=r.uniform(3, 8),
-                weekdays_only=False,
-                skip_day_probability=0.0,
-            )),
-            ("weekly", 0.04, lambda r: WeeklyBatch(
-                weekday=r.randrange(7),
-                start_hour=r.uniform(1.0, 22.0),
-                duration_h=r.uniform(1.0, 5.0),
-            )),
-            ("stable", 0.04, lambda r: Stable()),
-        ),
-        new_database_fraction=0.05,
-    )
 
 
 def generate_fleet(

@@ -43,19 +43,6 @@ class IdleIntervalStats:
             return 0.0
         return sum(d for d in self.durations if d < threshold_s) / total
 
-    def cdf_points(
-        self, thresholds_s: Sequence[int]
-    ) -> List[Tuple[int, float, float]]:
-        """(threshold, count CDF, duration CDF) rows for the Figure 3 pair."""
-        return [
-            (
-                t,
-                self.fraction_of_count_below(t),
-                self.fraction_of_duration_below(t),
-            )
-            for t in thresholds_s
-        ]
-
 
 def idle_interval_stats(
     traces: Sequence[ActivityTrace],

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.accuracy import (
-    AccuracyReport,
-    evaluate_fleet_predictions,
-    evaluate_predictions,
-)
+from repro.core.accuracy import AccuracyReport, evaluate_predictions
 from repro.simulation import SimulationSettings, simulate_region
 from repro.simulation.results import DatabaseOutcome
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR, ActivityTrace, Session
@@ -108,9 +104,7 @@ class TestEndToEnd:
             collect_predictions=True,
         )
         result = simulate_region([trace], "proactive", settings=settings)
-        report = evaluate_fleet_predictions(
-            result.outcomes, [trace], horizon_s=DAY
-        )
+        report = evaluate_predictions(result.outcomes[0], trace, horizon_s=DAY)
         assert report.hits >= 1
         assert report.misses == 0
         assert report.false_alarms == 0
@@ -131,7 +125,12 @@ class TestEndToEnd:
             eval_start=30 * DAY, eval_end=31 * DAY, collect_predictions=True
         )
         result = simulate_region(traces, "proactive", settings=settings)
-        report = evaluate_fleet_predictions(result.outcomes, traces, horizon_s=DAY)
+        by_id = {t.database_id: t for t in traces}
+        report = AccuracyReport()
+        for outcome in result.outcomes:
+            report.merge(
+                evaluate_predictions(outcome, by_id[outcome.database_id], DAY)
+            )
         assert report.total > 0
         # The mixture contains predictable and unpredictable databases:
         # both sides of the confusion matrix are populated.

@@ -37,12 +37,10 @@ class TestBillingReport:
     def test_efficiency(self):
         report = billing_report(make_kpis(used=900, idle=100))
         assert report.allocation_efficiency == pytest.approx(0.9)
-        assert report.unbilled_fraction == pytest.approx(0.1)
 
     def test_zero_allocation(self):
         report = billing_report(make_kpis(used=0, idle=0, unavailable=0))
         assert report.allocation_efficiency == 0.0
-        assert report.unbilled_fraction == 0.0
 
     def test_optimal_policy_bills_everything(self):
         trace = ActivityTrace(

@@ -35,7 +35,6 @@ class TestLoginStats:
         stats = LoginStats(with_resources=80, reactive=20)
         assert stats.total == 100
         assert stats.qos_percent == 80.0
-        assert stats.reactive_percent == 20.0
 
     def test_no_logins_yields_zero(self):
         assert LoginStats().qos_percent == 0.0

@@ -14,7 +14,6 @@ from repro.core.policy import (
     decide_on_idle,
     logical_pause_wake_time,
     prediction_expired,
-    reactive_idle_decision,
     reactive_wake_time,
 )
 from repro.errors import SimulationError
@@ -188,9 +187,6 @@ class TestDecideAfterLogicalPause:
 
 
 class TestReactiveHelpers:
-    def test_reactive_always_logical_first(self):
-        assert reactive_idle_decision() is IdleDecision.LOGICAL_PAUSE
-
     def test_reactive_wake_is_pause_plus_l(self):
         assert reactive_wake_time(100, L) == 100 + L
 

@@ -17,7 +17,7 @@ class TestDetection:
         logins = [d * DAY + 9 * HOUR for d in range(28)]
         diagnosis = detect_seasonality(logins, now=28 * DAY, history_days=28)
         assert diagnosis.seasonality is Seasonality.DAILY
-        assert diagnosis.activity_density == 1.0
+        assert diagnosis.active_days == diagnosis.observed_days
 
     def test_weekly_pattern_detected_weekly(self):
         logins = [week * 7 * DAY + 9 * HOUR for week in range(4)]

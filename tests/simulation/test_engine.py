@@ -68,13 +68,6 @@ class TestEventQueue:
         queue.run_until(100)
         assert log == [10, 20, 30]
 
-    def test_schedule_after(self):
-        queue = EventQueue(start=100)
-        log = []
-        queue.schedule_after(5, lambda t: log.append(t))
-        queue.run_until(200)
-        assert log == [105]
-
     def test_run_all(self):
         queue = EventQueue()
         log = []

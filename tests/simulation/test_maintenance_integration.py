@@ -80,7 +80,10 @@ class TestMaintenanceResume:
         sys.pause_resume_history."""
         maintenance = [Session(29 * DAY + 2 * HOUR, 29 * DAY + 2 * HOUR + 1800)]
         actor, _ = run_single(daily_trace(), maintenance, "proactive")
-        events = actor.history.events_in_range(29 * DAY, 30 * DAY)
+        events = [
+            e for e in actor.history.all_events()
+            if 29 * DAY <= e.time_snapshot <= 30 * DAY
+        ]
         assert all(
             e.time_snapshot not in (29 * DAY + 2 * HOUR,) for e in events
         )

@@ -171,17 +171,12 @@ class TestRangeOperations:
         assert list(tree.range_items(11, 19)) == []
         assert list(tree.range_items(40, 50)) == []
 
-    def test_range_count(self):
-        tree = self._tree(range(100))
-        assert tree.range_count(10, 19) == 10
-        assert tree.range_count() == 100
-
     def test_delete_range(self):
         tree = self._tree(range(100))
         deleted = tree.delete_range(10, 19)
         assert deleted == 10
         assert len(tree) == 90
-        assert tree.range_count(10, 19) == 0
+        assert list(tree.range_items(10, 19)) == []
         tree.check_invariants()
 
     def test_delete_range_exclusive(self):

@@ -149,13 +149,6 @@ class TestQueries:
         store.insert_history(20, EventType.ACTIVITY_START)
         assert store.first_last_login(10, 20) == (10, 20)
 
-    def test_events_in_range(self):
-        store = HistoryStore()
-        for t in [5, 15, 25]:
-            store.insert_history(t, EventType.ACTIVITY_START)
-        events = store.events_in_range(10, 30)
-        assert [e.time_snapshot for e in events] == [15, 25]
-
     def test_size_bytes_paper_accounting(self):
         """Two 64-bit integers per tuple (Section 9.3)."""
         store = HistoryStore()

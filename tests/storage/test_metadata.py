@@ -77,16 +77,6 @@ class TestStateTransitions:
         store.set_node("db-1", "node-b")
         assert store.get("db-1").node_id == "node-b"
 
-    def test_state_counts(self):
-        store = MetadataStore()
-        store.register("a")
-        store.register("b")
-        store.register("c")
-        store.record_physical_pause("c", 100)
-        counts = store.state_counts()
-        assert counts[DatabaseState.RESUMED] == 2
-        assert counts[DatabaseState.PHYSICAL_PAUSE] == 1
-
 
 class TestPrewarmScan:
     """The SELECT of Algorithm 5: physically paused databases whose
@@ -130,11 +120,6 @@ class TestPrewarmScan:
         store, now, k = self._store()
         selected = store.databases_to_prewarm(now, k, 2 * MIN)
         assert "too-late" in selected
-
-    def test_databases_in_state(self):
-        store, _, __ = self._store()
-        assert len(store.databases_in_state(DatabaseState.PHYSICAL_PAUSE)) == 5
-        assert store.databases_in_state(DatabaseState.RESUMED) == []
 
 
 _ids = st.sampled_from(["a", "b", "c", "d", "e"])

@@ -148,13 +148,6 @@ class TestTable:
         assert deleted == 3
         assert [r["id"] for r in table.scan()] == [0, 1, 2, 6, 7, 8, 9]
 
-    def test_delete_where(self):
-        table = Table(users_schema())
-        for i in range(6):
-            table.insert({"id": i, "name": "x" if i < 3 else "y"})
-        assert table.delete_where(lambda r: r["name"] == "x") == 3
-        assert len(table) == 3
-
     def test_update_by_key(self):
         table = Table(users_schema())
         table.insert({"id": 1, "name": "a", "score": 1.0})

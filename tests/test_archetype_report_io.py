@@ -1,5 +1,9 @@
 """Tests for the per-archetype KPI breakdown and trace import/export."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +16,39 @@ from repro.errors import TraceError
 from repro.simulation import SimulationSettings, simulate_region
 from repro.types import SECONDS_PER_DAY, ActivityTrace, Session
 from repro.workload import RegionPreset, generate_region_traces
-from repro.workload.io import export_traces, import_traces, trace_from_dict
+from repro.workload.io import (
+    export_traces,
+    import_traces,
+    trace_from_dict,
+    trace_to_dict,
+)
 
 DAY = SECONDS_PER_DAY
+
+# Any JSON value, and record dicts whose fields are either well-typed or
+# an arbitrary JSON value (the shapes a foreign trace file can hold).
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_bound = st.integers(min_value=0, max_value=10_000) | _json
+_records = st.fixed_dictionaries(
+    {
+        "database_id": st.text(max_size=4) | _json,
+        "sessions": st.lists(
+            st.lists(_bound, min_size=2, max_size=2), max_size=4
+        ) | _json,
+    },
+    optional={"created_at": _bound},
+)
+_files = (
+    st.binary(max_size=80)
+    | st.lists(_records, max_size=3).map(
+        lambda records: "\n".join(json.dumps(r) for r in records).encode()
+    )
+)
 
 
 class TestArchetypeParsing:
@@ -89,10 +123,23 @@ class TestTraceIo:
         assert ":2:" in str(exc.value)
 
     def test_malformed_record_rejected(self):
-        with pytest.raises(TraceError):
-            trace_from_dict({"sessions": [[0, 10]]})
-        with pytest.raises(TraceError):
-            trace_from_dict({"database_id": "x", "sessions": [[10]]})
+        for record in (
+            {"sessions": [[0, 10]]},
+            {"database_id": "x", "sessions": [[10]]},
+            {"database_id": "x", "created_at": "abc", "sessions": []},
+            {"database_id": "x", "created_at": [1], "sessions": []},
+            {"database_id": "x", "created_at": True, "sessions": []},
+            {"database_id": ["x"], "sessions": []},
+            {"database_id": "x", "sessions": [[1.7, 2.2]]},
+        ):
+            with pytest.raises(TraceError):
+                trace_from_dict(record)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"database_id": "caf\xe9", "sessions": []}\n')
+        with pytest.raises(TraceError, match="UTF-8"):
+            import_traces(path)
 
     def test_overlapping_sessions_rejected(self, tmp_path):
         path = tmp_path / "overlap.jsonl"
@@ -128,10 +175,39 @@ class TestTraceIo:
     )
     def test_fuzz_round_trip(self, raw):
         from repro.types import merge_sessions
-        from repro.workload.io import trace_to_dict
 
         sessions = merge_sessions(Session(s, s + d) for s, d in raw)
         trace = ActivityTrace("fuzz", sessions)
         restored = trace_from_dict(trace_to_dict(trace))
         assert restored.sessions == trace.sessions
         assert restored.created_at == trace.created_at
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records)
+    def test_any_record_is_a_trace_or_a_trace_error(self, record):
+        """A foreign record either validates or raises ``TraceError`` --
+        never a raw ``TypeError`` -- and an accepted one round-trips."""
+        try:
+            trace = trace_from_dict(record)
+        except TraceError:
+            return
+        out = trace_to_dict(trace)
+        assert out["database_id"] == record["database_id"]
+        assert out["sessions"] == record["sessions"]
+        if record.get("created_at") is not None:
+            assert out["created_at"] == record["created_at"]
+        assert trace_to_dict(trace_from_dict(out)) == out
+
+    @settings(max_examples=100, deadline=None)
+    @given(_files)
+    def test_any_file_is_traces_or_a_trace_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fleet.jsonl"
+            path.write_bytes(raw)
+            try:
+                traces = import_traces(path)
+            except TraceError:
+                return
+            export_traces(traces, path)
+            again = import_traces(path)
+        assert [trace_to_dict(t) for t in again] == [trace_to_dict(t) for t in traces]

@@ -23,14 +23,6 @@ def flat_trace(levels):
 
 
 class TestCapacityTrace:
-    def test_level_at(self):
-        trace = flat_trace([0, 2, 5])
-        assert trace.level_at(0) == 0
-        assert trace.level_at(SLOT) == 2
-        assert trace.level_at(2 * SLOT + 10) == 5
-        assert trace.level_at(-1) == 0
-        assert trace.level_at(3 * SLOT) == 0
-
     def test_negative_levels_rejected(self):
         with pytest.raises(TraceError):
             flat_trace([-1])
@@ -43,9 +35,6 @@ class TestCapacityTrace:
         with pytest.raises(TraceError):
             flat_trace([1]).window(0, 5 * SLOT)
 
-    def test_core_seconds(self):
-        assert flat_trace([1, 3]).core_seconds() == 4 * SLOT
-
 
 class TestCapacityFromActivity:
     def _activity(self):
@@ -56,14 +45,14 @@ class TestCapacityFromActivity:
 
     def test_demand_zero_outside_sessions(self):
         trace = capacity_from_activity(self._activity(), span_end=30 * DAY)
-        assert trace.level_at(5 * DAY + 3 * HOUR) == 0
-        assert trace.level_at(5 * DAY + 12 * HOUR) >= 1
+        assert trace.levels[trace.slot_index(5 * DAY + 3 * HOUR)] == 0
+        assert trace.levels[trace.slot_index(5 * DAY + 12 * HOUR)] >= 1
 
     def test_binary_projection_matches_activity(self):
         activity = self._activity()
         trace = capacity_from_activity(activity, span_end=30 * DAY)
         for t in range(0, 3 * DAY, 2 * HOUR):
-            assert (trace.level_at(t) > 0) == bool(activity.demand_at(t))
+            assert (trace.levels[trace.slot_index(t)] > 0) == bool(activity.demand_at(t))
 
     def test_bounded_by_max_vcores(self):
         trace = capacity_from_activity(self._activity(), span_end=30 * DAY, max_vcores=4)

@@ -25,6 +25,7 @@ from repro.controlplane import (
     WorkflowState,
 )
 from repro.controlplane.durability import (
+    CHECKPOINT_VERSION,
     CORRUPT_FAULT_POINT,
     CRASH_FAULT_POINT,
     TORN_FAULT_POINT,
@@ -47,6 +48,7 @@ from repro.errors import (
 from repro.experiments.crash_recovery import _drive
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, chaos
 from repro.faults.runtime import FAULTS
+from repro.storage.atomic import read_sealed_document
 
 RECORDS = [
     {"type": "submitted", "wf": 0, "kind": "proactive_resume", "db": "db-0",
@@ -235,6 +237,88 @@ class TestCheckpoints:
         document, skipped = load_latest_checkpoint(tmp_path)
         assert document["last_lsn"] == 10
         assert skipped == 1
+
+
+class TestCheckpointByteFlips:
+    """The sealed-document codec (``repro.storage.atomic``) must catch
+    every single-byte corruption of a persisted checkpoint: flip any byte,
+    and the read either raises ``WalError`` or -- for flips that do not
+    survive JSON canonicalization, e.g. whitespace-to-whitespace --
+    parses back to exactly the original document."""
+
+    def _written(self, tmp_path):
+        path = write_checkpoint(tmp_path, TestCheckpoints.STATE, last_lsn=17)
+        original = read_sealed_document(path, CHECKPOINT_VERSION, WalError)
+        return original, path, path.read_bytes()
+
+    def _read(self, path):
+        return read_sealed_document(path, CHECKPOINT_VERSION, WalError)
+
+    def test_every_position_low_bit_flip_caught(self, tmp_path):
+        original, path, raw = self._written(tmp_path)
+        undetected = []
+        for i in range(len(raw)):
+            corrupt = bytearray(raw)
+            corrupt[i] ^= 0x01
+            path.write_bytes(bytes(corrupt))
+            try:
+                loaded = self._read(path)
+            except WalError:
+                continue
+            if loaded != original:
+                undetected.append(i)
+        assert undetected == [], (
+            f"byte flips at {undetected} yielded a wrong checkpoint "
+            "without a WalError"
+        )
+
+    def test_sampled_byte_and_mask_flips_caught(self, tmp_path):
+        original, path, raw = self._written(tmp_path)
+        rng = random.Random(20240806)
+        for _ in range(300):
+            position, mask = rng.randrange(len(raw)), rng.randrange(1, 256)
+            corrupt = bytearray(raw)
+            corrupt[position] ^= mask
+            path.write_bytes(bytes(corrupt))
+            try:
+                loaded = self._read(path)
+            except WalError:
+                continue
+            assert loaded == original, (
+                f"flip at byte {position} with mask {mask:#x} went undetected"
+            )
+
+
+class TestCheckpointCrash:
+    """Crashing partway through ``write_checkpoint`` must never destroy
+    the previous good document under the same name: the new bytes go to
+    a temp file and only an atomic rename makes them visible, so an
+    interruption at any step leaves the destination readable and equal
+    to the old document, with no stray temp file."""
+
+    NEWER = {"config": {"seed": 0}, "next_id": 4, "workflows": [[1, 2]]}
+
+    def _crash_rewrite(self, tmp_path, monkeypatch, name, crash):
+        path = write_checkpoint(tmp_path, TestCheckpoints.STATE, last_lsn=17)
+        original = read_sealed_document(path, CHECKPOINT_VERSION, WalError)
+        monkeypatch.setattr(f"repro.storage.atomic.os.{name}", crash)
+        with pytest.raises(OSError):
+            write_checkpoint(tmp_path, self.NEWER, last_lsn=17)
+        monkeypatch.undo()
+        assert read_sealed_document(path, CHECKPOINT_VERSION, WalError) == original
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_crash_before_rename_keeps_old(self, tmp_path, monkeypatch):
+        def killed_replace(src, dst):
+            raise OSError("injected: process died before the rename")
+
+        self._crash_rewrite(tmp_path, monkeypatch, "replace", killed_replace)
+
+    def test_crash_in_fsync_keeps_old(self, tmp_path, monkeypatch):
+        def killed_fsync(fd):
+            raise OSError("injected: device lost before flush completed")
+
+        self._crash_rewrite(tmp_path, monkeypatch, "fsync", killed_fsync)
 
 
 # ----------------------------------------------------------------------

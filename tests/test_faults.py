@@ -49,17 +49,7 @@ from repro.simulation.actor import PREDICTOR_FAULT_POINT
 from repro.simulation.region import simulate_region
 from repro.sqlengine.engine import EXECUTE_FAULT_POINT, SqlEngine
 from repro.storage.database import Database
-from repro.storage.durability import (
-    CORRUPT_FAULT_POINT,
-    RESTORE_FAULT_POINT,
-    read_snapshot,
-    restore_history,
-    snapshot_history,
-    write_snapshot,
-)
-from repro.storage.history import HistoryStore
 from repro.storage.metadata import MetadataStore
-from repro.types import EventType
 from repro.workload.regions import RegionPreset
 
 
@@ -389,7 +379,6 @@ class TestDeadline:
     def test_expires_on_injected_clock(self):
         t = {"now": 0.0}
         deadline = Deadline(10.0, clock=lambda: t["now"])
-        assert deadline.remaining_s() == 10.0
         deadline.check()
         t["now"] = 10.0
         assert deadline.expired
@@ -407,7 +396,6 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.OPEN
         assert breaker.opens == 1
         assert not breaker.allow(50)
-        assert breaker.tripped(50)
 
     def test_success_resets_failure_streak(self):
         breaker = CircuitBreaker(failure_threshold=2)
@@ -475,13 +463,6 @@ class TestRuntime:
 # ---------------------------------------------------------------------------
 
 
-def _history_with_events():
-    store = HistoryStore()
-    store.insert_history(0, EventType.ACTIVITY_START)
-    store.insert_history(3600, EventType.ACTIVITY_END)
-    return store
-
-
 class TestInjectionSites:
     def test_sql_execute_fault(self):
         engine = SqlEngine(Database("db"))
@@ -491,22 +472,6 @@ class TestInjectionSites:
             engine.execute("SELECT x FROM t")
         # Cap reached: the engine works again.
         assert engine.execute("SELECT x FROM t").rowcount == 0
-
-    def test_snapshot_restore_unavailable(self):
-        snapshot = snapshot_history(_history_with_events(), "db-1")
-        arm(FaultPlan.of(FaultSpec(RESTORE_FAULT_POINT, max_fires=1)))
-        with pytest.raises(StorageError, match="injected"):
-            restore_history(snapshot)
-        assert restore_history(snapshot).tuple_count == 2
-
-    def test_snapshot_corruption_caught_by_checksum(self, tmp_path):
-        snapshot = snapshot_history(_history_with_events(), "db-1")
-        path = tmp_path / "snap.json"
-        arm(FaultPlan.of(FaultSpec(CORRUPT_FAULT_POINT)))
-        write_snapshot(snapshot, path)
-        disarm()
-        with pytest.raises(StorageError, match="checksum"):
-            read_snapshot(path)
 
     def test_cluster_node_crash_fails_over(self):
         cluster = Cluster(n_nodes=2, node_capacity=4, resume_latency_s=10,
@@ -603,7 +568,7 @@ class TestInjectionSites:
         assert kpis.workflows.proactive_resumes == 0
         assert kpis.logins.reactive_faulted > 0
         assert kpis.logins.reactive_faulted <= kpis.logins.reactive
-        assert 0.0 < kpis.logins.fault_affected_percent <= 100.0
+        assert 0 < kpis.logins.reactive_faulted <= kpis.logins.total
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.config import ProRPConfig
 from repro.errors import CapacityError, ConfigError
 from repro.simulation import SimulationSettings
 from repro.training import TrainingPipeline
-from repro.training.knob_selection import rank_knobs, select_knobs
+from repro.training.knob_selection import rank_knobs
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
 from repro.workload import RegionPreset, generate_region_traces
 
@@ -40,15 +40,6 @@ class TestKnobSelection:
         assert impacts[0].knob == "confidence"
         assert impacts[0].impact > impacts[1].impact
 
-    def test_select_knobs_returns_top_k(self, pipeline):
-        knobs = select_knobs(
-            pipeline,
-            ProRPConfig(),
-            {"confidence": [0.1, 0.8], "prewarm_s": [1 * MIN, 10 * MIN]},
-            top_k=1,
-        )
-        assert knobs == ["confidence"]
-
     def test_invalid_value_rejected_up_front(self, pipeline):
         """An invalid probe value is a configuration error, not a silent
         shrink of the sweep (shared validation with the online tuner)."""
@@ -62,10 +53,6 @@ class TestKnobSelection:
     def test_all_invalid_rejected(self, pipeline):
         with pytest.raises(ConfigError):
             rank_knobs(pipeline, ProRPConfig(), {"confidence": [-1.0]})
-
-    def test_bad_top_k(self, pipeline):
-        with pytest.raises(ConfigError):
-            select_knobs(pipeline, ProRPConfig(), {"confidence": [0.1]}, top_k=0)
 
 
 class TestPlacementAdvisor:

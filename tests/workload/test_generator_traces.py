@@ -13,7 +13,6 @@ from repro.workload import (
     idle_interval_stats,
     region_spec,
 )
-from repro.workload.generator import default_spec
 from repro.workload.traces import hours
 
 DAY = SECONDS_PER_DAY
@@ -39,38 +38,38 @@ class TestFleetSpec:
 
 class TestGenerateFleet:
     def test_sizes_and_ids(self):
-        traces = generate_fleet(default_spec(), 50, 10, seed=1)
+        traces = generate_fleet(region_spec(RegionPreset.EU1), 50, 10, seed=1)
         assert len(traces) == 50
         assert len({t.database_id for t in traces}) == 50
 
     def test_deterministic_per_seed(self):
-        a = generate_fleet(default_spec(), 20, 10, seed=3)
-        b = generate_fleet(default_spec(), 20, 10, seed=3)
+        a = generate_fleet(region_spec(RegionPreset.EU1), 20, 10, seed=3)
+        b = generate_fleet(region_spec(RegionPreset.EU1), 20, 10, seed=3)
         assert [t.sessions for t in a] == [t.sessions for t in b]
 
     def test_different_seeds_differ(self):
-        a = generate_fleet(default_spec(), 20, 10, seed=3)
-        b = generate_fleet(default_spec(), 20, 10, seed=4)
+        a = generate_fleet(region_spec(RegionPreset.EU1), 20, 10, seed=3)
+        b = generate_fleet(region_spec(RegionPreset.EU1), 20, 10, seed=4)
         assert [t.sessions for t in a] != [t.sessions for t in b]
 
     def test_mixture_represented(self):
-        traces = generate_fleet(default_spec(), 400, 7, seed=5)
+        traces = generate_fleet(region_spec(RegionPreset.EU1), 400, 7, seed=5)
         kinds = {t.database_id.split("-")[1] for t in traces}
         assert {"sporadic", "dormant", "daily"} <= kinds
 
     def test_new_databases_created_late(self):
-        spec = default_spec()
+        spec = region_spec(RegionPreset.EU1)
         traces = generate_fleet(spec, 300, 30, seed=6)
         new = [t for t in traces if t.created_at > 0]
-        assert new, "expected some new databases at the default 5% fraction"
+        assert new, "expected some new databases at EU1's 5% fraction"
         for trace in new:
             assert trace.created_at >= 30 * DAY * 2 / 3
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(TraceError):
-            generate_fleet(default_spec(), 0, 10)
+            generate_fleet(region_spec(RegionPreset.EU1), 0, 10)
         with pytest.raises(TraceError):
-            generate_fleet(default_spec(), 10, 0)
+            generate_fleet(region_spec(RegionPreset.EU1), 10, 0)
 
 
 class TestRegionPresets:
@@ -138,12 +137,3 @@ class TestIdleIntervalStats:
         assert count_frac > 0.5
         assert duration_frac < 0.1
         assert count_frac > 10 * duration_frac
-
-    def test_cdf_points_monotonic(self):
-        traces = generate_region_traces(RegionPreset.EU2, 50, span_days=14, seed=3)
-        stats = idle_interval_stats(traces)
-        thresholds = [hours(h) for h in (0.5, 1, 2, 4, 8, 24, 72)]
-        points = stats.cdf_points(thresholds)
-        for (t1, c1, d1), (t2, c2, d2) in zip(points, points[1:]):
-            assert c2 >= c1
-            assert d2 >= d1
