@@ -37,14 +37,19 @@ Storage/accounting sit behind three small seams (history, metadata,
 accounting) so the same handlers drive two backends:
 
 * the **full** backend in this module uses the real per-database
-  :class:`~repro.storage.history.HistoryStore`, the region
-  :class:`~repro.storage.metadata.MetadataStore`, and
-  :class:`~repro.simulation.results.DatabaseOutcome` objects -- this is
-  what :func:`simulate_region_columnar` runs and what the equivalence
-  suite compares against the actors;
+  :class:`~repro.storage.history.HistoryStore` (Algorithms 2-4 read the
+  B-tree) and :class:`~repro.simulation.results.DatabaseOutcome` objects
+  -- this is what :func:`simulate_region_columnar` runs and what the
+  equivalence suite compares against the actors;
 * the **lean** backend in :mod:`repro.simulation.fleet` replaces them with
-  region-level arrays (cursor-based history views, columnar metadata,
-  scalar accounting) for million-database runs.
+  region-level arrays (cursor-based history views, scalar accounting) for
+  million-database runs.
+
+Both backends keep ``sys.databases`` in :class:`LeanMetadata`: Algorithm
+5 is a set-at-a-time filter, so a column per field is all it needs.  The
+B-tree :class:`~repro.storage.metadata.MetadataStore` stays the actor
+engine's and the SQL procedures' reference, and the actor-equivalence
+suite pins this scan to its secondary-index scan.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from repro.core.policy import (
 from repro.core.prediction_cache import HOT_PATH
 from repro.core.predictor import predict_next_activity
 from repro.core.resume_service import ProactiveResumeOperation
-from repro.errors import FaultInjectedError, SimulationError
+from repro.errors import FaultInjectedError, SchemaError, SimulationError
 from repro.faults.resilience import CircuitBreaker
 from repro.faults.runtime import FAULTS
 from repro.observability.runtime import OBS
@@ -90,16 +95,11 @@ from repro.simulation.region import (
     _build_kpi_stream,
     _per_trace_setup,
     _start_resume_loop,
+    sessions_to_csr,
 )
 from repro.simulation.results import DatabaseOutcome
 from repro.storage.history import HistoryStore
-from repro.storage.metadata import DatabaseState, MetadataStore
-from repro.types import (
-    ActivityTrace,
-    EventType,
-    PredictedActivity,
-    Session,
-)
+from repro.types import ActivityTrace, EventType, PredictedActivity
 
 # ---------------------------------------------------------------------------
 # Struct-of-arrays layout constants (documented in docs/fleet_scale.md)
@@ -134,42 +134,6 @@ SPECULATION_S = 3600
 
 #: Integer edge table of Figure 4: transition -> (from_code, to_code).
 _EDGE_CODES: Dict[LifecycleTransition, Tuple[int, int]] = transition_edge_codes()
-
-#: Metadata state enums by phase code (full backend writes these).
-_META_STATE = {
-    PH_RESUMED: DatabaseState.RESUMED,
-    PH_LOGICAL: DatabaseState.LOGICAL_PAUSE,
-    PH_PHYSICAL: DatabaseState.PHYSICAL_PAUSE,
-    PH_RESUMING: DatabaseState.RESUMING,
-}
-
-
-def sessions_to_csr(
-    session_lists: Sequence[Sequence[Session]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-database session lists into (offsets, starts, ends).
-
-    ``offsets`` has length D+1; database ``d`` owns the half-open slice
-    ``[offsets[d], offsets[d+1])`` of the flat arrays.
-    """
-    counts = np.fromiter(
-        (len(sessions) for sessions in session_lists),
-        dtype=np.int64,
-        count=len(session_lists),
-    )
-    offsets = np.zeros(len(session_lists) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    starts = np.empty(total, dtype=np.int64)
-    ends = np.empty(total, dtype=np.int64)
-    pos = 0
-    for sessions in session_lists:
-        for session in sessions:
-            starts[pos] = session.start
-            ends[pos] = session.end
-            pos += 1
-    return offsets, starts, ends
-
 
 class ColumnarState:
     """The struct-of-arrays FSM state of one region's fleet.
@@ -328,26 +292,62 @@ class NullHistory:
         pass
 
 
-class StoreMetadata:
-    """Metadata seam over the real region :class:`MetadataStore`."""
+class LeanMetadata:
+    """``sys.databases`` as columns, with Algorithm 5's scan vectorised.
 
-    def __init__(self, metadata: MetadataStore, ids: Sequence[str]):
-        self.metadata = metadata
+    One state byte and one ``start_of_pred_activity`` per database.  The
+    pre-warm scan selects ``lo <= start_of_pred_activity <= hi``
+    (inclusive, like the secondary-index range), keeps the hits whose
+    state is PHYSICAL_PAUSE, and orders them by ``(start_of_pred_activity,
+    database_id)`` exactly as the index scan yields rows.
+    """
+
+    def __init__(self, ids: Sequence[str]):
+        n = len(ids)
         self.ids = ids
+        self.state = np.full(n, PH_RESUMED, dtype=np.int8)
+        self.pred = np.zeros(n, dtype=np.int64)  # NO_PREDICTION_SENTINEL
+        if all(ids[i] < ids[i + 1] for i in range(n - 1)):
+            # Index-lexicographic ids (the fleetgen layout): rank == index.
+            self.id_rank = np.arange(n, dtype=np.int64)
+        else:
+            order = sorted(range(n), key=ids.__getitem__)
+            self.id_rank = np.empty(n, dtype=np.int64)
+            self.id_rank[order] = np.arange(n, dtype=np.int64)
 
     def register(self, d: int, created_at: int, node_id: str) -> None:
-        self.metadata.register(
-            self.ids[d], created_at=created_at, node_id=node_id
-        )
+        self.state[d] = PH_RESUMED
 
     def set_state(self, d: int, phase_code: int) -> None:
-        self.metadata.set_state(self.ids[d], _META_STATE[phase_code])
+        self.state[d] = phase_code
 
     def record_physical_pause(self, d: int, pred_start: int) -> None:
-        self.metadata.record_physical_pause(self.ids[d], pred_start)
+        if isinstance(pred_start, bool) or not isinstance(pred_start, int):
+            raise SchemaError(
+                f"start_of_pred_activity is a BIGINT, got {pred_start!r}"
+            )
+        self.state[d] = PH_PHYSICAL
+        self.pred[d] = pred_start
 
     def set_node(self, d: int, node_id: str) -> None:
-        self.metadata.set_node(self.ids[d], node_id)
+        pass  # placement lives in the shared Cluster; no copy kept here
+
+    def prewarm_indices(self, now: int, prewarm_s: int, period_s: int) -> np.ndarray:
+        lo = now + prewarm_s
+        pred = self.pred
+        idx = ((pred >= lo) & (pred <= lo + period_s)).nonzero()[0]
+        if idx.size:
+            idx = idx[self.state[idx] == PH_PHYSICAL]
+            if idx.size > 1:
+                idx = idx[np.lexsort((self.id_rank[idx], pred[idx]))]
+        return idx
+
+    def databases_to_prewarm(
+        self, now: int, prewarm_s: int, period_s: int
+    ) -> List[str]:
+        """:meth:`prewarm_indices` as database ids (Algorithm 5's SELECT)."""
+        selected = self.prewarm_indices(now, prewarm_s, period_s)
+        return [self.ids[d] for d in selected.tolist()]
 
 
 class StoreCluster:
@@ -1296,18 +1296,15 @@ def simulate_region_columnar(
     """
     proactive = policy is PolicyKind.PROACTIVE
     cluster = _build_cluster(settings)
-    metadata = MetadataStore()
     fast_predictor = _build_fast_predictor(config, settings, proactive)
     breaker = _build_breaker(proactive)
     stream = _build_kpi_stream(settings)
     ids = [trace.database_id for trace in traces]
-    outcomes, maintenance_lists, stores = _per_trace_setup(
+    metadata = LeanMetadata(ids)
+    outcomes, maintenance_lists, sessions, stores = _per_trace_setup(
         traces, proactive, config, settings
     )
-
-    sess_offsets, sess_starts, sess_ends = sessions_to_csr(
-        [trace.sessions for trace in traces]
-    )
+    sess_offsets, sess_starts, sess_ends = sessions
     maint_offsets, maint_starts, maint_ends = sessions_to_csr(maintenance_lists)
     created_at = np.fromiter(
         (trace.created_at for trace in traces), dtype=np.int64, count=len(traces)
@@ -1330,7 +1327,7 @@ def simulate_region_columnar(
         sim_end=settings.eval_end,
         acct=StoreAccounting(outcomes, stream=stream),
         hist=StoreHistory(stores) if proactive else NullHistory(),
-        meta=StoreMetadata(metadata, ids),
+        meta=metadata,
         cluster=StoreCluster(cluster, ids),
         fast_predictor=fast_predictor,
         breaker=breaker,

@@ -10,11 +10,11 @@ same observable semantics:
 
 * :class:`LeanHistory` -- per-database login cursors over one flat
   ``int64`` array, replaying Algorithm 2/3 (timestamp-dedup inserts,
-  witness-preserving trims) without a table;
-* :class:`LeanMetadata` -- the ``sys.databases`` columns as arrays, with
-  Algorithm 5's pre-warm scan as one masked array pass per region per
-  tick, ordered exactly like the secondary-index scan
-  ``(start_of_pred_activity, database_id)``;
+  witness-preserving trims) without a table, warm-started from the same
+  :func:`~repro.storage.history.warm_start_events` as the full stores;
+* :class:`~repro.simulation.columnar.LeanMetadata` (shared with
+  ``simulate_region``) -- the ``sys.databases`` columns as arrays, with
+  Algorithm 5's scan as one masked pass ordered like the secondary index;
 * :class:`LeanAccounting` -- region-total KPI accumulators replacing
   per-database outcome objects (the :func:`~repro.simulation.results.
   aggregate` sums commute with per-call accumulation).
@@ -43,10 +43,9 @@ from repro.errors import SimulationError
 from repro.faults.runtime import FAULTS
 from repro.parallel import resolve_executor
 from repro.simulation.columnar import (
-    PH_PHYSICAL,
-    PH_RESUMED,
     ColumnarRegionEngine,
     ColumnarState,
+    LeanMetadata,
     NullHistory,
     StoreCluster,
 )
@@ -58,6 +57,7 @@ from repro.simulation.region import (
     _build_kpi_stream,
     _start_resume_loop,
 )
+from repro.storage.history import warm_start_events
 from repro.types import SECONDS_PER_DAY, EventType
 from repro.workload.fleetgen import DriftSpec, FleetShardSpec, FleetSlice
 
@@ -252,11 +252,11 @@ class LeanAccounting:
 class LeanHistory:
     """Per-database login cursors over one flat array.
 
-    Replays exactly what a warm :class:`HistoryStore` would observe
-    (Algorithm 2's timestamp-dedup insert, Algorithm 3's
-    witness-preserving trim), but the
-    only state per database is a handful of cursor scalars into a shared
-    ``int64`` login array:
+    Replays exactly what a warm :class:`HistoryStore` would observe (the
+    same :func:`~repro.storage.history.warm_start_events` rows, Algorithm
+    2's timestamp-dedup insert, Algorithm 3's witness-preserving trim), but
+    the only state per database is a handful of cursor scalars into a
+    shared ``int64`` login array:
 
     * ``top[d]``: logins inserted so far (warm prefix + live appends);
     * ``k[d]``: trim cursor -- logins below it (except the witness) have
@@ -279,70 +279,37 @@ class LeanHistory:
         history_days: int,
     ):
         n = len(sess_offsets) - 1
-        retention_start = sim_start - history_days * SECONDS_PER_DAY
         self.n = n
-        self.has_event = np.zeros(n, dtype=bool)
+        bounds, times, types = warm_start_events(
+            sess_offsets, starts, ends, sim_start, history_days
+        )
+        counts = np.diff(bounds)
+        self.has_event = counts > 0
+        heads = bounds[:-1][self.has_event]
+        is_login = types == int(EventType.ACTIVITY_START)
         self.witness_login = np.zeros(n, dtype=bool)
+        self.witness_login[self.has_event] = is_login[heads]
         self.min_ts = np.full(n, -1, dtype=np.int64)
+        self.min_ts[self.has_event] = times[heads]
         self.last_ts = np.full(n, -1, dtype=np.int64)
-        self.top = np.zeros(n, dtype=np.int64)
-        self.k = np.zeros(n, dtype=np.int64)
-
-        # Warm-start replay: the events a long-running tracker would have
-        # inserted by sim_start -- the oldest event (witness) plus
-        # everything within the retention window, deduped on timestamp --
-        # mirroring ``region._warm_history`` + ``HistoryStore.bulk_load``.
-        warm: List[List[int]] = []
-        offsets_list = sess_offsets.tolist()
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-        for d in range(n):
-            lo, hi = offsets_list[d], offsets_list[d + 1]
-            logins: List[int] = []
-            last = -1
-            first_event = True
-            for i in range(lo, hi):
-                s = starts_list[i]
-                if s >= sim_start:
-                    break
-                for t, is_start in ((s, True), (ends_list[i], False)):
-                    if t >= sim_start:
-                        continue
-                    if not first_event and t < retention_start:
-                        continue
-                    first_event = False
-                    if t == last:
-                        continue
-                    last = t
-                    if not self.has_event[d]:
-                        self.has_event[d] = True
-                        self.min_ts[d] = t
-                        self.witness_login[d] = is_start
-                        if is_start:
-                            self.k[d] = 1
-                    if is_start:
-                        logins.append(t)
-            if logins or last >= 0:
-                self.last_ts[d] = last
-            warm.append(logins)
-            self.top[d] = len(logins)
+        self.last_ts[self.has_event] = times[bounds[1:][self.has_event] - 1]
+        self.k = self.witness_login.astype(np.int64)
+        login_owner = np.repeat(np.arange(n), counts)[is_login]
+        self.top = np.bincount(login_owner, minlength=n).astype(np.int64)
 
         # Capacity per database: warm logins + live session starts after
         # sim_start (the only candidates for further login inserts).
-        live_counts = np.empty(n, dtype=np.int64)
-        for d in range(n):
-            lo, hi = offsets_list[d], offsets_list[d + 1]
-            live_counts[d] = hi - lo - int(
-                np.searchsorted(starts[lo:hi], sim_start, side="right")
-            )
-        capacity = self.top + live_counts
+        session_owner = np.repeat(np.arange(n), np.diff(sess_offsets))
+        capacity = self.top + np.bincount(
+            session_owner[starts > sim_start], minlength=n
+        )
         self.off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(capacity, out=self.off[1:])
         self.logins = np.empty(int(self.off[-1]), dtype=np.int64)
-        for d in range(n):
-            if warm[d]:
-                base = int(self.off[d])
-                self.logins[base : base + len(warm[d])] = warm[d]
+        first_login = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.top, out=first_login[1:])
+        rank = np.arange(len(login_owner)) - first_login[login_owner]
+        self.logins[self.off[login_owner] + rank] = times[is_login]
 
     def nbytes(self) -> int:
         arrays = (
@@ -450,59 +417,6 @@ class LeanHistory:
             "lean history has no HistoryStore objects; the reference "
             "predictor path is gated off in simulate_fleet"
         )
-
-
-class LeanMetadata:
-    """``sys.databases`` as arrays, with Algorithm 5's scan vectorised.
-
-    The pre-warm scan is one masked array pass per region per tick:
-    ``state == PHYSICAL_PAUSE`` AND ``lo <= start_of_pred_activity <= hi``
-    (inclusive, like the secondary-index range), ordered by
-    ``(start_of_pred_activity, database_id)`` exactly as the index scan
-    yields rows.
-    """
-
-    def __init__(self, ids: Sequence[str]):
-        n = len(ids)
-        self.ids = ids
-        self.state = np.full(n, PH_RESUMED, dtype=np.int8)
-        self.pred = np.zeros(n, dtype=np.int64)  # NO_PREDICTION_SENTINEL
-        if all(ids[i] < ids[i + 1] for i in range(n - 1)):
-            # Index-lexicographic ids (the fleetgen layout): rank == index.
-            self.id_rank = np.arange(n, dtype=np.int64)
-        else:
-            order = sorted(range(n), key=ids.__getitem__)
-            self.id_rank = np.empty(n, dtype=np.int64)
-            self.id_rank[order] = np.arange(n, dtype=np.int64)
-
-    def register(self, d: int, created_at: int, node_id: str) -> None:
-        self.state[d] = PH_RESUMED
-
-    def set_state(self, d: int, phase_code: int) -> None:
-        self.state[d] = phase_code
-
-    def record_physical_pause(self, d: int, pred_start: int) -> None:
-        self.state[d] = PH_PHYSICAL
-        self.pred[d] = pred_start
-
-    def set_node(self, d: int, node_id: str) -> None:
-        pass  # placement lives in the shared Cluster; no copy kept here
-
-    def prewarm_indices(self, now: int, prewarm_s: int, period_s: int) -> np.ndarray:
-        lo = now + prewarm_s
-        hi = lo + period_s
-        mask = (self.state == PH_PHYSICAL) & (self.pred >= lo) & (self.pred <= hi)
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            return idx
-        order = np.lexsort((self.id_rank[idx], self.pred[idx]))
-        return idx[order]
-
-    def databases_to_prewarm(
-        self, now: int, prewarm_s: int, period_s: int
-    ) -> List[str]:
-        """Protocol-compatible variant returning database ids."""
-        return [self.ids[int(d)] for d in self.prewarm_indices(now, prewarm_s, period_s)]
 
 
 @dataclass

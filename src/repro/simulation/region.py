@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.cluster import Cluster
 from repro.config import DEFAULT_CONFIG, ProRPConfig
 from repro.core.fast_predictor import FastPredictor
@@ -33,9 +35,10 @@ from repro.observability.runtime import OBS
 from repro.simulation.actor import ProactiveActor, ReactiveActor, _BaseActor
 from repro.simulation.engine import EventQueue
 from repro.simulation.results import DatabaseOutcome, aggregate, bucket_event_times
-from repro.storage.history import HistoryStore
+from repro.storage.history import HistoryStore, warm_start_events
 from repro.storage.metadata import MetadataStore
-from repro.types import SECONDS_PER_DAY, ActivityTrace, HistoryEvent, Session
+from repro.storage.schema import ColumnType
+from repro.types import SECONDS_PER_DAY, ActivityTrace, Session
 from repro.workload.archetypes import maintenance_sessions
 
 
@@ -178,24 +181,50 @@ class RegionSimulationResult:
         )
 
 
-def _warm_history(trace: ActivityTrace, sim_start: int, history_days: int) -> HistoryStore:
-    """Bulk-load the history a long-running tracker would have accumulated
-    by ``sim_start``: everything within the retention window plus the
-    oldest event as the lifespan witness (Algorithm 3 keeps it)."""
-    store = HistoryStore()
-    retention_start = sim_start - history_days * SECONDS_PER_DAY
-    events: List[HistoryEvent] = []
-    all_events = [e for e in trace.events() if e.time_snapshot < sim_start]
-    if all_events:
-        witness = all_events[0]
-        events.append(witness)
-        events.extend(
-            e
-            for e in all_events[1:]
-            if e.time_snapshot >= retention_start
-        )
-    store.bulk_load(events)
-    return store
+#: Per-database sessions as CSR arrays ``(offsets, starts, ends)``.
+SessionArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def sessions_to_csr(session_lists: Sequence[Sequence[Session]]) -> SessionArrays:
+    """Flatten per-database session lists into (offsets, starts, ends).
+
+    ``offsets`` has length D+1; database ``d`` owns the half-open slice
+    ``[offsets[d], offsets[d+1])`` of the flat arrays.  A time that is not
+    an integer raises :class:`~repro.errors.SchemaError` (the history
+    store's BIGINT column) instead of being truncated.
+    """
+    offsets = np.cumsum([0, *map(len, session_lists)], dtype=np.int64)
+    flat = [session for sessions in session_lists for session in sessions]
+    return (
+        offsets,
+        _int64_column([session.start for session in flat]),
+        _int64_column([session.end for session in flat]),
+    )
+
+
+def _int64_column(values: List[int]) -> np.ndarray:
+    column = np.array(values)
+    if column.dtype.kind != "i":
+        for value in values:
+            ColumnType.BIGINT.validate(value)
+    return column.astype(np.int64, copy=False)
+
+
+def _warm_history(
+    sessions: SessionArrays, sim_start: int, history_days: int
+) -> List[HistoryStore]:
+    """Per database of the CSR ``sessions``, the history store a
+    long-running tracker would have accumulated by ``sim_start``
+    (:func:`~repro.storage.history.warm_start_events`), loaded through
+    :meth:`HistoryStore.bulk_load`."""
+    bounds, times, types = warm_start_events(*sessions, sim_start, history_days)
+    bounds = bounds.tolist()
+    stores: List[HistoryStore] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        store = HistoryStore()
+        store.bulk_load(zip(times[lo:hi].tolist(), types[lo:hi].tolist()))
+        stores.append(store)
+    return stores
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +299,15 @@ def _per_trace_setup(
     proactive: bool,
     config: ProRPConfig,
     settings: SimulationSettings,
-) -> Tuple[List[DatabaseOutcome], List[List[Session]], List[HistoryStore]]:
+) -> Tuple[
+    List[DatabaseOutcome], List[List[Session]], SessionArrays, List[HistoryStore]
+]:
     """Per trace, in trace order: the outcome ledger, the maintenance
-    schedule (its own RNG stream per database) and, under the proactive
-    policy, the warm history store (an empty list otherwise)."""
+    schedule (its own RNG stream per database); the sessions as CSR
+    arrays; and, under the proactive policy, the warm history stores (an
+    empty list otherwise)."""
     outcomes: List[DatabaseOutcome] = []
     maintenance_lists: List[List[Session]] = []
-    stores: List[HistoryStore] = []
     for trace in traces:
         outcomes.append(_new_outcome(trace, settings))
         maintenance: List[Session] = []
@@ -288,11 +319,11 @@ def _per_trace_setup(
                 per_week=settings.maintenance_per_week,
             )
         maintenance_lists.append(maintenance)
-        if proactive:
-            stores.append(
-                _warm_history(trace, settings.sim_start, config.history_days)
-            )
-    return outcomes, maintenance_lists, stores
+    sessions = sessions_to_csr([trace.sessions for trace in traces])
+    stores = []
+    if proactive:
+        stores = _warm_history(sessions, settings.sim_start, config.history_days)
+    return outcomes, maintenance_lists, sessions, stores
 
 
 def _start_resume_loop(
@@ -380,7 +411,7 @@ def _simulate_region(
     fast_predictor = _build_fast_predictor(config, settings, proactive)
     breaker = _build_breaker(proactive)
     bank = _build_bank(settings, config, proactive)
-    outcomes, maintenance_lists, stores = _per_trace_setup(
+    outcomes, maintenance_lists, _, stores = _per_trace_setup(
         traces, proactive, config, settings
     )
 

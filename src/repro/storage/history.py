@@ -9,6 +9,10 @@ Implements the stored procedures of the paper over the storage substrate:
   database's lifespan witness, and report whether the database is "old"
   (existed at least ``h`` days, hence predictable).
 
+:func:`warm_start_events` computes what the two leave behind at the start
+of a simulation, for a whole fleet at once; every warm history is built
+from it.
+
 The store also exposes the range aggregates Algorithm 4 issues (first/last
 login within a window of a previous day) and a sorted login-timestamp view
 consumed by the vectorised predictor.
@@ -30,7 +34,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import StorageError, TraceError
 from repro.observability.runtime import OBS
 from repro.storage.database import Database
 from repro.storage.schema import history_schema
@@ -52,6 +56,61 @@ class DeleteOldHistoryResult:
     deleted: int
     #: Minimal timestamp in the history before deletion (lifespan witness).
     min_timestamp: Optional[int]
+
+
+def _ascending(rows: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
+    """``rows`` with the later of equal timestamps dropped, or None when a
+    timestamp goes backwards (times are non-negative)."""
+    kept: List[Tuple[int, int]] = []
+    last = -1
+    for row in rows:
+        if row[0] > last:
+            kept.append(row)
+            last = row[0]
+        elif row[0] < last:
+            return None
+    return kept
+
+
+def warm_start_events(
+    offsets: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    sim_start: int,
+    history_days: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every database's history at ``sim_start``, from CSR sessions.
+
+    Database ``d`` owns the sorted, non-overlapping sessions
+    ``starts/ends[offsets[d]:offsets[d + 1]]``.  Returns ``(bounds, times,
+    types)``: its warm rows are ``times/types[bounds[d]:bounds[d + 1]]``,
+    ascending -- what inserting each of its events before ``sim_start``
+    through Algorithm 2 and then trimming with Algorithm 3 at ``sim_start``
+    leaves behind:
+
+    * the oldest event before ``sim_start`` (the lifespan witness);
+    * every event in ``[sim_start - h days, sim_start)``;
+    * of equal timestamps (a session starting where the last one ended),
+      the first only.
+    """
+    n_sessions = len(starts)
+    times = np.empty(2 * n_sessions, dtype=np.int64)
+    times[0::2] = starts
+    times[1::2] = ends
+    types = np.tile([EventType.ACTIVITY_START, EventType.ACTIVITY_END], n_sessions)
+    bounds = 2 * np.asarray(offsets, dtype=np.int64)
+    heads = bounds[:-1][bounds[:-1] < bounds[1:]]
+    keep = (times < sim_start) & (times >= sim_start - history_days * SECONDS_PER_DAY)
+    keep[heads] = times[heads] < sim_start
+    # Sessions are sorted, so equal timestamps are neighbours and share
+    # their window test; the witness is strictly older than its successor.
+    repeat = np.zeros(len(times), dtype=bool)
+    repeat[1:] = times[1:] == times[:-1]
+    repeat[heads] = False
+    keep &= ~repeat
+    kept = np.zeros(len(times) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[bounds], times[keep], types[keep]
 
 
 class HistoryStore:
@@ -102,50 +161,37 @@ class HistoryStore:
             OBS.metrics.counter("history.inserts").inc()
         return inserted
 
-    def bulk_load(self, events: Iterable[HistoryEvent]) -> int:
-        """Load many events (used to warm-start simulations); returns the
-        number actually inserted after the uniqueness guard.
+    def bulk_load(self, rows: Iterable[Tuple[int, int]]) -> int:
+        """Load many ``(time_snapshot, event_type)`` rows (a
+        :class:`HistoryEvent` unpacks into one) to warm-start a simulation;
+        returns the number actually inserted after the uniqueness guard.
 
-        Into an empty store, time-ascending events (equal timestamps
-        allowed: the first one wins, as under Algorithm 2's guard) are
-        validated up front and the clustered B-tree is built bottom-up in
-        O(n).  Any other input replays :meth:`insert_history` per event;
-        both leave the same rows, logins and counters behind.
+        Every row is checked before anything is stored: a non-integer time
+        raises :class:`SchemaError` (the BIGINT column) and a negative one
+        :class:`TraceError` (as :class:`HistoryEvent` does).  Into an empty
+        store, time-ascending rows (equal timestamps allowed: the first one
+        wins, as under Algorithm 2's guard) build the clustered B-tree
+        bottom-up in O(n).  Any other input replays :meth:`insert_history`
+        per row; both leave the same rows, logins and counters behind.
         """
-        events = list(events)
-        rows = self._ascending_rows(events) if self.tuple_count == 0 else None
-        if rows is None:
-            inserted = 0
-            for event in events:
-                if self.insert_history(event.time_snapshot, event.event_type):
-                    inserted += 1
-            return inserted
-        self._table.load_sorted(rows)
+        time_column = self._table.schema.columns[0]
+        checked: List[Tuple[int, int]] = []
+        for t, event_type in rows:
+            if type(t) is not int:
+                t = time_column.validate(t)
+            if t < 0:
+                raise TraceError(f"time_snapshot must be non-negative, got {t}")
+            checked.append((t, int(event_type)))
+        loaded = _ascending(checked) if self.tuple_count == 0 else None
+        if loaded is None:
+            return sum(self.insert_history(t, event_type) for t, event_type in checked)
+        self._table.load_sorted(loaded)
         login = int(EventType.ACTIVITY_START)
-        self._logins = [t for t, event_type in rows if event_type == login]
+        self._logins = [t for t, event_type in loaded if event_type == login]
         self._login_dirty = True
-        if OBS.enabled and rows:
-            OBS.metrics.counter("history.inserts").inc(len(rows))
-        return len(rows)
-
-    def _ascending_rows(
-        self, events: Sequence[HistoryEvent]
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Validated ``(time_snapshot, event_type)`` rows with the later of
-        equal timestamps dropped, or None when a timestamp goes backwards."""
-        time_column, type_column = self._table.schema.columns
-        rows: List[Tuple[int, int]] = []
-        last: Optional[int] = None
-        for event in events:
-            t = time_column.validate(event.time_snapshot)
-            event_type = type_column.validate(int(event.event_type))
-            if last is not None and t <= last:
-                if t < last:
-                    return None
-                continue
-            rows.append((t, event_type))
-            last = t
-        return rows
+        if OBS.enabled and loaded:
+            OBS.metrics.counter("history.inserts").inc(len(loaded))
+        return len(loaded)
 
     # ------------------------------------------------------------------
     # Algorithm 3: DeleteOldHistory

@@ -131,7 +131,8 @@ class MetadataStore:
 
     def databases_to_prewarm(self, now: int, prewarm_s: int, period_s: int) -> List[str]:
         """Physically paused databases whose predicted activity starts within
-        ``(now + k, now + k + period]`` -- the SELECT of Algorithm 5.
+        the closed range ``[now + k, now + k + period]`` -- the SELECT of
+        Algorithm 5 -- ordered by ``(start_of_pred_activity, database_id)``.
 
         The scan runs over the secondary index on ``start_of_pred_activity``;
         the no-prediction sentinel (0) never qualifies because ``now + k`` is

@@ -44,6 +44,10 @@ class HistoryEvent:
                 f"time_snapshot must be non-negative, got {self.time_snapshot}"
             )
 
+    def __iter__(self) -> Iterator:
+        """Unpacks as the ``(time_snapshot, event_type)`` row it stores."""
+        return iter((self.time_snapshot, self.event_type))
+
 
 @dataclass(frozen=True)
 class Session:

@@ -42,9 +42,11 @@ def run_single(trace, maintenance, policy="proactive", eval_start=29 * DAY,
             trace, queue, cluster, metadata, outcome, config,
             settings.sim_start, eval_end, maintenance=maintenance,
         )
-        from repro.simulation.region import _warm_history
+        from repro.simulation.region import _warm_history, sessions_to_csr
 
-        actor.history = _warm_history(trace, settings.sim_start, config.history_days)
+        (actor.history,) = _warm_history(
+            sessions_to_csr([trace.sessions]), settings.sim_start, config.history_days
+        )
     else:
         actor = ReactiveActor(
             trace, queue, cluster, metadata, outcome, config,

@@ -3,10 +3,10 @@ paper-shaped orderings between policies."""
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import CapacityError, SimulationError
 from repro.simulation import SimulationSettings, simulate_region
 from repro.simulation.results import bucket_event_times
-from repro.types import SECONDS_PER_DAY, SECONDS_PER_MINUTE
+from repro.types import SECONDS_PER_DAY, SECONDS_PER_MINUTE, ActivityTrace
 from repro.workload import RegionPreset, generate_region_traces
 
 DAY = SECONDS_PER_DAY
@@ -174,6 +174,14 @@ class TestValidation:
     def test_bad_window_rejected(self):
         with pytest.raises(SimulationError):
             SimulationSettings(eval_start=10, eval_end=10)
+
+    @pytest.mark.parametrize("policy", ["reactive", "proactive"])
+    def test_duplicate_database_id_rejected(self, fleet, settings, policy):
+        """``sys.databases`` keys on the id: a second database under the
+        same id fails at placement, before any metadata write."""
+        twin = ActivityTrace(fleet[0].database_id, fleet[1].sessions)
+        with pytest.raises(CapacityError, match="already placed"):
+            simulate_region([fleet[0], twin], policy, settings=settings)
 
     def test_default_settings_cover_trace_tail(self, fleet):
         result = simulate_region(fleet[:5], "reactive")

@@ -315,3 +315,98 @@ def test_bulk_load_validates_every_row_before_loading():
         with pytest.raises((SchemaError, TypeError)):
             store.bulk_load([HistoryEvent(10, EventType.ACTIVITY_START), bad])
         assert store.tuple_count == 0
+
+
+# -- Warm start: one builder for both engines and the lean view -------------
+
+_SIM_START = 3 * DAY
+_gaps = st.sampled_from([0, 0, 1, 600, DAY // 2, DAY])
+_durations = st.sampled_from([1, 60, 3600, DAY // 3, DAY])
+
+
+@st.composite
+def _warm_traces(draw):
+    """Sorted sessions over [0, 5 days): touching ones (gap 0), ones
+    straddling ``sim_start``, ones wholly before the retention window, and
+    databases with nothing before ``sim_start``."""
+    traces = []
+    t = 0
+    for i in range(draw(st.integers(1, 5))):
+        # Starting at the previous database's last end puts equal
+        # timestamps on both sides of a database boundary.
+        t = draw(st.sampled_from([0, DAY, _SIM_START - 600, _SIM_START, 4 * DAY, t]))
+        sessions = []
+        for _ in range(draw(st.integers(0, 8))):
+            start = t + draw(_gaps)
+            t = start + draw(_durations)
+            sessions.append(Session(start, t))
+        traces.append(ActivityTrace(f"db-{i}", sessions))
+    return traces
+
+
+def _replayed(trace, history_days):
+    """Algorithm 2 for every event before sim_start, then Algorithm 3."""
+    store = HistoryStore()
+    for event in trace.events():
+        if event.time_snapshot < _SIM_START:
+            store.insert_history(event.time_snapshot, event.event_type)
+    store.delete_old_history(history_days, _SIM_START)
+    return store
+
+
+@settings(max_examples=150, deadline=None)
+@given(_warm_traces(), st.integers(1, 3))
+def test_warm_start_equals_insert_then_trim(traces, history_days):
+    """``_warm_history`` (both engines) and ``LeanHistory`` hold exactly
+    what inserting every pre-``sim_start`` event and trimming at
+    ``sim_start`` leaves: rows, logins, the witness and its login flag."""
+    from repro.simulation.fleet import LeanHistory
+    from repro.simulation.region import _warm_history, sessions_to_csr
+
+    sessions = sessions_to_csr([trace.sessions for trace in traces])
+    stores = _warm_history(sessions, _SIM_START, history_days)
+    lean = LeanHistory(*sessions, _SIM_START, history_days)
+    for d, trace in enumerate(traces):
+        reference = _replayed(trace, history_days)
+        expected = reference.all_events()
+        assert stores[d].all_events() == expected
+        assert stores[d].login_array().tolist() == reference.login_array().tolist()
+        assert list(stores[d].login_timestamps()) == list(reference.login_timestamps())
+        assert lean.login_array(d).tolist() == reference.login_array().tolist()
+        assert lean.min_ts[d] == (expected[0].time_snapshot if expected else -1)
+        assert lean.last_ts[d] == (expected[-1].time_snapshot if expected else -1)
+        assert lean.witness_login[d] == bool(
+            expected and expected[0].event_type is EventType.ACTIVITY_START
+        )
+        # ... and they keep trimming alike (Algorithm 3 a day later).
+        now = _SIM_START + DAY
+        old = reference.delete_old_history(history_days, now).old
+        assert stores[d].delete_old_history(history_days, now).old == old
+        assert lean.trim(d, history_days, now) == old
+        assert lean.login_array(d).tolist() == reference.login_array().tolist()
+        assert stores[d].login_array().tolist() == reference.login_array().tolist()
+
+
+def test_bulk_load_rows_check_time_type_and_sign():
+    from repro.errors import SchemaError, TraceError
+
+    for bad, error in (((20.5, 0), SchemaError), ((-5, 1), TraceError)):
+        store = HistoryStore()
+        with pytest.raises(error):
+            store.bulk_load([(10, 1), bad])
+        assert store.tuple_count == 0
+    store = HistoryStore()
+    assert store.bulk_load([(10, 1), (20, 0), (20, 1), (30, 1)]) == 3
+    assert store.login_array().tolist() == [10, 30]
+
+
+def test_warm_history_checks_session_times():
+    """A trace time that is not an integer still fails as the BIGINT
+    column would, and a negative one as :class:`HistoryEvent` would."""
+    from repro.errors import SchemaError, TraceError
+    from repro.simulation.region import _warm_history, sessions_to_csr
+
+    with pytest.raises(SchemaError):
+        sessions_to_csr([[Session(10, 20.5)]])
+    with pytest.raises(TraceError):
+        _warm_history(sessions_to_csr([[Session(-10, 20)]]), DAY, 1)

@@ -5,7 +5,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DuplicateKeyError, StorageError
+from repro.errors import DuplicateKeyError, SchemaError, StorageError
+from repro.simulation.columnar import (
+    PH_LOGICAL,
+    PH_PHYSICAL,
+    PH_RESUMED,
+    PH_RESUMING,
+    LeanMetadata,
+)
 from repro.storage.metadata import DatabaseRecord, DatabaseState, MetadataStore
 from repro.types import SECONDS_PER_MINUTE
 
@@ -116,6 +123,23 @@ class TestPrewarmScan:
         store.record_physical_pause("db-1", 0)  # new database: no prediction
         assert store.databases_to_prewarm(10 * MIN, 5 * MIN, MIN) == []
 
+    def test_window_start_is_inclusive(self):
+        """A prediction exactly at ``now + k`` is pre-warmed; one second
+        earlier is not."""
+        store, now, k = self._store()
+        store.register("at-exact-start")
+        store.record_physical_pause("at-exact-start", now + k)
+        selected = store.databases_to_prewarm(now, k, MIN)
+        assert selected[0] == "at-exact-start"
+        assert "too-early" not in selected
+
+    def test_window_end_is_inclusive(self):
+        """A prediction exactly at ``now + k + period`` is pre-warmed; one
+        second later is not."""
+        store, now, k = self._store()
+        assert store.databases_to_prewarm(now + 1, k, MIN - 1)[-1] == "at-window-end"
+        assert "too-late" not in store.databases_to_prewarm(now, k, MIN)
+
     def test_wider_period_selects_more(self):
         store, now, k = self._store()
         selected = store.databases_to_prewarm(now, k, 2 * MIN)
@@ -191,3 +215,71 @@ def test_metadata_matches_dict_model(ops):
             assert store.databases_to_prewarm(now, prewarm_s, period_s) == [
                 db_id for _, db_id in expected
             ]
+
+
+_PHASE = {
+    DatabaseState.RESUMED: PH_RESUMED,
+    DatabaseState.LOGICAL_PAUSE: PH_LOGICAL,
+    DatabaseState.PHYSICAL_PAUSE: PH_PHYSICAL,
+    DatabaseState.RESUMING: PH_RESUMING,
+}
+_lean_op = st.one_of(
+    st.tuples(
+        st.just("set_state"), st.integers(0, 5), st.sampled_from(list(DatabaseState))
+    ),
+    # Small preds: ties, the 0 sentinel and re-pauses at the same pred.
+    st.tuples(st.just("record_physical_pause"), st.integers(0, 5), st.integers(0, 6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.permutations(["db-10", "db-9", "db-1", "B", "a", "A"]).flatmap(
+        lambda ids: st.integers(1, 6).map(lambda n: ids[:n])
+    ),
+    st.lists(_lean_op, max_size=40),
+)
+def test_lean_metadata_matches_btree(ids, ops):
+    """The column store the columnar engine writes answers Algorithm 5
+    exactly like the B-tree's secondary-index scan: same databases, each
+    once, in ``(start_of_pred_activity, database_id)`` order, for every
+    window whose bounds land on (or next to) a stored prediction."""
+    store = MetadataStore()
+    lean = LeanMetadata(ids)
+    for d, db_id in enumerate(ids):
+        store.register(db_id)
+        lean.register(d, created_at=0, node_id="n1")
+    for op, d, arg in ops:
+        d %= len(ids)
+        if op == "set_state":
+            store.set_state(ids[d], arg)
+            lean.set_state(d, _PHASE[arg])
+        else:
+            store.record_physical_pause(ids[d], arg)
+            lean.record_physical_pause(d, arg)
+        bounds = sorted(
+            {
+                t
+                for db_id in ids
+                for p in (store.get(db_id).start_of_pred_activity,)
+                for t in (p - 1, p, p + 1)
+            }
+        )
+        for lo in bounds:
+            for hi in bounds:
+                if hi >= lo:
+                    for now, prewarm_s in ((lo, 0), (lo - 2, 2)):
+                        assert lean.databases_to_prewarm(
+                            now, prewarm_s, hi - lo
+                        ) == store.databases_to_prewarm(now, prewarm_s, hi - lo)
+
+
+@pytest.mark.parametrize("pred_start", [5.0, True, None, "5"])
+def test_lean_metadata_rejects_non_integer_pred_start(pred_start):
+    """``start_of_pred_activity`` is a BIGINT column in both stores."""
+    store = MetadataStore()
+    store.register("a")
+    with pytest.raises(SchemaError):
+        store.record_physical_pause("a", pred_start)
+    with pytest.raises(SchemaError):
+        LeanMetadata(["a"]).record_physical_pause(0, pred_start)
