@@ -21,11 +21,23 @@ Parameter                 Meaning                                  Default
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, replace
 from typing import Any, Dict
 
 from repro.errors import ConfigError
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
+
+
+def whole_number(name: str, value: Any, error: type = ConfigError) -> int:
+    """``value`` as a Python ``int`` (numpy integers pass), else ``error``:
+    simulated times are whole seconds, kept in the engines' int columns."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be a whole number, got {value!r}")
 
 
 class Seasonality(enum.Enum):
@@ -70,6 +82,9 @@ class ProRPConfig:
     auto_seasonality: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("logical_pause_s", "history_days", "horizon_s", "window_s",
+                     "slide_s", "prewarm_s", "resume_operation_period_s"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         self.validate()
 
     # ------------------------------------------------------------------

@@ -9,12 +9,14 @@ few hundred thousand databases before object overhead dominates.
 This module re-hosts exactly the same state machine over numpy
 struct-of-arrays owned by the region: one ``int8`` phase column, ``int64``
 timer/anchor columns, bool flag columns, and CSR (offsets + flat values)
-layouts for each database's sessions and maintenance operations.  Events
-become flat ``(kind, db_index, epoch)`` tuples instead of closures, held
-in a calendar queue: one list per simulated instant, in scheduling order,
-plus a heap of the distinct instants.  Cancellable wake timers become an
-epoch counter per database (a stale entry is skipped exactly like a
-cancelled :class:`~repro.simulation.engine.Timer`).
+layouts for each database's sessions and maintenance operations.  Each
+column has two handles: the scans mask the numpy array, the handlers index
+a ``memoryview`` of the same buffer (Python scalars).  Events become flat
+``(kind, db_index, epoch)`` tuples instead of closures, held in a calendar
+queue: one list per simulated instant, in scheduling order, plus a heap of
+the distinct instants.  Cancellable wake timers become an epoch counter
+per database (a stale entry is skipped exactly like a cancelled
+:class:`~repro.simulation.engine.Timer`).
 
 The proactive refresh (Algorithm 1 lines 7-8) is batched by speculation:
 the time of every refresh the next simulated hour will make is already
@@ -55,6 +57,7 @@ suite pins this scan to its secondary-index scan.
 from __future__ import annotations
 
 import heapq
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,8 +135,11 @@ NONE_TS = -1
 #: kernel call.
 SPECULATION_S = 3600
 
-#: Integer edge table of Figure 4: transition -> (from_code, to_code).
-_EDGE_CODES: Dict[LifecycleTransition, Tuple[int, int]] = transition_edge_codes()
+#: Figure 4 as ``id(transition) -> (from_code, to_code)``: keyed by identity
+#: (members are singletons) because ``Enum.__hash__`` runs in Python.
+_EDGE_CODES: Dict[int, Tuple[int, int]] = {
+    id(transition): codes for transition, codes in transition_edge_codes().items()
+}
 
 class ColumnarState:
     """The struct-of-arrays FSM state of one region's fleet.
@@ -141,6 +147,11 @@ class ColumnarState:
     One row per database; every column is a flat numpy array.  This is the
     exact per-actor state of :class:`repro.simulation.actor._BaseActor`
     (plus the proactive prediction fields), transposed.
+
+    Each column has two handles on one buffer: the scans mask the numpy
+    array ``self.np.<column>``; the handlers index ``self.<column>``, a
+    ``memoryview`` of it yielding Python scalars at about half numpy's
+    scalar cost.  A write through either is visible through the other.
     """
 
     def __init__(
@@ -155,53 +166,52 @@ class ColumnarState:
         created_at: np.ndarray,
     ):
         self.n = n
+        c = self.np = SimpleNamespace()
         # Trace replay (CSR) -----------------------------------------------
-        self.sess_offsets = sess_offsets
-        self.sess_starts = sess_starts
-        self.sess_ends = sess_ends
-        self.maint_offsets = maint_offsets
-        self.maint_starts = maint_starts
-        self.maint_ends = maint_ends
-        self.created_at = created_at
+        c.sess_offsets = sess_offsets
+        c.sess_starts = sess_starts
+        c.sess_ends = sess_ends
+        c.maint_offsets = maint_offsets
+        c.maint_starts = maint_starts
+        c.maint_ends = maint_ends
+        c.created_at = created_at
         # FSM --------------------------------------------------------------
-        self.phase = np.full(n, PH_RESUMED, dtype=np.int8)
-        self.session_idx = sess_offsets[:-1].astype(np.int64).copy()
-        self.maint_idx = maint_offsets[:-1].astype(np.int64).copy()
-        self.maint_until = np.zeros(n, dtype=np.int64)
-        self.maint_from_physical = np.zeros(n, dtype=bool)
+        c.phase = np.full(n, PH_RESUMED, dtype=np.int8)
+        c.session_idx = sess_offsets[:-1].astype(np.int64).copy()
+        c.maint_idx = maint_offsets[:-1].astype(np.int64).copy()
+        c.maint_until = np.zeros(n, dtype=np.int64)
+        c.maint_from_physical = np.zeros(n, dtype=bool)
         # Timers: a wake is live iff wake_at != NONE_TS; wake_epoch stamps
         # heap entries so stale pops are skipped (the cancelled-Timer path).
-        self.wake_epoch = np.zeros(n, dtype=np.int64)
-        self.wake_at = np.full(n, NONE_TS, dtype=np.int64)
+        c.wake_epoch = np.zeros(n, dtype=np.int64)
+        c.wake_at = np.full(n, NONE_TS, dtype=np.int64)
         # Accounting anchors (the actor's Optional[int] fields).
-        self.active_since = np.full(n, NONE_TS, dtype=np.int64)
-        self.pause_start = np.full(n, NONE_TS, dtype=np.int64)
-        self.pause_origin = np.full(n, ORIGIN_NONE, dtype=np.int8)
-        self.resume_started_at = np.full(n, NONE_TS, dtype=np.int64)
-        self.idle_since = np.full(n, NONE_TS, dtype=np.int64)
-        self.deferred_session_end = np.zeros(n, dtype=bool)
-        self.holds_slot = np.zeros(n, dtype=bool)
-        self.fault_degraded = np.zeros(n, dtype=bool)
+        c.active_since = np.full(n, NONE_TS, dtype=np.int64)
+        c.pause_start = np.full(n, NONE_TS, dtype=np.int64)
+        c.pause_origin = np.full(n, ORIGIN_NONE, dtype=np.int8)
+        c.resume_started_at = np.full(n, NONE_TS, dtype=np.int64)
+        c.idle_since = np.full(n, NONE_TS, dtype=np.int64)
+        c.deferred_session_end = np.zeros(n, dtype=bool)
+        c.holds_slot = np.zeros(n, dtype=bool)
+        c.fault_degraded = np.zeros(n, dtype=bool)
         # Prediction state (proactive only).
-        self.old = np.zeros(n, dtype=bool)
-        self.pred_start = np.zeros(n, dtype=np.int64)
-        self.pred_end = np.zeros(n, dtype=np.int64)
-        self.pred_conf = np.zeros(n, dtype=np.float64)
+        c.old = np.zeros(n, dtype=bool)
+        c.pred_start = np.zeros(n, dtype=np.int64)
+        c.pred_end = np.zeros(n, dtype=np.int64)
+        c.pred_conf = np.zeros(n, dtype=np.float64)
         # Logins seen since sim_start, and the instant and login count of
         # the parked answer (NONE_TS: none) -- stale once the count moves.
-        self.login_count = np.zeros(n, dtype=np.int64)
-        self.parked_at = np.full(n, NONE_TS, dtype=np.int64)
-        self.parked_logins = np.zeros(n, dtype=np.int64)
+        c.login_count = np.zeros(n, dtype=np.int64)
+        c.parked_at = np.full(n, NONE_TS, dtype=np.int64)
+        c.parked_logins = np.zeros(n, dtype=np.int64)
         # Lifecycle monotonicity guard (Lifecycle._last_transition_time).
-        self.last_transition = np.full(n, -1, dtype=np.int64)
+        c.last_transition = np.full(n, -1, dtype=np.int64)
+        for name, column in vars(c).items():
+            setattr(self, name, column.data)
 
     def nbytes(self) -> int:
         """Total array bytes (reported by the fleet-scale benchmark)."""
-        return sum(
-            arr.nbytes
-            for arr in vars(self).values()
-            if isinstance(arr, np.ndarray)
-        )
+        return sum(arr.nbytes for arr in vars(self.np).values())
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +309,9 @@ class LeanMetadata:
     pre-warm scan selects ``lo <= start_of_pred_activity <= hi``
     (inclusive, like the secondary-index range), keeps the hits whose
     state is PHYSICAL_PAUSE, and orders them by ``(start_of_pred_activity,
-    database_id)`` exactly as the index scan yields rows.
+    database_id)`` exactly as the index scan yields rows.  The scan reads
+    the numpy columns; the per-event writes go through ``_state`` /
+    ``_pred``, memoryviews of the same buffers.
     """
 
     def __init__(self, ids: Sequence[str]):
@@ -314,20 +326,22 @@ class LeanMetadata:
             order = sorted(range(n), key=ids.__getitem__)
             self.id_rank = np.empty(n, dtype=np.int64)
             self.id_rank[order] = np.arange(n, dtype=np.int64)
+        self._state = self.state.data
+        self._pred = self.pred.data
 
     def register(self, d: int, created_at: int, node_id: str) -> None:
-        self.state[d] = PH_RESUMED
+        self._state[d] = PH_RESUMED
 
     def set_state(self, d: int, phase_code: int) -> None:
-        self.state[d] = phase_code
+        self._state[d] = phase_code
 
     def record_physical_pause(self, d: int, pred_start: int) -> None:
         if isinstance(pred_start, bool) or not isinstance(pred_start, int):
             raise SchemaError(
                 f"start_of_pred_activity is a BIGINT, got {pred_start!r}"
             )
-        self.state[d] = PH_PHYSICAL
-        self.pred[d] = pred_start
+        self._state[d] = PH_PHYSICAL
+        self._pred[d] = pred_start
 
     def set_node(self, d: int, node_id: str) -> None:
         pass  # placement lives in the shared Cluster; no copy kept here
@@ -452,7 +466,6 @@ class ColumnarRegionEngine:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before now={self._now}"
             )
-        time = int(time)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [(kind, d, epoch)]
@@ -469,24 +482,25 @@ class ColumnarRegionEngine:
         at = max(at, self._now + 1)
         if at < self.sim_end:
             self.s.wake_at[d] = at
-            self._push(at, EV_WAKE, d, int(self.s.wake_epoch[d]))
+            self._push(at, EV_WAKE, d, self.s.wake_epoch[d])
 
     # -- lifecycle ---------------------------------------------------------
 
     def _apply(self, d: int, transition: LifecycleTransition, now: int) -> None:
         """``Lifecycle.apply`` over the phase column: same validation,
         same observability counter, same span attributes."""
-        from_code, to_code = _EDGE_CODES[transition]
-        if self.s.phase[d] != from_code:
+        s = self.s
+        from_code, to_code = _EDGE_CODES[id(transition)]
+        if s.phase[d] != from_code:
             raise SimulationError(
                 f"{self._db_label(d)}: illegal transition {transition.value} "
-                f"from {STATE_FROM_CODE[self.s.phase[d]].value} at t={now} "
+                f"from {STATE_FROM_CODE[s.phase[d]].value} at t={now} "
                 f"(requires {STATE_FROM_CODE[from_code].value})"
             )
-        if now < self.s.last_transition[d]:
+        if now < s.last_transition[d]:
             raise SimulationError(
                 f"{self._db_label(d)}: transition at t={now} is before the "
-                f"previous transition at t={int(self.s.last_transition[d])}"
+                f"previous transition at t={s.last_transition[d]}"
             )
         if OBS.enabled:
             OBS.metrics.counter(f"lifecycle.transition.{transition.value}").inc()
@@ -494,8 +508,8 @@ class ColumnarRegionEngine:
             if span is not None:
                 span.set_attribute("transition", transition.value)
                 span.set_attribute("db", self._db_label(d))
-        self.s.phase[d] = to_code
-        self.s.last_transition[d] = now
+        s.phase[d] = to_code
+        s.last_transition[d] = now
 
     def _db_label(self, d: int) -> str:
         ids = getattr(self.meta, "ids", None)
@@ -521,9 +535,9 @@ class ColumnarRegionEngine:
 
     def _next_activity(self, d: int) -> PredictedActivity:
         return PredictedActivity(
-            int(self.s.pred_start[d]),
-            int(self.s.pred_end[d]),
-            float(self.s.pred_conf[d]),
+            self.s.pred_start[d],
+            self.s.pred_end[d],
+            self.s.pred_conf[d],
         )
 
     def _set_next_activity(self, d: int, prediction: PredictedActivity) -> None:
@@ -532,6 +546,8 @@ class ColumnarRegionEngine:
         self.s.pred_conf[d] = prediction.confidence
 
     def _prorp_down(self, now: int) -> bool:
+        if not self.prorp_outages:
+            return False
         return any(start <= now < end for start, end in self.prorp_outages)
 
     def _prediction_config(self, d: int, now: int) -> ProRPConfig:
@@ -577,9 +593,9 @@ class ColumnarRegionEngine:
             self.acct.record_prediction(
                 d,
                 now,
-                int(s.pred_start[d]),
-                int(s.pred_end[d]),
-                float(s.pred_conf[d]),
+                s.pred_start[d],
+                s.pred_end[d],
+                s.pred_conf[d],
             )
 
     def _predict(self, d: int, now: int) -> None:
@@ -655,7 +671,7 @@ class ColumnarRegionEngine:
         a live wake ending a non-maintenance logical pause past any
         maintenance hold, or the logout ending a resumed database's
         session whose prediction has expired by then, past any hold."""
-        s = self.s
+        s = self.s.np
         horizon = now + SPECULATION_S
         wake_at = s.wake_at
         wakes = (
@@ -689,7 +705,7 @@ class ColumnarRegionEngine:
         be old at its own instant and that holds no valid answer for it
         yet.  A candidate's refresh may never come (a login cancels the
         wake) or come later; its answer is then simply not taken."""
-        s = self.s
+        s = self.s.np
         members, instants = [d], [now]
         config = self.config
         history_s = config.history_s
@@ -719,8 +735,8 @@ class ColumnarRegionEngine:
         (``allow`` can mutate it) and neither is the fault injector; the
         real refresh inside ``start`` does all three, in unchanged order."""
         s = self.s
-        index = int(s.sess_offsets[d])
-        hi = int(s.sess_offsets[d + 1])
+        index = s.sess_offsets[d]
+        hi = s.sess_offsets[d + 1]
         while index < hi and s.sess_ends[index] <= self.sim_start:
             index += 1
         if index >= hi:
@@ -790,17 +806,17 @@ class ColumnarRegionEngine:
             node_id = self.preplaced_nodes[d]
         else:
             node_id = self.cluster.place(d)
-        self.meta.register(d, int(s.created_at[d]), node_id)
+        self.meta.register(d, s.created_at[d], node_id)
         self._schedule_first_maintenance(d)
-        idx = int(s.session_idx[d])
-        hi = int(s.sess_offsets[d + 1])
+        idx = s.session_idx[d]
+        hi = s.sess_offsets[d + 1]
         while idx < hi and s.sess_ends[idx] <= self.sim_start:
             idx += 1
         s.session_idx[d] = idx
         if idx >= hi:
             self._enter_initial_physical_pause(d)
             return
-        cur_start = int(s.sess_starts[idx])
+        cur_start = s.sess_starts[idx]
         if s.created_at[d] > self.sim_start:
             # Not born yet: physically paused until its first login.
             self._enter_initial_physical_pause(d)
@@ -812,7 +828,7 @@ class ColumnarRegionEngine:
             self.meta.set_state(d, PH_RESUMED)
             s.active_since[d] = self.sim_start
             self._push(
-                min(int(s.sess_ends[idx]), self.sim_end), EV_SESSION_END, d
+                min(s.sess_ends[idx], self.sim_end), EV_SESSION_END, d
             )
         else:
             # Idle at simulation start: settle through the policy.  A
@@ -836,28 +852,28 @@ class ColumnarRegionEngine:
 
     def _schedule_first_maintenance(self, d: int) -> None:
         s = self.s
-        idx = int(s.maint_idx[d])
-        hi = int(s.maint_offsets[d + 1])
+        idx = s.maint_idx[d]
+        hi = s.maint_offsets[d + 1]
         while idx < hi and s.maint_ends[idx] <= self.sim_start:
             idx += 1
         s.maint_idx[d] = idx
         if idx < hi:
-            op_start = int(s.maint_starts[idx])
+            op_start = s.maint_starts[idx]
             if op_start < self.sim_end:
                 self._push(max(op_start, self.sim_start), EV_MAINTENANCE, d)
 
     def _on_maintenance_start(self, d: int, now: int) -> None:
         """Port of ``_BaseActor._on_maintenance_start``."""
         s = self.s
-        idx = int(s.maint_idx[d])
-        op_end = int(s.maint_ends[idx])
+        idx = s.maint_idx[d]
+        op_end = s.maint_ends[idx]
         s.maint_idx[d] = idx + 1
         if idx + 1 < s.maint_offsets[d + 1]:
-            nxt_start = int(s.maint_starts[idx + 1])
+            nxt_start = s.maint_starts[idx + 1]
             if nxt_start < self.sim_end:
                 self._push(nxt_start, EV_MAINTENANCE, d)
         s.maint_until[d] = max(
-            int(s.maint_until[d]), min(op_end, self.sim_end)
+            s.maint_until[d], min(op_end, self.sim_end)
         )
         phase = s.phase[d]
         if phase == PH_PHYSICAL:
@@ -868,17 +884,17 @@ class ColumnarRegionEngine:
             s.pause_start[d] = now
             s.pause_origin[d] = ORIGIN_MAINTENANCE
             s.maint_from_physical[d] = True
-            self._schedule_wake(d, int(s.maint_until[d]))
+            self._schedule_wake(d, s.maint_until[d])
         elif phase == PH_LOGICAL:
             # Resources already up; keep the pending wake from reclaiming
             # them while the operation runs.
             if s.wake_at[d] != NONE_TS and s.wake_at[d] < s.maint_until[d]:
-                self._schedule_wake(d, int(s.maint_until[d]))
+                self._schedule_wake(d, s.maint_until[d])
         # RESUMED / RESUMING: the operation rides on customer activity.
 
     def _maintenance_hold(self, d: int, now: int) -> bool:
         if now < self.s.maint_until[d]:
-            self._schedule_wake(d, int(self.s.maint_until[d]))
+            self._schedule_wake(d, self.s.maint_until[d])
             return True
         return False
 
@@ -886,8 +902,8 @@ class ColumnarRegionEngine:
         s = self.s
         if s.pause_origin[d] != ORIGIN_MAINTENANCE:
             return False
-        from_physical = bool(s.maint_from_physical[d])
-        self.acct.add_idle(d, int(s.pause_start[d]), now, "maintenance")
+        from_physical = s.maint_from_physical[d]
+        self.acct.add_idle(d, s.pause_start[d], now, "maintenance")
         if from_physical:
             s.pause_start[d] = NONE_TS
             s.pause_origin[d] = ORIGIN_NONE
@@ -909,17 +925,17 @@ class ColumnarRegionEngine:
         self.meta.set_state(d, PH_LOGICAL)
         s.pause_start[d] = now
         s.pause_origin[d] = ORIGIN_MAINTENANCE
-        self._schedule_wake(d, int(s.maint_until[d]))
+        self._schedule_wake(d, s.maint_until[d])
         return True
 
     # -- trace events ------------------------------------------------------
 
     def _schedule_next_session(self, d: int) -> None:
         s = self.s
-        idx = int(s.session_idx[d]) + 1
+        idx = s.session_idx[d] + 1
         s.session_idx[d] = idx
         if idx < s.sess_offsets[d + 1]:
-            nxt_start = int(s.sess_starts[idx])
+            nxt_start = s.sess_starts[idx]
             if nxt_start < self.sim_end:
                 self._push(nxt_start, EV_SESSION_START, d)
 
@@ -939,28 +955,28 @@ class ColumnarRegionEngine:
             self.acct.record_login(d, now, served=True)
             self._settle_idle_interval(d, now, resumed_by_login=True)
             s.active_since[d] = now
-            end = min(int(s.sess_ends[s.session_idx[d]]), self.sim_end)
+            end = min(s.sess_ends[s.session_idx[d]], self.sim_end)
             self._push(end, EV_SESSION_END, d)
         elif phase == PH_PHYSICAL:
             latency = self._acquire_slot(d)
             self._apply(d, LifecycleTransition.REACTIVE_RESUME_START, now)
             self.meta.set_state(d, PH_RESUMING)
             self.acct.record_login(
-                d, now, served=False, faulted=bool(s.fault_degraded[d])
+                d, now, served=False, faulted=s.fault_degraded[d]
             )
             self.acct.record_workflow(d, now, "reactive_resume")
             s.resume_started_at[d] = now
             s.deferred_session_end[d] = False
             self._push(now + latency, EV_RESUME_COMPLETE, d)
-            end = min(int(s.sess_ends[s.session_idx[d]]), self.sim_end)
+            end = min(s.sess_ends[s.session_idx[d]], self.sim_end)
             self._push(end, EV_SESSION_END, d)
         elif phase == PH_RESUMING:
             self.acct.record_login(
-                d, now, served=False, faulted=bool(s.fault_degraded[d])
+                d, now, served=False, faulted=s.fault_degraded[d]
             )
             s.resume_started_at[d] = now
             s.deferred_session_end[d] = False
-            end = min(int(s.sess_ends[s.session_idx[d]]), self.sim_end)
+            end = min(s.sess_ends[s.session_idx[d]], self.sim_end)
             self._push(end, EV_SESSION_END, d)
         else:
             raise SimulationError(
@@ -975,13 +991,13 @@ class ColumnarRegionEngine:
         phase = s.phase[d]
         if phase == PH_RESUMED:
             if s.active_since[d] != NONE_TS:
-                self.acct.add_used(d, int(s.active_since[d]), now)
+                self.acct.add_used(d, s.active_since[d], now)
                 s.active_since[d] = NONE_TS
             self._schedule_next_session(d)
             self._handle_idle(d, now)
         elif phase == PH_RESUMING:
             if s.resume_started_at[d] != NONE_TS:
-                self.acct.add_unavailable(d, int(s.resume_started_at[d]), now)
+                self.acct.add_unavailable(d, s.resume_started_at[d], now)
                 s.resume_started_at[d] = NONE_TS
             s.deferred_session_end[d] = True
             self._schedule_next_session(d)
@@ -999,7 +1015,7 @@ class ColumnarRegionEngine:
         self._apply(d, LifecycleTransition.REACTIVE_RESUME_COMPLETE, now)
         self.meta.set_state(d, PH_RESUMED)
         if s.resume_started_at[d] != NONE_TS:
-            self.acct.add_unavailable(d, int(s.resume_started_at[d]), now)
+            self.acct.add_unavailable(d, s.resume_started_at[d], now)
             s.resume_started_at[d] = NONE_TS
         if s.deferred_session_end[d]:
             s.deferred_session_end[d] = False
@@ -1013,7 +1029,7 @@ class ColumnarRegionEngine:
         s = self.s
         if s.pause_start[d] == NONE_TS:
             return
-        pause_start = int(s.pause_start[d])
+        pause_start = s.pause_start[d]
         if s.pause_origin[d] == ORIGIN_PREWARM:
             cause = "correct_proactive" if resumed_by_login else "wrong_proactive"
             self.acct.add_idle(d, pause_start, now, cause)
@@ -1040,12 +1056,12 @@ class ColumnarRegionEngine:
         s = self.s
         phase = s.phase[d]
         if phase == PH_RESUMED and s.active_since[d] != NONE_TS:
-            self.acct.add_used(d, int(s.active_since[d]), sim_end)
+            self.acct.add_used(d, s.active_since[d], sim_end)
             s.active_since[d] = NONE_TS
         elif phase == PH_LOGICAL:
             self._settle_idle_interval(d, sim_end, resumed_by_login=False)
         elif phase == PH_RESUMING and s.resume_started_at[d] != NONE_TS:
-            self.acct.add_unavailable(d, int(s.resume_started_at[d]), sim_end)
+            self.acct.add_unavailable(d, s.resume_started_at[d], sim_end)
             s.resume_started_at[d] = NONE_TS
 
     # -- policy: reactive baseline -----------------------------------------
@@ -1076,7 +1092,7 @@ class ColumnarRegionEngine:
             )
             s.idle_since[d] = NONE_TS
             return
-        idle_since = int(s.idle_since[d]) if s.idle_since[d] != NONE_TS else now
+        idle_since = s.idle_since[d] if s.idle_since[d] != NONE_TS else now
         if now < idle_since + self.config.logical_pause_s:
             # Maintenance segmented the pause: wait out the remainder of l.
             self._schedule_wake(d, idle_since + self.config.logical_pause_s)
@@ -1098,7 +1114,7 @@ class ColumnarRegionEngine:
             self._refresh_prediction(d, now)
         next_activity = self._next_activity(d)
         decision = decide_on_idle(
-            now, bool(s.old[d]), next_activity, self.config.logical_pause_s
+            now, s.old[d], next_activity, self.config.logical_pause_s
         )
         if decision is IdleDecision.PHYSICAL_PAUSE:
             if not s.holds_slot[d]:
@@ -1123,7 +1139,7 @@ class ColumnarRegionEngine:
                 logical_pause_wake_time(
                     now,
                     now,
-                    bool(s.old[d]),
+                    s.old[d],
                     next_activity,
                     self.config.logical_pause_s,
                 ),
@@ -1142,14 +1158,14 @@ class ColumnarRegionEngine:
                 d,
                 now,
                 LifecycleTransition.LOGICAL_TO_PHYSICAL,
-                int(s.pred_start[d]),
+                s.pred_start[d],
             )
             s.idle_since[d] = NONE_TS
             return
         if s.idle_since[d] != NONE_TS:
-            pause_start = int(s.idle_since[d])
+            pause_start = s.idle_since[d]
         elif s.pause_start[d] != NONE_TS:
-            pause_start = int(s.pause_start[d])
+            pause_start = s.pause_start[d]
         else:
             pause_start = now
         self._refresh_prediction(d, now)
@@ -1157,7 +1173,7 @@ class ColumnarRegionEngine:
         decision = decide_after_logical_pause(
             now,
             pause_start,
-            bool(s.old[d]),
+            s.old[d],
             next_activity,
             self.config.logical_pause_s,
         )
@@ -1173,7 +1189,7 @@ class ColumnarRegionEngine:
                 logical_pause_wake_time(
                     now,
                     pause_start,
-                    bool(s.old[d]),
+                    s.old[d],
                     next_activity,
                     self.config.logical_pause_s,
                 ),
@@ -1195,7 +1211,7 @@ class ColumnarRegionEngine:
             logical_pause_wake_time(
                 now,
                 now,
-                bool(s.old[d]),
+                s.old[d],
                 self._next_activity(d),
                 self.config.logical_pause_s,
             ),

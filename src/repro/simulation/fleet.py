@@ -31,6 +31,7 @@ cannot survive a fan-out unchanged -- chaos experiments stay on
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -268,7 +269,15 @@ class LeanHistory:
     A live insert asserts the appended login lands where the
     precomputed capacity expects it -- divergence from the event stream
     fails loudly instead of silently skewing predictions.
+
+    The per-event methods index ``_<name>``, a memoryview of the numpy
+    column ``<name>``; :meth:`login_array` and :meth:`export_csr` slice
+    and mask the arrays themselves.
     """
+
+    _COLUMNS = (
+        "has_event", "witness_login", "min_ts", "last_ts", "top", "k", "off", "logins"
+    )
 
     def __init__(
         self,
@@ -310,72 +319,61 @@ class LeanHistory:
         np.cumsum(self.top, out=first_login[1:])
         rank = np.arange(len(login_owner)) - first_login[login_owner]
         self.logins[self.off[login_owner] + rank] = times[is_login]
+        for name in self._COLUMNS:
+            setattr(self, f"_{name}", getattr(self, name).data)
 
     def nbytes(self) -> int:
-        arrays = (
-            self.has_event,
-            self.witness_login,
-            self.min_ts,
-            self.last_ts,
-            self.top,
-            self.k,
-            self.off,
-            self.logins,
-        )
-        return sum(a.nbytes for a in arrays)
+        return sum(getattr(self, name).nbytes for name in self._COLUMNS)
 
     def record(self, d: int, t: int, event_type: EventType) -> None:
-        if t == self.last_ts[d]:
+        if t == self._last_ts[d]:
             return  # Algorithm 2's uniqueness guard (lines 3-6)
-        self.last_ts[d] = t
+        self._last_ts[d] = t
         is_start = event_type == EventType.ACTIVITY_START
-        if not self.has_event[d]:
-            self.has_event[d] = True
-            self.min_ts[d] = t
-            self.witness_login[d] = is_start
+        if not self._has_event[d]:
+            self._has_event[d] = True
+            self._min_ts[d] = t
+            self._witness_login[d] = is_start
             if is_start:
-                self.k[d] = 1
+                self._k[d] = 1
         if is_start:
-            pos = int(self.off[d]) + int(self.top[d])
-            if pos >= int(self.off[d + 1]):
+            pos = self._off[d] + self._top[d]
+            if pos >= self._off[d + 1]:
                 raise SimulationError(
                     f"db[{d}]: login at t={t} exceeds the precomputed "
                     f"history capacity -- event stream diverged from the "
                     f"session arrays"
                 )
-            self.logins[pos] = t
-            self.top[d] += 1
+            self._logins[pos] = t
+            self._top[d] += 1
 
     def trim(self, d: int, history_days: int, now: int) -> bool:
         history_start = now - history_days * SECONDS_PER_DAY
-        if not self.has_event[d] or self.min_ts[d] >= history_start:
+        if not self._has_event[d] or self._min_ts[d] >= history_start:
             return False
-        base = int(self.off[d])
-        k = int(self.k[d])
-        top = int(self.top[d])
+        base = self._off[d]
+        k = self._k[d]
+        top = self._top[d]
         if k < top:
             # Logins strictly between the witness and history_start are
             # deleted; everything at or past the cursor exceeds min_ts
             # already (timestamps are unique), so one bisect suffices.
-            self.k[d] = k + int(
-                np.searchsorted(
-                    self.logins[base + k : base + top],
-                    history_start,
-                    side="left",
-                )
+            self._k[d] = (
+                bisect_left(self._logins, history_start, base + k, base + top)
+                - base
             )
         return True
 
     def older_than(self, d: int, history_start: int) -> bool:
         """The ``old`` flag a trim at ``history_start`` would return,
         without moving the cursor."""
-        return bool(self.has_event[d] and self.min_ts[d] < history_start)
+        return self._has_event[d] and self._min_ts[d] < history_start
 
     def login_array(self, d: int) -> np.ndarray:
-        base = int(self.off[d])
-        top = int(self.top[d])
-        k = int(self.k[d])
-        if self.witness_login[d]:
+        base = self._off[d]
+        top = self._top[d]
+        k = self._k[d]
+        if self._witness_login[d]:
             if k <= 1:
                 return self.logins[base : base + top]
             return np.concatenate(
@@ -580,8 +578,8 @@ def simulate_fleet(
             )
             runs += 1
             prewarms += int(selected.size)
-            for d in selected:
-                engine.prewarm(int(d), now)
+            for d in selected.tolist():
+                engine.prewarm(d, now)
 
         _start_resume_loop(run_once, engine.schedule_resume_op, config, settings)
 

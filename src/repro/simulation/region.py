@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cluster import Cluster
-from repro.config import DEFAULT_CONFIG, ProRPConfig
+from repro.config import DEFAULT_CONFIG, ProRPConfig, whole_number
 from repro.core.fast_predictor import FastPredictor
 from repro.core.kpi import KpiReport
 from repro.core.policy import PolicyKind
@@ -99,6 +99,20 @@ class SimulationSettings:
     predictor_bank: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # A float time would otherwise reach the engines' integer columns
+        # while the KPI window kept its fraction.
+        for name in ("eval_start", "eval_end", "warmup_s"):
+            value = whole_number(name, getattr(self, name), SimulationError)
+            object.__setattr__(self, name, value)
+        outages = []
+        for outage in self.prorp_outages:
+            start, end = (
+                whole_number("prorp_outages", t, SimulationError) for t in outage
+            )
+            if end <= start:
+                raise SimulationError(f"outage {outage} must have end > start")
+            outages.append((start, end))
+        object.__setattr__(self, "prorp_outages", tuple(outages))
         if self.eval_end <= self.eval_start:
             raise SimulationError("eval_end must be after eval_start")
         if self.predictor_bank:
@@ -120,10 +134,6 @@ class SimulationSettings:
             raise SimulationError("warmup_s must be non-negative")
         if self.maintenance_per_week < 0:
             raise SimulationError("maintenance_per_week must be non-negative")
-        for outage in self.prorp_outages:
-            start, end = outage
-            if end <= start:
-                raise SimulationError(f"outage {outage} must have end > start")
 
     @property
     def sim_start(self) -> int:

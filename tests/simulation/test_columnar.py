@@ -33,7 +33,10 @@ from repro.parallel import SerialExecutor
 from repro.simulation.columnar import (
     NONE_TS,
     ORIGIN_MAINTENANCE,
+    ORIGIN_NONE,
+    ORIGIN_PREWARM,
     PH_LOGICAL,
+    PH_PHYSICAL,
     PH_RESUMED,
     PH_RESUMING,
     SPECULATION_S,
@@ -368,6 +371,97 @@ class TestBucketBatchesMatchActor:
             assert 0 not in engine._parked and state.parked_at[0] == NONE_TS
         engine._hold(0, now, CONFIG, bogus)
         assert engine._predict_sliding(0, CONFIG, now) == bogus
+
+
+_SPEC_NOW = 3 * DAY
+_SPEC_HORIZON = _SPEC_NOW + SPECULATION_S
+#: Instants around every boundary the candidate masks compare against.
+_SPEC_TIMES = [
+    _SPEC_NOW - 60, _SPEC_NOW, _SPEC_NOW + 1, _SPEC_NOW + 600,
+    _SPEC_HORIZON - 1, _SPEC_HORIZON, _SPEC_HORIZON + 1,
+]
+
+
+@st.composite
+def speculation_states(draw):
+    """``(engine, d)``: a fleet whose columns are written row by row
+    through the scalar handles, with wakes, holds, predictions and session
+    ends drawn from :data:`_SPEC_TIMES` so they tie with ``now``, the
+    horizon and each other, and session cursors that may sit at the end
+    of the trace."""
+    n = draw(st.integers(1, 8))
+    counts = [draw(st.integers(0, 3)) for _ in range(n)]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    total = sum(counts)
+    ends = np.array(
+        sorted(draw(st.lists(st.sampled_from(_SPEC_TIMES), min_size=total,
+                             max_size=total))),
+        dtype=np.int64,
+    )
+    no_maintenance = np.zeros(n + 1, dtype=np.int64)
+    state = ColumnarState(
+        n, offsets, ends - 60, ends,
+        no_maintenance, no_maintenance[:0], no_maintenance[:0],
+        np.zeros(n, dtype=np.int64),
+    )
+    times = st.sampled_from(_SPEC_TIMES)
+    for c in range(n):
+        state.phase[c] = draw(
+            st.sampled_from([PH_RESUMED, PH_LOGICAL, PH_PHYSICAL, PH_RESUMING])
+        )
+        state.wake_at[c] = draw(st.sampled_from([NONE_TS]) | times)
+        state.pause_origin[c] = draw(
+            st.sampled_from([ORIGIN_NONE, ORIGIN_PREWARM, ORIGIN_MAINTENANCE])
+        )
+        state.maint_until[c] = draw(st.sampled_from([0]) | times)
+        state.pred_end[c] = draw(st.sampled_from([0]) | times)
+        state.session_idx[c] = int(offsets[c]) + draw(st.integers(0, counts[c]))
+    sim_end = draw(st.sampled_from([_SPEC_NOW + 600, _SPEC_HORIZON, 4 * DAY]))
+    engine = ColumnarRegionEngine(
+        state, proactive=True, config=CONFIG, sim_start=0, sim_end=sim_end,
+        acct=None, hist=None, meta=None, cluster=None,
+    )
+    return engine, draw(st.integers(0, n - 1))
+
+
+def _speculation_reference(engine, d, now):
+    """``_speculation_candidates`` as a per-row loop over its docstring."""
+    s, horizon = engine.s, now + SPECULATION_S
+    expected = {}
+    for c in range(s.n):
+        if c == d:
+            continue  # the refresher itself
+        wake = s.wake_at[c]
+        if (
+            s.phase[c] == PH_LOGICAL
+            and now <= wake <= horizon  # a live wake (NONE_TS < now)
+            and s.pause_origin[c] != ORIGIN_MAINTENANCE
+            and s.maint_until[c] <= wake
+        ):
+            expected[c] = wake
+        elif s.phase[c] == PH_RESUMED and s.session_idx[c] < s.sess_offsets[c + 1]:
+            logout = min(s.sess_ends[s.session_idx[c]], engine.sim_end)
+            if (
+                logout <= horizon
+                and s.pred_end[c] < logout
+                and s.maint_until[c] <= logout
+            ):
+                expected[c] = logout
+    return expected
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(speculation_states())
+def test_speculation_candidates_match_a_per_row_reference(case):
+    """The numpy masks see every write made through the scalar handles:
+    membership and instants equal a per-row loop over the same rows."""
+    engine, d = case
+    members, instants = engine._speculation_candidates(d, _SPEC_NOW)
+    assert len(members) == len(instants)
+    got = dict(zip(members.tolist(), instants.tolist()))
+    assert len(got) == len(members)
+    assert got == _speculation_reference(engine, d, _SPEC_NOW)
 
 
 def _speculation_fleet(extra_login):

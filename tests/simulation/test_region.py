@@ -1,13 +1,19 @@
 """Region-level integration tests: fleets, KPI aggregation, and the
 paper-shaped orderings between policies."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.errors import CapacityError, SimulationError
 from repro.simulation import SimulationSettings, simulate_region
+from repro.simulation.fleet import simulate_fleet
 from repro.simulation.results import bucket_event_times
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_MINUTE, ActivityTrace
 from repro.workload import RegionPreset, generate_region_traces
+from repro.workload.fleetgen import FleetShardSpec
 
 DAY = SECONDS_PER_DAY
 MIN = SECONDS_PER_MINUTE
@@ -187,6 +193,53 @@ class TestValidation:
         result = simulate_region(fleet[:5], "reactive")
         kpis = result.kpis()
         assert kpis.eval_end - kpis.eval_start == 4 * DAY
+
+
+class TestSimulatedTimesAreWholeSeconds:
+    """Event instants are ints, so the settings refuse a fractional time:
+    the engines used to truncate it while the KPI window kept it."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"eval_end": 4 * DAY - 0.5},
+            {"eval_end": 4.0 * DAY},
+            {"eval_start": np.float64(3 * DAY)},
+            {"warmup_s": 3600.0},
+            {"warmup_s": True},
+            {"prorp_outages": ((3 * DAY, 3 * DAY + 0.5),)},
+            {"prorp_outages": ((False, 3 * DAY),)},
+        ],
+    )
+    def test_non_integer_times_are_refused(self, overrides):
+        with pytest.raises(SimulationError, match="whole number"):
+            SimulationSettings(
+                **{"eval_start": 3 * DAY, "eval_end": 4 * DAY, **overrides}
+            )
+
+    def test_numpy_integers_run_as_ints_on_both_paths(self):
+        fleet = FleetShardSpec(n_databases=60, span_days=4, seed=1).materialize()
+        config = dataclasses.replace(DEFAULT_CONFIG, history_days=2)
+        outage = (3 * DAY + 3600, 3 * DAY + 7200)
+        plain = SimulationSettings(
+            eval_start=3 * DAY, eval_end=4 * DAY, prorp_outages=(outage,)
+        )
+        wrapped = SimulationSettings(
+            eval_start=np.int64(3 * DAY),
+            eval_end=np.int64(4 * DAY),
+            warmup_s=np.int32(DAY),
+            prorp_outages=[tuple(np.array(outage))],
+        )
+        assert wrapped == plain and type(wrapped.eval_end) is int
+        runs = (
+            lambda s: simulate_region(fleet.to_traces(), "proactive", config, s).kpis(),
+            lambda s: simulate_fleet(fleet, "proactive", config, s).kpis,
+        )
+        for run in runs:
+            kpis = run(wrapped)
+            assert kpis == run(plain)
+            fields = (kpis.eval_end, kpis.used_s, kpis.saved_s, kpis.unavailable_s)
+            assert all(type(value) is int for value in fields)
 
 
 class TestProvisionedBaseline:

@@ -387,6 +387,68 @@ def test_warm_start_equals_insert_then_trim(traces, history_days):
         assert stores[d].login_array().tolist() == reference.login_array().tolist()
 
 
+@st.composite
+def _live_histories(draw):
+    """``(traces, history_days, ops)``: a warm fleet plus the live calls a
+    columnar run makes on it, in time order -- Algorithm 2 inserts of
+    every session start and end after ``sim_start`` (touching sessions
+    repeat a timestamp) and Algorithm 3 trims at rising ``now``s, many of
+    them placing ``historyStart`` on a login or one second either side."""
+    traces = draw(_warm_traces())
+    history_days = draw(st.integers(1, 3))
+    ops, logins = [], []
+    for d, trace in enumerate(traces):
+        for session in trace.sessions:
+            logins.append(session.start)
+            if session.start > _SIM_START:
+                ops.append((session.start, 1, d, EventType.ACTIVITY_START))
+            if session.end > _SIM_START:
+                ops.append((session.end, 1, d, EventType.ACTIVITY_END))
+    span = history_days * DAY
+    on_a_login = [
+        t + span + dt for t in logins for dt in (-1, 0, 1)
+        if t + span + dt >= _SIM_START
+    ]
+    nows = st.integers(_SIM_START, _SIM_START + 3 * DAY)
+    if on_a_login:
+        nows = nows | st.sampled_from(on_a_login)
+    for now in draw(st.lists(nows, max_size=12)):
+        # A trim tied with inserts runs before (0) or after (2) them.
+        tie = draw(st.sampled_from([0, 2]))
+        ops.append((now, tie, draw(st.integers(0, len(traces) - 1)), None))
+    # Stable sort: each database's inserts keep their order.
+    ops.sort(key=lambda op: op[:2])
+    return traces, history_days, [(t, d, kind) for t, _, d, kind in ops]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_live_histories())
+def test_lean_live_path_equals_insert_and_trim(case):
+    """``LeanHistory.record`` / ``trim`` over a warm start hold what
+    Algorithm 2 inserts and Algorithm 3 trims leave in a ``HistoryStore``
+    after every step: the ``old`` flag, ``older_than`` and the logins."""
+    from repro.simulation.columnar import StoreHistory
+    from repro.simulation.fleet import LeanHistory
+    from repro.simulation.region import sessions_to_csr
+
+    traces, history_days, ops = case
+    sessions = sessions_to_csr([trace.sessions for trace in traces])
+    lean = LeanHistory(*sessions, _SIM_START, history_days)
+    reference = StoreHistory([_replayed(trace, history_days) for trace in traces])
+    for t, d, event_type in ops:
+        if event_type is None:
+            assert lean.trim(d, history_days, t) == reference.trim(d, history_days, t)
+        else:
+            lean.record(d, t, event_type)
+            reference.record(d, t, event_type)
+        history_start = t - history_days * DAY
+        for db in range(len(traces)):
+            assert lean.older_than(db, history_start) == reference.older_than(
+                db, history_start
+            )
+            assert lean.login_array(db).tolist() == list(reference.login_timestamps(db))
+
+
 def test_bulk_load_rows_check_time_type_and_sign():
     from repro.errors import SchemaError, TraceError
 

@@ -1,5 +1,6 @@
 """Tests for core value types and the Table 1 configuration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,6 +203,21 @@ class TestProRPConfig:
     def test_invalid_knobs_rejected(self, field, value):
         with pytest.raises(ConfigError):
             ProRPConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("logical_pause_s", 3600.0), ("history_days", 2.5), ("prewarm_s", True)],
+    )
+    def test_non_integer_knobs_rejected(self, field, value):
+        """Durations are whole seconds (days): the engines keep them in
+        integer columns, so a float is refused here, not truncated."""
+        with pytest.raises(ConfigError, match="whole number"):
+            ProRPConfig(**{field: value})
+
+    def test_numpy_integer_knobs_become_ints(self):
+        config = ProRPConfig(logical_pause_s=np.int64(3600), history_days=np.int32(2))
+        assert config == ProRPConfig(logical_pause_s=3600, history_days=2)
+        assert type(config.logical_pause_s) is int and type(config.history_days) is int
 
     def test_window_larger_than_horizon_rejected(self):
         with pytest.raises(ConfigError):
