@@ -35,19 +35,25 @@ in ``tests/simulation/test_columnar.py`` proves it over seeded scenarios,
 including armed fault plans).  Where the two representations must agree is
 pinned down in ``docs/fleet_scale.md``.
 
-Storage/accounting sit behind three small seams (history, metadata,
-accounting) so the same handlers drive two backends:
+Storage/accounting sit behind four small seams (history, metadata,
+accounting, cluster) so the same handlers drive two tiers:
 
-* the **full** backend in this module uses the real per-database
-  :class:`~repro.storage.history.HistoryStore` (Algorithms 2-4 read the
-  B-tree) and :class:`~repro.simulation.results.DatabaseOutcome` objects
-  -- this is what :func:`simulate_region_columnar` runs and what the
-  equivalence suite compares against the actors;
-* the **lean** backend in :mod:`repro.simulation.fleet` replaces them with
-  region-level arrays (cursor-based history views, scalar accounting) for
-  million-database runs.
+* :func:`simulate_region_columnar` in this module keeps one
+  :class:`~repro.simulation.results.DatabaseOutcome` per database -- what
+  the equivalence suite compares against the actors;
+* :func:`repro.simulation.fleet.simulate_fleet` replaces them with
+  region-level scalar accounting for million-database runs.
 
-Both backends keep ``sys.databases`` in :class:`LeanMetadata`: Algorithm
+The history backend follows its reader.  The vectorised kernel (the
+default, and the only predictor ``simulate_fleet`` runs) reads
+:class:`~repro.storage.history.LeanHistory`, login cursors over one flat
+array; the reference predictor
+(``use_fast_predictor=False``), which is Algorithm 4 over the B-tree,
+reads one :class:`~repro.storage.history.HistoryStore` per database.
+The actor engine always keeps its B-trees, so every actor ≡ columnar
+test pins the array history against Algorithms 2-3 over the B-tree.
+
+Both tiers keep ``sys.databases`` in :class:`LeanMetadata`: Algorithm
 5 is a set-at-a-time filter, so a column per field is all it needs.  The
 B-tree :class:`~repro.storage.metadata.MetadataStore` stays the actor
 engine's and the SQL procedures' reference, and the actor-equivalence
@@ -101,7 +107,7 @@ from repro.simulation.region import (
     sessions_to_csr,
 )
 from repro.simulation.results import DatabaseOutcome
-from repro.storage.history import HistoryStore
+from repro.storage.history import HistoryStore, LeanHistory, LeanHistoryView
 from repro.types import ActivityTrace, EventType, PredictedActivity
 
 # ---------------------------------------------------------------------------
@@ -215,7 +221,7 @@ class ColumnarState:
 
 
 # ---------------------------------------------------------------------------
-# Full backends: the real stores, one per database (equivalence mode)
+# Per-database backends: outcome ledgers and the reference B-tree history
 # ---------------------------------------------------------------------------
 
 
@@ -1302,7 +1308,7 @@ def simulate_region_columnar(
     config: ProRPConfig,
     settings,
 ):
-    """Run one region on the columnar engine with the real stores.
+    """Run one region on the columnar engine with per-database ledgers.
 
     Mirrors ``region._simulate_region`` step for step (cluster and RNG
     construction, per-trace setup order, start order, resume-operation
@@ -1317,9 +1323,18 @@ def simulate_region_columnar(
     stream = _build_kpi_stream(settings)
     ids = [trace.database_id for trace in traces]
     metadata = LeanMetadata(ids)
+    # The B-tree history is kept only for the reference predictor, which
+    # is Algorithm 4 over it; the vectorised kernel reads the array store.
+    reference = proactive and fast_predictor is None
     outcomes, maintenance_lists, sessions, stores = _per_trace_setup(
-        traces, proactive, config, settings
+        traces, reference, config, settings
     )
+    if reference:
+        hist = StoreHistory(stores)
+    elif proactive:
+        hist = LeanHistory(*sessions, settings.sim_start, config.history_days)
+    else:
+        hist = NullHistory()
     sess_offsets, sess_starts, sess_ends = sessions
     maint_offsets, maint_starts, maint_ends = sessions_to_csr(maintenance_lists)
     created_at = np.fromiter(
@@ -1342,7 +1357,7 @@ def simulate_region_columnar(
         sim_start=settings.sim_start,
         sim_end=settings.eval_end,
         acct=StoreAccounting(outcomes, stream=stream),
-        hist=StoreHistory(stores) if proactive else NullHistory(),
+        hist=hist,
         meta=metadata,
         cluster=StoreCluster(cluster, ids),
         fast_predictor=fast_predictor,
@@ -1370,6 +1385,13 @@ def simulate_region_columnar(
     for d in range(state.n):
         engine.finalize(d, settings.eval_end)
 
+    histories = dict(zip(ids, stores))
+    if isinstance(hist, LeanHistory):
+        closed = state.np.session_idx.tolist()
+        histories = {
+            database_id: LeanHistoryView(hist, d, closed[d])
+            for d, database_id in enumerate(ids)
+        }
     return RegionSimulationResult(
         policy=policy.value,
         settings=settings,
@@ -1378,6 +1400,6 @@ def simulate_region_columnar(
         resume_iterations=(
             resume_operation.iterations if resume_operation else []
         ),
-        histories=dict(zip(ids, stores)),
+        histories=histories,
         cluster_moves=cluster.moves,
     )

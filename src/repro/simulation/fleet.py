@@ -1,17 +1,18 @@
 """Fleet-scale simulation: lean columnar backends and region sharding.
 
 The columnar engine (:mod:`repro.simulation.columnar`) separates the FSM
-replay from its storage backends.  ``simulate_region`` plugs in the *real*
-stores -- one :class:`~repro.storage.history.HistoryStore`, one
-:class:`~repro.simulation.results.DatabaseOutcome` per database -- which
-is exactly right for the paper's figures but allocates millions of Python
-objects at fleet scale.  This module provides **lean** backends with the
-same observable semantics:
+replay from its storage backends.  ``simulate_region`` keeps one
+:class:`~repro.simulation.results.DatabaseOutcome` per database -- the
+per-database ledgers the paper's figures read -- which allocates millions
+of Python objects at fleet scale.  This module swaps in **lean** backends
+with the same observable semantics:
 
-* :class:`LeanHistory` -- per-database login cursors over one flat
-  ``int64`` array, replaying Algorithm 2/3 (timestamp-dedup inserts,
-  witness-preserving trims) without a table, warm-started from the same
-  :func:`~repro.storage.history.warm_start_events` as the full stores;
+* :class:`~repro.storage.history.LeanHistory` (shared with
+  ``simulate_region`` whenever the vectorised predictor reads the
+  history) -- per-database login cursors over one flat ``int64`` array,
+  replaying Algorithm 2/3 (timestamp-dedup inserts, witness-preserving
+  trims) without a table, warm-started from
+  :func:`~repro.storage.history.warm_start_events`;
 * :class:`~repro.simulation.columnar.LeanMetadata` (shared with
   ``simulate_region``) -- the ``sys.databases`` columns as arrays, with
   Algorithm 5's scan as one masked pass ordered like the secondary index;
@@ -31,7 +32,6 @@ cannot survive a fan-out unchanged -- chaos experiments stay on
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -58,8 +58,8 @@ from repro.simulation.region import (
     _build_kpi_stream,
     _start_resume_loop,
 )
-from repro.storage.history import warm_start_events
-from repro.types import SECONDS_PER_DAY, EventType
+from repro.storage.history import LeanHistory
+from repro.types import SECONDS_PER_DAY
 from repro.workload.fleetgen import DriftSpec, FleetShardSpec, FleetSlice
 
 
@@ -250,173 +250,6 @@ class LeanAccounting:
         )
 
 
-class LeanHistory:
-    """Per-database login cursors over one flat array.
-
-    Replays exactly what a warm :class:`HistoryStore` would observe (the
-    same :func:`~repro.storage.history.warm_start_events` rows, Algorithm
-    2's timestamp-dedup insert, Algorithm 3's witness-preserving trim), but
-    the only state per database is a handful of cursor scalars into a
-    shared ``int64`` login array:
-
-    * ``top[d]``: logins inserted so far (warm prefix + live appends);
-    * ``k[d]``: trim cursor -- logins below it (except the witness) have
-      been deleted;
-    * ``witness_login[d]``: whether the surviving oldest tuple (the
-      lifespan witness Algorithm 3 keeps) is a login, in which case it
-      heads the login view regardless of ``k``.
-
-    A live insert asserts the appended login lands where the
-    precomputed capacity expects it -- divergence from the event stream
-    fails loudly instead of silently skewing predictions.
-
-    The per-event methods index ``_<name>``, a memoryview of the numpy
-    column ``<name>``; :meth:`login_array` and :meth:`export_csr` slice
-    and mask the arrays themselves.
-    """
-
-    _COLUMNS = (
-        "has_event", "witness_login", "min_ts", "last_ts", "top", "k", "off", "logins"
-    )
-
-    def __init__(
-        self,
-        sess_offsets: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        sim_start: int,
-        history_days: int,
-    ):
-        n = len(sess_offsets) - 1
-        self.n = n
-        bounds, times, types = warm_start_events(
-            sess_offsets, starts, ends, sim_start, history_days
-        )
-        counts = np.diff(bounds)
-        self.has_event = counts > 0
-        heads = bounds[:-1][self.has_event]
-        is_login = types == int(EventType.ACTIVITY_START)
-        self.witness_login = np.zeros(n, dtype=bool)
-        self.witness_login[self.has_event] = is_login[heads]
-        self.min_ts = np.full(n, -1, dtype=np.int64)
-        self.min_ts[self.has_event] = times[heads]
-        self.last_ts = np.full(n, -1, dtype=np.int64)
-        self.last_ts[self.has_event] = times[bounds[1:][self.has_event] - 1]
-        self.k = self.witness_login.astype(np.int64)
-        login_owner = np.repeat(np.arange(n), counts)[is_login]
-        self.top = np.bincount(login_owner, minlength=n).astype(np.int64)
-
-        # Capacity per database: warm logins + live session starts after
-        # sim_start (the only candidates for further login inserts).
-        session_owner = np.repeat(np.arange(n), np.diff(sess_offsets))
-        capacity = self.top + np.bincount(
-            session_owner[starts > sim_start], minlength=n
-        )
-        self.off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(capacity, out=self.off[1:])
-        self.logins = np.empty(int(self.off[-1]), dtype=np.int64)
-        first_login = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.top, out=first_login[1:])
-        rank = np.arange(len(login_owner)) - first_login[login_owner]
-        self.logins[self.off[login_owner] + rank] = times[is_login]
-        for name in self._COLUMNS:
-            setattr(self, f"_{name}", getattr(self, name).data)
-
-    def nbytes(self) -> int:
-        return sum(getattr(self, name).nbytes for name in self._COLUMNS)
-
-    def record(self, d: int, t: int, event_type: EventType) -> None:
-        if t == self._last_ts[d]:
-            return  # Algorithm 2's uniqueness guard (lines 3-6)
-        self._last_ts[d] = t
-        is_start = event_type == EventType.ACTIVITY_START
-        if not self._has_event[d]:
-            self._has_event[d] = True
-            self._min_ts[d] = t
-            self._witness_login[d] = is_start
-            if is_start:
-                self._k[d] = 1
-        if is_start:
-            pos = self._off[d] + self._top[d]
-            if pos >= self._off[d + 1]:
-                raise SimulationError(
-                    f"db[{d}]: login at t={t} exceeds the precomputed "
-                    f"history capacity -- event stream diverged from the "
-                    f"session arrays"
-                )
-            self._logins[pos] = t
-            self._top[d] += 1
-
-    def trim(self, d: int, history_days: int, now: int) -> bool:
-        history_start = now - history_days * SECONDS_PER_DAY
-        if not self._has_event[d] or self._min_ts[d] >= history_start:
-            return False
-        base = self._off[d]
-        k = self._k[d]
-        top = self._top[d]
-        if k < top:
-            # Logins strictly between the witness and history_start are
-            # deleted; everything at or past the cursor exceeds min_ts
-            # already (timestamps are unique), so one bisect suffices.
-            self._k[d] = (
-                bisect_left(self._logins, history_start, base + k, base + top)
-                - base
-            )
-        return True
-
-    def older_than(self, d: int, history_start: int) -> bool:
-        """The ``old`` flag a trim at ``history_start`` would return,
-        without moving the cursor."""
-        return self._has_event[d] and self._min_ts[d] < history_start
-
-    def login_array(self, d: int) -> np.ndarray:
-        base = self._off[d]
-        top = self._top[d]
-        k = self._k[d]
-        if self._witness_login[d]:
-            if k <= 1:
-                return self.logins[base : base + top]
-            return np.concatenate(
-                (self.logins[base : base + 1], self.logins[base + k : base + top])
-            )
-        return self.logins[base + k : base + top]
-
-    def login_timestamps(self, d: int) -> Sequence[int]:
-        return self.login_array(d).tolist()
-
-    def export_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(offsets, logins)``: a compacted CSR snapshot of every
-        database's *effective* login view.
-
-        The live layout keeps deleted-but-untrimmed slots and the
-        witness-before-cursor special case; the export materialises what
-        :meth:`login_array` would return for each database, back to back,
-        so a consumer (the serving tier's shared-memory arena) can slice
-        ``logins[offsets[d]:offsets[d+1]]`` with no per-read branching.
-        """
-        visible = self.top - self.k
-        witness_extra = self.witness_login & (self.k > 1)
-        counts = np.where(
-            self.witness_login & (self.k <= 1),
-            self.top,
-            visible + witness_extra,
-        ).astype(np.int64)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        out = np.empty(int(offsets[-1]), dtype=np.int64)
-        for d in range(self.n):
-            view = self.login_array(d)
-            base = int(offsets[d])
-            out[base : base + len(view)] = view
-        return offsets, out
-
-    def store(self, d: int):
-        raise SimulationError(
-            "lean history has no HistoryStore objects; the reference "
-            "predictor path is gated off in simulate_fleet"
-        )
-
-
 @dataclass
 class FleetSimulationResult:
     """Outcome of one lean fleet region."""
@@ -448,9 +281,7 @@ class ShardedFleetResult:
     state_nbytes: int = 0
 
 
-def _check_lean_supported(
-    policy: PolicyKind, config: ProRPConfig, settings: SimulationSettings
-) -> None:
+def _check_lean_supported(policy: PolicyKind, settings: SimulationSettings) -> None:
     if policy not in (PolicyKind.PROACTIVE, PolicyKind.REACTIVE):
         raise SimulationError(
             f"simulate_fleet supports proactive/reactive policies, not "
@@ -483,11 +314,6 @@ def _check_lean_supported(
             "simulate_fleet requires the vectorised predictor "
             "(use_fast_predictor=True)"
         )
-    if getattr(config, "auto_seasonality", False):
-        raise SimulationError(
-            "simulate_fleet does not support adaptive seasonality "
-            "(per-database config resolution reads history stores)"
-        )
 
 
 def simulate_fleet(
@@ -511,7 +337,7 @@ def simulate_fleet(
         settings = SimulationSettings(
             eval_start=span_end - SECONDS_PER_DAY, eval_end=span_end
         )
-    _check_lean_supported(policy, config, settings)
+    _check_lean_supported(policy, settings)
 
     proactive = policy is PolicyKind.PROACTIVE
     n = fleet.n
@@ -727,7 +553,7 @@ def simulate_fleet_sharded(
         settings = SimulationSettings(
             eval_start=span_end - SECONDS_PER_DAY, eval_end=span_end
         )
-    _check_lean_supported(policy, config, settings)
+    _check_lean_supported(policy, settings)
     bounds = shard_bounds(spec.n_databases, n_shards)
     backend = resolve_executor(executor, workers)
     context = (spec, policy.value, config, settings)

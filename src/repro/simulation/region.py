@@ -9,8 +9,8 @@ KPI metrics of Section 8.
 
 A warm-up lead (default one day) precedes the evaluation window so the
 lifecycle states settle before anything is measured; history older than the
-warm-up is bulk-loaded into each database's history store, mirroring a
-fleet that has been running for weeks.
+warm-up is warm-loaded into each database's history, mirroring a fleet
+that has been running for weeks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.observability.runtime import OBS
 from repro.simulation.actor import ProactiveActor, ReactiveActor, _BaseActor
 from repro.simulation.engine import EventQueue
 from repro.simulation.results import DatabaseOutcome, aggregate, bucket_event_times
-from repro.storage.history import HistoryStore, warm_start_events
+from repro.storage.history import HistoryStore, LeanHistoryView, warm_start_events
 from repro.storage.metadata import MetadataStore
 from repro.storage.schema import ColumnType
 from repro.types import SECONDS_PER_DAY, ActivityTrace, Session
@@ -149,8 +149,14 @@ class RegionSimulationResult:
     config: ProRPConfig
     outcomes: List[DatabaseOutcome]
     resume_iterations: List[IterationRecord] = field(default_factory=list)
-    #: Per-database history stores after the run (Figure 10(a-b)).
-    histories: Dict[str, HistoryStore] = field(default_factory=dict)
+    #: Per-database histories after the run (Figure 10(a-b)), proactive
+    #: only: the B-tree stores where the reference predictor or the actors
+    #: read them, otherwise :class:`LeanHistoryView` s over the array
+    #: history.  Either serves ``login_timestamps()``, ``tuple_count`` and
+    #: ``size_bytes()``, with the same values.
+    histories: Dict[str, Union[HistoryStore, LeanHistoryView]] = field(
+        default_factory=dict
+    )
     cluster_moves: int = 0
 
     def kpis(self) -> KpiReport:
@@ -306,7 +312,7 @@ def _build_kpi_stream(settings: SimulationSettings):
 
 def _per_trace_setup(
     traces: Sequence[ActivityTrace],
-    proactive: bool,
+    btree_history: bool,
     config: ProRPConfig,
     settings: SimulationSettings,
 ) -> Tuple[
@@ -314,8 +320,8 @@ def _per_trace_setup(
 ]:
     """Per trace, in trace order: the outcome ledger, the maintenance
     schedule (its own RNG stream per database); the sessions as CSR
-    arrays; and, under the proactive policy, the warm history stores (an
-    empty list otherwise)."""
+    arrays; and, when ``btree_history``, the warm B-tree history stores
+    (an empty list otherwise)."""
     outcomes: List[DatabaseOutcome] = []
     maintenance_lists: List[List[Session]] = []
     for trace in traces:
@@ -331,7 +337,7 @@ def _per_trace_setup(
         maintenance_lists.append(maintenance)
     sessions = sessions_to_csr([trace.sessions for trace in traces])
     stores = []
-    if proactive:
+    if btree_history:
         stores = _warm_history(sessions, settings.sim_start, config.history_days)
     return outcomes, maintenance_lists, sessions, stores
 

@@ -24,6 +24,11 @@ preallocated ``numpy`` array, so the vectorised predictor gets a ready
 ``int64`` view instead of converting a Python list per call.  Out-of-order
 inserts and trims that actually delete logins mark the buffer for a lazy
 rebuild.
+
+:class:`LeanHistory` runs Algorithms 2 and 3 for a whole fleet over flat
+arrays (login cursors instead of a table); the simulation engines use it
+wherever only the vectorised predictor reads the history, and
+:class:`LeanHistoryView` reads one of its databases back like a store.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError, TraceError
+from repro.errors import SimulationError, StorageError, TraceError
 from repro.observability.runtime import OBS
 from repro.storage.database import Database
 from repro.storage.schema import history_schema
@@ -319,3 +324,232 @@ class HistoryStore:
     def table(self) -> Table:
         """The underlying table (exposed for the SQL-procedure variants)."""
         return self._table
+
+
+class LeanHistory:
+    """Every database's history as login cursors over one flat array.
+
+    Replays exactly what one warm :class:`HistoryStore` per database would
+    hold (the same :func:`warm_start_events` rows, Algorithm 2's
+    timestamp-dedup insert, Algorithm 3's witness-preserving trim), but
+    the only state per database is a handful of scalars into a shared
+    ``int64`` login array:
+
+    * ``top[d]``: logins inserted so far (warm prefix + live appends);
+    * ``k[d]``: trim cursor -- logins below it (except the witness) have
+      been deleted;
+    * ``witness_login[d]``: whether the surviving oldest tuple (the
+      lifespan witness Algorithm 3 keeps) is a login, in which case it
+      heads the login view regardless of ``k``;
+    * ``cut[d]``: the ``historyStart`` of the last trim that deleted
+      (``sim_start - h`` before any) -- every row below it but the witness
+      is gone, which is all :meth:`tuple_count` needs besides the session
+      ends, so logouts are never stored.
+
+    A live insert asserts the appended login lands where the
+    precomputed capacity expects it -- divergence from the event stream
+    fails loudly instead of silently skewing predictions.
+
+    The per-event methods index ``_<name>``, a memoryview of the numpy
+    column ``<name>``; :meth:`login_array` and :meth:`export_csr` slice
+    and mask the arrays themselves.
+    """
+
+    _COLUMNS = (
+        "has_event", "witness_login", "min_ts", "last_ts", "top", "k", "cut",
+        "off", "logins",
+    )
+
+    def __init__(
+        self,
+        sess_offsets: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        sim_start: int,
+        history_days: int,
+    ):
+        n = len(sess_offsets) - 1
+        self.n = n
+        bounds, times, types = warm_start_events(
+            sess_offsets, starts, ends, sim_start, history_days
+        )
+        counts = np.diff(bounds)
+        self.has_event = counts > 0
+        heads = bounds[:-1][self.has_event]
+        is_login = types == int(EventType.ACTIVITY_START)
+        self.witness_login = np.zeros(n, dtype=bool)
+        self.witness_login[self.has_event] = is_login[heads]
+        self.min_ts = np.full(n, -1, dtype=np.int64)
+        self.min_ts[self.has_event] = times[heads]
+        self.last_ts = np.full(n, -1, dtype=np.int64)
+        self.last_ts[self.has_event] = times[bounds[1:][self.has_event] - 1]
+        self.k = self.witness_login.astype(np.int64)
+        self.cut = np.full(
+            n, sim_start - history_days * SECONDS_PER_DAY, dtype=np.int64
+        )
+        login_owner = np.repeat(np.arange(n), counts)[is_login]
+        self.top = np.bincount(login_owner, minlength=n).astype(np.int64)
+
+        # Capacity per database: warm logins + live session starts after
+        # sim_start (the only candidates for further login inserts).
+        session_owner = np.repeat(np.arange(n), np.diff(sess_offsets))
+        capacity = self.top + np.bincount(
+            session_owner[starts > sim_start], minlength=n
+        )
+        self.off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(capacity, out=self.off[1:])
+        self.logins = np.empty(int(self.off[-1]), dtype=np.int64)
+        first_login = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.top, out=first_login[1:])
+        rank = np.arange(len(login_owner)) - first_login[login_owner]
+        self.logins[self.off[login_owner] + rank] = times[is_login]
+        for name in self._COLUMNS:
+            setattr(self, f"_{name}", getattr(self, name).data)
+        # The session arrays are the caller's; only tuple_count reads them.
+        self.sim_start = sim_start
+        self._sess_offsets = np.ascontiguousarray(sess_offsets, dtype=np.int64).data
+        self._ends = np.ascontiguousarray(ends, dtype=np.int64).data
+
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self._COLUMNS)
+
+    def record(self, d: int, t: int, event_type: EventType) -> None:
+        if t == self._last_ts[d]:
+            return  # Algorithm 2's uniqueness guard (lines 3-6)
+        self._last_ts[d] = t
+        is_start = event_type == EventType.ACTIVITY_START
+        if not self._has_event[d]:
+            self._has_event[d] = True
+            self._min_ts[d] = t
+            self._witness_login[d] = is_start
+            if is_start:
+                self._k[d] = 1
+        if is_start:
+            pos = self._off[d] + self._top[d]
+            if pos >= self._off[d + 1]:
+                raise SimulationError(
+                    f"db[{d}]: login at t={t} exceeds the precomputed "
+                    f"history capacity -- event stream diverged from the "
+                    f"session arrays"
+                )
+            self._logins[pos] = t
+            self._top[d] += 1
+
+    def trim(self, d: int, history_days: int, now: int) -> bool:
+        history_start = now - history_days * SECONDS_PER_DAY
+        if not self._has_event[d] or self._min_ts[d] >= history_start:
+            return False
+        self._cut[d] = history_start
+        base = self._off[d]
+        k = self._k[d]
+        top = self._top[d]
+        if k < top:
+            # Logins strictly between the witness and history_start are
+            # deleted; everything at or past the cursor exceeds min_ts
+            # already (timestamps are unique), so one bisect suffices.
+            self._k[d] = (
+                bisect.bisect_left(
+                    self._logins, history_start, base + k, base + top
+                )
+                - base
+            )
+        return True
+
+    def older_than(self, d: int, history_start: int) -> bool:
+        """The ``old`` flag a trim at ``history_start`` would return,
+        without moving the cursor."""
+        return self._has_event[d] and self._min_ts[d] < history_start
+
+    def tuple_count(self, d: int, closed: int) -> int:
+        """The rows ``d``'s :class:`HistoryStore` would hold once its
+        sessions ``[sess_offsets[d], closed)`` have ended (the engine's
+        ``session_idx[d]``).
+
+        They are the witness plus every row at or past ``cut[d]``: the
+        logins past the trim cursor and the ends of the closed sessions.
+        Ends are unique, sorted and never a duplicate Algorithm 2 drops
+        (a login tied with the previous logout is the one dropped), so
+        one bisect counts them -- less one at exactly ``sim_start``: that
+        session closed before the run, past the warm rows' reach.
+        """
+        if not self._has_event[d]:
+            return 0
+        lo = max(self._cut[d], self._min_ts[d] + 1)
+        ends = self._ends
+        first = bisect.bisect_left(ends, lo, self._sess_offsets[d], closed)
+        n_ends = closed - first
+        if lo <= self.sim_start:
+            at = bisect.bisect_left(ends, self.sim_start, first, closed)
+            n_ends -= at < closed and ends[at] == self.sim_start
+        return 1 + self._top[d] - self._k[d] + n_ends
+
+    def login_array(self, d: int) -> np.ndarray:
+        base = self._off[d]
+        top = self._top[d]
+        k = self._k[d]
+        if self._witness_login[d]:
+            if k <= 1:
+                return self.logins[base : base + top]
+            return np.concatenate(
+                (self.logins[base : base + 1], self.logins[base + k : base + top])
+            )
+        return self.logins[base + k : base + top]
+
+    def login_timestamps(self, d: int) -> Sequence[int]:
+        return self.login_array(d).tolist()
+
+    def export_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, logins)``: a compacted CSR snapshot of every
+        database's *effective* login view.
+
+        The live layout keeps deleted-but-untrimmed slots and the
+        witness-before-cursor special case; the export materialises what
+        :meth:`login_array` would return for each database, back to back,
+        so a consumer (the serving tier's shared-memory arena) can slice
+        ``logins[offsets[d]:offsets[d+1]]`` with no per-read branching.
+        """
+        visible = self.top - self.k
+        witness_extra = self.witness_login & (self.k > 1)
+        counts = np.where(
+            self.witness_login & (self.k <= 1),
+            self.top,
+            visible + witness_extra,
+        ).astype(np.int64)
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        out = np.empty(int(offsets[-1]), dtype=np.int64)
+        for d in range(self.n):
+            view = self.login_array(d)
+            base = int(offsets[d])
+            out[base : base + len(view)] = view
+        return offsets, out
+
+    def store(self, d: int):
+        raise SimulationError(
+            "lean history has no HistoryStore objects; the reference "
+            "predictor reads the B-tree history (StoreHistory)"
+        )
+
+
+class LeanHistoryView:
+    """One database of a :class:`LeanHistory` after a run, read like its
+    :class:`HistoryStore`: the login view and Figure 10's tuple count and
+    size."""
+
+    __slots__ = ("_history", "_d", "_closed")
+
+    def __init__(self, history: LeanHistory, d: int, closed: int):
+        self._history = history
+        self._d = d
+        self._closed = closed
+
+    def login_timestamps(self) -> Sequence[int]:
+        return self._history.login_timestamps(self._d)
+
+    @property
+    def tuple_count(self) -> int:
+        return self._history.tuple_count(self._d, self._closed)
+
+    def size_bytes(self) -> int:
+        """History size counting two 64-bit integers per tuple."""
+        return self.tuple_count * BYTES_PER_TUPLE

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage.database import Database
-from repro.storage.history import BYTES_PER_TUPLE, HistoryStore
+from repro.storage.history import BYTES_PER_TUPLE, HistoryStore, LeanHistory
 from repro.types import SECONDS_PER_DAY, ActivityTrace, EventType, HistoryEvent, Session
 
 DAY = SECONDS_PER_DAY
@@ -327,14 +327,18 @@ _durations = st.sampled_from([1, 60, 3600, DAY // 3, DAY])
 @st.composite
 def _warm_traces(draw):
     """Sorted sessions over [0, 5 days): touching ones (gap 0), ones
-    straddling ``sim_start``, ones wholly before the retention window, and
-    databases with nothing before ``sim_start``."""
+    straddling ``sim_start`` or ending right at it, ones wholly before the
+    retention window, and databases with nothing before ``sim_start``."""
     traces = []
     t = 0
     for i in range(draw(st.integers(1, 5))):
         # Starting at the previous database's last end puts equal
         # timestamps on both sides of a database boundary.
-        t = draw(st.sampled_from([0, DAY, _SIM_START - 600, _SIM_START, 4 * DAY, t]))
+        t = draw(
+            st.sampled_from(
+                [0, DAY, _SIM_START - 3600, _SIM_START - 600, _SIM_START, 4 * DAY, t]
+            )
+        )
         sessions = []
         for _ in range(draw(st.integers(0, 8))):
             start = t + draw(_gaps)
@@ -342,6 +346,16 @@ def _warm_traces(draw):
             sessions.append(Session(start, t))
         traces.append(ActivityTrace(f"db-{i}", sessions))
     return traces
+
+
+def _closed_at_start(sessions, traces):
+    """Per database, the engine's ``session_idx`` after ``start``: every
+    session ending by ``sim_start`` is closed."""
+    offsets = sessions[0]
+    return [
+        int(offsets[d]) + sum(session.end <= _SIM_START for session in trace.sessions)
+        for d, trace in enumerate(traces)
+    ]
 
 
 def _replayed(trace, history_days):
@@ -357,15 +371,16 @@ def _replayed(trace, history_days):
 @settings(max_examples=150, deadline=None)
 @given(_warm_traces(), st.integers(1, 3))
 def test_warm_start_equals_insert_then_trim(traces, history_days):
-    """``_warm_history`` (both engines) and ``LeanHistory`` hold exactly
-    what inserting every pre-``sim_start`` event and trimming at
-    ``sim_start`` leaves: rows, logins, the witness and its login flag."""
-    from repro.simulation.fleet import LeanHistory
+    """``_warm_history`` (the actors and the reference predictor) and
+    ``LeanHistory`` hold exactly what inserting every pre-``sim_start``
+    event and trimming at ``sim_start`` leaves: rows, row count, logins,
+    the witness and its login flag."""
     from repro.simulation.region import _warm_history, sessions_to_csr
 
     sessions = sessions_to_csr([trace.sessions for trace in traces])
     stores = _warm_history(sessions, _SIM_START, history_days)
     lean = LeanHistory(*sessions, _SIM_START, history_days)
+    closed = _closed_at_start(sessions, traces)
     for d, trace in enumerate(traces):
         reference = _replayed(trace, history_days)
         expected = reference.all_events()
@@ -373,6 +388,7 @@ def test_warm_start_equals_insert_then_trim(traces, history_days):
         assert stores[d].login_array().tolist() == reference.login_array().tolist()
         assert list(stores[d].login_timestamps()) == list(reference.login_timestamps())
         assert lean.login_array(d).tolist() == reference.login_array().tolist()
+        assert lean.tuple_count(d, closed[d]) == reference.tuple_count
         assert lean.min_ts[d] == (expected[0].time_snapshot if expected else -1)
         assert lean.last_ts[d] == (expected[-1].time_snapshot if expected else -1)
         assert lean.witness_login[d] == bool(
@@ -385,6 +401,7 @@ def test_warm_start_equals_insert_then_trim(traces, history_days):
         assert lean.trim(d, history_days, now) == old
         assert lean.login_array(d).tolist() == reference.login_array().tolist()
         assert stores[d].login_array().tolist() == reference.login_array().tolist()
+        assert lean.tuple_count(d, closed[d]) == reference.tuple_count
 
 
 @st.composite
@@ -426,27 +443,30 @@ def _live_histories(draw):
 def test_lean_live_path_equals_insert_and_trim(case):
     """``LeanHistory.record`` / ``trim`` over a warm start hold what
     Algorithm 2 inserts and Algorithm 3 trims leave in a ``HistoryStore``
-    after every step: the ``old`` flag, ``older_than`` and the logins."""
+    after every step: the ``old`` flag, ``older_than``, the logins and
+    the row count (a session closes when its logout is recorded)."""
     from repro.simulation.columnar import StoreHistory
-    from repro.simulation.fleet import LeanHistory
     from repro.simulation.region import sessions_to_csr
 
     traces, history_days, ops = case
     sessions = sessions_to_csr([trace.sessions for trace in traces])
     lean = LeanHistory(*sessions, _SIM_START, history_days)
     reference = StoreHistory([_replayed(trace, history_days) for trace in traces])
+    closed = _closed_at_start(sessions, traces)
     for t, d, event_type in ops:
         if event_type is None:
             assert lean.trim(d, history_days, t) == reference.trim(d, history_days, t)
         else:
             lean.record(d, t, event_type)
             reference.record(d, t, event_type)
+            closed[d] += event_type is EventType.ACTIVITY_END
         history_start = t - history_days * DAY
         for db in range(len(traces)):
             assert lean.older_than(db, history_start) == reference.older_than(
                 db, history_start
             )
             assert lean.login_array(db).tolist() == list(reference.login_timestamps(db))
+            assert lean.tuple_count(db, closed[db]) == reference.store(db).tuple_count
 
 
 def test_bulk_load_rows_check_time_type_and_sign():
@@ -472,3 +492,11 @@ def test_warm_history_checks_session_times():
         sessions_to_csr([[Session(10, 20.5)]])
     with pytest.raises(TraceError):
         _warm_history(sessions_to_csr([[Session(-10, 20)]]), DAY, 1)
+
+
+def test_fleet_module_reexports_the_array_history():
+    """Wrapping ``repro.simulation.fleet.LeanHistory``'s methods wraps the
+    class both columnar tiers run."""
+    from repro.simulation import fleet
+
+    assert fleet.LeanHistory is LeanHistory
