@@ -1,8 +1,6 @@
 """Configuration knobs of the ProRP infrastructure (Table 1 of the paper).
 
-All durations are stored in seconds.  The constructor accepts the same units
-the paper uses (hours, days, minutes) through the ``from_paper_units``
-factory; the plain constructor takes seconds for full control.
+All durations are stored in seconds.
 
 ========================  =======================================  =========
 Parameter                 Meaning                                  Default
@@ -145,34 +143,6 @@ class ProRPConfig:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_paper_units(
-        cls,
-        logical_pause_hours: float = 7,
-        history_days: int = 28,
-        horizon_days: float = 1,
-        confidence: float = 0.1,
-        window_hours: float = 7,
-        slide_minutes: float = 5,
-        prewarm_minutes: float = 5,
-        seasonality: Seasonality = Seasonality.DAILY,
-        resume_operation_period_minutes: float = 1,
-    ) -> "ProRPConfig":
-        """Build a config using the units of Table 1."""
-        return cls(
-            logical_pause_s=int(logical_pause_hours * SECONDS_PER_HOUR),
-            history_days=history_days,
-            horizon_s=int(horizon_days * SECONDS_PER_DAY),
-            confidence=confidence,
-            window_s=int(window_hours * SECONDS_PER_HOUR),
-            slide_s=int(slide_minutes * SECONDS_PER_MINUTE),
-            prewarm_s=int(prewarm_minutes * SECONDS_PER_MINUTE),
-            seasonality=seasonality,
-            resume_operation_period_s=int(
-                resume_operation_period_minutes * SECONDS_PER_MINUTE
-            ),
-        )
 
     def with_overrides(self, **overrides: Any) -> "ProRPConfig":
         """Return a copy with some knobs replaced (validates the result)."""

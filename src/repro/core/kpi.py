@@ -93,8 +93,10 @@ class KpiReport:
     #: Customer-idle seconds with resources held for system maintenance:
     #: a provider cost tracked outside the policy's COGS (Section 3.3).
     maintenance_s: int = 0
-    #: Wall-clock latency samples of next-activity prediction, in seconds
-    #: (Figure 10(c)); empty for policies that never predict.
+    #: Always empty: no engine fills it.  Figure 10(c) reads the
+    #: ``predictor.reference.latency_ms`` histogram instead.  The field
+    #: stays because pinned KPI digests hash ``dataclasses.asdict`` of the
+    #: report.
     prediction_latencies_s: List[float] = field(default_factory=list)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, List, Protocol
+from typing import Callable, Hashable, List, Protocol
 
 from repro.errors import FaultInjectedError, ProRPError
 from repro.faults.resilience import RetryPolicy
@@ -36,11 +36,15 @@ SCAN_FAULT_POINT = "resume.scan.unavailable"
 
 
 class PrewarmSource(Protocol):
-    """The metadata scan Algorithm 5 issues (either store backend works)."""
+    """The metadata scan Algorithm 5 issues (either store backend works).
+
+    It returns the keys ``on_prewarm`` takes: database ids from the
+    B-tree stores, row indices from the columnar engine's column store.
+    """
 
     def databases_to_prewarm(
         self, now: int, prewarm_s: int, period_s: int
-    ) -> List[str]: ...
+    ) -> List[Hashable]: ...
 
 
 @dataclass
@@ -108,7 +112,7 @@ class ProactiveResumeOperation:
         OBS.metrics.counter("resume.scan.prewarms").inc(record.batch_size)
         return record
 
-    def _scan(self, now: int) -> List[str]:
+    def _scan(self, now: int) -> List[Hashable]:
         """One scan attempt against the metadata store."""
         if FAULTS.enabled and FAULTS.injector.should_fire(SCAN_FAULT_POINT, now):
             raise FaultInjectedError(

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis import EmpiricalCdf, format_table
 from repro.config import DEFAULT_CONFIG, ProRPConfig
+from repro.errors import SimulationError
 from repro.experiments.common import BENCH_SCALE, ExperimentScale, region_fleet
 from repro.observability.runtime import OBS, observed
 from repro.observability.tracer import NULL_TRACER
@@ -104,15 +105,15 @@ def run_fig10(
     preset: RegionPreset = RegionPreset.EU1,
     config: ProRPConfig = DEFAULT_CONFIG,
 ) -> Fig10Result:
-    """Run the proactive policy with per-call latency measurement (which
-    forces the reference predictor) and collect the per-database history
-    footprints at the end of the run."""
+    """Run the proactive policy on the reference predictor, whose every
+    call feeds the ``predictor.reference.latency_ms`` histogram, and
+    collect the per-database history footprints at the end of the run."""
     if scale is None:
         # One eval day over the full bench fleet keeps the reference
         # predictor's total cost to a few seconds.
         scale = BENCH_SCALE.smaller(n_databases=BENCH_SCALE.n_databases, eval_days=1)
     traces = region_fleet(preset, scale) + _chatty_tail(scale)
-    settings = scale.settings(measure_prediction_latency=True)
+    settings = scale.settings(use_fast_predictor=False)
     if OBS.enabled:
         # Ambient observability (e.g. the CLI's --metrics-out): reuse it.
         result = simulate_region(traces, "proactive", config, settings)
@@ -133,9 +134,12 @@ def run_fig10(
     histogram = registry.histogram("predictor.reference.latency_ms")
     samples = list(histogram.samples)
     if len(samples) != histogram.count:
-        # Sample buffer overflowed (fleet beyond ~65K predictions): fall
-        # back to the actor-side measurements rather than interpolate.
-        samples = [s * 1000.0 for s in result.kpis().prediction_latencies_s]
+        # Beyond ~65K predictions the histogram keeps bucket counts only;
+        # the CDF would have to be interpolated, so refuse instead.
+        raise SimulationError(
+            f"predictor.reference.latency_ms kept {len(samples)} of "
+            f"{histogram.count} samples; shrink the fleet or eval window"
+        )
     latencies = EmpiricalCdf(samples)
     return Fig10Result(
         tuple_counts=tuple_counts,

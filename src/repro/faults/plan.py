@@ -214,11 +214,6 @@ class FaultPlan:
             raise FaultPlanError("'points' must be a list of fault specs")
         return cls.of(*(FaultSpec.from_dict(entry) for entry in entries))
 
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FaultPlan":
         try:

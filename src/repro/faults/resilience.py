@@ -38,11 +38,11 @@ from repro.observability.runtime import OBS
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 
-    ``delays()`` exposes the full backoff schedule (seconds before attempt
-    2, 3, ...), fixed at construction; ``call`` runs a function under the
-    policy.  The simulator never sleeps -- callers pass ``sleep=None`` (the
-    default) to merely count the backoff, or their own sink to account
-    simulated delay.
+    The backoff schedule (seconds before attempt 2, 3, ...) is fixed at
+    construction; ``call`` runs a function under the policy and passes
+    each delay to ``on_retry``.  The simulator never sleeps -- callers
+    pass ``sleep=None`` (the default) to merely count the backoff, or
+    their own sink to account simulated delay.
     """
 
     def __init__(
@@ -78,10 +78,6 @@ class RetryPolicy:
                 bounded *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
             self._delays.append(bounded)
             delay *= multiplier
-
-    def delays(self) -> List[float]:
-        """Backoff before each retry (length ``max_attempts - 1``)."""
-        return list(self._delays)
 
     def call(
         self,

@@ -604,46 +604,6 @@ def serving_slos(
     )
 
 
-def tuning_slos(
-    fast_window_s: float = DEFAULT_WINDOW_S,
-    regret_p95_limit: float = 0.9,
-) -> Tuple[SloSpec, ...]:
-    """The stock rule set for the online knob tuner + predictor bank.
-
-    * ``tuner_demotion`` -- the active challenger fell below the guarded
-      baseline and was demoted (any demotion inside a fast window is an
-      incident: the tuner burned QoS the static sweep would not have).
-    * ``bank_regret_p95`` -- the per-login prediction-regret p95 across
-      all bank policies approaches the miss cost, i.e. the bank is
-      mostly missing logins and databases resume reactively.
-    """
-    slow = fast_window_s * DEFAULT_SLOW_FACTOR
-    return (
-        SloSpec(
-            name="tuner_demotion",
-            kind="threshold",
-            description="online tuner demoted the active config to baseline",
-            series="tuning.demotions.window",
-            stat="sum",
-            limit=1.0,
-            severity="ticket",
-            fast_window_s=fast_window_s,
-            slow_window_s=slow,
-        ),
-        SloSpec(
-            name="bank_regret_p95",
-            kind="threshold",
-            description="predictor-bank regret p95 near the miss cost",
-            series="tuning.bank.regret.window",
-            stat="p95",
-            limit=regret_p95_limit,
-            severity="ticket",
-            fast_window_s=fast_window_s,
-            slow_window_s=slow,
-        ),
-    )
-
-
 __all__ = [
     "SloSpec",
     "AlertEvent",
@@ -652,7 +612,6 @@ __all__ = [
     "KpiStream",
     "simulation_slos",
     "serving_slos",
-    "tuning_slos",
     "DEFAULT_FAST_BURN",
     "DEFAULT_SLOW_BURN",
     "DEFAULT_SLOW_FACTOR",

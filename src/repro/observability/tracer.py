@@ -122,10 +122,6 @@ class Tracer:
         """Finished spans with no parent."""
         return [s for s in self.spans if s.parent_id is None]
 
-    def children_of(self, span_id: int) -> List[SpanRecord]:
-        """Finished direct children of one span, in completion order."""
-        return [s for s in self.spans if s.parent_id == span_id]
-
 
 class _NullSpan:
     """The do-nothing span: shared, reentrant, attribute-free."""
@@ -157,9 +153,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def roots(self) -> List[SpanRecord]:
-        return []
-
-    def children_of(self, span_id: int) -> List[SpanRecord]:
         return []
 
 

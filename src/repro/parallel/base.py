@@ -40,12 +40,7 @@ class TaskRecord:
 
 @dataclass
 class SweepStats:
-    """Telemetry of one executor run (tasks queued/completed, wall time).
-
-    ``speedup`` compares the summed per-task wall time against the
-    end-to-end wall time: for a serial run it hovers around 1.0, for a
-    parallel run it approaches the effective worker count.
-    """
+    """Telemetry of one executor run (tasks queued/completed, wall time)."""
 
     backend: str
     workers: int
@@ -53,15 +48,8 @@ class SweepStats:
     tasks_completed: int = 0
     n_chunks: int = 0
     wall_s: float = 0.0
-    task_wall_s: float = 0.0
     tasks: List[TaskRecord] = field(default_factory=list)
     fallback_reason: Optional[str] = None
-
-    @property
-    def speedup(self) -> float:
-        if self.wall_s <= 0.0:
-            return 0.0
-        return self.task_wall_s / self.wall_s
 
 
 class SweepExecutor(abc.ABC):

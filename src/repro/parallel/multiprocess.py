@@ -192,7 +192,6 @@ class MultiprocessExecutor(SweepExecutor):
                     stats.tasks.append(
                         TaskRecord(index=index, wall_s=wall, worker=f"pid:{pid}")
                     )
-                    stats.task_wall_s += wall
                     stats.tasks_completed += 1
                 if registry is not None and OBS.enabled:
                     OBS.metrics.merge(registry)

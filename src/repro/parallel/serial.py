@@ -32,7 +32,6 @@ class SerialExecutor(SweepExecutor):
             results.append(worker(context, item))
             wall = time.perf_counter() - task_start
             stats.tasks.append(TaskRecord(index=index, wall_s=wall, worker="serial"))
-            stats.task_wall_s += wall
             stats.tasks_completed += 1
         stats.wall_s = time.perf_counter() - run_start
         self.last_stats = stats

@@ -15,7 +15,6 @@ resume on login.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Optional, Sequence
 
 from repro.cluster import Cluster
@@ -30,7 +29,7 @@ from repro.core.policy import (
     prediction_expired,
     reactive_wake_time,
 )
-from repro.core.predictor import LATENCY_FAULT_POINT, predict_next_activity
+from repro.core.predictor import predict_next_activity
 from repro.errors import FaultInjectedError, SimulationError
 from repro.faults.resilience import CircuitBreaker
 from repro.faults.runtime import FAULTS
@@ -488,7 +487,6 @@ class ProactiveActor(_BaseActor):
         sim_end: int,
         history: Optional[HistoryStore] = None,
         fast_predictor: Optional[FastPredictor] = None,
-        measure_prediction_latency: bool = False,
         maintenance: Sequence[Session] = (),
         collect_predictions: bool = False,
         prorp_outages: Sequence = (),
@@ -512,7 +510,6 @@ class ProactiveActor(_BaseActor):
         #: pure delegate, byte-identical to None.
         self._bank = bank
         self._fast_predictor = fast_predictor
-        self._measure_latency = measure_prediction_latency
         self._collect_predictions = collect_predictions
         self._prorp_outages = tuple(prorp_outages)
         #: Shared predictor circuit breaker (one per region under chaos):
@@ -605,14 +602,6 @@ class ProactiveActor(_BaseActor):
                 PREDICTOR_FAULT_POINT, "injected: predictor backend failure"
             )
         config = self._prediction_config(now)
-        if self._measure_latency:
-            started = _time.perf_counter()
-            self.next_activity = predict_next_activity(self.history, config, now)
-            elapsed = _time.perf_counter() - started
-            if FAULTS.enabled:
-                elapsed += FAULTS.injector.latency_s(LATENCY_FAULT_POINT, now)
-            self.outcome.record_prediction_latency(elapsed)
-            return
         if self._bank is not None:
             self.next_activity = self._bank.predict(
                 self.database_id,

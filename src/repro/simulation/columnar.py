@@ -36,7 +36,8 @@ including armed fault plans).  Where the two representations must agree is
 pinned down in ``docs/fleet_scale.md``.
 
 Storage/accounting sit behind four small seams (history, metadata,
-accounting, cluster) so the same handlers drive two tiers:
+accounting, cluster), so one driver body, :func:`run_columnar_region`
+(Algorithm 5 included), serves two tiers:
 
 * :func:`simulate_region_columnar` in this module keeps one
   :class:`~repro.simulation.results.DatabaseOutcome` per database -- what
@@ -44,10 +45,9 @@ accounting, cluster) so the same handlers drive two tiers:
 * :func:`repro.simulation.fleet.simulate_fleet` replaces them with
   region-level scalar accounting for million-database runs.
 
-The history backend follows its reader.  The vectorised kernel (the
-default, and the only predictor ``simulate_fleet`` runs) reads
-:class:`~repro.storage.history.LeanHistory`, login cursors over one flat
-array; the reference predictor
+The history backend follows its reader, on either tier.  The vectorised
+kernel (the default) reads :class:`~repro.storage.history.LeanHistory`,
+login cursors over one flat array; the reference predictor
 (``use_fast_predictor=False``), which is Algorithm 4 over the B-tree,
 reads one :class:`~repro.storage.history.HistoryStore` per database.
 The actor engine always keeps its B-trees, so every actor ≡ columnar
@@ -89,7 +89,7 @@ from repro.core.policy import (
 )
 from repro.core.prediction_cache import HOT_PATH
 from repro.core.predictor import predict_next_activity
-from repro.core.resume_service import ProactiveResumeOperation
+from repro.core.resume_service import IterationRecord
 from repro.errors import FaultInjectedError, SchemaError, SimulationError
 from repro.faults.resilience import CircuitBreaker
 from repro.faults.runtime import FAULTS
@@ -97,6 +97,7 @@ from repro.observability.runtime import OBS
 from repro.simulation.actor import PREDICTOR_FAULT_POINT
 from repro.simulation.region import (
     RegionSimulationResult,
+    SessionArrays,
     _build_bank,
     _build_breaker,
     _build_cluster,
@@ -104,6 +105,7 @@ from repro.simulation.region import (
     _build_kpi_stream,
     _per_trace_setup,
     _start_resume_loop,
+    _warm_history,
     sessions_to_csr,
 )
 from repro.simulation.results import DatabaseOutcome
@@ -322,7 +324,6 @@ class LeanMetadata:
 
     def __init__(self, ids: Sequence[str]):
         n = len(ids)
-        self.ids = ids
         self.state = np.full(n, PH_RESUMED, dtype=np.int8)
         self.pred = np.zeros(n, dtype=np.int64)  # NO_PREDICTION_SENTINEL
         if all(ids[i] < ids[i + 1] for i in range(n - 1)):
@@ -364,10 +365,9 @@ class LeanMetadata:
 
     def databases_to_prewarm(
         self, now: int, prewarm_s: int, period_s: int
-    ) -> List[str]:
-        """:meth:`prewarm_indices` as database ids (Algorithm 5's SELECT)."""
-        selected = self.prewarm_indices(now, prewarm_s, period_s)
-        return [self.ids[d] for d in selected.tolist()]
+    ) -> List[int]:
+        """:meth:`prewarm_indices` as a list (Algorithm 5's SELECT)."""
+        return self.prewarm_indices(now, prewarm_s, period_s).tolist()
 
 
 class StoreCluster:
@@ -1298,8 +1298,75 @@ class ColumnarRegionEngine:
 
 
 # ---------------------------------------------------------------------------
-# Full-mode region driver (byte-identical to region._simulate_region)
+# The region driver both tiers run
 # ---------------------------------------------------------------------------
+
+
+def run_columnar_region(
+    sessions: SessionArrays,
+    maintenance: SessionArrays,
+    created_at: np.ndarray,
+    ids: Sequence[str],
+    acct,
+    policy: PolicyKind,
+    config: ProRPConfig,
+    settings,
+    preplace: bool,
+) -> Tuple[ColumnarRegionEngine, List[IterationRecord]]:
+    """Run one region on the columnar engine, accounting through ``acct``.
+
+    Mirrors ``region._simulate_region`` step for step (cluster and RNG
+    construction, start order, resume-operation scheduling) through the
+    same wiring helpers, but batches the settle-phase predictions.
+    ``sessions`` and ``maintenance`` are CSR arrays in ``ids`` order;
+    ``preplace`` places the fleet in one ``place_fleet`` pass.  Returns
+    the finalized engine and Algorithm 5's records (row indices).
+    """
+    proactive = policy is PolicyKind.PROACTIVE
+    cluster = _build_cluster(settings)
+    preplaced = cluster.place_fleet(ids) if preplace else None
+    fast_predictor = _build_fast_predictor(config, settings, proactive)
+    metadata = LeanMetadata(ids)
+    if not proactive:
+        hist = NullHistory()
+    elif fast_predictor is None:
+        # The reference predictor is Algorithm 4 over the B-tree, so it
+        # keeps one; the vectorised kernel reads the array store.
+        hist = StoreHistory(
+            _warm_history(sessions, settings.sim_start, config.history_days)
+        )
+    else:
+        hist = LeanHistory(*sessions, settings.sim_start, config.history_days)
+    state = ColumnarState(len(ids), *sessions, *maintenance, created_at)
+    engine = ColumnarRegionEngine(
+        state,
+        proactive=proactive,
+        config=config,
+        sim_start=settings.sim_start,
+        sim_end=settings.eval_end,
+        acct=acct,
+        hist=hist,
+        meta=metadata,
+        cluster=StoreCluster(cluster, ids),
+        fast_predictor=fast_predictor,
+        breaker=_build_breaker(proactive),
+        prorp_outages=settings.prorp_outages,
+        collect_predictions=settings.collect_predictions,
+        preplaced_nodes=preplaced,
+        bank=_build_bank(settings, config, proactive),
+    )
+    engine.start_all()
+
+    iterations: List[IterationRecord] = []
+    if proactive:
+        iterations = _start_resume_loop(
+            metadata, engine.prewarm, engine.schedule_resume_op, config, settings
+        ).iterations
+
+    engine.run_until(settings.eval_end)
+    for d in range(state.n):
+        engine.finalize(d, settings.eval_end)
+    return engine, iterations
 
 
 def simulate_region_columnar(
@@ -1308,86 +1375,34 @@ def simulate_region_columnar(
     config: ProRPConfig,
     settings,
 ):
-    """Run one region on the columnar engine with per-database ledgers.
-
-    Mirrors ``region._simulate_region`` step for step (cluster and RNG
-    construction, per-trace setup order, start order, resume-operation
-    scheduling) through the same wiring helpers and returns the same
-    :class:`~repro.simulation.region.RegionSimulationResult`; the one
-    difference is that the settle-phase predictions are batched.
-    """
-    proactive = policy is PolicyKind.PROACTIVE
-    cluster = _build_cluster(settings)
-    fast_predictor = _build_fast_predictor(config, settings, proactive)
-    breaker = _build_breaker(proactive)
-    stream = _build_kpi_stream(settings)
+    """Run one region on the columnar engine with per-database ledgers,
+    returning the same :class:`~repro.simulation.region.
+    RegionSimulationResult` as the actors."""
+    outcomes, maintenance_lists, sessions = _per_trace_setup(traces, settings)
     ids = [trace.database_id for trace in traces]
-    metadata = LeanMetadata(ids)
-    # The B-tree history is kept only for the reference predictor, which
-    # is Algorithm 4 over it; the vectorised kernel reads the array store.
-    reference = proactive and fast_predictor is None
-    outcomes, maintenance_lists, sessions, stores = _per_trace_setup(
-        traces, reference, config, settings
-    )
-    if reference:
-        hist = StoreHistory(stores)
-    elif proactive:
-        hist = LeanHistory(*sessions, settings.sim_start, config.history_days)
-    else:
-        hist = NullHistory()
-    sess_offsets, sess_starts, sess_ends = sessions
-    maint_offsets, maint_starts, maint_ends = sessions_to_csr(maintenance_lists)
     created_at = np.fromiter(
         (trace.created_at for trace in traces), dtype=np.int64, count=len(traces)
     )
-    state = ColumnarState(
-        len(traces),
-        sess_offsets,
-        sess_starts,
-        sess_ends,
-        maint_offsets,
-        maint_starts,
-        maint_ends,
+    engine, iterations = run_columnar_region(
+        sessions,
+        sessions_to_csr(maintenance_lists),
         created_at,
+        ids,
+        StoreAccounting(outcomes, stream=_build_kpi_stream(settings)),
+        policy,
+        config,
+        settings,
+        preplace=False,
     )
-    engine = ColumnarRegionEngine(
-        state,
-        proactive=proactive,
-        config=config,
-        sim_start=settings.sim_start,
-        sim_end=settings.eval_end,
-        acct=StoreAccounting(outcomes, stream=stream),
-        hist=hist,
-        meta=metadata,
-        cluster=StoreCluster(cluster, ids),
-        fast_predictor=fast_predictor,
-        breaker=breaker,
-        prorp_outages=settings.prorp_outages,
-        collect_predictions=settings.collect_predictions,
-        bank=_build_bank(settings, config, proactive),
-    )
-    engine.start_all()
+    for record in iterations:
+        record.database_ids = [ids[d] for d in record.database_ids]
 
-    resume_operation: Optional[ProactiveResumeOperation] = None
-    if proactive:
-        index_of = {database_id: d for d, database_id in enumerate(ids)}
-        resume_operation = ProactiveResumeOperation(
-            metadata,
-            prewarm_s=config.prewarm_s,
-            period_s=config.resume_operation_period_s,
-            on_prewarm=lambda db_id, now: engine.prewarm(index_of[db_id], now),
-        )
-        _start_resume_loop(
-            resume_operation.run_once, engine.schedule_resume_op, config, settings
-        )
-
-    engine.run_until(settings.eval_end)
-    for d in range(state.n):
-        engine.finalize(d, settings.eval_end)
-
-    histories = dict(zip(ids, stores))
-    if isinstance(hist, LeanHistory):
-        closed = state.np.session_idx.tolist()
+    hist = engine.hist
+    histories = {}
+    if isinstance(hist, StoreHistory):
+        histories = dict(zip(ids, hist.stores))
+    elif isinstance(hist, LeanHistory):
+        closed = engine.s.np.session_idx.tolist()
         histories = {
             database_id: LeanHistoryView(hist, d, closed[d])
             for d, database_id in enumerate(ids)
@@ -1397,9 +1412,7 @@ def simulate_region_columnar(
         settings=settings,
         config=config,
         outcomes=outcomes,
-        resume_iterations=(
-            resume_operation.iterations if resume_operation else []
-        ),
+        resume_iterations=iterations,
         histories=histories,
-        cluster_moves=cluster.moves,
+        cluster_moves=engine.cluster.cluster.moves,
     )

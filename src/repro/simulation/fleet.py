@@ -7,11 +7,11 @@ per-database ledgers the paper's figures read -- which allocates millions
 of Python objects at fleet scale.  This module swaps in **lean** backends
 with the same observable semantics:
 
-* :class:`~repro.storage.history.LeanHistory` (shared with
-  ``simulate_region`` whenever the vectorised predictor reads the
-  history) -- per-database login cursors over one flat ``int64`` array,
-  replaying Algorithm 2/3 (timestamp-dedup inserts, witness-preserving
-  trims) without a table, warm-started from
+* :class:`~repro.storage.history.LeanHistory` (on both tiers whenever
+  the vectorised predictor reads the history) -- per-database login
+  cursors over one flat ``int64`` array, replaying Algorithm 2/3
+  (timestamp-dedup inserts, witness-preserving trims) without a table,
+  warm-started from
   :func:`~repro.storage.history.warm_start_events`;
 * :class:`~repro.simulation.columnar.LeanMetadata` (shared with
   ``simulate_region``) -- the ``sys.databases`` columns as arrays, with
@@ -20,14 +20,15 @@ with the same observable semantics:
   per-database outcome objects (the :func:`~repro.simulation.results.
   aggregate` sums commute with per-call accumulation).
 
-``simulate_fleet`` runs one region this way; ``simulate_fleet_sharded``
-splits a fleet into independent regions across the
-:mod:`repro.parallel` executors and merges the per-shard KPI reports in
-submission order, so serial and sharded runs are byte-identical (see
-docs/fleet_scale.md for the determinism argument).  Fault injection is
-rejected here: the injector is process-global, so its consult ledger
-cannot survive a fan-out unchanged -- chaos experiments stay on
-``simulate_region``.
+``simulate_fleet`` runs one region this way, through ``simulate_region``'s
+driver body (:func:`~repro.simulation.columnar.run_columnar_region`);
+``simulate_fleet_sharded`` splits a fleet into independent regions
+across the :mod:`repro.parallel` executors and merges the per-shard KPI
+reports in submission order, so serial and sharded runs are
+byte-identical (see docs/fleet_scale.md for the determinism argument).
+Fault injection is rejected here: the injector is process-global, so its
+consult ledger cannot survive a fan-out unchanged -- chaos experiments
+stay on ``simulate_region``.
 """
 
 from __future__ import annotations
@@ -43,21 +44,11 @@ from repro.core.policy import PolicyKind
 from repro.errors import SimulationError
 from repro.faults.runtime import FAULTS
 from repro.parallel import resolve_executor
-from repro.simulation.columnar import (
-    ColumnarRegionEngine,
-    ColumnarState,
+from repro.simulation.columnar import (  # noqa: F401 (LeanMetadata: re-exported)
     LeanMetadata,
-    NullHistory,
-    StoreCluster,
+    run_columnar_region,
 )
-from repro.simulation.region import (
-    SimulationSettings,
-    _build_bank,
-    _build_cluster,
-    _build_fast_predictor,
-    _build_kpi_stream,
-    _start_resume_loop,
-)
+from repro.simulation.region import SimulationSettings, _build_kpi_stream
 from repro.storage.history import LeanHistory
 from repro.types import SECONDS_PER_DAY
 from repro.workload.fleetgen import DriftSpec, FleetShardSpec, FleetSlice
@@ -293,11 +284,6 @@ def _check_lean_supported(policy: PolicyKind, settings: SimulationSettings) -> N
             "is process-global, so a sharded fan-out could not reproduce "
             "the serial consult ledger; use simulate_region for chaos runs"
         )
-    if settings.measure_prediction_latency:
-        raise SimulationError(
-            "simulate_fleet cannot measure prediction latency "
-            "(that mode runs on the per-actor engine)"
-        )
     if settings.collect_timelines or settings.collect_predictions:
         raise SimulationError(
             "simulate_fleet keeps region totals only; per-database "
@@ -309,11 +295,13 @@ def _check_lean_supported(policy: PolicyKind, settings: SimulationSettings) -> N
             "(per-database RNG streams defeat the vectorised setup); "
             "use simulate_region"
         )
-    if policy is PolicyKind.PROACTIVE and not settings.use_fast_predictor:
-        raise SimulationError(
-            "simulate_fleet requires the vectorised predictor "
-            "(use_fast_predictor=True)"
-        )
+
+
+def _last_day(span_end: int) -> SimulationSettings:
+    """Both fleet drivers' default window: the day ending at ``span_end``."""
+    return SimulationSettings(
+        eval_start=span_end - SECONDS_PER_DAY, eval_end=span_end
+    )
 
 
 def simulate_fleet(
@@ -327,95 +315,39 @@ def simulate_fleet(
     Produces the same :class:`KpiReport` ``simulate_region`` would for
     the same databases and settings (the lean-vs-full equivalence tests
     pin this), at a fraction of the per-database memory and setup cost.
+    ``settings`` defaults to the last day of a spec's span or a slice's.
     """
     if isinstance(policy, str):
         policy = PolicyKind(policy)
     if isinstance(fleet, (FleetShardSpec, DriftSpec)):
+        if settings is None:
+            settings = _last_day(fleet.span_days * SECONDS_PER_DAY)
         fleet = fleet.materialize()
     if settings is None:
         span_end = int(fleet.ends.max()) if fleet.n_sessions else SECONDS_PER_DAY
-        settings = SimulationSettings(
-            eval_start=span_end - SECONDS_PER_DAY, eval_end=span_end
-        )
+        settings = _last_day(span_end)
     _check_lean_supported(policy, settings)
 
-    proactive = policy is PolicyKind.PROACTIVE
     n = fleet.n
-    cluster = _build_cluster(settings)
-    preplaced = cluster.place_fleet(fleet.ids)
-
-    stream = _build_kpi_stream(settings)
-    acct = LeanAccounting(n, settings.eval_start, settings.eval_end, stream=stream)
-    hist = (
-        LeanHistory(
-            fleet.sess_offsets,
-            fleet.starts,
-            fleet.ends,
-            settings.sim_start,
-            config.history_days,
-        )
-        if proactive
-        else NullHistory()
+    acct = LeanAccounting(
+        n, settings.eval_start, settings.eval_end, stream=_build_kpi_stream(settings)
     )
-    meta = LeanMetadata(fleet.ids)
-    fast_predictor = _build_fast_predictor(config, settings, proactive)
-
-    empty_offsets = np.zeros(n + 1, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    state = ColumnarState(
-        n,
-        fleet.sess_offsets,
-        fleet.starts,
-        fleet.ends,
-        empty_offsets,
-        empty,
-        empty,
+    engine, iterations = run_columnar_region(
+        (fleet.sess_offsets, fleet.starts, fleet.ends),
+        (np.zeros(n + 1, dtype=np.int64), empty, empty),
         np.asarray(fleet.created_at, dtype=np.int64),
-    )
-    engine = ColumnarRegionEngine(
-        state,
-        proactive=proactive,
-        config=config,
-        sim_start=settings.sim_start,
-        sim_end=settings.eval_end,
-        acct=acct,
-        hist=hist,
-        meta=meta,
-        cluster=StoreCluster(cluster, fleet.ids),
-        fast_predictor=fast_predictor,
-        prorp_outages=settings.prorp_outages,
-        preplaced_nodes=preplaced,
-        bank=_build_bank(settings, config, proactive),
+        fleet.ids,
+        acct,
+        policy,
+        config,
+        settings,
+        preplace=True,
     )
 
-    engine.start_all()
-
-    runs = 0
-    prewarms = 0
-    if proactive:
-
-        def run_once(now: int) -> None:
-            # The happy path of ProactiveResumeOperation.run_once minus
-            # the fault plumbing (faults are gated off above): one masked
-            # scan, pre-warms in (pred_start, database_id) order.
-            nonlocal runs, prewarms
-            selected = meta.prewarm_indices(
-                now, config.prewarm_s, config.resume_operation_period_s
-            )
-            runs += 1
-            prewarms += int(selected.size)
-            for d in selected.tolist():
-                engine.prewarm(d, now)
-
-        _start_resume_loop(run_once, engine.schedule_resume_op, config, settings)
-
-    engine.run_until(settings.eval_end)
-    for d in range(n):
-        engine.finalize(d, settings.eval_end)
-
-    nbytes = state.nbytes()
-    if isinstance(hist, LeanHistory):
-        nbytes += hist.nbytes()
+    nbytes = engine.s.nbytes()
+    if isinstance(engine.hist, LeanHistory):
+        nbytes += engine.hist.nbytes()
     return FleetSimulationResult(
         policy=policy.value,
         settings=settings,
@@ -423,8 +355,8 @@ def simulate_fleet(
         kpis=acct.report(policy.value),
         n_databases=n,
         events_dispatched=engine.events_dispatched,
-        resume_op_runs=runs,
-        prewarms=prewarms,
+        resume_op_runs=len(iterations),
+        prewarms=sum(record.batch_size for record in iterations),
         state_nbytes=nbytes,
     )
 
@@ -433,9 +365,8 @@ def merge_kpi_reports(reports: Sequence[KpiReport]) -> KpiReport:
     """Sum per-shard KPI reports into one region-style report.
 
     Every :class:`KpiReport` field is a sum over databases, so merging
-    shards is pure field-wise addition -- order-independent in value, but
-    callers still merge in submission order so any floating-point payload
-    (prediction latencies) concatenates deterministically.
+    shards is pure field-wise addition, order-independent in value;
+    callers merge in submission order all the same.
     """
     if not reports:
         raise SimulationError("merge_kpi_reports needs at least one report")
@@ -453,9 +384,6 @@ def merge_kpi_reports(reports: Sequence[KpiReport]) -> KpiReport:
             raise SimulationError(
                 "cannot merge KPI reports across evaluation windows"
             )
-    latencies: List[float] = []
-    for report in reports:
-        latencies.extend(report.prediction_latencies_s)
     return KpiReport(
         policy=head.policy,
         n_databases=sum(r.n_databases for r in reports),
@@ -490,7 +418,6 @@ def merge_kpi_reports(reports: Sequence[KpiReport]) -> KpiReport:
         used_s=sum(r.used_s for r in reports),
         saved_s=sum(r.saved_s for r in reports),
         maintenance_s=sum(r.maintenance_s for r in reports),
-        prediction_latencies_s=latencies,
     )
 
 
@@ -549,10 +476,7 @@ def simulate_fleet_sharded(
     if isinstance(policy, str):
         policy = PolicyKind(policy)
     if settings is None:
-        span_end = spec.span_days * SECONDS_PER_DAY
-        settings = SimulationSettings(
-            eval_start=span_end - SECONDS_PER_DAY, eval_end=span_end
-        )
+        settings = _last_day(spec.span_days * SECONDS_PER_DAY)
     _check_lean_supported(policy, settings)
     bounds = shard_bounds(spec.n_databases, n_shards)
     backend = resolve_executor(executor, workers)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +26,11 @@ from repro.config import DEFAULT_CONFIG, ProRPConfig, whole_number
 from repro.core.fast_predictor import FastPredictor
 from repro.core.kpi import KpiReport
 from repro.core.policy import PolicyKind
-from repro.core.resume_service import IterationRecord, ProactiveResumeOperation
+from repro.core.resume_service import (
+    IterationRecord,
+    PrewarmSource,
+    ProactiveResumeOperation,
+)
 from repro.errors import SimulationError
 from repro.faults.resilience import CircuitBreaker
 from repro.faults.runtime import FAULTS
@@ -63,9 +67,6 @@ class SimulationSettings:
     #: 0 disables them.  They hold/resume resources but are excluded from
     #: history, predictions, and the customer KPIs.
     maintenance_per_week: float = 0.0
-    #: Time the reference predictor per call (Figure 10(c)); forces the
-    #: reference implementation.
-    measure_prediction_latency: bool = False
     #: Keep per-database allocation timelines (examples / plots).
     collect_timelines: bool = False
     #: Record every prediction (time, start, end, confidence) for offline
@@ -82,7 +83,7 @@ class SimulationSettings:
     #: suite proves it -- so this is a representation knob, not a
     #: semantics knob.  Only the columnar engine batches predictions (the
     #: settle phase and speculation over the next hour); the actors scan
-    #: per database.  Latency measurement always runs on the actors.
+    #: per database.  The actors run only where a caller names them.
     engine: str = "columnar"
     #: Region label attached to the live SLO streams (``region=...``);
     #: empty means unlabelled series.  Purely observational: the KPI
@@ -271,8 +272,9 @@ def _build_cluster(settings: SimulationSettings) -> Cluster:
 def _build_fast_predictor(
     config: ProRPConfig, settings: SimulationSettings, proactive: bool
 ) -> Optional[FastPredictor]:
-    vectorised = settings.use_fast_predictor and not settings.measure_prediction_latency
-    return FastPredictor(config) if proactive and vectorised else None
+    if proactive and settings.use_fast_predictor:
+        return FastPredictor(config)
+    return None
 
 
 def _build_breaker(proactive: bool) -> Optional[CircuitBreaker]:
@@ -311,17 +313,11 @@ def _build_kpi_stream(settings: SimulationSettings):
 
 
 def _per_trace_setup(
-    traces: Sequence[ActivityTrace],
-    btree_history: bool,
-    config: ProRPConfig,
-    settings: SimulationSettings,
-) -> Tuple[
-    List[DatabaseOutcome], List[List[Session]], SessionArrays, List[HistoryStore]
-]:
-    """Per trace, in trace order: the outcome ledger, the maintenance
-    schedule (its own RNG stream per database); the sessions as CSR
-    arrays; and, when ``btree_history``, the warm B-tree history stores
-    (an empty list otherwise)."""
+    traces: Sequence[ActivityTrace], settings: SimulationSettings
+) -> Tuple[List[DatabaseOutcome], List[List[Session]], SessionArrays]:
+    """Per trace, in trace order: the outcome ledger and the maintenance
+    schedule (its own RNG stream per database); then the sessions as CSR
+    arrays."""
     outcomes: List[DatabaseOutcome] = []
     maintenance_lists: List[List[Session]] = []
     for trace in traces:
@@ -335,34 +331,35 @@ def _per_trace_setup(
                 per_week=settings.maintenance_per_week,
             )
         maintenance_lists.append(maintenance)
-    sessions = sessions_to_csr([trace.sessions for trace in traces])
-    stores = []
-    if btree_history:
-        stores = _warm_history(sessions, settings.sim_start, config.history_days)
-    return outcomes, maintenance_lists, sessions, stores
+    return outcomes, maintenance_lists, sessions_to_csr([t.sessions for t in traces])
 
 
 def _start_resume_loop(
-    run_once: Callable[[int], object],
+    metadata: PrewarmSource,
+    on_prewarm: Callable[[Hashable, int], None],
     schedule: Callable[[int, Callable[[int], None]], object],
     config: ProRPConfig,
     settings: SimulationSettings,
-) -> None:
-    """Run Algorithm 5 (``run_once``) every ``resume_operation_period_s``
+) -> ProactiveResumeOperation:
+    """Run Algorithm 5 over ``metadata`` every ``resume_operation_period_s``
     from ``sim_start``; ``schedule(at, tick)`` books one iteration on the
-    driver's own queue, consuming one sequence number each."""
+    engine's own queue, consuming one sequence number each."""
     period = config.resume_operation_period_s
+    operation = ProactiveResumeOperation(
+        metadata, prewarm_s=config.prewarm_s, period_s=period, on_prewarm=on_prewarm
+    )
 
     def tick(now: int) -> None:
         # Section 3.2: a downed ProRP skips its iterations entirely; the
         # fleet falls back to reactive resumes until recovery.
         if not any(start <= now < end for start, end in settings.prorp_outages):
-            run_once(now)
+            operation.run_once(now)
         nxt = now + period
         if nxt < settings.eval_end:
             schedule(nxt, tick)
 
     schedule(settings.sim_start + period, tick)
+    return operation
 
 
 def simulate_region(
@@ -412,10 +409,8 @@ def _simulate_region(
     if policy is PolicyKind.PROVISIONED:
         return _simulate_provisioned(traces, config, settings)
 
-    if settings.engine == "columnar" and not settings.measure_prediction_latency:
-        # Struct-of-arrays engine: byte-identical replay of the actor path
-        # (the latency-measuring mode stays on the actors, whose per-call
-        # timing hook the overhead experiment depends on).
+    if settings.engine == "columnar":
+        # Struct-of-arrays engine: byte-identical replay of the actor path.
         from repro.simulation.columnar import simulate_region_columnar
 
         return simulate_region_columnar(traces, policy, config, settings)
@@ -427,8 +422,11 @@ def _simulate_region(
     fast_predictor = _build_fast_predictor(config, settings, proactive)
     breaker = _build_breaker(proactive)
     bank = _build_bank(settings, config, proactive)
-    outcomes, maintenance_lists, _, stores = _per_trace_setup(
-        traces, proactive, config, settings
+    outcomes, maintenance_lists, sessions = _per_trace_setup(traces, settings)
+    stores = (
+        _warm_history(sessions, settings.sim_start, config.history_days)
+        if proactive
+        else []
     )
 
     window = (settings.sim_start, settings.eval_end)
@@ -441,7 +439,6 @@ def _simulate_region(
                 *window,
                 history=stores[i],
                 fast_predictor=fast_predictor,
-                measure_prediction_latency=settings.measure_prediction_latency,
                 maintenance=maintenance_lists[i],
                 collect_predictions=settings.collect_predictions,
                 prorp_outages=settings.prorp_outages,
@@ -456,17 +453,15 @@ def _simulate_region(
     for actor in actors.values():
         actor.start()
 
-    resume_operation: Optional[ProactiveResumeOperation] = None
+    iterations: List[IterationRecord] = []
     if proactive:
-        resume_operation = ProactiveResumeOperation(
+        iterations = _start_resume_loop(
             metadata,
-            prewarm_s=config.prewarm_s,
-            period_s=config.resume_operation_period_s,
-            on_prewarm=lambda db_id, now: actors[db_id].prewarm(now),
-        )
-        _start_resume_loop(
-            resume_operation.run_once, queue.schedule_oneshot, config, settings
-        )
+            lambda db_id, now: actors[db_id].prewarm(now),
+            queue.schedule_oneshot,
+            config,
+            settings,
+        ).iterations
 
     queue.run_until(settings.eval_end)
     for actor in actors.values():
@@ -477,7 +472,7 @@ def _simulate_region(
         settings=settings,
         config=config,
         outcomes=outcomes,
-        resume_iterations=resume_operation.iterations if resume_operation else [],
+        resume_iterations=iterations,
         histories={t.database_id: store for t, store in zip(traces, stores)},
         cluster_moves=cluster.moves,
     )

@@ -51,7 +51,6 @@ class DatabaseOutcome:
     correct_proactive_resumes: int = 0
     wrong_proactive_resumes: int = 0
 
-    prediction_latencies_s: List[float] = field(default_factory=list)
     #: (time, predicted_start, predicted_end, confidence) per refresh, kept
     #: only when the simulation enables prediction collection.
     predictions: List[Tuple[int, int, int, float]] = field(default_factory=list)
@@ -139,9 +138,6 @@ class DatabaseOutcome:
         else:
             self.wrong_proactive_resumes += 1
 
-    def record_prediction_latency(self, seconds: float) -> None:
-        self.prediction_latencies_s.append(seconds)
-
     def record_prediction(
         self, now: int, start: int, end: int, confidence: float
     ) -> None:
@@ -192,9 +188,6 @@ def aggregate(
         wrong_proactive_resumes=sum(o.wrong_proactive_resumes for o in outcomes),
         maintenance_resumes=sum(len(o.maintenance_resume_times) for o in outcomes),
     )
-    latencies: List[float] = []
-    for outcome in outcomes:
-        latencies.extend(outcome.prediction_latencies_s)
     return KpiReport(
         policy=policy,
         n_databases=len(outcomes),
@@ -207,7 +200,6 @@ def aggregate(
         used_s=sum(o.used_s for o in outcomes),
         saved_s=sum(o.saved_s() for o in outcomes),
         maintenance_s=sum(o.maintenance_s for o in outcomes),
-        prediction_latencies_s=latencies,
     )
 
 

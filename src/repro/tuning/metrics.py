@@ -4,8 +4,7 @@ The OpenMetrics renderer and the ``observe --top`` dashboard render
 whatever the registry holds, so pre-registering the tuning series makes
 the namespace visible (at zero) from process start instead of popping
 into existence at the first promotion.  The tuner and bank write these
-same names at runtime; :func:`repro.observability.slo.tuning_slos`
-builds the matching alert rules.
+same names at runtime.
 """
 
 from __future__ import annotations

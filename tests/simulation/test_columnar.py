@@ -31,6 +31,7 @@ from repro.core.seasonality import Seasonality, detect_seasonality
 from repro.errors import SimulationError, TraceError
 from repro.faults import FaultPlan, FaultSpec, chaos
 from repro.parallel import SerialExecutor
+from repro.simulation.actor import _BaseActor
 from repro.simulation.columnar import (
     NONE_TS,
     ORIGIN_MAINTENANCE,
@@ -181,6 +182,53 @@ class TestColumnarMatchesActor:
             results["columnar"].outcomes, results["actor"].outcomes
         ):
             assert vars(mine) == vars(theirs)
+
+
+class TestDefaultEngineBuildsNoActor:
+    """Every setting runs on the columnar engine unless a caller names
+    the actors."""
+
+    @pytest.fixture
+    def actors(self, monkeypatch):
+        """Every actor constructed while the test runs."""
+        built = []
+        init = _BaseActor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_BaseActor, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"use_fast_predictor": False},
+            {"maintenance_per_week": 1.0},
+            {"prorp_outages": ((8 * DAY + 3600, 8 * DAY + 5 * 3600),)},
+            {"predictor_bank": ("sliding", "hybrid_histogram")},
+            {"collect_timelines": True},
+            {"collect_predictions": True},
+        ],
+    )
+    def test_no_actor_under_any_setting(self, actors, overrides):
+        traces = _region_traces(seed=0, n=20)
+        simulate_region(traces, "proactive", CONFIG, _region_settings(**overrides))
+        assert actors == []
+        simulate_region(
+            traces,
+            "proactive",
+            CONFIG,
+            _region_settings(engine="actor", **overrides),
+        )
+        assert len(actors) == len(traces)
+
+    def test_no_actor_under_an_armed_fault_plan(self, actors):
+        traces = _region_traces(seed=0, n=20)
+        with chaos(ARMED_PLAN, seed=1):
+            simulate_region(traces, "proactive", CONFIG, _region_settings())
+        assert actors == []
 
 
 @pytest.fixture
@@ -709,6 +757,28 @@ class TestLeanFleetMatchesFullStores:
         assert lean.kpis.to_dict() == full.kpis().to_dict()
         assert lean.n_databases == fleet.n
         assert lean.events_dispatched > 0
+        assert lean.resume_op_runs == len(full.resume_iterations)
+        assert lean.prewarms == sum(r.batch_size for r in full.resume_iterations)
+
+    def test_reference_predictor_on_the_lean_path(self):
+        """Both tiers run one driver body, so the lean tier takes the
+        reference predictor (Algorithm 4 over the B-tree) too."""
+        fleet = FleetShardSpec(
+            n_databases=150, span_days=5, seed=7, new_database_fraction=0.15
+        ).materialize()
+        settings = SimulationSettings(
+            eval_start=4 * DAY,
+            eval_end=5 * DAY,
+            n_nodes=-(-fleet.n // 48),
+            node_capacity=64,
+            use_fast_predictor=False,
+        )
+        lean = simulate_fleet(fleet, "proactive", CONFIG, settings)
+        full = simulate_region(fleet.to_traces(), "proactive", CONFIG, settings)
+        assert lean.kpis.to_dict() == full.kpis().to_dict()
+        assert lean.prewarms == sum(r.batch_size for r in full.resume_iterations)
+        assert lean.prewarms > 0
+        assert lean.resume_op_runs == len(full.resume_iterations)
 
     def test_adaptive_seasonality_on_the_lean_path(self):
         """Per-database seasonality reads the login view, which the array
@@ -799,6 +869,17 @@ class TestShardedDeterminism:
         with pytest.raises(SimulationError):
             merge_kpi_reports([a, b])
 
+    def test_default_window_is_the_specs_last_day(self):
+        """With no settings, a spec evaluates the last day of its span
+        whether or not it is sharded (the sessions may end earlier)."""
+        spec = FleetShardSpec(n_databases=200, span_days=4, seed=1)
+        single = simulate_fleet(spec)
+        sharded = simulate_fleet_sharded(
+            spec, n_shards=1, executor=SerialExecutor()
+        )
+        assert (single.kpis.eval_start, single.kpis.eval_end) == (3 * DAY, 4 * DAY)
+        assert single.kpis.to_dict() == sharded.kpis.to_dict()
+
     def test_shard_bounds_partition_the_fleet(self):
         bounds = shard_bounds(10, 3)
         assert bounds[0][0] == 0 and bounds[-1][1] == 10
@@ -858,8 +939,6 @@ class TestLeanGates:
         [
             ({"maintenance_per_week": 1.0}, "maintenance"),
             ({"collect_timelines": True}, "timelines"),
-            ({"measure_prediction_latency": True}, "latency"),
-            ({"use_fast_predictor": False}, "predictor"),
         ],
     )
     def test_rejects_unsupported_settings(self, overrides, match):

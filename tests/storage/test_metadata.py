@@ -269,9 +269,12 @@ def test_lean_metadata_matches_btree(ids, ops):
             for hi in bounds:
                 if hi >= lo:
                     for now, prewarm_s in ((lo, 0), (lo - 2, 2)):
-                        assert lean.databases_to_prewarm(
-                            now, prewarm_s, hi - lo
-                        ) == store.databases_to_prewarm(now, prewarm_s, hi - lo)
+                        assert [
+                            ids[d]
+                            for d in lean.databases_to_prewarm(
+                                now, prewarm_s, hi - lo
+                            )
+                        ] == store.databases_to_prewarm(now, prewarm_s, hi - lo)
 
 
 @pytest.mark.parametrize("pred_start", [5.0, True, None, "5"])

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -105,9 +107,10 @@ class TestCommands:
         from repro.faults import FaultPlan
 
         plan_path = tmp_path / "plan.json"
-        FaultPlan.uniform(
+        plan = FaultPlan.uniform(
             ["predictor.exception", "sql.execute"], probability=0.05
-        ).save(plan_path)
+        )
+        plan_path.write_text(json.dumps(plan.to_dict()))
         code = main(
             [
                 "chaos",
@@ -124,7 +127,7 @@ class TestCommands:
         from repro.faults import FaultPlan
 
         plan_path = tmp_path / "plan.json"
-        FaultPlan.empty().save(plan_path)
+        plan_path.write_text(json.dumps(FaultPlan.empty().to_dict()))
         code = main(
             [
                 "chaos",

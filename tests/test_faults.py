@@ -7,6 +7,8 @@ empty plan is byte-identical to a disarmed run, and serial vs
 multiprocess chaos sweeps produce identical rows.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
@@ -174,7 +176,7 @@ class TestFaultPlan:
             FaultSpec("b", max_fires=1, latency_s=2.0),
         )
         path = tmp_path / "plan.json"
-        plan.save(path)
+        path.write_text(json.dumps(plan.to_dict()))
         assert FaultPlan.load(path) == plan
 
     def test_load_errors(self, tmp_path):
@@ -293,17 +295,31 @@ class TestFaultInjector:
 
 
 class TestRetryPolicy:
+    @staticmethod
+    def _backoff(policy):
+        """The delays ``call`` sleeps between the attempts of a call that
+        always fails."""
+
+        def always_down():
+            raise StorageError("down")
+
+        slept = []
+        with pytest.raises(StorageError):
+            policy.call(always_down, sleep=slept.append)
+        return slept
+
     def test_delays_exponential_and_capped(self):
         policy = RetryPolicy(max_attempts=5, base_delay_s=1.0, multiplier=2.0,
                              max_delay_s=5.0)
-        assert policy.delays() == [1.0, 2.0, 4.0, 5.0]
+        assert self._backoff(policy) == [1.0, 2.0, 4.0, 5.0]
 
     def test_jitter_bounded_and_deterministic(self):
         policy = RetryPolicy(max_attempts=4, base_delay_s=10.0, jitter=0.2,
                              seed=5)
-        delays = policy.delays()
-        assert delays == RetryPolicy(max_attempts=4, base_delay_s=10.0,
-                                     jitter=0.2, seed=5).delays()
+        delays = self._backoff(policy)
+        assert delays == self._backoff(
+            RetryPolicy(max_attempts=4, base_delay_s=10.0, jitter=0.2, seed=5)
+        )
         nominal = [10.0, 20.0, 40.0]
         for got, base in zip(delays, nominal):
             bounded = min(base, 60.0)
@@ -314,19 +330,9 @@ class TestRetryPolicy:
                              max_delay_s=6.0, jitter=0.5, seed=7)
         expected = [0.6528197213188431, 1.4647742553548126,
                     3.451495025326623, 4.4552807680792945]
-        assert policy.delays() == expected
-        # Every call returns the same schedule, and mutating a returned
-        # list does not change the next one.
-        policy.delays().append(99.0)
-        assert policy.delays() == expected
-
-        def always_down():
-            raise StorageError("down")
-
-        slept = []
-        with pytest.raises(StorageError):
-            policy.call(always_down, sleep=slept.append)
-        assert slept == expected
+        # Every call sleeps the same schedule.
+        assert self._backoff(policy) == expected
+        assert self._backoff(policy) == expected
 
     def test_call_retries_then_succeeds(self):
         attempts = []

@@ -106,7 +106,7 @@ class TestTracer:
         outer = tracer.spans[-1]
         assert outer.parent_id is None
         assert outer.attributes == {"t": 10}
-        children = tracer.children_of(outer.span_id)
+        children = [s for s in tracer.spans if s.parent_id == outer.span_id]
         assert [s.name for s in children] == ["inner.first", "inner.second"]
         assert tracer.roots() == [outer]
         assert all(
@@ -355,24 +355,37 @@ class TestInstrumentedSimulation:
             traced = simulate_region(traces, "proactive", settings=settings)
         assert plain.kpis() == traced.kpis()
 
-    def test_registry_latency_matches_offline_measurement(self):
-        """The live histogram and the actor's own perf_counter timing
-        measure the same predictor calls; their means agree within 5%."""
-        # Databases must have accumulated a full history_days of lifespan
-        # before the predictor runs, so give the fleet a 33-day span.
-        traces, settings = _small_fleet(n=4, days=33)
-        settings = SimulationSettings(
-            eval_start=settings.eval_start,
-            eval_end=settings.eval_end,
-            measure_prediction_latency=True,
-        )
-        with observed(tracer=NULL_TRACER) as runtime:
-            result = simulate_region(traces, "proactive", settings=settings)
-            histogram = runtime.metrics.histogram("predictor.reference.latency_ms")
-        offline_ms = [s * 1000.0 for s in result.kpis().prediction_latencies_s]
-        assert histogram.count == len(offline_ms) > 0
-        offline_mean = sum(offline_ms) / len(offline_ms)
-        assert histogram.mean == pytest.approx(offline_mean, rel=0.05)
+    def test_fig10_engines_agree(self):
+        """fig10's settings on both engines: the same per-database history
+        footprints and predictor calls, and one latency sample per
+        reference-predictor call on each.  ``run_fig10`` (the columnar
+        engine) reads the same tuple counts."""
+        from repro.experiments.common import BENCH_SCALE, region_fleet
+        from repro.experiments.fig10 import _chatty_tail, run_fig10
+
+        scale = BENCH_SCALE.smaller(n_databases=30, eval_days=1)
+        traces = region_fleet(RegionPreset.EU1, scale) + _chatty_tail(scale)
+        seen = {}
+        for engine in ("columnar", "actor"):
+            settings = scale.settings(use_fast_predictor=False, engine=engine)
+            with observed(tracer=NULL_TRACER) as runtime:
+                result = simulate_region(traces, "proactive", settings=settings)
+                histogram = runtime.metrics.histogram(
+                    "predictor.reference.latency_ms"
+                )
+                calls = runtime.metrics.counter("predictor.reference.calls").value
+            assert histogram.count == len(histogram.samples) == calls > 0
+            histories = result.histories.values()
+            seen[engine] = (
+                [h.tuple_count for h in histories],
+                [h.size_bytes() / 1024.0 for h in histories],
+                calls,
+            )
+        assert seen["columnar"] == seen["actor"]
+        figure = run_fig10(scale)
+        tuples, _, calls = seen["actor"]
+        assert figure.tuple_counts.values == sorted(tuples)
+        assert len(figure.prediction_latency_ms) == calls
 
 
 # ----------------------------------------------------------------------

@@ -42,10 +42,7 @@ ALLOWLIST = {
     "repro.core.lifecycle.legal_transitions": (
         "tests/core/test_lifecycle_policy.py",
     ),
-    "repro.observability.slo.AlertLedger.is_firing": (
-        "tests/test_slo.py",
-        "tests/test_tuning.py",
-    ),
+    "repro.observability.slo.AlertLedger.is_firing": ("tests/test_slo.py",),
     "repro.serving.batcher.MicroBatcher.pending_requests": (
         "tests/test_serving.py",
     ),

@@ -735,21 +735,5 @@ class TestTuningObservability:
             assert needle in body
         assert "tuning_bank_share" not in body  # registered, never set: gone
 
-    def test_tuning_slos_fire_on_their_series(self):
-        from repro.observability.metrics import MetricsRegistry
-        from repro.observability.slo import SloMonitor, tuning_slos
-
-        registry = MetricsRegistry()
-        register_tuning_metrics(registry, window_s=900)
-        monitor = SloMonitor(registry, tuning_slos(fast_window_s=900))
-        monitor.maybe_evaluate(0)
-        registry.counter_series("tuning.demotions.window").inc(100)
-        monitor.maybe_evaluate(2000)
-        assert monitor.ledger.is_firing("tuner_demotion")
-        registry.histogram_series("tuning.bank.regret.window").observe(2100, 1.0)
-        registry.histogram_series("tuning.bank.regret.window").observe(2200, 1.0)
-        monitor.maybe_evaluate(4000)
-        assert monitor.ledger.is_firing("bank_regret_p95")
-
     def test_bank_policies_constant(self):
         assert BANK_POLICIES == ("sliding", "hybrid_histogram")

@@ -175,14 +175,6 @@ class TestProRPConfig:
         weekly = ProRPConfig(seasonality=Seasonality.WEEKLY)
         assert weekly.seasonality_periods_in_history == 4
 
-    def test_from_paper_units(self):
-        config = ProRPConfig.from_paper_units(
-            logical_pause_hours=6, window_hours=2, slide_minutes=10
-        )
-        assert config.logical_pause_s == 6 * HOUR
-        assert config.window_s == 2 * HOUR
-        assert config.slide_s == 600
-
     def test_with_overrides_validates(self):
         with pytest.raises(ConfigError):
             DEFAULT_CONFIG.with_overrides(confidence=0.0)
