@@ -20,36 +20,16 @@ import time
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.policy import PolicyKind
-from repro.core.predictor import LATENCY_FAULT_POINT
-from repro.controlplane.durability import (
-    CORRUPT_FAULT_POINT as WAL_CORRUPT_FAULT_POINT,
-    CRASH_FAULT_POINT as WAL_CRASH_FAULT_POINT,
-    TORN_FAULT_POINT as WAL_TORN_FAULT_POINT,
-)
-from repro.core.resume_service import SCAN_FAULT_POINT
 from repro.experiments.common import TEST_SCALE, region_fleet
 from repro.faults import FAULTS, FaultInjector, FaultPlan, FaultSpec, chaos
-from repro.simulation.actor import PREDICTOR_FAULT_POINT
+from repro.faults.plan import FAULT_POINTS
 from repro.simulation.region import simulate_region
-from repro.sqlengine.engine import EXECUTE_FAULT_POINT
 from repro.workload.regions import RegionPreset
 
 #: Every fault point the codebase consults (docs/resilience.md catalog).
-ALL_FAULT_POINTS = (
-    "workflow.stuck",
-    "workflow.crash",
-    SCAN_FAULT_POINT,
-    PREDICTOR_FAULT_POINT,
-    LATENCY_FAULT_POINT,
-    EXECUTE_FAULT_POINT,
-    "cluster.node.crash",
-    # The controlplane.wal.* family is consulted by WriteAheadLog.append,
-    # not by a fleet simulation -- listed here so the catalog stays the
-    # docs/resilience.md superset (zero consults expected below).
-    WAL_CRASH_FAULT_POINT,
-    WAL_TORN_FAULT_POINT,
-    WAL_CORRUPT_FAULT_POINT,
-)
+#: Only the simulation's points see consults below; the control-plane,
+#: WAL, SQL and serving points are armed at probability 0 all the same.
+ALL_FAULT_POINTS = FAULT_POINTS
 
 
 def _guard_cost_s(reps: int = 1_000_000) -> float:

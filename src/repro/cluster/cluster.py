@@ -55,6 +55,7 @@ class Cluster:
         self._by_database: Dict[str, Node] = {}
         self._resume_latency_s = resume_latency_s
         self._jitter_s = resume_latency_jitter_s
+        self._jitter_bits = (resume_latency_jitter_s + 1).bit_length()
         self._move_latency_s = move_latency_s
         self._rng = random.Random(seed)
         self.moves = 0
@@ -123,12 +124,10 @@ class Cluster:
         crash-detection + move latency), or recovers in place at the
         over-subscription latency when no other node has room.
         """
-        node = self.node_of(database_id)
+        # One dict lookup; node_of only raises for an unplaced database.
+        node = self._by_database.get(database_id) or self.node_of(database_id)
         moved = False
-        crashed = FAULTS.enabled and FAULTS.injector.should_fire(
-            NODE_CRASH_FAULT_POINT
-        )
-        if crashed:
+        if FAULTS.enabled and FAULTS.injector.should_fire(NODE_CRASH_FAULT_POINT):
             target = self._least_loaded_with_room(exclude=node)
             if target is None:
                 # Nowhere to fail over: wait out the node recovery and
@@ -143,7 +142,7 @@ class Cluster:
             self.moves += 1
             latency = self._base_latency() + 2 * self._move_latency_s
             return AllocationOutcome(latency, moved=True, node_id=target.node_id)
-        if node.free_slots <= 0:
+        if len(node.allocated) >= node.capacity:
             target = self._least_loaded_with_room()
             if target is None:
                 # The whole cluster is at capacity: over-subscribe the home
@@ -163,7 +162,8 @@ class Cluster:
 
     def release(self, database_id: str) -> None:
         """Reclaim compute (physical pause)."""
-        self.node_of(database_id).release(database_id)
+        node = self._by_database.get(database_id) or self.node_of(database_id)
+        node.release(database_id)
 
     def is_allocated(self, database_id: str) -> bool:
         node = self._by_database.get(database_id)
@@ -180,6 +180,12 @@ class Cluster:
         return min(candidates, key=lambda n: n.utilization)
 
     def _base_latency(self) -> int:
+        """``resume_latency_s + randint(0, jitter)``: the same rejection
+        loop over ``getrandbits``, so the same draws, minus randint's calls."""
         if self._jitter_s <= 0:
             return self._resume_latency_s
-        return self._resume_latency_s + self._rng.randint(0, self._jitter_s)
+        n = self._jitter_s + 1
+        draw = self._rng.getrandbits(self._jitter_bits)
+        while draw >= n:
+            draw = self._rng.getrandbits(self._jitter_bits)
+        return self._resume_latency_s + draw

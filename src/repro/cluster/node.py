@@ -52,7 +52,7 @@ class Node:
             )
         if database_id in self.allocated:
             raise CapacityError(f"{database_id!r} is already allocated")
-        if self.free_slots <= 0 and not force:
+        if not force and len(self.allocated) >= self.capacity:
             raise CapacityError(f"node {self.node_id!r} is full")
         self.allocated.add(database_id)
 

@@ -1,10 +1,12 @@
 """The resource allocation policies (Section 4, Algorithm 1).
 
 This module contains the *decision logic* of Algorithm 1 as pure functions
-over (time, old-flag, prediction, knobs); the discrete-event simulator wires
-them to real histories, predictors, and the control plane.  Keeping the
-conditions pure makes the exact semantics of Algorithm 1's guards unit
-testable line by line:
+over (time, old-flag, the predicted ``start``/``end``, knobs), all plain
+integers (the actors pass their :class:`~repro.types.PredictedActivity`'s
+fields, the columnar engine its columns' scalars); the discrete-event
+simulator wires them to real histories, predictors, and the control
+plane.  Keeping the conditions pure makes the exact semantics of
+Algorithm 1's guards unit testable line by line:
 
 * :func:`decide_on_idle` -- lines 10-12 (on becoming idle);
 * :func:`logical_pause_wake_time` -- the expiry of the line-19 wait
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 
 from repro.observability.runtime import OBS
-from repro.types import PredictedActivity
+from repro.types import NO_PREDICTION_SENTINEL
 
 
 class PolicyKind(enum.Enum):
@@ -43,39 +45,36 @@ class IdleDecision(enum.Enum):
     PHYSICAL_PAUSE = "physical_pause"
 
 
-def _record_decision(site: str, decision: IdleDecision) -> IdleDecision:
-    """Count the decision in the live metrics registry (when enabled)."""
-    if OBS.enabled:
-        OBS.metrics.counter(f"policy.{site}.{decision.value}").inc()
-    return decision
-
-
 def decide_on_idle(
     now: int,
     old: bool,
-    next_activity: PredictedActivity,
+    start: int,
     logical_pause_s: int,
 ) -> IdleDecision:
     """Algorithm 1 lines 10-12: the transition out of RESUMED when idle.
 
     Physically pause when no customer activity is expected within the
-    logical pause duration ``l``: either the predicted start is at least
-    ``l`` away, or the database is old yet has no prediction at all
+    logical pause duration ``l``: either the predicted ``start`` is at
+    least ``l`` away, or the database is old yet has no prediction at all
     (``nextActivity.start = 0``).  Otherwise pause logically -- notably for
     every new database, whose history is too short to predict.
     """
-    if not next_activity.is_empty and now + logical_pause_s <= next_activity.start:
-        return _record_decision("on_idle", IdleDecision.PHYSICAL_PAUSE)
-    if old and next_activity.is_empty:
-        return _record_decision("on_idle", IdleDecision.PHYSICAL_PAUSE)
-    return _record_decision("on_idle", IdleDecision.LOGICAL_PAUSE)
+    if start == NO_PREDICTION_SENTINEL:
+        physical = old
+    else:
+        physical = now + logical_pause_s <= start
+    decision = IdleDecision.PHYSICAL_PAUSE if physical else IdleDecision.LOGICAL_PAUSE
+    if OBS.enabled:
+        OBS.metrics.counter(f"policy.on_idle.{decision.value}").inc()
+    return decision
 
 
 def logical_pause_wake_time(
     now: int,
     pause_start: int,
     old: bool,
-    next_activity: PredictedActivity,
+    start: int,
+    end: int,
     logical_pause_s: int,
 ) -> int:
     """Earliest time the line-19 wait condition expires (absent activity).
@@ -94,24 +93,23 @@ def logical_pause_wake_time(
     databases) and ``nextActivity.end`` (predicted databases).  Returns a
     time <= now when the condition already fails (immediate re-decision).
     """
-    deadlines = []
-    if not old:
-        deadlines.append(pause_start + logical_pause_s)
-    if not next_activity.is_empty:
-        if now < next_activity.end:
-            deadlines.append(next_activity.end)
-        elif now < next_activity.start:  # degenerate start==end prediction
-            deadlines.append(next_activity.start)
-    if not deadlines:
-        return now
-    return max(d for d in deadlines)
+    predicted = None
+    if start != NO_PREDICTION_SENTINEL:
+        if now < end:
+            predicted = end
+        elif now < start:  # degenerate start==end prediction
+            predicted = start
+    if old:
+        return now if predicted is None else predicted
+    deadline = pause_start + logical_pause_s
+    return deadline if predicted is None or predicted < deadline else predicted
 
 
 def decide_after_logical_pause(
     now: int,
     pause_start: int,
     old: bool,
-    next_activity: PredictedActivity,
+    start: int,
     logical_pause_s: int,
 ) -> IdleDecision:
     """Algorithm 1 line 26: after the wait expired and the prediction was
@@ -122,12 +120,15 @@ def decide_after_logical_pause(
     hits; see DESIGN.md).
     """
     if not old and pause_start + logical_pause_s <= now:
-        return _record_decision("after_logical_pause", IdleDecision.PHYSICAL_PAUSE)
-    if not next_activity.is_empty and now + logical_pause_s <= next_activity.start:
-        return _record_decision("after_logical_pause", IdleDecision.PHYSICAL_PAUSE)
-    if old and next_activity.is_empty:
-        return _record_decision("after_logical_pause", IdleDecision.PHYSICAL_PAUSE)
-    return _record_decision("after_logical_pause", IdleDecision.LOGICAL_PAUSE)
+        physical = True
+    elif start == NO_PREDICTION_SENTINEL:
+        physical = old
+    else:
+        physical = now + logical_pause_s <= start
+    decision = IdleDecision.PHYSICAL_PAUSE if physical else IdleDecision.LOGICAL_PAUSE
+    if OBS.enabled:
+        OBS.metrics.counter(f"policy.after_logical_pause.{decision.value}").inc()
+    return decision
 
 
 def reactive_wake_time(pause_start: int, logical_pause_s: int) -> int:
@@ -135,7 +136,7 @@ def reactive_wake_time(pause_start: int, logical_pause_s: int) -> int:
     return pause_start + logical_pause_s
 
 
-def prediction_expired(next_activity: PredictedActivity, now: int) -> bool:
+def prediction_expired(end: int, now: int) -> bool:
     """Algorithm 1 line 7: refresh the prediction only when the previous
     predicted activity is over (``nextActivity.end < now``)."""
-    return next_activity.end < now
+    return end < now

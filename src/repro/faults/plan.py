@@ -21,7 +21,8 @@ file, checked into a repo, and replayed bit-for-bit::
     }
 
 See ``docs/resilience.md`` for the catalog of fault points the codebase
-consults.
+consults; :data:`FAULT_POINTS` names them, and a plan document naming any
+other point is refused.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import FaultPlanError
+
+#: Every fault point some component consults (each module's ``*_POINT``).
+FAULT_POINTS = (
+    "predictor.exception",
+    "resume.scan.unavailable",
+    "cluster.node.crash",
+    "predictor.latency",
+    "sql.execute",
+    "workflow.stuck",
+    "workflow.crash",
+    "controlplane.wal.crash",
+    "controlplane.wal.torn",
+    "controlplane.wal.corrupt",
+    "serving.queue_full",
+    "serving.handler",
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,11 @@ class FaultSpec:
         if unknown:
             raise FaultPlanError(
                 f"fault spec for {doc['point']!r} has unknown fields {sorted(unknown)}"
+            )
+        if doc["point"] not in FAULT_POINTS:
+            # Armed, a misspelled point would silently never fire.
+            raise FaultPlanError(
+                f"unknown fault point {doc['point']!r}: not in FAULT_POINTS"
             )
         try:
             return cls(

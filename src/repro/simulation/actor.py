@@ -637,10 +637,10 @@ class ProactiveActor(_BaseActor):
         """Lines 7-12: on becoming idle while RESUMED."""
         if self._begin_idle(now):
             return  # held by a running maintenance operation
-        if prediction_expired(self.next_activity, now):
+        if prediction_expired(self.next_activity.end, now):
             self._refresh_prediction(now)
         decision = decide_on_idle(
-            now, self.old, self.next_activity, self.config.logical_pause_s
+            now, self.old, self.next_activity.start, self.config.logical_pause_s
         )
         if decision is IdleDecision.PHYSICAL_PAUSE:
             if not self._holds_slot:
@@ -668,7 +668,8 @@ class ProactiveActor(_BaseActor):
                     now,
                     now,
                     self.old,
-                    self.next_activity,
+                    self.next_activity.start,
+                    self.next_activity.end,
                     self.config.logical_pause_s,
                 )
             )
@@ -698,7 +699,8 @@ class ProactiveActor(_BaseActor):
             pause_start = now
         self._refresh_prediction(now)
         decision = decide_after_logical_pause(
-            now, pause_start, self.old, self.next_activity, self.config.logical_pause_s
+            now, pause_start, self.old, self.next_activity.start,
+            self.config.logical_pause_s,
         )
         if decision is IdleDecision.PHYSICAL_PAUSE:
             self._settle_idle_interval(now, resumed_by_login=False)
@@ -711,7 +713,8 @@ class ProactiveActor(_BaseActor):
                     now,
                     pause_start,
                     self.old,
-                    self.next_activity,
+                    self.next_activity.start,
+                    self.next_activity.end,
                     self.config.logical_pause_s,
                 )
             )
@@ -729,6 +732,7 @@ class ProactiveActor(_BaseActor):
         self._pause_origin = "prewarm"
         self._schedule_wake(
             logical_pause_wake_time(
-                now, now, self.old, self.next_activity, self.config.logical_pause_s
+                now, now, self.old, self.next_activity.start,
+                self.next_activity.end, self.config.logical_pause_s,
             )
         )

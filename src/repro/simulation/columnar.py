@@ -35,9 +35,10 @@ in ``tests/simulation/test_columnar.py`` proves it over seeded scenarios,
 including armed fault plans).  Where the two representations must agree is
 pinned down in ``docs/fleet_scale.md``.
 
-Storage/accounting sit behind four small seams (history, metadata,
-accounting, cluster), so one driver body, :func:`run_columnar_region`
-(Algorithm 5 included), serves two tiers:
+Storage/accounting sit behind three small seams (history, metadata,
+accounting; the engine calls the real :class:`~repro.cluster.Cluster` by
+database id), so one driver body, :func:`run_columnar_region` (Algorithm
+5 included), serves two tiers:
 
 * :func:`simulate_region_columnar` in this module keeps one
   :class:`~repro.simulation.results.DatabaseOutcome` per database -- what
@@ -110,7 +111,12 @@ from repro.simulation.region import (
 )
 from repro.simulation.results import DatabaseOutcome
 from repro.storage.history import HistoryStore, LeanHistory, LeanHistoryView
-from repro.types import ActivityTrace, EventType, PredictedActivity
+from repro.types import (
+    NO_PREDICTION_SENTINEL,
+    ActivityTrace,
+    EventType,
+    PredictedActivity,
+)
 
 # ---------------------------------------------------------------------------
 # Struct-of-arrays layout constants (documented in docs/fleet_scale.md)
@@ -287,12 +293,6 @@ class StoreHistory:
     def trim(self, d: int, history_days: int, now: int) -> bool:
         return self.stores[d].delete_old_history(history_days, now).old
 
-    def older_than(self, d: int, history_start: int) -> bool:
-        """The ``old`` flag a trim at ``history_start`` would return,
-        without deleting anything."""
-        min_timestamp = self.stores[d].min_timestamp()
-        return min_timestamp is not None and min_timestamp < history_start
-
     def login_array(self, d: int) -> np.ndarray:
         return self.stores[d].login_array()
 
@@ -313,18 +313,19 @@ class NullHistory:
 class LeanMetadata:
     """``sys.databases`` as columns, with Algorithm 5's scan vectorised.
 
-    One state byte and one ``start_of_pred_activity`` per database.  The
-    pre-warm scan selects ``lo <= start_of_pred_activity <= hi``
-    (inclusive, like the secondary-index range), keeps the hits whose
-    state is PHYSICAL_PAUSE, and orders them by ``(start_of_pred_activity,
-    database_id)`` exactly as the index scan yields rows.  The scan reads
-    the numpy columns; the per-event writes go through ``_state`` /
-    ``_pred``, memoryviews of the same buffers.
+    One state byte and one ``start_of_pred_activity`` per database;
+    ``state`` is the caller's phase column when given (the engine's, so
+    the two are one buffer).  The pre-warm scan selects ``lo <=
+    start_of_pred_activity <= hi`` (inclusive, like the secondary-index
+    range), keeps the hits whose state is PHYSICAL_PAUSE, and orders them
+    by ``(start_of_pred_activity, database_id)`` exactly as the index scan
+    yields rows.  The scan reads the numpy columns; the per-event writes
+    go through ``_state`` / ``_pred``, memoryviews of the same buffers.
     """
 
-    def __init__(self, ids: Sequence[str]):
+    def __init__(self, ids: Sequence[str], state: Optional[np.ndarray] = None):
         n = len(ids)
-        self.state = np.full(n, PH_RESUMED, dtype=np.int8)
+        self.state = np.full(n, PH_RESUMED, dtype=np.int8) if state is None else state
         self.pred = np.zeros(n, dtype=np.int64)  # NO_PREDICTION_SENTINEL
         if all(ids[i] < ids[i + 1] for i in range(n - 1)):
             # Index-lexicographic ids (the fleetgen layout): rank == index.
@@ -336,12 +337,6 @@ class LeanMetadata:
         self._state = self.state.data
         self._pred = self.pred.data
 
-    def register(self, d: int, created_at: int, node_id: str) -> None:
-        self._state[d] = PH_RESUMED
-
-    def set_state(self, d: int, phase_code: int) -> None:
-        self._state[d] = phase_code
-
     def record_physical_pause(self, d: int, pred_start: int) -> None:
         if isinstance(pred_start, bool) or not isinstance(pred_start, int):
             raise SchemaError(
@@ -349,9 +344,6 @@ class LeanMetadata:
             )
         self._state[d] = PH_PHYSICAL
         self._pred[d] = pred_start
-
-    def set_node(self, d: int, node_id: str) -> None:
-        pass  # placement lives in the shared Cluster; no copy kept here
 
     def prewarm_indices(self, now: int, prewarm_s: int, period_s: int) -> np.ndarray:
         lo = now + prewarm_s
@@ -368,24 +360,6 @@ class LeanMetadata:
     ) -> List[int]:
         """:meth:`prewarm_indices` as a list (Algorithm 5's SELECT)."""
         return self.prewarm_indices(now, prewarm_s, period_s).tolist()
-
-
-class StoreCluster:
-    """Cluster seam: real :class:`Cluster` keyed by database id strings."""
-
-    def __init__(self, cluster: Cluster, ids: Sequence[str]):
-        self.cluster = cluster
-        self.ids = ids
-
-    def place(self, d: int) -> str:
-        return self.cluster.place(self.ids[d]).node_id
-
-    def allocate(self, d: int) -> Tuple[int, str]:
-        outcome = self.cluster.allocate(self.ids[d])
-        return outcome.latency_s, outcome.node_id
-
-    def release(self, d: int) -> None:
-        self.cluster.release(self.ids[d])
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +388,13 @@ class ColumnarRegionEngine:
         acct,
         hist,
         meta,
-        cluster: StoreCluster,
+        cluster: Cluster,
+        ids: Sequence[str],
         fast_predictor: Optional[FastPredictor] = None,
         breaker: Optional[CircuitBreaker] = None,
         prorp_outages: Sequence[Tuple[int, int]] = (),
         collect_predictions: bool = False,
-        preplaced_nodes: Optional[Sequence[str]] = None,
+        preplaced: bool = False,
         bank=None,
     ):
         self.s = state
@@ -430,18 +405,27 @@ class ColumnarRegionEngine:
         self.acct = acct
         self.hist = hist
         self.meta = meta
+        #: The real cluster, keyed by database id: ``ids[d]`` is row d's.
         self.cluster = cluster
+        self.ids = ids
         self.fast_predictor = fast_predictor
         self.breaker = breaker
         self.prorp_outages = tuple(prorp_outages)
         self.collect_predictions = collect_predictions
-        #: Node ids from a bulk ``place_fleet`` (lean mode); None means
-        #: ``_start`` places each database itself (actor parity).
-        self.preplaced_nodes = preplaced_nodes
+        #: Whether a bulk ``place_fleet`` placed the fleet (lean mode);
+        #: otherwise ``start`` places each database itself (actor parity).
+        self.preplaced = preplaced
         #: Region-shared predictor bank (repro.tuning.bank); None keeps the
         #: paper's single sliding-window path.  A sliding-only bank is a
         #: pure delegate, byte-identical to None.
         self.bank = bank
+        #: The policy's Algorithm 1 handlers, bound once.
+        if proactive:
+            self._handle_idle = self._handle_idle_proactive
+            self._on_wake = self._on_wake_proactive
+        else:
+            self._handle_idle = self._handle_idle_reactive
+            self._on_wake = self._on_wake_reactive
         self._now = sim_start
         #: Calendar queue: ``time -> [(kind, d, epoch), ...]`` in schedule
         #: order, plus a heap holding each pending instant once.
@@ -479,16 +463,17 @@ class ColumnarRegionEngine:
         else:
             bucket.append((kind, d, epoch))
 
-    def _cancel_wake(self, d: int) -> None:
-        self.s.wake_epoch[d] += 1
-        self.s.wake_at[d] = NONE_TS
-
     def _schedule_wake(self, d: int, at: int) -> None:
-        self._cancel_wake(d)
-        at = max(at, self._now + 1)
+        s = self.s
+        epoch = s.wake_epoch[d] + 1
+        s.wake_epoch[d] = epoch
+        if at <= self._now:
+            at = self._now + 1
         if at < self.sim_end:
-            self.s.wake_at[d] = at
-            self._push(at, EV_WAKE, d, self.s.wake_epoch[d])
+            s.wake_at[d] = at
+            self._push(at, EV_WAKE, d, epoch)
+        else:
+            s.wake_at[d] = NONE_TS
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -518,42 +503,20 @@ class ColumnarRegionEngine:
         s.last_transition[d] = now
 
     def _db_label(self, d: int) -> str:
-        ids = getattr(self.meta, "ids", None)
-        return ids[d] if ids is not None else f"db[{d}]"
+        return self.ids[d]
 
     # -- cluster slots -----------------------------------------------------
 
     def _acquire_slot(self, d: int) -> int:
         if self.s.holds_slot[d]:
             raise SimulationError(f"{self._db_label(d)}: slot already held")
-        latency, node_id = self.cluster.allocate(d)
+        latency = self.cluster.allocate(self.ids[d]).latency_s
         self.s.holds_slot[d] = True
-        self.meta.set_node(d, node_id)
         return latency
-
-    def _release_slot(self, d: int) -> None:
-        if not self.s.holds_slot[d]:
-            raise SimulationError(f"{self._db_label(d)}: no slot to release")
-        self.cluster.release(d)
-        self.s.holds_slot[d] = False
 
     # -- prediction helpers ------------------------------------------------
 
-    def _next_activity(self, d: int) -> PredictedActivity:
-        return PredictedActivity(
-            self.s.pred_start[d],
-            self.s.pred_end[d],
-            self.s.pred_conf[d],
-        )
-
-    def _set_next_activity(self, d: int, prediction: PredictedActivity) -> None:
-        self.s.pred_start[d] = prediction.start
-        self.s.pred_end[d] = prediction.end
-        self.s.pred_conf[d] = prediction.confidence
-
     def _prorp_down(self, now: int) -> bool:
-        if not self.prorp_outages:
-            return False
         return any(start <= now < end for start, end in self.prorp_outages)
 
     def _prediction_config(self, d: int, now: int) -> ProRPConfig:
@@ -567,65 +530,64 @@ class ColumnarRegionEngine:
         return config_for_seasonality(self.config, diagnosis.seasonality)
 
     def _refresh_prediction(self, d: int, now: int) -> None:
-        """Port of ``ProactiveActor._refresh_prediction``."""
+        """Port of ``ProactiveActor._refresh_prediction``.  Every path
+        but a successful prediction ends in the no-prediction sentinel;
+        ``degraded`` is the fault flag it leaves (None: untouched)."""
         s = self.s
-        if self._prorp_down(now):
-            s.old[d] = False
-            self._set_next_activity(d, PredictedActivity.none())
-            return
-        if self.breaker is not None and not self.breaker.allow(now):
-            s.old[d] = False
-            self._set_next_activity(d, PredictedActivity.none())
-            s.fault_degraded[d] = True
-            return
-        s.old[d] = self.hist.trim(d, self.config.history_days, now)
-        if not s.old[d]:
-            self._set_next_activity(d, PredictedActivity.none())
-            s.fault_degraded[d] = False
-            return
-        try:
-            self._predict(d, now)
-        except FaultInjectedError:
-            if self.breaker is not None:
-                self.breaker.record_failure(now)
-            s.old[d] = False
-            self._set_next_activity(d, PredictedActivity.none())
-            s.fault_degraded[d] = True
-            return
-        if self.breaker is not None:
-            self.breaker.record_success(now)
-        s.fault_degraded[d] = False
-        if self.collect_predictions:
-            self.acct.record_prediction(
-                d,
-                now,
-                s.pred_start[d],
-                s.pred_end[d],
-                s.pred_conf[d],
-            )
+        if self.prorp_outages and self._prorp_down(now):
+            degraded = None
+        elif self.breaker is not None and not self.breaker.allow(now):
+            degraded = True
+        elif not self.hist.trim(d, self.config.history_days, now):
+            degraded = False
+        else:
+            s.old[d] = True
+            try:
+                self._predict(d, now)
+            except FaultInjectedError:
+                if self.breaker is not None:
+                    self.breaker.record_failure(now)
+                degraded = True
+            else:
+                if self.breaker is not None:
+                    self.breaker.record_success(now)
+                s.fault_degraded[d] = False
+                if self.collect_predictions:
+                    self.acct.record_prediction(
+                        d, now, s.pred_start[d], s.pred_end[d], s.pred_conf[d]
+                    )
+                return
+        s.old[d] = False
+        s.pred_start[d] = s.pred_end[d] = NO_PREDICTION_SENTINEL
+        s.pred_conf[d] = 0.0
+        if degraded is not None:
+            s.fault_degraded[d] = degraded
 
     def _predict(self, d: int, now: int) -> None:
-        """Port of ``ProactiveActor._predict`` (the latency-measuring
-        branch is not ported: the region routes that mode to the actors)."""
+        """Port of ``ProactiveActor._predict``, writing the answer to the
+        prediction columns."""
         if FAULTS.enabled and FAULTS.injector.should_fire(
             PREDICTOR_FAULT_POINT, now
         ):
             raise FaultInjectedError(
                 PREDICTOR_FAULT_POINT, "injected: predictor backend failure"
             )
-        config = self._prediction_config(d, now)
+        config = self.config
+        if config.auto_seasonality:
+            config = self._prediction_config(d, now)
         if self.bank is not None:
-            self._set_next_activity(
+            prediction = self.bank.predict(
                 d,
-                self.bank.predict(
-                    d,
-                    now,
-                    lambda: self.hist.login_array(d),
-                    lambda: self._predict_sliding(d, config, now),
-                ),
+                now,
+                lambda: self.hist.login_array(d),
+                lambda: self._predict_sliding(d, config, now),
             )
-            return
-        self._set_next_activity(d, self._predict_sliding(d, config, now))
+        else:
+            prediction = self._predict_sliding(d, config, now)
+        s = self.s
+        s.pred_start[d] = prediction.start
+        s.pred_end[d] = prediction.end
+        s.pred_conf[d] = prediction.confidence
 
     def _predict_sliding(
         self, d: int, config: ProRPConfig, now: int
@@ -638,15 +600,17 @@ class ColumnarRegionEngine:
         if self.fast_predictor is None:
             return predict_next_activity(self.hist.store(d), config, now)
         s = self.s
-        taken = (
-            s.parked_at[d] == now
-            and s.parked_logins[d] == s.login_count[d]
-            and self._parked[d][0] == config
-        )
-        prediction = self._unpark(d)
-        if taken:
-            HOT_PATH.cache_hits += 1
-            return prediction
+        at = s.parked_at[d]
+        if at != NONE_TS:
+            s.parked_at[d] = NONE_TS
+            parked, prediction = self._parked.pop(d)
+            if (
+                at == now
+                and s.parked_logins[d] == s.login_count[d]
+                and (parked is config or parked == config)
+            ):
+                HOT_PATH.cache_hits += 1
+                return prediction
         HOT_PATH.cache_misses += 1
         if self.config.auto_seasonality:
             return get_fast_predictor(config).predict_one(
@@ -664,7 +628,8 @@ class ColumnarRegionEngine:
         self._parked[d] = (config, prediction)
 
     def _unpark(self, d: int) -> Optional[PredictedActivity]:
-        """Drop ``d``'s parked answer, returning its prediction if any."""
+        """Drop ``d``'s parked answer, returning its prediction if any
+        (``parked_at[d]`` is NONE_TS exactly when there is none)."""
         self.s.parked_at[d] = NONE_TS
         parked = self._parked.pop(d, None)
         return None if parked is None else parked[1]
@@ -712,69 +677,55 @@ class ColumnarRegionEngine:
         yet.  A candidate's refresh may never come (a login cancels the
         wake) or come later; its answer is then simply not taken."""
         s = self.s.np
-        members, instants = [d], [now]
-        config = self.config
-        history_s = config.history_s
         candidates, ats = self._speculation_candidates(d, now)
         # Without adaptive seasonality every answer is parked under this
         # engine's knobs, so a matching instant and login count is valid.
         unanswered = (s.parked_at[candidates] != ats) | (
             s.parked_logins[candidates] != s.login_count[candidates]
         )
-        for c, at in zip(
-            candidates[unanswered].tolist(), ats[unanswered].tolist()
-        ):
-            if self.hist.older_than(c, at - history_s):
-                members.append(c)
-                instants.append(at)
-        self._park(members, config, instants)
+        candidates, ats = candidates[unanswered], ats[unanswered]
+        old = self.hist.older_than(candidates, ats - self.config.history_s)
+        self._park(
+            [d] + candidates[old].tolist(),
+            self.config,
+            [now] + ats[old].tolist(),
+        )
         return self._unpark(d)
 
     # -- settle-phase batching ---------------------------------------------
 
-    def _settle_request(self, d: int) -> Optional[ProRPConfig]:
-        """The Algorithm-4 configuration ``start(d)`` will predict with at
-        ``sim_start``, or None when it will not reach the predictor: it
-        does only for a born database idle between sessions whose history
-        is old.  Mutates nothing: ``older_than`` reads the flag the
-        refresh's trim will return, the breaker is not consulted
-        (``allow`` can mutate it) and neither is the fault injector; the
-        real refresh inside ``start`` does all three, in unchanged order."""
-        s = self.s
-        index = s.sess_offsets[d]
-        hi = s.sess_offsets[d + 1]
-        while index < hi and s.sess_ends[index] <= self.sim_start:
-            index += 1
-        if index >= hi:
-            return None  # start() goes to physical pause, no prediction
-        if s.created_at[d] > self.sim_start:
-            return None  # not born yet: physical pause until first login
-        if s.sess_starts[index] <= self.sim_start:
-            return None  # mid-session: active, no idle settling
-        history_start = self.sim_start - self.config.history_s
-        if not self.hist.older_than(d, history_start):
-            return None  # new database: refresh skips the predictor
-        return self._prediction_config(d, self.sim_start)
-
     def seed_initial_predictions(self) -> None:
         """Batch the settle-phase predictions into one fleet evaluation.
 
-        Every database that is idle-with-history at ``sim_start`` runs the
-        same prediction at the same instant inside ``start(d)``.  Here
-        those D single-database Algorithm-4 scans become one
-        :meth:`FastPredictor.predict_fleet` call per distinct configuration
-        (adaptive seasonality can split the fleet), parked by index for
-        ``_predict_sliding`` to take.
+        ``start(d)`` reaches the predictor at ``sim_start`` only for a born
+        database idle between sessions whose history is old, and all of
+        them predict at that one instant.  Here those single-database
+        Algorithm-4 scans become one :meth:`FastPredictor.predict_fleet`
+        call per distinct configuration (adaptive seasonality can split
+        the fleet), parked by index for ``_predict_sliding`` to take.
+        Mutates nothing else: ``older_than`` reads the flag the refresh's
+        trim will return, and neither the breaker (``allow`` can mutate
+        it) nor the fault injector is consulted; the real refresh inside
+        ``start`` does all three, in unchanged order.
         """
         if self.fast_predictor is None or self.sim_start <= 0:
             return
         if self._prorp_down(self.sim_start):
             return  # every refresh degrades to reactive without predicting
+        s, t = self.s.np, self.sim_start
+        lo, hi = s.sess_offsets[:-1], s.sess_offsets[1:]
+        # Each database's first session still running or to come at t
+        # (``start``'s skip loop: a database's sessions end in order).
+        ended = np.concatenate(([0], np.cumsum(s.sess_ends <= t)))
+        first = lo + ended[hi] - ended[lo]
+        ds = np.flatnonzero(first < hi)  # no session left: physical pause
+        # Born, and between sessions rather than in one.
+        ds = ds[(s.created_at[ds] <= t) & (s.sess_starts[first[ds]] > t)]
+        # A new database's refresh skips the predictor.
+        ds = ds[self.hist.older_than(ds, np.full(ds.size, t - self.config.history_s))]
         groups: Dict[ProRPConfig, List[int]] = {}
-        for d in range(self.s.n):
-            request = self._settle_request(d)
-            if request is not None:
-                groups.setdefault(request, []).append(d)
+        for d in ds.tolist():
+            groups.setdefault(self._prediction_config(d, t), []).append(d)
         for group_config, members in groups.items():
             self._park(members, group_config, [self.sim_start] * len(members))
 
@@ -787,7 +738,7 @@ class ColumnarRegionEngine:
         a login in between moves the count the answer is parked under)."""
         predictor = (
             self.fast_predictor
-            if config == self.config
+            if config is self.config or config == self.config
             else get_fast_predictor(config)
         )
         predictions = predictor.predict_fleet(
@@ -808,51 +759,40 @@ class ColumnarRegionEngine:
     def start(self, d: int) -> None:
         """Port of ``_BaseActor.start``."""
         s = self.s
-        if self.preplaced_nodes is not None:
-            node_id = self.preplaced_nodes[d]
-        else:
-            node_id = self.cluster.place(d)
-        self.meta.register(d, s.created_at[d], node_id)
+        if not self.preplaced:
+            self.cluster.place(self.ids[d])
         self._schedule_first_maintenance(d)
         idx = s.session_idx[d]
         hi = s.sess_offsets[d + 1]
         while idx < hi and s.sess_ends[idx] <= self.sim_start:
             idx += 1
         s.session_idx[d] = idx
-        if idx >= hi:
-            self._enter_initial_physical_pause(d)
+        if idx >= hi or s.created_at[d] > self.sim_start:
+            # No session left, or not born yet: physically paused until a
+            # first login (a direct set, no Figure 4 transition).
+            s.phase[d] = PH_PHYSICAL
+            if idx < hi:
+                self._push(s.sess_starts[idx], EV_SESSION_START, d)
             return
         cur_start = s.sess_starts[idx]
-        if s.created_at[d] > self.sim_start:
-            # Not born yet: physically paused until its first login.
-            self._enter_initial_physical_pause(d)
-            self._push(cur_start, EV_SESSION_START, d)
-            return
         if cur_start <= self.sim_start:
             # Mid-session at simulation start: resumed and active.
             self._acquire_slot(d)
-            self.meta.set_state(d, PH_RESUMED)
             s.active_since[d] = self.sim_start
             self._push(
                 min(s.sess_ends[idx], self.sim_end), EV_SESSION_END, d
             )
         else:
-            # Idle at simulation start: settle through the policy.  A
-            # settle answer the refresh did not take (outage, open breaker,
+            # Idle at simulation start: settle through the policy (the
+            # reactive baseline pauses physically at once).  A settle
+            # answer the refresh did not take (outage, open breaker,
             # injected fault, non-sliding bank arm) is dropped here.
-            self._enter_initial_idle(d)
+            if self.proactive:
+                self._handle_idle(d, self.sim_start)
+            else:
+                s.phase[d] = PH_PHYSICAL
             self._unpark(d)
             self._push(cur_start, EV_SESSION_START, d)
-
-    def _enter_initial_physical_pause(self, d: int) -> None:
-        self.meta.set_state(d, PH_PHYSICAL)
-        self.s.phase[d] = PH_PHYSICAL  # direct set: no Figure 4 transition
-
-    def _enter_initial_idle(self, d: int) -> None:
-        if self.proactive:
-            self._handle_idle(d, self.sim_start)
-        else:
-            self._enter_initial_physical_pause(d)
 
     # -- maintenance (Section 3.3) -----------------------------------------
 
@@ -885,7 +825,6 @@ class ColumnarRegionEngine:
         if phase == PH_PHYSICAL:
             self._acquire_slot(d)
             self._apply(d, LifecycleTransition.MAINTENANCE_RESUME, now)
-            self.meta.set_state(d, PH_LOGICAL)
             self.acct.record_workflow(d, now, "maintenance_resume")
             s.pause_start[d] = now
             s.pause_origin[d] = ORIGIN_MAINTENANCE
@@ -898,41 +837,27 @@ class ColumnarRegionEngine:
                 self._schedule_wake(d, s.maint_until[d])
         # RESUMED / RESUMING: the operation rides on customer activity.
 
-    def _maintenance_hold(self, d: int, now: int) -> bool:
-        if now < self.s.maint_until[d]:
-            self._schedule_wake(d, self.s.maint_until[d])
-            return True
-        return False
-
     def _close_maintenance_pause(self, d: int, now: int) -> bool:
+        """End a maintenance pause's idle interval; True when the database
+        was physically paused before the operation (it returns there)."""
         s = self.s
-        if s.pause_origin[d] != ORIGIN_MAINTENANCE:
-            return False
         from_physical = s.maint_from_physical[d]
         self.acct.add_idle(d, s.pause_start[d], now, "maintenance")
-        if from_physical:
-            s.pause_start[d] = NONE_TS
-            s.pause_origin[d] = ORIGIN_NONE
-            s.maint_from_physical[d] = False
-            return True
-        s.pause_start[d] = now
+        s.pause_start[d] = NONE_TS if from_physical else now
         s.pause_origin[d] = ORIGIN_NONE
         s.maint_from_physical[d] = False
-        return False
+        return from_physical
 
-    def _begin_idle(self, d: int, now: int) -> bool:
+    def _idle_under_maintenance(self, d: int, now: int) -> None:
+        """A database going idle while a maintenance operation runs is
+        held logically paused until the operation ends."""
         s = self.s
-        s.idle_since[d] = now
-        if now >= s.maint_until[d]:
-            return False
         if not s.holds_slot[d]:
             self._acquire_slot(d)
         self._apply(d, LifecycleTransition.IDLE_TO_LOGICAL, now)
-        self.meta.set_state(d, PH_LOGICAL)
         s.pause_start[d] = now
         s.pause_origin[d] = ORIGIN_MAINTENANCE
         self._schedule_wake(d, s.maint_until[d])
-        return True
 
     # -- trace events ------------------------------------------------------
 
@@ -955,18 +880,15 @@ class ColumnarRegionEngine:
         s.idle_since[d] = NONE_TS
         phase = s.phase[d]
         if phase == PH_LOGICAL:
-            self._cancel_wake(d)
+            s.wake_epoch[d] += 1  # cancel the pending wake
+            s.wake_at[d] = NONE_TS
             self._apply(d, LifecycleTransition.LOGICAL_TO_RESUMED, now)
-            self.meta.set_state(d, PH_RESUMED)
             self.acct.record_login(d, now, served=True)
             self._settle_idle_interval(d, now, resumed_by_login=True)
             s.active_since[d] = now
-            end = min(s.sess_ends[s.session_idx[d]], self.sim_end)
-            self._push(end, EV_SESSION_END, d)
         elif phase == PH_PHYSICAL:
             latency = self._acquire_slot(d)
             self._apply(d, LifecycleTransition.REACTIVE_RESUME_START, now)
-            self.meta.set_state(d, PH_RESUMING)
             self.acct.record_login(
                 d, now, served=False, faulted=s.fault_degraded[d]
             )
@@ -974,21 +896,19 @@ class ColumnarRegionEngine:
             s.resume_started_at[d] = now
             s.deferred_session_end[d] = False
             self._push(now + latency, EV_RESUME_COMPLETE, d)
-            end = min(s.sess_ends[s.session_idx[d]], self.sim_end)
-            self._push(end, EV_SESSION_END, d)
         elif phase == PH_RESUMING:
             self.acct.record_login(
                 d, now, served=False, faulted=s.fault_degraded[d]
             )
             s.resume_started_at[d] = now
             s.deferred_session_end[d] = False
-            end = min(s.sess_ends[s.session_idx[d]], self.sim_end)
-            self._push(end, EV_SESSION_END, d)
         else:
             raise SimulationError(
                 f"{self._db_label(d)}: session start at t={now} while already "
                 f"{STATE_FROM_CODE[phase].value}"
             )
+        end = s.sess_ends[s.session_idx[d]]
+        self._push(end if end < self.sim_end else self.sim_end, EV_SESSION_END, d)
 
     def _on_session_end(self, d: int, now: int) -> None:
         """Port of ``_BaseActor._on_session_end``."""
@@ -1019,7 +939,6 @@ class ColumnarRegionEngine:
         if s.phase[d] != PH_RESUMING:
             return  # stale completion (e.g. past sim end clipping)
         self._apply(d, LifecycleTransition.REACTIVE_RESUME_COMPLETE, now)
-        self.meta.set_state(d, PH_RESUMED)
         if s.resume_started_at[d] != NONE_TS:
             self.acct.add_unavailable(d, s.resume_started_at[d], now)
             s.resume_started_at[d] = NONE_TS
@@ -1055,7 +974,8 @@ class ColumnarRegionEngine:
         self.meta.record_physical_pause(d, pred_start)
         self.acct.record_workflow(d, now, "physical_pause")
         if self.s.holds_slot[d]:
-            self._release_slot(d)
+            self.cluster.release(self.ids[d])
+            self.s.holds_slot[d] = False
 
     def finalize(self, d: int, sim_end: int) -> None:
         """Port of ``_BaseActor.finalize``."""
@@ -1074,10 +994,11 @@ class ColumnarRegionEngine:
 
     def _handle_idle_reactive(self, d: int, now: int) -> None:
         """Port of ``ReactiveActor._handle_idle``."""
-        if self._begin_idle(d, now):
-            return  # held by a running maintenance operation
+        self.s.idle_since[d] = now
+        if now < self.s.maint_until[d]:
+            self._idle_under_maintenance(d, now)
+            return
         self._apply(d, LifecycleTransition.IDLE_TO_LOGICAL, now)
-        self.meta.set_state(d, PH_LOGICAL)
         self.acct.record_workflow(d, now, "logical_pause")
         self.s.pause_start[d] = now
         self._schedule_wake(
@@ -1090,9 +1011,11 @@ class ColumnarRegionEngine:
         s.wake_at[d] = NONE_TS  # the actor's `_wake_timer = None`
         if s.phase[d] != PH_LOGICAL:
             return  # stale timer
-        if self._maintenance_hold(d, now):
+        if now < s.maint_until[d]:  # a running maintenance op holds it
+            self._schedule_wake(d, s.maint_until[d])
             return
-        if self._close_maintenance_pause(d, now):
+        after_maintenance = s.pause_origin[d] == ORIGIN_MAINTENANCE
+        if after_maintenance and self._close_maintenance_pause(d, now):
             self._enter_physical_pause(
                 d, now, LifecycleTransition.LOGICAL_TO_PHYSICAL, pred_start=0
             )
@@ -1114,29 +1037,27 @@ class ColumnarRegionEngine:
     def _handle_idle_proactive(self, d: int, now: int) -> None:
         """Port of ``ProactiveActor._handle_idle``."""
         s = self.s
-        if self._begin_idle(d, now):
-            return  # held by a running maintenance operation
-        if prediction_expired(self._next_activity(d), now):
+        s.idle_since[d] = now
+        if now < s.maint_until[d]:
+            self._idle_under_maintenance(d, now)
+            return
+        if prediction_expired(s.pred_end[d], now):
             self._refresh_prediction(d, now)
-        next_activity = self._next_activity(d)
-        decision = decide_on_idle(
-            now, s.old[d], next_activity, self.config.logical_pause_s
-        )
+        start = s.pred_start[d]
+        decision = decide_on_idle(now, s.old[d], start, self.config.logical_pause_s)
         if decision is IdleDecision.PHYSICAL_PAUSE:
             if not s.holds_slot[d]:
                 # Initial settling: never held a slot; record state only.
                 s.phase[d] = PH_PHYSICAL
-                self.meta.record_physical_pause(d, next_activity.start)
+                self.meta.record_physical_pause(d, start)
             else:
                 self._enter_physical_pause(
-                    d, now, LifecycleTransition.IDLE_TO_PHYSICAL,
-                    next_activity.start,
+                    d, now, LifecycleTransition.IDLE_TO_PHYSICAL, start
                 )
         else:
             if not s.holds_slot[d]:
                 self._acquire_slot(d)
             self._apply(d, LifecycleTransition.IDLE_TO_LOGICAL, now)
-            self.meta.set_state(d, PH_LOGICAL)
             self.acct.record_workflow(d, now, "logical_pause")
             s.pause_start[d] = now
             s.pause_origin[d] = ORIGIN_NONE
@@ -1146,7 +1067,8 @@ class ColumnarRegionEngine:
                     now,
                     now,
                     s.old[d],
-                    next_activity,
+                    start,
+                    s.pred_end[d],
                     self.config.logical_pause_s,
                 ),
             )
@@ -1157,9 +1079,11 @@ class ColumnarRegionEngine:
         s.wake_at[d] = NONE_TS
         if s.phase[d] != PH_LOGICAL:
             return  # stale timer
-        if self._maintenance_hold(d, now):
+        if now < s.maint_until[d]:  # a running maintenance op holds it
+            self._schedule_wake(d, s.maint_until[d])
             return
-        if self._close_maintenance_pause(d, now):
+        after_maintenance = s.pause_origin[d] == ORIGIN_MAINTENANCE
+        if after_maintenance and self._close_maintenance_pause(d, now):
             self._enter_physical_pause(
                 d,
                 now,
@@ -1175,19 +1099,14 @@ class ColumnarRegionEngine:
         else:
             pause_start = now
         self._refresh_prediction(d, now)
-        next_activity = self._next_activity(d)
+        start = s.pred_start[d]
         decision = decide_after_logical_pause(
-            now,
-            pause_start,
-            s.old[d],
-            next_activity,
-            self.config.logical_pause_s,
+            now, pause_start, s.old[d], start, self.config.logical_pause_s
         )
         if decision is IdleDecision.PHYSICAL_PAUSE:
             self._settle_idle_interval(d, now, resumed_by_login=False)
             self._enter_physical_pause(
-                d, now, LifecycleTransition.LOGICAL_TO_PHYSICAL,
-                next_activity.start,
+                d, now, LifecycleTransition.LOGICAL_TO_PHYSICAL, start
             )
         else:
             self._schedule_wake(
@@ -1196,7 +1115,8 @@ class ColumnarRegionEngine:
                     now,
                     pause_start,
                     s.old[d],
-                    next_activity,
+                    start,
+                    s.pred_end[d],
                     self.config.logical_pause_s,
                 ),
             )
@@ -1208,7 +1128,6 @@ class ColumnarRegionEngine:
             return  # raced with a reactive resume in the same tick
         self._acquire_slot(d)
         self._apply(d, LifecycleTransition.PROACTIVE_RESUME, now)
-        self.meta.set_state(d, PH_LOGICAL)
         self.acct.record_workflow(d, now, "proactive_resume")
         s.pause_start[d] = now
         s.pause_origin[d] = ORIGIN_PREWARM
@@ -1218,16 +1137,11 @@ class ColumnarRegionEngine:
                 now,
                 now,
                 s.old[d],
-                self._next_activity(d),
+                s.pred_start[d],
+                s.pred_end[d],
                 self.config.logical_pause_s,
             ),
         )
-
-    def _handle_idle(self, d: int, now: int) -> None:
-        if self.proactive:
-            self._handle_idle_proactive(d, now)
-        else:
-            self._handle_idle_reactive(d, now)
 
     # -- run loop ----------------------------------------------------------
 
@@ -1235,23 +1149,8 @@ class ColumnarRegionEngine:
         self.on_resume_op = callback
         self._push(at, EV_RESUME_OP, -1)
 
-    def _dispatch(self, kind: int, d: int, now: int) -> None:
-        if kind == EV_SESSION_START:
-            self._on_session_start(d, now)
-        elif kind == EV_SESSION_END:
-            self._on_session_end(d, now)
-        elif kind == EV_RESUME_COMPLETE:
-            self._on_resume_complete(d, now)
-        elif kind == EV_WAKE:
-            if self.proactive:
-                self._on_wake_proactive(d, now)
-            else:
-                self._on_wake_reactive(d, now)
-        elif kind == EV_MAINTENANCE:
-            self._on_maintenance_start(d, now)
-        else:  # EV_RESUME_OP
-            assert self.on_resume_op is not None
-            self.on_resume_op(now)
+    def _on_resume_op(self, d: int, now: int) -> None:
+        self.on_resume_op(now)
 
     def run_until(self, end: int) -> int:
         """Mirror of ``EventQueue.run_until`` including its observability
@@ -1260,6 +1159,15 @@ class ColumnarRegionEngine:
         order."""
         executed = 0
         run_start = self._now
+        # Indexed by event kind (the EV_* codes).
+        handlers = (
+            self._on_session_start,
+            self._on_session_end,
+            self._on_resume_complete,
+            self._on_wake,
+            self._on_maintenance_start,
+            self._on_resume_op,
+        )
         times = self._times
         buckets = self._buckets
         wake_epoch = self.s.wake_epoch
@@ -1279,13 +1187,13 @@ class ColumnarRegionEngine:
                     continue  # cancelled wake: skipped, not dispatched
                 if obs_enabled:
                     with OBS.tracer.span("engine.event", t=time):
-                        self._dispatch(kind, d, time)
+                        handlers[kind](d, time)
                     OBS.metrics.counter("engine.events_dispatched").inc()
                     if time >= next_eval:
                         monitor.maybe_evaluate(time)
                         next_eval = monitor.next_boundary
                 else:
-                    self._dispatch(kind, d, time)
+                    handlers[kind](d, time)
                 executed += 1
         self._now = max(self._now, end)
         if obs_enabled and self._now > run_start:
@@ -1324,9 +1232,12 @@ def run_columnar_region(
     """
     proactive = policy is PolicyKind.PROACTIVE
     cluster = _build_cluster(settings)
-    preplaced = cluster.place_fleet(ids) if preplace else None
+    if preplace:
+        cluster.place_fleet(ids)
     fast_predictor = _build_fast_predictor(config, settings, proactive)
-    metadata = LeanMetadata(ids)
+    state = ColumnarState(len(ids), *sessions, *maintenance, created_at)
+    # sys.databases' state column is the engine's phase column.
+    metadata = LeanMetadata(ids, state.np.phase)
     if not proactive:
         hist = NullHistory()
     elif fast_predictor is None:
@@ -1337,7 +1248,6 @@ def run_columnar_region(
         )
     else:
         hist = LeanHistory(*sessions, settings.sim_start, config.history_days)
-    state = ColumnarState(len(ids), *sessions, *maintenance, created_at)
     engine = ColumnarRegionEngine(
         state,
         proactive=proactive,
@@ -1347,12 +1257,13 @@ def run_columnar_region(
         acct=acct,
         hist=hist,
         meta=metadata,
-        cluster=StoreCluster(cluster, ids),
+        cluster=cluster,
+        ids=ids,
         fast_predictor=fast_predictor,
         breaker=_build_breaker(proactive),
         prorp_outages=settings.prorp_outages,
         collect_predictions=settings.collect_predictions,
-        preplaced_nodes=preplaced,
+        preplaced=preplace,
         bank=_build_bank(settings, config, proactive),
     )
     engine.start_all()
@@ -1414,5 +1325,5 @@ def simulate_region_columnar(
         outcomes=outcomes,
         resume_iterations=iterations,
         histories=histories,
-        cluster_moves=engine.cluster.cluster.moves,
+        cluster_moves=engine.cluster.moves,
     )

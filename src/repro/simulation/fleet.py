@@ -33,7 +33,7 @@ stay on ``simulate_region``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -115,28 +115,30 @@ class LeanAccounting:
         self.correct_proactive_resumes = 0
         self.wrong_proactive_resumes = 0
 
-    def _clip(self, start: int, end: int) -> int:
-        lo = max(start, self.eval_start)
-        hi = min(end, self.eval_end)
-        return max(0, hi - lo)
-
-    def _in_window(self, t: int) -> bool:
-        return self.eval_start <= t < self.eval_end
+    # The window clip and test are inlined: these run once per event.
 
     def add_used(self, d: int, start: int, end: int) -> None:
-        self.used_s += self._clip(start, end)
+        lo = start if start > self.eval_start else self.eval_start
+        hi = end if end < self.eval_end else self.eval_end
+        if hi > lo:
+            self.used_s += hi - lo
         if self.stream is not None:
             self.stream.used(start, end)
 
     def add_unavailable(self, d: int, start: int, end: int) -> None:
-        self.unavailable_s += self._clip(start, end)
+        lo = start if start > self.eval_start else self.eval_start
+        hi = end if end < self.eval_end else self.eval_end
+        if hi > lo:
+            self.unavailable_s += hi - lo
         if self.stream is not None:
             self.stream.unavailable(start, end)
 
     def add_idle(self, d: int, start: int, end: int, cause: str) -> None:
         if self.stream is not None:
             self.stream.idle(start, end)
-        clipped = self._clip(start, end)
+        lo = start if start > self.eval_start else self.eval_start
+        hi = end if end < self.eval_end else self.eval_end
+        clipped = hi - lo if hi > lo else 0
         if cause == "logical_pause":
             self.logical_pause_idle_s += clipped
         elif cause == "correct_proactive":
@@ -151,7 +153,7 @@ class LeanAccounting:
     def record_login(
         self, d: int, t: int, served: bool, faulted: bool = False
     ) -> None:
-        if not self._in_window(t):
+        if not self.eval_start <= t < self.eval_end:
             return
         if self.stream is not None:
             self.stream.login(t, served, faulted)
@@ -163,7 +165,7 @@ class LeanAccounting:
                 self.logins_reactive_faulted += 1
 
     def record_workflow(self, d: int, t: int, kind: str) -> None:
-        if not self._in_window(t):
+        if not self.eval_start <= t < self.eval_end:
             return
         if self.stream is not None:
             self.stream.workflow(t, kind)
@@ -181,7 +183,7 @@ class LeanAccounting:
             raise ValueError(f"unknown workflow kind {kind!r}")
 
     def record_proactive_outcome(self, d: int, t: int, correct: bool) -> None:
-        if not self._in_window(t):
+        if not self.eval_start <= t < self.eval_end:
             return
         if correct:
             self.correct_proactive_resumes += 1
@@ -364,9 +366,9 @@ def simulate_fleet(
 def merge_kpi_reports(reports: Sequence[KpiReport]) -> KpiReport:
     """Sum per-shard KPI reports into one region-style report.
 
-    Every :class:`KpiReport` field is a sum over databases, so merging
-    shards is pure field-wise addition, order-independent in value;
-    callers merge in submission order all the same.
+    Every :class:`KpiReport` count and duration is a sum over databases,
+    so merging shards is pure field-wise addition, order-independent in
+    value; callers merge in submission order all the same.
     """
     if not reports:
         raise SimulationError("merge_kpi_reports needs at least one report")
@@ -384,40 +386,25 @@ def merge_kpi_reports(reports: Sequence[KpiReport]) -> KpiReport:
             raise SimulationError(
                 "cannot merge KPI reports across evaluation windows"
             )
+
+    def total(parts, name):
+        return sum(getattr(part, name) for part in parts)
+
+    def merged(name):
+        parts = [getattr(report, name) for report in reports]
+        return type(parts[0])(
+            **{f.name: total(parts, f.name) for f in fields(parts[0])}
+        )
+
+    sums = ("n_databases", "unavailable_s", "used_s", "saved_s", "maintenance_s")
     return KpiReport(
         policy=head.policy,
-        n_databases=sum(r.n_databases for r in reports),
         eval_start=head.eval_start,
         eval_end=head.eval_end,
-        logins=LoginStats(
-            with_resources=sum(r.logins.with_resources for r in reports),
-            reactive=sum(r.logins.reactive for r in reports),
-            reactive_faulted=sum(r.logins.reactive_faulted for r in reports),
-        ),
-        idle=IdleBreakdown(
-            logical_pause_s=sum(r.idle.logical_pause_s for r in reports),
-            correct_proactive_s=sum(r.idle.correct_proactive_s for r in reports),
-            wrong_proactive_s=sum(r.idle.wrong_proactive_s for r in reports),
-        ),
-        workflows=WorkflowCounts(
-            proactive_resumes=sum(r.workflows.proactive_resumes for r in reports),
-            reactive_resumes=sum(r.workflows.reactive_resumes for r in reports),
-            logical_pauses=sum(r.workflows.logical_pauses for r in reports),
-            physical_pauses=sum(r.workflows.physical_pauses for r in reports),
-            correct_proactive_resumes=sum(
-                r.workflows.correct_proactive_resumes for r in reports
-            ),
-            wrong_proactive_resumes=sum(
-                r.workflows.wrong_proactive_resumes for r in reports
-            ),
-            maintenance_resumes=sum(
-                r.workflows.maintenance_resumes for r in reports
-            ),
-        ),
-        unavailable_s=sum(r.unavailable_s for r in reports),
-        used_s=sum(r.used_s for r in reports),
-        saved_s=sum(r.saved_s for r in reports),
-        maintenance_s=sum(r.maintenance_s for r in reports),
+        logins=merged("logins"),
+        idle=merged("idle"),
+        workflows=merged("workflows"),
+        **{name: total(reports, name) for name in sums},
     )
 
 

@@ -348,11 +348,12 @@ def _start_resume_loop(
     operation = ProactiveResumeOperation(
         metadata, prewarm_s=config.prewarm_s, period_s=period, on_prewarm=on_prewarm
     )
+    outages = settings.prorp_outages
 
     def tick(now: int) -> None:
         # Section 3.2: a downed ProRP skips its iterations entirely; the
         # fleet falls back to reactive resumes until recovery.
-        if not any(start <= now < end for start, end in settings.prorp_outages):
+        if not (outages and any(start <= now < end for start, end in outages)):
             operation.run_once(now)
         nxt = now + period
         if nxt < settings.eval_end:

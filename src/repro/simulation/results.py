@@ -60,21 +60,28 @@ class DatabaseOutcome:
     # Interval helpers (all clip to the evaluation window)
     # ------------------------------------------------------------------
 
-    def _clip(self, start: int, end: int) -> int:
-        lo = max(start, self.eval_start)
-        hi = min(end, self.eval_end)
-        return max(0, hi - lo)
+    # The clip to the window is inlined: these run once per event.
 
     def add_used(self, start: int, end: int) -> None:
-        self.used_s += self._clip(start, end)
-        self._record_timeline(start, end, AllocationState.ACTIVE)
+        lo = start if start > self.eval_start else self.eval_start
+        hi = end if end < self.eval_end else self.eval_end
+        if hi > lo:
+            self.used_s += hi - lo
+        if self.collect_timeline:
+            self._record_timeline(start, end, AllocationState.ACTIVE)
 
     def add_unavailable(self, start: int, end: int) -> None:
-        self.unavailable_s += self._clip(start, end)
-        self._record_timeline(start, end, AllocationState.RESUMING)
+        lo = start if start > self.eval_start else self.eval_start
+        hi = end if end < self.eval_end else self.eval_end
+        if hi > lo:
+            self.unavailable_s += hi - lo
+        if self.collect_timeline:
+            self._record_timeline(start, end, AllocationState.RESUMING)
 
     def add_idle(self, start: int, end: int, cause: str) -> None:
-        clipped = self._clip(start, end)
+        lo = start if start > self.eval_start else self.eval_start
+        hi = end if end < self.eval_end else self.eval_end
+        clipped = hi - lo if hi > lo else 0
         if cause == "logical_pause":
             self.logical_pause_idle_s += clipped
         elif cause == "correct_proactive":
@@ -85,24 +92,22 @@ class DatabaseOutcome:
             self.maintenance_s += clipped
         else:
             raise ValueError(f"unknown idle cause {cause!r}")
-        self._record_timeline(start, end, AllocationState.IDLE_ALLOCATED)
+        if self.collect_timeline:
+            self._record_timeline(start, end, AllocationState.IDLE_ALLOCATED)
 
     def _record_timeline(self, start: int, end: int, state: AllocationState) -> None:
-        if self.collect_timeline and end > start:
+        if end > start:
             self.timeline.append(AllocationInterval(start, end, state))
 
     # ------------------------------------------------------------------
     # Event helpers
     # ------------------------------------------------------------------
 
-    def _in_window(self, t: int) -> bool:
-        return self.eval_start <= t < self.eval_end
-
     def record_login(self, t: int, served: bool, faulted: bool = False) -> None:
         """``faulted`` marks a reactive login caused by fault-degraded
         operation (predictor breaker open, scan outage) rather than by the
         policy's own reclamation decision."""
-        if not self._in_window(t):
+        if not self.eval_start <= t < self.eval_end:
             return
         if served:
             self.logins_with_resources += 1
@@ -112,7 +117,7 @@ class DatabaseOutcome:
                 self.logins_reactive_faulted += 1
 
     def record_workflow(self, t: int, kind: str) -> None:
-        if not self._in_window(t):
+        if not self.eval_start <= t < self.eval_end:
             return
         if kind == "proactive_resume":
             self.proactive_resume_times.append(t)
@@ -131,7 +136,7 @@ class DatabaseOutcome:
         """Classify a proactive resume once its fate is known (the login
         arrived, or the pre-warm expired unused).  Attribution follows the
         time of the pre-warm's *resolution* falling in the window."""
-        if not self._in_window(t):
+        if not self.eval_start <= t < self.eval_end:
             return
         if correct:
             self.correct_proactive_resumes += 1

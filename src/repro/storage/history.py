@@ -455,10 +455,10 @@ class LeanHistory:
             )
         return True
 
-    def older_than(self, d: int, history_start: int) -> bool:
-        """The ``old`` flag a trim at ``history_start`` would return,
-        without moving the cursor."""
-        return self._has_event[d] and self._min_ts[d] < history_start
+    def older_than(self, ds: np.ndarray, history_starts: np.ndarray) -> np.ndarray:
+        """The ``old`` flag a trim of row ``ds[i]`` at ``history_starts[i]``
+        would return, for every ``i`` at once, without moving a cursor."""
+        return self.has_event[ds] & (self.min_ts[ds] < history_starts)
 
     def tuple_count(self, d: int, closed: int) -> int:
         """The rows ``d``'s :class:`HistoryStore` would hold once its

@@ -96,56 +96,72 @@ class TestDecideOnIdle:
     def test_activity_predicted_far_away_physical(self):
         prediction = PredictedActivity(start=1000 + L, end=1000 + L + HOUR)
         assert (
-            decide_on_idle(1000, True, prediction, L)
+            decide_on_idle(1000, True, prediction.start, L)
             is IdleDecision.PHYSICAL_PAUSE
         )
 
     def test_activity_predicted_soon_logical(self):
         prediction = PredictedActivity(start=1000 + L - 1, end=1000 + L + HOUR)
         assert (
-            decide_on_idle(1000, True, prediction, L) is IdleDecision.LOGICAL_PAUSE
+            decide_on_idle(1000, True, prediction.start, L)
+            is IdleDecision.LOGICAL_PAUSE
         )
 
     def test_old_without_prediction_physical(self):
-        assert decide_on_idle(1000, True, NONE, L) is IdleDecision.PHYSICAL_PAUSE
+        decision = decide_on_idle(1000, True, NONE.start, L)
+        assert decision is IdleDecision.PHYSICAL_PAUSE
 
     def test_new_without_prediction_logical(self):
         """New databases always pause logically first (Section 4)."""
-        assert decide_on_idle(1000, False, NONE, L) is IdleDecision.LOGICAL_PAUSE
+        decision = decide_on_idle(1000, False, NONE.start, L)
+        assert decision is IdleDecision.LOGICAL_PAUSE
 
     def test_ongoing_predicted_window_logical(self):
         """Prediction window currently open -> stay available."""
         prediction = PredictedActivity(start=500, end=2000)
-        assert decide_on_idle(1000, True, prediction, L) is IdleDecision.LOGICAL_PAUSE
+        decision = decide_on_idle(1000, True, prediction.start, L)
+        assert decision is IdleDecision.LOGICAL_PAUSE
 
     def test_boundary_exactly_l_away_is_physical(self):
         prediction = PredictedActivity(start=1000 + L, end=1000 + L)
         assert (
-            decide_on_idle(1000, True, prediction, L)
+            decide_on_idle(1000, True, prediction.start, L)
             is IdleDecision.PHYSICAL_PAUSE
         )
 
 
 class TestLogicalPauseWakeTime:
     def test_new_database_waits_l(self):
-        assert logical_pause_wake_time(100, 100, False, NONE, L) == 100 + L
+        wake = logical_pause_wake_time(100, 100, False, NONE.start, NONE.end, L)
+        assert wake == 100 + L
 
     def test_old_with_prediction_waits_until_end(self):
         prediction = PredictedActivity(start=500, end=900)
-        assert logical_pause_wake_time(100, 100, True, prediction, L) == 900
+        wake = logical_pause_wake_time(
+            100, 100, True, prediction.start, prediction.end, L
+        )
+        assert wake == 900
 
     def test_new_with_prediction_waits_longest(self):
         prediction = PredictedActivity(start=500, end=100 + L + HOUR)
-        wake = logical_pause_wake_time(100, 100, False, prediction, L)
+        wake = logical_pause_wake_time(
+            100, 100, False, prediction.start, prediction.end, L
+        )
         assert wake == 100 + L + HOUR
 
     def test_expired_prediction_immediate(self):
         prediction = PredictedActivity(start=50, end=90)
-        assert logical_pause_wake_time(100, 100, True, prediction, L) == 100
+        wake = logical_pause_wake_time(
+            100, 100, True, prediction.start, prediction.end, L
+        )
+        assert wake == 100
 
     def test_degenerate_point_prediction_in_future(self):
         prediction = PredictedActivity(start=500, end=500)
-        assert logical_pause_wake_time(100, 100, True, prediction, L) == 500
+        wake = logical_pause_wake_time(
+            100, 100, True, prediction.start, prediction.end, L
+        )
+        assert wake == 500
 
 
 class TestDecideAfterLogicalPause:
@@ -154,34 +170,34 @@ class TestDecideAfterLogicalPause:
     def test_new_database_after_l_physical(self):
         now = 100 + L
         assert (
-            decide_after_logical_pause(now, 100, False, NONE, L)
+            decide_after_logical_pause(now, 100, False, NONE.start, L)
             is IdleDecision.PHYSICAL_PAUSE
         )
 
     def test_new_database_before_l_logical(self):
         now = 100 + L - 1
         assert (
-            decide_after_logical_pause(now, 100, False, NONE, L)
+            decide_after_logical_pause(now, 100, False, NONE.start, L)
             is IdleDecision.LOGICAL_PAUSE
         )
 
     def test_old_far_prediction_physical(self):
         prediction = PredictedActivity(start=5000 + L, end=5000 + L + 10)
         assert (
-            decide_after_logical_pause(5000, 100, True, prediction, L)
+            decide_after_logical_pause(5000, 100, True, prediction.start, L)
             is IdleDecision.PHYSICAL_PAUSE
         )
 
     def test_old_near_prediction_stays_logical(self):
         prediction = PredictedActivity(start=5000 + HOUR, end=5000 + 2 * HOUR)
         assert (
-            decide_after_logical_pause(5000, 100, True, prediction, L)
+            decide_after_logical_pause(5000, 100, True, prediction.start, L)
             is IdleDecision.LOGICAL_PAUSE
         )
 
     def test_old_no_prediction_physical(self):
         assert (
-            decide_after_logical_pause(5000, 100, True, NONE, L)
+            decide_after_logical_pause(5000, 100, True, NONE.start, L)
             is IdleDecision.PHYSICAL_PAUSE
         )
 
@@ -193,14 +209,14 @@ class TestReactiveHelpers:
 
 class TestPredictionExpired:
     def test_initial_sentinel_is_expired(self):
-        assert prediction_expired(NONE, 100)
+        assert prediction_expired(NONE.end, 100)
 
     def test_ongoing_prediction_not_expired(self):
-        assert not prediction_expired(PredictedActivity(50, 150), 100)
+        assert not prediction_expired(150, 100)
 
     def test_past_prediction_expired(self):
-        assert prediction_expired(PredictedActivity(50, 99), 100)
+        assert prediction_expired(99, 100)
 
     def test_end_exactly_now_not_expired(self):
         """Line 7 uses strict <, so end == now keeps the prediction."""
-        assert not prediction_expired(PredictedActivity(50, 100), 100)
+        assert not prediction_expired(100, 100)

@@ -366,8 +366,8 @@ class TestBucketBatchesMatchActor:
             state.maint_until[d] = maint_until
             state.pause_origin[d] = origin
         class History:
-            def older_than(self, d, history_start):
-                return d != 6  # 6: a new database, its refresh never predicts
+            def older_than(self, ds, history_starts):
+                return ds != 6  # 6: a new database, its refresh never predicts
 
             def login_array(self, d):
                 return np.array([now - DAY + 60 * d], dtype=np.int64)
@@ -375,7 +375,8 @@ class TestBucketBatchesMatchActor:
         engine = ColumnarRegionEngine(
             state, proactive=True, config=CONFIG, sim_start=0,
             sim_end=4 * DAY, acct=None, hist=History(), meta=None,
-            cluster=None, fast_predictor=FastPredictor(CONFIG),
+            cluster=None, ids=[f"db-{d}" for d in range(n)],
+            fast_predictor=FastPredictor(CONFIG),
         )
         members, instants = engine._speculation_candidates(11, now)
         assert dict(zip(members.tolist(), instants.tolist())) == {
@@ -407,8 +408,8 @@ class TestBucketBatchesMatchActor:
         )
 
         class History:
-            def older_than(self, d, history_start):
-                return True
+            def older_than(self, ds, history_starts):
+                return np.ones(len(ds), dtype=bool)
 
             def login_array(self, d):
                 return np.array([now - DAY + 60], dtype=np.int64)
@@ -416,7 +417,8 @@ class TestBucketBatchesMatchActor:
         engine = ColumnarRegionEngine(
             state, proactive=True, config=CONFIG, sim_start=0,
             sim_end=4 * DAY, acct=None, hist=History(), meta=None,
-            cluster=None, fast_predictor=FastPredictor(CONFIG),
+            cluster=None, ids=[f"db-{d}" for d in range(n)],
+            fast_predictor=FastPredictor(CONFIG),
         )
         truth = FastPredictor(CONFIG).predict([now - DAY + 60], now)
         bogus = PredictedActivity(start=1, end=2, confidence=1.0)
@@ -431,6 +433,9 @@ class TestBucketBatchesMatchActor:
             # dropped, not left behind
             assert 0 not in engine._parked and state.parked_at[0] == NONE_TS
         engine._hold(0, now, CONFIG, bogus)
+        assert engine._predict_sliding(0, CONFIG, now) == bogus
+        # Equal knobs in another object match too (identity is a shortcut).
+        engine._hold(0, now, dataclasses.replace(CONFIG), bogus)
         assert engine._predict_sliding(0, CONFIG, now) == bogus
 
 
@@ -482,6 +487,7 @@ def speculation_states(draw):
     engine = ColumnarRegionEngine(
         state, proactive=True, config=CONFIG, sim_start=0, sim_end=sim_end,
         acct=None, hist=None, meta=None, cluster=None,
+        ids=[f"db-{c}" for c in range(n)],
     )
     return engine, draw(st.integers(0, n - 1))
 
@@ -754,7 +760,8 @@ class TestLeanFleetMatchesFullStores:
         )
         lean = simulate_fleet(fleet, policy, CONFIG, settings)
         full = simulate_region(fleet.to_traces(), policy, CONFIG, settings)
-        assert lean.kpis.to_dict() == full.kpis().to_dict()
+        # Every field, seconds included (``to_dict`` keeps only percentages).
+        assert dataclasses.asdict(lean.kpis) == dataclasses.asdict(full.kpis())
         assert lean.n_databases == fleet.n
         assert lean.events_dispatched > 0
         assert lean.resume_op_runs == len(full.resume_iterations)

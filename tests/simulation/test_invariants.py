@@ -6,12 +6,15 @@ Whatever the workload, for every policy:
 * every session start inside the window is classified exactly once;
 * idle components are non-negative and only the proactive policy produces
   pre-warm idle;
-* reactive runs never touch proactive workflow counters.
+* reactive runs never touch proactive workflow counters;
+* the proactive policy misses a login the reactive one serves only when
+  Algorithm 1 physically paused on a prediction that did not expect it.
 """
 
+import dataclasses
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simulation import SimulationSettings, simulate_region
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR, ActivityTrace, Session
@@ -28,24 +31,28 @@ EVAL = SimulationSettings(
 )
 
 
+def seeded_trace(i, seed):
+    """Database ``db-<i>``: sessions of 1 min - 12 h, gaps of 1 min - 3 days."""
+    rng = random.Random(seed)
+    sessions = []
+    cursor = rng.randint(0, 3 * DAY)
+    while cursor < SPAN_DAYS * DAY - HOUR:
+        duration = rng.randint(60, 12 * HOUR)
+        end = min(cursor + duration, SPAN_DAYS * DAY)
+        sessions.append(Session(cursor, end))
+        cursor = end + rng.randint(60, 3 * DAY)
+    created = rng.choice([0, sessions[0].start if sessions else 0])
+    return ActivityTrace(f"db-{i}", sessions, created_at=created)
+
+
 @st.composite
 def random_fleet(draw):
     """2-5 databases with arbitrary session structures."""
     n = draw(st.integers(min_value=2, max_value=5))
-    traces = []
-    for i in range(n):
-        seed = draw(st.integers(min_value=0, max_value=10**6))
-        rng = random.Random(seed)
-        sessions = []
-        cursor = rng.randint(0, 3 * DAY)
-        while cursor < SPAN_DAYS * DAY - HOUR:
-            duration = rng.randint(60, 12 * HOUR)
-            end = min(cursor + duration, SPAN_DAYS * DAY)
-            sessions.append(Session(cursor, end))
-            cursor = end + rng.randint(60, 3 * DAY)
-        created = rng.choice([0, sessions[0].start if sessions else 0])
-        traces.append(ActivityTrace(f"db-{i}", sessions, created_at=created))
-    return traces
+    return [
+        seeded_trace(i, draw(st.integers(min_value=0, max_value=10**6)))
+        for i in range(n)
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -96,13 +103,35 @@ def test_demand_is_served_or_unavailable(traces):
         assert kpis.used_s + kpis.unavailable_s == demand
 
 
+# Two copies of one database: both miss the login the reactive policy
+# serves, since the prediction in force put it 33 min after the login.
+@example([seeded_trace(0, 5274), seeded_trace(1, 5274)])
 @settings(max_examples=15, deadline=None)
 @given(random_fleet())
 def test_proactive_never_loses_to_reactive_on_unavailability(traces):
-    """Pre-warming can only remove reactive resumes, never add demand gaps
-    beyond what the reactive policy already has... except when a wrong
-    physical pause lands earlier; allow equality-or-better on served
-    logins aggregated with a small tolerance of one login."""
-    reactive = simulate_region(traces, "reactive", settings=EVAL).kpis()
-    proactive = simulate_region(traces, "proactive", settings=EVAL).kpis()
-    assert proactive.logins.with_resources >= reactive.logins.with_resources - 1
+    """Proactive loses a login to unavailability that reactive serves only
+    after a physical pause Algorithm 1 decided on a prediction (lines
+    10-11 or 26): the prediction in force then either expects no activity
+    or expects it only after the login.
+
+    Reactive holds resources for ``l`` after each logout.  Proactive may
+    reclaim them inside that span only on a prediction at the pause
+    instant ``p`` saying ``start = 0`` (an old database with nothing
+    predicted) or ``start >= p + l``, which lies past the login.  No
+    count-level bound holds instead: a region of such databases can lose
+    every one of those logins (the example loses two of two).
+    """
+    window = dataclasses.replace(EVAL, collect_predictions=True)
+    reactive = simulate_region(traces, "reactive", settings=window)
+    proactive = simulate_region(traces, "proactive", settings=window)
+    for served, missed in zip(reactive.outcomes, proactive.outcomes):
+        # Sessions are >= 60 s apart and resumes take 45 s, so every
+        # unserved login is a reactive resume, recorded with its time.
+        assert len(served.reactive_resume_times) == served.logins_reactive
+        assert len(missed.reactive_resume_times) == missed.logins_reactive
+        lost = set(missed.reactive_resume_times) - set(served.reactive_resume_times)
+        for login in lost:
+            in_force = [p for p in missed.predictions if p[0] <= login]
+            assert in_force, f"{missed.database_id}: miss at {login} unpredicted"
+            _, start, _, _ = in_force[-1]
+            assert start == 0 or start > login, (missed.database_id, login, start)

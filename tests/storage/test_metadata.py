@@ -246,14 +246,13 @@ def test_lean_metadata_matches_btree(ids, ops):
     window whose bounds land on (or next to) a stored prediction."""
     store = MetadataStore()
     lean = LeanMetadata(ids)
-    for d, db_id in enumerate(ids):
+    for db_id in ids:
         store.register(db_id)
-        lean.register(d, created_at=0, node_id="n1")
     for op, d, arg in ops:
         d %= len(ids)
         if op == "set_state":
             store.set_state(ids[d], arg)
-            lean.set_state(d, _PHASE[arg])
+            lean.state[d] = _PHASE[arg]
         else:
             store.record_physical_pause(ids[d], arg)
             lean.record_physical_pause(d, arg)
@@ -286,3 +285,4 @@ def test_lean_metadata_rejects_non_integer_pred_start(pred_start):
         store.record_physical_pause("a", pred_start)
     with pytest.raises(SchemaError):
         LeanMetadata(["a"]).record_physical_pause(0, pred_start)
+

@@ -1,5 +1,7 @@
 """Tests for the capacity-constrained cluster substrate."""
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster, Node
@@ -135,6 +137,32 @@ class TestCluster:
         with pytest.raises(CapacityError):
             cluster.node_of("ghost")
 
+    def test_unplaced_allocate_and_release_rejected(self):
+        cluster = Cluster(n_nodes=1)
+        with pytest.raises(CapacityError):
+            cluster.allocate("ghost")
+        with pytest.raises(CapacityError):
+            cluster.release("ghost")
+
     def test_needs_at_least_one_node(self):
         with pytest.raises(CapacityError):
             Cluster(n_nodes=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("jitter", [0, 1, 2, 3, 15, 16, 31, 100])
+    def test_latency_draws_equal_randint(self, seed, jitter):
+        """The inlined draw consumes the RNG exactly like
+        ``randint(0, jitter)``, so every seeded run keeps its latencies."""
+        cluster = Cluster(
+            n_nodes=1, node_capacity=1, resume_latency_jitter_s=jitter, seed=seed
+        )
+        cluster.place("a")
+        latencies = []
+        for _ in range(200):
+            latencies.append(cluster.allocate("a").latency_s)
+            cluster.release("a")
+        reference = random.Random(seed)
+        assert latencies == [
+            45 + (reference.randint(0, jitter) if jitter > 0 else 0)
+            for _ in range(200)
+        ]

@@ -7,11 +7,14 @@ empty plan is byte-identical to a disarmed run, and serial vs
 multiprocess chaos sweeps produce identical rows.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import repro
 from repro.cluster import Cluster
 from repro.config import DEFAULT_CONFIG
 from repro.controlplane.workflows import (
@@ -45,6 +48,7 @@ from repro.faults import (
     chaos,
     disarm,
 )
+from repro.faults.plan import FAULT_POINTS
 from repro.parallel.multiprocess import MultiprocessExecutor
 from repro.parallel.serial import SerialExecutor
 from repro.simulation.actor import PREDICTOR_FAULT_POINT
@@ -100,13 +104,43 @@ class TestFaultSpec:
         assert spec.active(None)
 
     def test_dict_round_trip(self):
-        spec = FaultSpec("p", probability=0.5, windows=((1, 2),), max_fires=3,
-                         latency_s=0.25)
+        spec = FaultSpec("sql.execute", probability=0.5, windows=((1, 2),),
+                         max_fires=3, latency_s=0.25)
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(FaultPlanError):
-            FaultSpec.from_dict({"point": "p", "probabilty": 0.5})
+            FaultSpec.from_dict({"point": "sql.execute", "probabilty": 0.5})
+
+    @pytest.mark.parametrize("point", ["p", "predictor.exceptions", "Sql.execute"])
+    def test_unknown_point_rejected(self, point, tmp_path):
+        """A plan document naming a point nothing consults is refused:
+        armed, it would silently never fire."""
+        with pytest.raises(FaultPlanError, match="unknown fault point"):
+            FaultSpec.from_dict({"point": point})
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"points": [{"point": point}]}))
+        with pytest.raises(FaultPlanError, match="unknown fault point"):
+            FaultPlan.load(path)
+
+
+def test_every_point_constant_is_registered():
+    """The registry is exactly the ``*_POINT`` constants the modules
+    consult, so a new point cannot be left out of plan validation."""
+    constants = {}
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id.endswith("_POINT")
+                and isinstance(node.value, ast.Constant)
+            ):
+                constants[f"{path.name}:{node.targets[0].id}"] = node.value.value
+    assert len(constants) == 12
+    assert sorted(constants.values()) == sorted(FAULT_POINTS)
+    assert set(DEFAULT_POINTS) <= set(FAULT_POINTS)
 
 
 _JSON_SCALARS = (
@@ -124,7 +158,7 @@ _JSON = st.recursive(
 )
 #: A well-typed value per plan field ("bogus" is an unknown field).
 _TYPED = {
-    "point": st.text(max_size=4),
+    "point": st.sampled_from(FAULT_POINTS) | st.text(max_size=4),
     "probability": st.floats(min_value=0, max_value=1),
     "windows": st.lists(
         st.lists(st.integers(min_value=0, max_value=10), max_size=3),
@@ -172,8 +206,8 @@ class TestFaultPlan:
 
     def test_json_file_round_trip(self, tmp_path):
         plan = FaultPlan.of(
-            FaultSpec("a", probability=0.2, windows=((0, 10),)),
-            FaultSpec("b", max_fires=1, latency_s=2.0),
+            FaultSpec("workflow.stuck", probability=0.2, windows=((0, 10),)),
+            FaultSpec("predictor.latency", max_fires=1, latency_s=2.0),
         )
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()))
@@ -194,7 +228,7 @@ class TestFaultPlan:
     )
     def test_mistyped_fields_rejected(self, field):
         with pytest.raises(FaultPlanError):
-            FaultPlan.from_dict({"points": [{"point": "p", **field}]})
+            FaultPlan.from_dict({"points": [{"point": "sql.execute", **field}]})
 
     @hsettings(max_examples=100, deadline=None)
     @given(doc=plan_documents())

@@ -531,6 +531,62 @@ def test_settle_slots_are_taken_in_the_start_loop(engines_at_loop_entry):
     assert settle["cache_hits"] == settle["batch_databases"] >= 6
 
 
+def _daily(days, extra=()):
+    """One 9:00-10:00 session on each of ``days``, plus ``extra``."""
+    daily = [Session(day * DAY + 9 * HOUR, day * DAY + 10 * HOUR) for day in days]
+    return sorted(daily + list(extra), key=lambda session: session.start)
+
+
+def test_settle_batch_is_exactly_the_refreshes_at_sim_start(engines_at_loop_entry):
+    """The settle batch answers exactly the databases whose ``start``
+    predicts at ``sim_start`` -- the actor engine's predictions at that
+    instant -- at each boundary of the selection: a session ending at
+    ``sim_start`` is over, one starting then is running, a history
+    younger than ``h`` skips the predictor, and no session left means a
+    physical pause."""
+    first_day, last_day = 0, SIM_START // DAY - 1
+    after = range(SIM_START // DAY, EVAL_KWARGS["eval_end"] // DAY)
+    traces = [
+        ActivityTrace("idle", _daily([*range(first_day, last_day), *after])),
+        ActivityTrace(
+            "ended-at-start",
+            _daily(
+                [*range(first_day, last_day), *after],
+                [Session(SIM_START - HOUR, SIM_START)],
+            ),
+        ),
+        ActivityTrace(
+            "starts-at-start",
+            _daily(
+                [*range(first_day, last_day), *after],
+                [Session(SIM_START, SIM_START + HOUR)],
+            ),
+        ),
+        ActivityTrace("young", _daily([*range(2, last_day), *after])),
+        ActivityTrace("no-session-left", _daily(range(first_day, last_day))),
+    ]
+    predicted_at_start = {}
+    for engine in ("actor", "columnar"):
+        settings = SimulationSettings(
+            engine=engine, collect_predictions=True, **EVAL_KWARGS
+        )
+        HOT_PATH.reset()
+        result = simulate_region(traces, "proactive", DEFAULT_CONFIG, settings)
+        predicted_at_start[engine] = {
+            outcome.database_id
+            for outcome in result.outcomes
+            for now, *_ in outcome.predictions
+            if now == SIM_START
+        }
+    assert predicted_at_start["actor"] == {"idle", "ended-at-start"}
+    assert predicted_at_start["columnar"] == predicted_at_start["actor"]
+    [(_, leftover, settle)] = engines_at_loop_entry
+    assert leftover == {} and settle["batch_evals"] == 1
+    # No refresh at sim_start missed the batch, and none of it went unused.
+    assert settle["cache_misses"] == 0
+    assert settle["cache_hits"] == settle["batch_databases"] == 2
+
+
 def test_settle_slots_empty_after_injected_predictor_faults(engines_at_loop_entry):
     """The first three settle predictions raise: their parked answers are
     dropped by ``start``, the rest are taken."""
