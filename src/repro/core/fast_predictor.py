@@ -10,7 +10,7 @@ matches the paper's in-engine stored procedure.
 
 :meth:`FastPredictor.predict_pairs` is the batched kernel: any set of
 ``(history, now)`` pairs -- histories concatenated into one buffer +
-offsets, one ``now`` per database -- in O(logins + D * W), without ever
+offsets, one ``now`` per database -- in O(logins log logins), without ever
 building the (database x window x period) grid.  It sweeps intervals
 (derivation in ``docs/algorithms.md``):
 
@@ -23,11 +23,14 @@ building the (database x window x period) grid.  It sweeps intervals
 * A window is active in a period when it lies in the *union* of that
   (database, period) group's runs.  The group's logins are sorted, so both
   run ends ascend and one compare finds the union's stretches exactly.
-* +1 at each stretch's first window, -1 past its last, and one running sum
-  per database give the number of active periods per window -- the
-  probability numerators.  Selection is an integer threshold plus an
-  ``argmax``; only the winning window per database needs the exact
-  first/last login, read with :meth:`FastPredictor.predict`'s cursors.
+* +1 at each stretch's first window and -1 past its last, as one sorted
+  int64 key per delta; one running sum over all of them gives each
+  database's number of active periods from each key's window on -- the
+  probability numerators -- since every database's deltas sum to 0.
+  Selection is an integer threshold, a seed per database and a climb
+  along adjacent windows, all read off the keys (no ``D x W`` table);
+  only the winning window per database needs the exact first/last login,
+  read with :meth:`FastPredictor.predict`'s cursors.
 * Search keys are now-relative times clipped to just outside the range any
   window reads, so an unsorted or out-of-range history can only spoil its
   own answer, never a co-batched neighbour's.
@@ -95,7 +98,7 @@ class FastPredictor:
 
     def predict_one(self, logins: Sequence[int], now: int) -> PredictedActivity:
         """:meth:`predict`'s answer by the cheaper kernel for these knobs:
-        the interval sweep over one segment, O(logins + W), once the
+        the interval sweep over one segment, O(logins log logins), once the
         W x P grid has :data:`SWEEP_MIN_GRID_KEYS` keys; the grid below."""
         kernel = self._sweep_one if self._sweeps_one else self._predict
         return self._observed(kernel, logins, now)
@@ -262,18 +265,21 @@ class FastPredictor:
         n_windows, periods, period = self._n_windows, self._periods, self._period
         slide, window = self.config.slide_s, self.config.window_s
         sizes = offsets[1:] - offsets[:-1]
-        db = np.repeat(np.arange(d, dtype=np.int64), sizes)
+        # Array methods and ufuncs rather than their numpy-function
+        # wrappers (``np.flatnonzero``, ``np.clip``, ...): at one or two
+        # databases per call the wrappers' dispatch is a fair share of it.
+        db = np.arange(d, dtype=np.int64).repeat(sizes)
         # Now-relative login times.  Clipping keeps later products small
         # whatever the magnitudes; exact, as a clipped login is in no window.
-        rel = concat - np.repeat(nows, sizes)
-        np.clip(rel, self._rel_lo, self._rel_hi, out=rel)
+        rel = concat - nows.repeat(sizes)
+        np.minimum(np.maximum(rel, self._rel_lo, out=rel), self._rel_hi, out=rel)
 
         # The nearest period, j = ceil(-rel / period), holds the login at
         # frame position r = rel mod period; each further period j + c
         # holds it at r + c * period while that is still <= span.
         parts = [(-(rel // period), rel % period, db)]
         for c in range(1, self._span // period + 1):
-            again = np.flatnonzero(parts[0][1] <= self._span - c * period)
+            again = (parts[0][1] <= self._span - c * period).nonzero()[0]
             if again.size:
                 lookback, position, owner = (part[again] for part in parts[0])
                 parts.append((lookback + c, position + c * period, owner))
@@ -284,9 +290,9 @@ class FastPredictor:
         # empty past the last window and in the gaps of a window < slide.
         w_lo = np.maximum(-((window - position) // slide), 0)
         w_hi = np.minimum(position // slide, n_windows - 1)
-        live = np.flatnonzero(
+        live = (
             (lookback >= 1) & (lookback <= periods) & (w_lo <= w_hi)
-        )
+        ).nonzero()[0]
         if live.size == 0:
             return results
         owner, w_lo, w_hi = owner[live], w_lo[live], w_hi[live]
@@ -296,7 +302,7 @@ class FastPredictor:
             # Further periods were appended behind the nearest ones: a
             # stable sort regroups them and keeps each group ascending
             # (within a period, the appended positions are the larger).
-            order = np.argsort(group, kind="stable")
+            order = group.argsort(kind="stable")
             group, owner, w_lo, w_hi = (
                 group[order], owner[order], w_lo[order], w_hi[order]
             )
@@ -306,28 +312,48 @@ class FastPredictor:
         opens = np.empty(group.size, dtype=bool)
         opens[0] = True
         np.logical_or(group[1:] != group[:-1], w_lo[1:] > w_hi[:-1], out=opens[1:])
-        first_run = np.flatnonzero(opens)
-        last_run = np.append(first_run[1:] - 1, group.size - 1)
-        # +1 where a stretch begins, -1 just past its end: the running sum
-        # along a row is the number of periods active in each window.
-        row_base = owner[first_run] * (n_windows + 1)
-        size = d * (n_windows + 1)
-        counts = np.bincount(row_base + w_lo[first_run], minlength=size)
-        counts -= np.bincount(row_base + w_hi[last_run] + 1, minlength=size)
-        counts = counts.reshape(d, n_windows + 1)  # last column: always 0
-        np.cumsum(counts, axis=1, out=counts)
+        first_run = opens.nonzero()[0]
+        last_run = np.concatenate((first_run[1:] - 1, [group.size - 1]))
+        # +1 where a stretch begins, -1 just past its end, each one sortable
+        # key: cell = owner * (W + 1) + window, then the sign bit, so at one
+        # cell the -1s sort before the +1s.  Every database's deltas sum to
+        # 0, so one running sum over the sorted keys is each database's own
+        # count of active periods; the level after a cell's last key holds
+        # from that window to the next cell of the row.  A sentinel key past
+        # every row closes the last cell.
+        stride = 2 * (n_windows + 1)
+        base = owner[first_run] * stride
+        edges = np.concatenate((
+            base + 2 * w_lo[first_run] + 1,
+            base + 2 * w_hi[last_run] + 2,
+            [d * stride],
+        ))
+        edges.sort()
+        level = ((edges & 1) * 2 - 1).cumsum()
+        cell = edges >> 1
+        cell_ends = (cell[1:] != cell[:-1]).nonzero()[0]
+        cell, level = cell[cell_ends], level[cell_ends]
 
         # `_select` on counts: seed at the first qualifying window, climb
-        # while the count strictly improves, keep the last window reached
-        # (the zero column stalls every climb that gets to the end).
-        qualifies = counts >= self._min_count
-        seed = np.argmax(qualifies, axis=1)
-        rows = np.flatnonzero(qualifies[np.arange(d), seed])
-        if rows.size == 0:
+        # while the next cell is the adjacent window at a higher level, keep
+        # the last window reached.  A row's last cell is at level 0, below
+        # any climb, so every climb stops before it: inside its own row
+        # (although the cell after a row's window W is the next row's
+        # window 0), and before the end of the array.
+        qualifying = (level >= self._min_count).nonzero()[0]
+        if qualifying.size == 0:
             return results
-        stalls = counts[rows, 1:] <= counts[rows, :-1]
-        stalls &= np.arange(n_windows) >= seed[rows, None]
-        best = np.argmax(stalls, axis=1)
+        rows = cell[qualifying] // (n_windows + 1)
+        firsts = np.empty(rows.size, dtype=bool)
+        firsts[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=firsts[1:])
+        seeds, rows = qualifying[firsts], rows[firsts]
+        stalls = (
+            (cell[1:] != cell[:-1] + 1) | (level[1:] <= level[:-1])
+        ).nonzero()[0]
+        reached = stalls[stalls.searchsorted(seeds)]
+        best = cell[reached] % (n_windows + 1)
+        best_counts = level[reached]
 
         # First/last login of the winning windows only: `_predict`'s exact
         # cursors, one searchsorted pair over disjoint per-database segments
@@ -335,8 +361,8 @@ class FastPredictor:
         keys = db * self._seg_stride + (rel - self._rel_lo)
         past_start = (best * slide)[:, None] - self._period_shifts  # (K, P)
         queries = (rows * self._seg_stride - self._rel_lo)[:, None] + past_start
-        left = np.searchsorted(keys, queries, side="left")
-        right = np.searchsorted(keys, queries + window, side="right")
+        left = keys.searchsorted(queries, side="left")
+        right = keys.searchsorted(queries + window, side="right")
         has = right > left
         first = rel[np.minimum(left, rel.size - 1)] - past_start
         last = rel[np.maximum(right - 1, 0)] - past_start
@@ -344,7 +370,7 @@ class FastPredictor:
         starts = window_start + np.where(has, first, window).min(axis=1)
         ends = window_start + np.where(has, last, 0).max(axis=1)
         for row, start, end, count in zip(
-            rows.tolist(), starts.tolist(), ends.tolist(), counts[rows, best].tolist()
+            rows.tolist(), starts.tolist(), ends.tolist(), best_counts.tolist()
         ):
             results[row] = PredictedActivity(start, end, count / periods)
         return results
@@ -359,7 +385,8 @@ SWEEP_MIN_GRID_KEYS = 3_000
 
 #: Databases per :meth:`FastPredictor.predict_pairs` sweep: ~3 ms of array
 #: work against ~0.1 ms of fixed numpy call overhead, and the bound on the
-#: temporaries (the ``block x (W + 1)`` count table above all).
+#: temporaries (the block's logins and stretch keys, and its ``block x P``
+#: first/last-login queries).
 PAIR_BLOCK = 512
 
 

@@ -9,15 +9,18 @@ is already known -- the settle phase at ``sim_start``
 (``ColumnarRegionEngine.seed_initial_predictions``) and the speculation
 batch a refresh with no parked answer opens over the next simulated hour
 -- and parks each under (instant, config, login count) for that
-database's refresh to take.
+database's refresh to take.  A speculation batch may make a second
+``predict_fleet`` call, its follow-up round: answers at ``instant + 1``
+for the answers that make Algorithm 1 re-decide one second later.
 
 :data:`HOT_PATH` counts that traffic: full Algorithm-4 scans, batched
 fleet evaluations, speculated answers taken (``cache_hits``) and the
 refreshes that found none and opened a speculation batch
 (``cache_misses``), so ``batch_databases - cache_misses`` is the answers
-speculated (the names are the ones ``benchmarks/e2e`` reads).  They are
-plain integer attributes (no registry lookups) so the accounting itself
-stays off the profile.
+speculated, follow-ups included; a follow-up round is one more
+``batch_evals`` (the names are the ones ``benchmarks/e2e`` reads).  They
+are plain integer attributes (no registry lookups) so the accounting
+itself stays off the profile.
 """
 
 from __future__ import annotations

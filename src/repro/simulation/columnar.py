@@ -439,6 +439,11 @@ class ColumnarRegionEngine:
         #: in the ``parked_at`` / ``parked_logins`` columns; a refresh
         #: unparks its entry and takes it only if all three still match.
         self._parked: Dict[int, Tuple[ProRPConfig, PredictedActivity]] = {}
+        #: Follow-up answers ``d -> (instant, login count, prediction)``
+        #: for a speculated answer ``start == end == instant``, computed at
+        #: ``instant + 1`` (``_follow_up``); parked when that answer is
+        #: taken at that instant and login count (``_promote``).
+        self._follow: Dict[int, Tuple[int, int, PredictedActivity]] = {}
         self.events_dispatched = 0
 
     # -- scheduling --------------------------------------------------------
@@ -610,6 +615,8 @@ class ColumnarRegionEngine:
                 and (parked is config or parked == config)
             ):
                 HOT_PATH.cache_hits += 1
+                if self._follow:
+                    self._promote(d, now)
                 return prediction
         HOT_PATH.cache_misses += 1
         if self.config.auto_seasonality:
@@ -633,6 +640,15 @@ class ColumnarRegionEngine:
         self.s.parked_at[d] = NONE_TS
         parked = self._parked.pop(d, None)
         return None if parked is None else parked[1]
+
+    def _promote(self, d: int, at: int) -> None:
+        """``d`` just took its answer at ``at``: park the follow-up computed
+        for ``at + 1`` with it, if there is one for this login count."""
+        follow = self._follow.pop(d, None)
+        if follow is not None:
+            base, logins, prediction = follow
+            if base == at and logins == self.s.login_count[d]:
+                self._hold(d, at + 1, self.config, prediction)
 
     def _speculation_candidates(
         self, d: int, now: int
@@ -674,8 +690,9 @@ class ColumnarRegionEngine:
         """Answer ``d``'s refresh at ``now`` and park, from the same kernel
         call, an answer for each speculation candidate whose history will
         be old at its own instant and that holds no valid answer for it
-        yet.  A candidate's refresh may never come (a login cancels the
-        wake) or come later; its answer is then simply not taken."""
+        yet, then run the batch's follow-up round (``_follow_up``).  A
+        candidate's refresh may never come (a login cancels the wake) or
+        come later; its answer is then simply not taken."""
         s = self.s.np
         candidates, ats = self._speculation_candidates(d, now)
         # Without adaptive seasonality every answer is parked under this
@@ -685,12 +702,46 @@ class ColumnarRegionEngine:
         )
         candidates, ats = candidates[unanswered], ats[unanswered]
         old = self.hist.older_than(candidates, ats - self.config.history_s)
-        self._park(
-            [d] + candidates[old].tolist(),
-            self.config,
-            [now] + ats[old].tolist(),
+        members = [d] + candidates[old].tolist()
+        instants = [now] + ats[old].tolist()
+        predictions = self._park(members, self.config, instants)
+        self._follow_up(members, instants, predictions, now + SPECULATION_S)
+        prediction = self._unpark(d)
+        if self._follow:
+            self._promote(d, now)
+        return prediction
+
+    def _follow_up(
+        self,
+        members: List[int],
+        instants: List[int],
+        predictions: List[PredictedActivity],
+        horizon: int,
+    ) -> None:
+        """The follow-up round of a speculation batch.  An answer with
+        ``start == end == instant`` makes Algorithm 1 re-decide at once:
+        the wake lands at ``instant + 1`` (``_schedule_wake``), a refresh
+        no earlier batch knew of.  One more kernel call answers each such
+        member at ``instant + 1`` over the same login view -- exact by the
+        argument that covers every parked answer -- for ``_promote`` to
+        park once the first answer is taken.  Only instants inside the
+        horizon (and the run) get one."""
+        limit = min(horizon, self.sim_end - 1)
+        again = [
+            i
+            for i, (at, prediction) in enumerate(zip(instants, predictions))
+            if prediction.start == prediction.end == at != NO_PREDICTION_SENTINEL
+            and at < limit
+        ]
+        if not again:
+            return
+        login_count = self.s.login_count
+        ds = [members[i] for i in again]
+        follow_ups = self.fast_predictor.predict_fleet(
+            [self.hist.login_array(d) for d in ds], [instants[i] + 1 for i in again]
         )
-        return self._unpark(d)
+        for d, i, prediction in zip(ds, again, follow_ups):
+            self._follow[d] = (instants[i], login_count[d], prediction)
 
     # -- settle-phase batching ---------------------------------------------
 
@@ -731,11 +782,12 @@ class ColumnarRegionEngine:
 
     def _park(
         self, members: List[int], config: ProRPConfig, instants: List[int]
-    ) -> None:
+    ) -> List[PredictedActivity]:
         """One ``predict_fleet`` call answering each member at its own
         instant over its login view as it is now (exact: every login a
         later trim deletes lies below every window Algorithm 4 reads, and
-        a login in between moves the count the answer is parked under)."""
+        a login in between moves the count the answer is parked under).
+        Returns the answers in member order."""
         predictor = (
             self.fast_predictor
             if config is self.config or config == self.config
@@ -746,6 +798,7 @@ class ColumnarRegionEngine:
         )
         for d, at, prediction in zip(members, instants, predictions):
             self._hold(d, at, config, prediction)
+        return predictions
 
     # -- initialisation ----------------------------------------------------
 

@@ -9,8 +9,15 @@ claims no file), the standard library, numpy and comprehension frames
 (inlined since Python 3.12) are not counted, so the count should not
 depend on the interpreter; the budget was measured on CPython 3.11.
 
-Run as a script, it prints the count per event for the ``fleet_day`` and
-``region_month`` benchmark workloads at ``--smoke`` scale (1/20)::
+The same region also pins the kernel traffic: the refreshes that found
+no parked answer (``HOT_PATH.cache_misses``, each opens a speculation
+batch) and the ``predict_fleet`` calls (``HOT_PATH.batch_evals``) of one
+pass.  Both are exact integer counts, so a change to how refreshes are
+batched shows here at once.
+
+Run as a script, it prints the count per event, the misses and the
+kernel calls for the ``fleet_day`` and ``region_month`` benchmark
+workloads at ``--smoke`` scale (1/20)::
 
     PYTHONPATH=src python tests/simulation/test_call_budget.py
 """
@@ -21,6 +28,7 @@ import sys
 
 import repro
 from repro.config import DEFAULT_CONFIG
+from repro.core.prediction_cache import HOT_PATH
 from repro.simulation.columnar import ColumnarRegionEngine
 from repro.simulation.fleet import simulate_fleet
 from repro.simulation.region import SimulationSettings, simulate_region
@@ -33,6 +41,12 @@ _COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>
 #: Repro-frame calls per dispatched event on a 1,000-database
 #: ``fleet_day`` region, seed 1; the test allows 5 % above it.
 FLEET_CALLS_PER_EVENT = 14.59
+
+#: Refreshes with no parked answer and ``predict_fleet`` calls in one pass
+#: of the same region.  Without the follow-up round of a speculation
+#: batch both read 160: every one-second re-decision opened a batch.
+FLEET_MISSES_PER_PASS = 61
+FLEET_KERNEL_CALLS_PER_PASS = 100
 
 
 def calls_per_event(run) -> float:
@@ -104,7 +118,21 @@ def test_calls_per_event_within_budget():
     )
 
 
+def test_kernel_calls_per_pass_pinned():
+    HOT_PATH.reset()
+    _fleet_day(1000)()
+    assert (HOT_PATH.cache_misses, HOT_PATH.batch_evals) == (
+        FLEET_MISSES_PER_PASS,
+        FLEET_KERNEL_CALLS_PER_PASS,
+    )
+
+
 if __name__ == "__main__":
     # The e2e harness's --smoke sizes: max(200, 10k / 20) and max(40, 600 / 20).
     for name, run in (("fleet_day", _fleet_day(500)), ("region_month", _region_month(40))):
-        print(f"{name}: {calls_per_event(run):.2f} repro-frame calls per event")
+        HOT_PATH.reset()
+        per_event = calls_per_event(run)
+        print(
+            f"{name}: {per_event:.2f} repro-frame calls per event, "
+            f"{HOT_PATH.cache_misses} misses, {HOT_PATH.batch_evals} kernel calls"
+        )

@@ -174,10 +174,8 @@ class TestColumnarMatchesActor:
                 ledgers[engine] = injector.snapshot()
         assert ledgers["columnar"] == ledgers["actor"]
         assert ledgers["columnar"]["fires"], "the armed plan never fired"
-        assert (
-            results["columnar"].kpis().to_dict()
-            == results["actor"].kpis().to_dict()
-        )
+        kpis = {engine: result.kpis() for engine, result in results.items()}
+        assert dataclasses.asdict(kpis["columnar"]) == dataclasses.asdict(kpis["actor"])
         for mine, theirs in zip(
             results["columnar"].outcomes, results["actor"].outcomes
         ):
@@ -246,6 +244,35 @@ def hot_at_loop_entry(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def misses_at_kernel_calls(monkeypatch):
+    """``HOT_PATH.cache_misses`` as each ``predict_fleet`` call begins."""
+    seen = []
+    predict_fleet = FastPredictor.predict_fleet
+
+    def probe(self, fleet_logins, now):
+        seen.append(HOT_PATH.cache_misses)
+        return predict_fleet(self, fleet_logins, now)
+
+    monkeypatch.setattr(FastPredictor, "predict_fleet", probe)
+    return seen
+
+
+def _follow_up_rounds(misses_at_calls, settle):
+    """Split the loop's kernel calls: each is opened by exactly one miss
+    or is the follow-up round of the batch just opened.  Returns the
+    number of follow-up rounds."""
+    rounds, misses, opened = 0, settle["cache_misses"], False
+    for seen in misses_at_calls[settle["batch_evals"]:]:
+        if seen == misses + 1:
+            opened = True
+        else:
+            assert seen == misses and opened, "a kernel call no miss opened"
+            rounds, opened = rounds + 1, False
+        misses = seen
+    return rounds
+
+
 class TestBucketBatchesMatchActor:
     """A 400-database fleet on a 2-day history refreshes hundreds of times
     in the loop, so these runs reach the speculation batches -- answers
@@ -272,7 +299,7 @@ class TestBucketBatchesMatchActor:
         ids=["seed1", "seed2", "seed1-maintenance-outage"],
     )
     def test_bucket_answers_equal_per_database_scans(
-        self, seed, overrides, hot_at_loop_entry
+        self, seed, overrides, hot_at_loop_entry, misses_at_kernel_calls
     ):
         settings = _region_settings(
             span_days=4, collect_predictions=True, **overrides
@@ -283,12 +310,16 @@ class TestBucketBatchesMatchActor:
         _assert_ledgers_identical(results, snapshots)
         assert sum(len(o.predictions) for o in results["columnar"].outcomes) > 0
         # Each kernel call of the loop was opened by exactly one refresh
-        # that found no parked answer, none was a scalar scan, and the
-        # speculated answers (not just the settle batch) answered a good
-        # share of the refreshes.
+        # that found no parked answer or is the follow-up round of the
+        # batch that refresh opened (answers at ``instant + 1`` for the
+        # ``start == end == instant`` answers), none was a scalar scan, and
+        # the speculated answers (not just the settle batch) answered a
+        # good share of the refreshes.
         columnar = snapshots["columnar"]
         [settle] = hot_at_loop_entry
-        assert columnar["cache_misses"] == (
+        rounds = _follow_up_rounds(misses_at_kernel_calls, settle)
+        assert rounds > 0
+        assert columnar["cache_misses"] + rounds == (
             columnar["batch_evals"] - settle["batch_evals"]
         )
         assert columnar["full_scans"] == 0
@@ -398,9 +429,10 @@ class TestBucketBatchesMatchActor:
             0: soon, 5: now, 10: now + SPECULATION_S,
         }
 
-    def test_a_parked_answer_needs_instant_knobs_and_login_count(self):
-        """A refresh takes a parked answer only when all three match."""
-        n, now = 1, 3 * DAY
+    @staticmethod
+    def _tiny_engine(n, logins):
+        """An engine over ``n`` session-less rows, each with the same old
+        history ``logins``."""
         offsets = np.zeros(n + 1, dtype=np.int64)
         state = ColumnarState(
             n, offsets, offsets[:0], offsets[:0], offsets, offsets[:0],
@@ -412,7 +444,7 @@ class TestBucketBatchesMatchActor:
                 return np.ones(len(ds), dtype=bool)
 
             def login_array(self, d):
-                return np.array([now - DAY + 60], dtype=np.int64)
+                return np.array(logins, dtype=np.int64)
 
         engine = ColumnarRegionEngine(
             state, proactive=True, config=CONFIG, sim_start=0,
@@ -420,6 +452,12 @@ class TestBucketBatchesMatchActor:
             cluster=None, ids=[f"db-{d}" for d in range(n)],
             fast_predictor=FastPredictor(CONFIG),
         )
+        return engine, state
+
+    def test_a_parked_answer_needs_instant_knobs_and_login_count(self):
+        """A refresh takes a parked answer only when all three match."""
+        now = 3 * DAY
+        engine, state = self._tiny_engine(1, [now - DAY + 60])
         truth = FastPredictor(CONFIG).predict([now - DAY + 60], now)
         bogus = PredictedActivity(start=1, end=2, confidence=1.0)
         assert bogus != truth
@@ -437,6 +475,50 @@ class TestBucketBatchesMatchActor:
         # Equal knobs in another object match too (identity is a shortcut).
         engine._hold(0, now, dataclasses.replace(CONFIG), bogus)
         assert engine._predict_sliding(0, CONFIG, now) == bogus
+
+    def test_a_follow_up_needs_the_taken_instant_and_login_count(self):
+        """A follow-up is parked at ``instant + 1`` only by the take of
+        the very answer it follows: same instant, same login count."""
+        now = 3 * DAY
+        engine, state = self._tiny_engine(1, [now - 2 * DAY, now - DAY])
+        bogus = PredictedActivity(start=1, end=2, confidence=1.0)
+        for at, logins_since in ((now - 1, 0), (now + 1, 0), (now, 1)):
+            engine._follow[0] = (at, int(state.login_count[0]), bogus)
+            state.login_count[0] += logins_since
+            engine._promote(0, now)
+            assert 0 not in engine._follow and state.parked_at[0] == NONE_TS
+        engine._follow[0] = (now, int(state.login_count[0]), bogus)
+        engine._promote(0, now)
+        assert 0 not in engine._follow and state.parked_at[0] == now + 1
+        assert engine._predict_sliding(0, CONFIG, now + 1) == bogus
+
+    def test_follow_ups_stay_inside_the_horizon_and_the_run(self):
+        """Only ``start == end == instant`` answers get a follow-up, one
+        kernel call for all of them, and only while ``instant + 1`` is
+        inside the speculation horizon and before the end of the run."""
+        now = 3 * DAY
+        engine, state = self._tiny_engine(6, [now - 2 * DAY, now - DAY])
+        horizon = now + SPECULATION_S
+        instants = [now, horizon - 1, horizon, now + 5, now + 7, 0]
+        predictions = [PredictedActivity(at, at, 1.0) for at in instants]
+        predictions[3] = PredictedActivity(now + 5, now + 6, 1.0)
+        HOT_PATH.reset()
+        engine._follow_up(list(range(6)), instants, predictions, horizon)
+        assert HOT_PATH.batch_evals == 1 and HOT_PATH.batch_databases == 3
+        oracle = FastPredictor(CONFIG)
+        logins = engine.hist.login_array(0)
+        assert engine._follow == {
+            d: (instants[d], 0, oracle.predict(logins, instants[d] + 1))
+            for d in (0, 1, 4)
+        }
+        engine._follow.clear()
+        engine.sim_end = now + 8  # a wake at the end of the run never fires
+        engine._follow_up(list(range(6)), instants, predictions, horizon)
+        assert set(engine._follow) == {0}
+        engine._follow.clear()
+        HOT_PATH.reset()
+        engine._follow_up([3], [now + 5], [predictions[3]], horizon)
+        assert engine._follow == {} and HOT_PATH.batch_evals == 0
 
 
 _SPEC_NOW = 3 * DAY
@@ -597,6 +679,61 @@ def test_a_login_between_speculation_and_use_drops_the_answer(taken_answers):
     plain, relogged = snapshots[False]["columnar"], snapshots[True]["columnar"]
     assert relogged["cache_hits"] == plain["cache_hits"] - 1
     assert relogged["cache_misses"] == plain["cache_misses"] + 1
+
+
+#: Afternoon login times of ``_degenerate_fleet``, seconds into the day.
+_AFTERNOONS = (14 * 3600, 15 * 3600 + 7, 16 * 3600 + 30)
+
+
+def _degenerate_fleet():
+    """Databases that log in at the same second every day and skip their
+    afternoon login on day 3: the morning logout predicts ``(t, t)`` for
+    the afternoon login time ``t``, and the wake at ``t`` finds the logins
+    of days 1 and 2 at exactly ``t - j * DAY``, so its answer is
+    ``start == end == t`` and Algorithm 1 re-decides at ``t + 1``."""
+    hour, traces = 3600, []
+    for i, afternoon in enumerate(_AFTERNOONS):
+        sessions = []
+        for day in range(4):
+            morning = day * DAY + 10 * hour
+            sessions.append(Session(morning, morning + 1200))
+            if day < 3:
+                sessions.append(
+                    Session(day * DAY + afternoon, day * DAY + afternoon + 1200)
+                )
+        traces.append(ActivityTrace(f"deg-{i}", sessions, created_at=0))
+    return traces
+
+
+def test_follow_up_answers_the_immediate_re_decision(monkeypatch, taken_answers):
+    """Each degenerate answer's follow-up, computed in the same batch at
+    ``instant + 1`` over the same view, equals a fresh ``predict`` there,
+    is taken by the wake at ``instant + 1``, and every ledger (predictions
+    included) still equals the actors'."""
+    follow_ups = []
+    follow_up = ColumnarRegionEngine._follow_up
+
+    def record(self, members, instants, predictions, horizon):
+        follow_up(self, members, instants, predictions, horizon)
+        for d, at in zip(members, instants):
+            entry = self._follow.get(d)
+            if entry is not None and entry[0] == at:
+                follow_ups.append((d, at, entry[2], self.hist.login_array(d).copy()))
+
+    monkeypatch.setattr(ColumnarRegionEngine, "_follow_up", record)
+    settings = _region_settings(span_days=4, collect_predictions=True)
+    results, snapshots = _run_both_engines(
+        _degenerate_fleet(), "proactive", CONFIG, settings
+    )
+    _assert_ledgers_identical(results, snapshots)
+    oracle = FastPredictor(CONFIG)
+    afternoons = {3 * DAY + afternoon for afternoon in _AFTERNOONS}
+    assert {at for _, at, _, _ in follow_ups} >= afternoons
+    taken = {(d, at) for d, _, at in taken_answers}
+    for d, at, answer, logins in follow_ups:
+        assert answer == oracle.predict(logins, at + 1)
+        if at in afternoons:
+            assert (d, at + 1) in taken
 
 
 GRID = 15 * 60
@@ -782,7 +919,7 @@ class TestLeanFleetMatchesFullStores:
         )
         lean = simulate_fleet(fleet, "proactive", CONFIG, settings)
         full = simulate_region(fleet.to_traces(), "proactive", CONFIG, settings)
-        assert lean.kpis.to_dict() == full.kpis().to_dict()
+        assert dataclasses.asdict(lean.kpis) == dataclasses.asdict(full.kpis())
         assert lean.prewarms == sum(r.batch_size for r in full.resume_iterations)
         assert lean.prewarms > 0
         assert lean.resume_op_runs == len(full.resume_iterations)
@@ -817,7 +954,7 @@ class TestLeanFleetMatchesFullStores:
         actor = simulate_region(
             traces, "proactive", adaptive, dataclasses.replace(settings, engine="actor")
         )
-        assert lean.kpis.to_dict() == actor.kpis().to_dict()
+        assert dataclasses.asdict(lean.kpis) == dataclasses.asdict(actor.kpis())
         daily = simulate_fleet(fleet, "proactive", DEFAULT_CONFIG, settings)
         assert lean.kpis.to_dict() != daily.kpis.to_dict()
 
@@ -845,9 +982,9 @@ class TestShardedDeterminism:
         pooled = simulate_fleet_sharded(
             spec, "proactive", CONFIG, settings, n_shards=3, workers=3
         )
-        assert serial.kpis.to_dict() == pooled.kpis.to_dict()
-        assert [s.to_dict() for s in serial.shard_kpis] == [
-            s.to_dict() for s in pooled.shard_kpis
+        assert dataclasses.asdict(serial.kpis) == dataclasses.asdict(pooled.kpis)
+        assert [dataclasses.asdict(s) for s in serial.shard_kpis] == [
+            dataclasses.asdict(s) for s in pooled.shard_kpis
         ]
         assert serial.events_dispatched == pooled.events_dispatched
         assert serial.n_shards == 3
@@ -862,7 +999,7 @@ class TestShardedDeterminism:
             n_shards=4, executor=SerialExecutor(),
         )
         merged = merge_kpi_reports(sharded.shard_kpis)
-        assert merged.to_dict() == sharded.kpis.to_dict()
+        assert dataclasses.asdict(merged) == dataclasses.asdict(sharded.kpis)
         assert merged.n_databases == 300
 
     def test_merge_rejects_mismatched_windows(self):
@@ -885,7 +1022,7 @@ class TestShardedDeterminism:
             spec, n_shards=1, executor=SerialExecutor()
         )
         assert (single.kpis.eval_start, single.kpis.eval_end) == (3 * DAY, 4 * DAY)
-        assert single.kpis.to_dict() == sharded.kpis.to_dict()
+        assert dataclasses.asdict(single.kpis) == dataclasses.asdict(sharded.kpis)
 
     def test_shard_bounds_partition_the_fleet(self):
         bounds = shard_bounds(10, 3)

@@ -117,3 +117,34 @@ class TestDefaultToReactive:
         healthy = simulate_region(traces, "proactive", settings=settings_ok).kpis()
         degraded = simulate_region(traces, "proactive", settings=settings_down).kpis()
         assert degraded.qos_percent < healthy.qos_percent
+
+
+class TestOutageKeepsTheFaultFlag:
+    """A refresh inside an outage predicts nothing and leaves the fault
+    flag as it was: a login served reactively while ProRP is down still
+    counts as ``faulted`` when the refresh before the outage failed."""
+
+    @pytest.mark.parametrize("engine", ["columnar", "actor"])
+    def test_outage_refresh_leaves_fault_degraded(self, engine):
+        from repro.faults import FaultPlan, FaultSpec, chaos
+
+        # Every prediction fails, so each refresh outside the outage sets
+        # the flag.  Day 28's 17:00 logout fails and pauses logically; its
+        # wake at 18:00 refreshes inside the outage, which keeps the flag
+        # through the physical pause to day 29's 09:00 login.
+        outage = (28 * DAY + 18 * HOUR, 29 * DAY + 12 * HOUR)
+        plan = FaultPlan.of(FaultSpec("predictor.exception", probability=1.0))
+        settings = SimulationSettings(
+            eval_start=29 * DAY,
+            eval_end=31 * DAY,
+            resume_latency_jitter_s=0,
+            prorp_outages=(outage,),
+            engine=engine,
+        )
+        with chaos(plan, seed=1) as injector:
+            kpis = simulate_region(
+                [daily_trace()], "proactive", settings=settings
+            ).kpis()
+        assert injector.total_fires() > 0
+        assert kpis.logins.reactive == 2
+        assert kpis.logins.reactive_faulted == 2

@@ -290,6 +290,79 @@ def test_predict_pairs_on_window_and_period_boundaries(variant):
     assert predicted  # the cases are not all trivially "no prediction"
 
 
+#: Knobs for the selection cases, sliding by an hour: a one-hour window
+#: takes a login into one window of its period (two on a boundary), a
+#: two- or three-hour window into a run of them, so a level can hold over
+#: windows with no key of their own; thresholds of 1 and 2 of 2 periods
+#: and 7 of 28, besides the paper's five-minute slide at P = 2 and 28.
+SELECTION_VARIANTS = {
+    "p2_any": ProRPConfig(
+        history_days=2, window_s=3 * HOUR, slide_s=HOUR, confidence=0.5
+    ),
+    "p2_both": ProRPConfig(
+        history_days=2, window_s=HOUR, slide_s=HOUR, confidence=1.0
+    ),
+    "p28_seven": ProRPConfig(
+        history_days=28, window_s=2 * HOUR, slide_s=HOUR, confidence=0.25
+    ),
+    "p2_paper": dataclasses.replace(DEFAULT_CONFIG, history_days=2, confidence=1.0),
+    "p28_paper": dataclasses.replace(DEFAULT_CONFIG, confidence=0.25),
+}
+
+
+@st.composite
+def selection_batches(draw):
+    """``(variant, fleets, nows)``: each database activates a run of
+    adjacent windows in chosen numbers of periods -- ascending (a climb),
+    equal (a plateau) or arbitrary -- starting anywhere from the first
+    window to the last, so stretches end at the last window and one
+    database's last window meets the next one's first in key space."""
+    variant = draw(st.sampled_from(sorted(SELECTION_VARIANTS)))
+    config = SELECTION_VARIANTS[variant]
+    n_windows = config.windows_per_horizon
+    periods = config.seasonality_periods_in_history
+    period, slide = config.seasonality.period_seconds, config.slide_s
+    fleets, nows = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        now = draw(st.integers(min_value=28 * DAY, max_value=30 * DAY))
+        counts = draw(st.lists(st.integers(0, periods), min_size=1, max_size=5))
+        shape = draw(st.sampled_from(["climb", "plateau", "any"]))
+        if shape == "climb":
+            counts = sorted(counts)
+        elif shape == "plateau":
+            counts = [counts[0]] * len(counts)
+        first = draw(
+            st.sampled_from([0, n_windows - len(counts), n_windows - 1])
+            | st.integers(0, n_windows - 1)
+        )
+        offset = draw(st.sampled_from([0, 1, slide // 2, slide - 1]))
+        logins = set()
+        for k, count in enumerate(counts, start=max(first, 0)):
+            if k >= n_windows:
+                break
+            lookbacks = draw(
+                st.sets(st.integers(1, periods), min_size=count, max_size=count)
+            )
+            logins.update(now + k * slide - j * period + offset for j in lookbacks)
+        fleets.append(np.array(sorted(logins), dtype=np.int64))
+        nows.append(now)
+    return variant, fleets, nows
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(selection_batches())
+def test_sweep_selection_matches_the_grid(batch):
+    """The sorted-key selection (seed at the first qualifying window,
+    climb while the adjacent window is strictly higher) equals the grid's
+    window-by-window ``_select`` on plateaus, climbs, runs reaching the
+    last window and thresholds above one period."""
+    variant, fleets, nows = batch
+    predictor = get_fast_predictor(SELECTION_VARIANTS[variant])
+    expected = [predictor.predict(l, n) for l, n in zip(fleets, nows)]
+    assert _pairs(predictor, fleets, nows) == expected
+    assert [predictor._sweep_one(l, n) for l, n in zip(fleets, nows)] == expected
+
+
 @hsettings(max_examples=25, deadline=None)
 @given(
     fleet_logins(),
@@ -457,7 +530,7 @@ def test_cache_is_invisible_end_to_end(seed, variant, plan):
     config = CONFIG_VARIANTS[variant]
     scanned, scanned_ledger, scanned_hot = _run(traces, config, "actor", plan)
     batched, batched_ledger, batched_hot = _run(traces, config, "columnar", plan)
-    assert batched.kpis().to_dict() == scanned.kpis().to_dict()
+    assert dataclasses.asdict(batched.kpis()) == dataclasses.asdict(scanned.kpis())
     assert batched.prewarm_batch_sizes() == scanned.prewarm_batch_sizes()
     assert _workflow_times(batched) == _workflow_times(scanned)
     # Under chaos the fault-point consultation sequence must match too:
@@ -516,7 +589,7 @@ def _settle_run(plan=None, **overrides):
                     traces, "proactive", DEFAULT_CONFIG, settings
                 )
                 ledgers[engine] = injector.snapshot()
-        reports[engine] = result.kpis().to_dict()
+        reports[engine] = dataclasses.asdict(result.kpis())
         hot[engine] = HOT_PATH.snapshot()
     assert reports["columnar"] == reports["actor"]
     assert ledgers.get("columnar") == ledgers.get("actor")

@@ -20,6 +20,7 @@ Three contracts pin ``repro/tuning/`` to the rest of the codebase:
 Harness style mirrors ``tests/test_prediction_cache.py``.
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -156,7 +157,7 @@ class TestSlidingBankByteIdentity:
         config = CONFIG_VARIANTS[variant]
         off, off_hot, off_ledger = _run_region(traces, config, (), plan)
         on, on_hot, on_ledger = _run_region(traces, config, ("sliding",), plan)
-        assert on.kpis().to_dict() == off.kpis().to_dict()
+        assert dataclasses.asdict(on.kpis()) == dataclasses.asdict(off.kpis())
         assert on.prewarm_batch_sizes() == off.prewarm_batch_sizes()
         assert _workflow_times(on) == _workflow_times(off)
         # Zero shadow work: the hot-path counters (cache hits/misses,
@@ -179,7 +180,7 @@ class TestSlidingBankByteIdentity:
             "proactive",
             settings=SimulationSettings(predictor_bank=("sliding",), **kwargs),
         )
-        assert on.kpis.to_dict() == off.kpis.to_dict()
+        assert dataclasses.asdict(on.kpis) == dataclasses.asdict(off.kpis)
         assert HOT_PATH.snapshot() == off_hot
 
     def test_full_bank_runs_and_observes(self):
@@ -214,7 +215,7 @@ class TestSlidingBankByteIdentity:
             SimulationSettings(**EVAL_KWARGS),
         )
         on = simulate_region(traces, "reactive", DEFAULT_CONFIG, settings)
-        assert on.kpis().to_dict() == off.kpis().to_dict()
+        assert dataclasses.asdict(on.kpis()) == dataclasses.asdict(off.kpis())
 
     def test_unknown_bank_policy_rejected_at_settings(self):
         from repro.errors import SimulationError
@@ -710,7 +711,7 @@ class TestDriftGenerators:
         pooled = simulate_fleet_sharded(
             spec, "proactive", settings=settings, n_shards=3, workers=3
         )
-        assert serial.kpis.to_dict() == pooled.kpis.to_dict()
+        assert dataclasses.asdict(serial.kpis) == dataclasses.asdict(pooled.kpis)
 
 
 # ----------------------------------------------------------------------
