@@ -8,17 +8,19 @@ Three sections, all written to ``BENCH_observability.json`` (full) or
   prediction with metrics enabled (every counter on the path increments
   once per guard evaluation), the per-guard cost is measured with a tight
   loop, and the product is compared against the measured prediction time.
-* **slo**: live SLO monitoring must stay under 3% of an instrumented
-  simulation.  The same region run is timed with metrics only (the
-  windowed KPI streams are part of the metrics layer) and again with the
-  stock :func:`~repro.observability.slo.simulation_slos` rule set armed;
-  the gate is on the armed/disarmed ratio, min-of-reps on both sides.
-  The armed run must also reconcile: summed windowed series equal to the
-  simulator's ``KpiReport`` (streaming == batch).
+* **slo**: evaluating the stock
+  :func:`~repro.observability.slo.simulation_slos` rule set must stay
+  under 3% of an instrumented simulation.  The same region run is timed
+  with metrics only ("disarmed") and again with allocation timelines
+  collected and the finished run replayed through the rules by
+  :func:`repro.report.replay_slos` ("armed"); the gate is on the
+  armed/disarmed ratio, min-of-reps on both sides.  The armed run must
+  also reconcile: the replayed windowed series sum to the simulator's
+  ``KpiReport`` (replayed == batch).
 * **alert_roundtrip**: the chaos scenario of
   :func:`repro.experiments.chaos.run_slo_chaos` -- a scheduled predictor
   outage and latency spike must fire and clear the stock alerts, and the
-  streaming totals must match the ``KpiReport`` and, on logins, the
+  replayed totals must match the ``KpiReport`` and, on logins, the
   traces' own session starts.
 
 Run directly::
@@ -48,12 +50,12 @@ from repro.experiments.common import ExperimentScale, region_fleet
 from repro.observability import (
     NULL_TRACER,
     OBS,
-    AlertLedger,
     MetricsRegistry,
     SloMonitor,
     observed,
     simulation_slos,
 )
+from repro.report import replay_slos, slo_totals
 from repro.simulation.region import simulate_region
 from repro.storage.history import HistoryStore
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR, EventType
@@ -72,9 +74,9 @@ NOOP_OVERHEAD_LIMIT = 0.02
 SLO_OVERHEAD_LIMIT = 0.03
 
 REGION = RegionPreset.EU1
-#: Timing scale: big enough that the per-boundary SLO evaluation cost
-#: (fixed in sim-time, independent of fleet size) is measured against a
-#: representative run, not a toy one.
+#: Timing scale: big enough that the SLO cost (timeline collection and
+#: the replay's window sums grow with the fleet, the per-boundary
+#: evaluation does not) is measured against a representative run.
 SLO_SCALE = ExperimentScale(n_databases=200, eval_days=1)
 #: Chaos-scenario scale: the scheduled outage drives the slow reference
 #: predictor, so the roundtrip stays on a small fleet.
@@ -168,9 +170,8 @@ def _noop_section(reps: int = 50) -> dict:
 
 def _slo_section(reps: int) -> dict:
     traces = region_fleet(REGION, SLO_SCALE)
-    settings = SLO_SCALE.settings(
-        region_label=REGION.value, slo_window_s=900
-    )
+    settings = SLO_SCALE.settings()
+    armed_settings = SLO_SCALE.settings(collect_timelines=True)
     labels = {"region": REGION.value}
 
     def run_disarmed() -> float:
@@ -184,45 +185,29 @@ def _slo_section(reps: int) -> dict:
 
     def run_armed():
         registry = MetricsRegistry()
-        monitor = SloMonitor(
-            registry, simulation_slos(labels=labels), ledger=AlertLedger()
-        )
+        monitor = SloMonitor(registry, simulation_slos(labels=labels))
         start = time.perf_counter()
-        with observed(tracer=NULL_TRACER, metrics=registry, slo=monitor):
+        with observed(tracer=NULL_TRACER, metrics=registry):
             result = simulate_region(
-                traces, PolicyKind.PROACTIVE, DEFAULT_CONFIG, settings
+                traces, PolicyKind.PROACTIVE, DEFAULT_CONFIG, armed_settings
             )
-            monitor.drain(settings.eval_end)
-        return time.perf_counter() - start, registry, result
+        totals = replay_slos(result, traces, monitor)
+        return time.perf_counter() - start, registry, result, totals
 
     # Warm both paths once (predictor caches, lazy imports) untimed.
     run_disarmed()
     armed_times: List[float] = []
     disarmed_times: List[float] = []
-    registry = result = None
+    registry = result = totals = None
     for _ in range(reps):
         disarmed_times.append(run_disarmed())
-        armed_s, registry, result = run_armed()
+        armed_s, registry, result, totals = run_armed()
         armed_times.append(armed_s)
 
     disarmed_s = min(disarmed_times)
     armed_s = min(armed_times)
     overhead = armed_s / disarmed_s - 1.0 if disarmed_s > 0 else 0.0
-
-    kpis = result.kpis()
-
-    def total(name: str) -> float:
-        series = registry.get(name, labels)
-        return series.total() if series is not None else 0.0
-
-    equivalence_ok = (
-        total("slo.qos.logins") == kpis.logins.total
-        and total("slo.qos.reactive") == kpis.logins.reactive
-        and total("slo.workflows.proactive_resume")
-        == kpis.workflows.proactive_resumes
-        and round(total("slo.cogs.used_s"), 6) == kpis.used_s
-        and round(total("slo.cogs.unavailable_s"), 6) == kpis.unavailable_s
-    )
+    equivalence_ok = totals == slo_totals(result.kpis())
     return {
         "reps": reps,
         "n_databases": SLO_SCALE.n_databases,
@@ -274,7 +259,7 @@ def _check(result: dict) -> None:
     )
     slo = result["slo"]
     assert slo["equivalence_ok"], (
-        "streaming KPI series diverged from the simulator's KpiReport"
+        "replayed KPI series diverged from the simulator's KpiReport"
     )
     assert slo["slo_evaluations"] > 0, "the SLO monitor never evaluated"
     roundtrip = result["alert_roundtrip"]
@@ -286,7 +271,7 @@ def _check(result: dict) -> None:
         # gates it through check_regression.py against the quick baseline
         # where the shared-runner noise is tolerated explicitly.
         assert slo["slo_overhead_fraction"] < slo["slo_overhead_limit"], (
-            f"armed SLO monitoring costs {slo['slo_overhead_fraction']:.2%} "
+            f"the SLO replay costs {slo['slo_overhead_fraction']:.2%} "
             f"over the metrics-only run (limit {slo['slo_overhead_limit']:.0%})"
         )
 
@@ -306,7 +291,7 @@ def _report(result: dict) -> str:
             f"(+{slo['slo_overhead_fraction']:.3%}, limit "
             f"{slo['slo_overhead_limit']:.0%}), "
             f"{slo['slo_evaluations']} evaluations, "
-            f"streaming==batch: {bool(slo['equivalence_ok'])}",
+            f"replayed==batch: {bool(slo['equivalence_ok'])}",
             f"  alert roundtrip: fired at {rt['unavailable_fired_at']}, "
             f"cleared at {rt['unavailable_cleared_at']}, "
             f"latency p99 fired at {rt['latency_fired_at']}, "

@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the SLO alerting scenario instead of the rate sweep: "
         "a scheduled predictor outage + latency spike must fire and "
-        "clear the stock alerts, and the streaming KPI series must "
+        "clear the stock alerts, and the replayed KPI series must "
         "reconcile with the KPI report and the traces' login count "
         "(docs/observability.md)",
     )
@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     observe.add_argument(
         "--top",
         action="store_true",
-        help="watch the run with the stock SLO rule set and print the "
-        "'observe top' dashboard (windowed sparklines + alert ledger) "
+        help="replay the finished run through the stock SLO rule set and "
+        "print the 'observe top' dashboard (windowed sparklines + alert ledger) "
         "instead of the flat metrics snapshot",
     )
 
@@ -353,7 +353,8 @@ def _scale(args: argparse.Namespace) -> ExperimentScale:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _simulate(args: argparse.Namespace, **settings):
+    """The run ``simulate`` prints: ``(traces, result)``."""
     scale = _scale(args)
     traces = generate_region_traces(
         RegionPreset(args.region), args.databases, span_days=scale.span_days,
@@ -362,8 +363,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = ProRPConfig(
         confidence=args.confidence, window_s=int(args.window_hours * HOUR)
     )
-    result = simulate_region(traces, args.policy, config, scale.settings())
+    result = simulate_region(traces, args.policy, config, scale.settings(**settings))
     _print_kpi_table(args, result)
+    return traces, result
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    _simulate(args)
     return 0
 
 
@@ -398,30 +404,20 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
     ``main`` has already enabled observability; the exports happen there
     so they also cover ``simulate``/``figures``/``tune`` with the flags.
-    With ``--top`` the run is additionally watched by the stock SLO rule
-    set and summarised as the ``observe top`` dashboard.
+    With ``--top`` the finished run is replayed through the stock SLO
+    rule set and summarised as the ``observe top`` dashboard.
     """
-    monitor = ledger = None
-    if args.top:
-        from repro.observability import (
-            AlertLedger,
-            SloMonitor,
-            simulation_slos,
-        )
-
-        ledger = AlertLedger()
-        monitor = SloMonitor(OBS.metrics, simulation_slos(), ledger=ledger)
-        OBS.slo = monitor
-    status = cmd_simulate(args)
+    traces, result = _simulate(args, collect_timelines=args.top)
     print()
-    if monitor is not None:
-        from repro.observability import render_top
+    if args.top:
+        from repro.observability import SloMonitor, render_top, simulation_slos
+        from repro.report import replay_slos
 
-        monitor.drain(_scale(args).settings().eval_end)
-        OBS.slo = None
+        monitor = SloMonitor(OBS.metrics, simulation_slos())
+        replay_slos(result, traces, monitor)
         print(render_top(
             OBS.metrics,
-            ledger=ledger,
+            ledger=monitor.ledger,
             title=f"{args.region} {args.policy} observe top",
         ))
     else:
@@ -432,7 +428,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
     if spans:
         total_ms = max(s.start_ns + s.duration_ns for s in spans) / 1e6
         print(f"\n{len(spans)} spans recorded over {total_ms:.1f} ms")
-    return status
+    return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -527,7 +523,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print("FAIL: SLO chaos scenario did not round-trip")
             return 1
         print(
-            "OK: alerts fired and cleared; streaming == batch totals "
+            "OK: alerts fired and cleared; replayed == batch totals "
             f"({result.trace_logins} logins, as counted from the traces)"
         )
         return 0

@@ -37,6 +37,7 @@ from repro.observability import (
 )
 from repro.observability.runtime import observed
 from repro.parallel import SweepExecutor
+from repro.report import replay_slos, slo_totals
 from repro.simulation.region import simulate_region
 from repro.workload.regions import RegionPreset
 
@@ -169,7 +170,7 @@ def run_chaos(
 @dataclass(frozen=True)
 class SloChaosResult:
     """Outcome of :func:`run_slo_chaos`: the alert ledger round trip and
-    the streaming-vs-batch KPI reconciliation."""
+    the replayed-vs-batch KPI reconciliation."""
 
     fast_window_s: int
     fault_window: Tuple[int, int]
@@ -179,10 +180,10 @@ class SloChaosResult:
     latency_fired_at: Optional[float]
     latency_cleared_at: Optional[float]
     alert_events: List[Dict[str, object]] = field(default_factory=list)
-    #: Streaming totals summed from the windowed ``slo.*`` series.
-    streaming: Dict[str, float] = field(default_factory=dict)
+    #: Totals of the windowed ``slo.*`` series the replay rebuilt.
+    replayed: Dict[str, int] = field(default_factory=dict)
     #: The same quantities from the simulator's ``KpiReport``.
-    report: Dict[str, float] = field(default_factory=dict)
+    report: Dict[str, int] = field(default_factory=dict)
     #: Logins counted straight from the traces' session starts in the
     #: evaluation window (independent of the engine's accounting).
     trace_logins: int = 0
@@ -210,16 +211,8 @@ class SloChaosResult:
     @property
     def equivalence_ok(self) -> bool:
         """Summed windowed series == KpiReport (== the traces, on logins)."""
-        s, r = self.streaming, self.report
-        return (
-            s["logins"] == r["logins"] == self.trace_logins
-            and s["reactive"] == r["reactive"]
-            and s["reactive_resume"] == r["reactive_resumes"]
-            and s["proactive_resume"] == r["proactive_resumes"]
-            and s["used_s"] == r["used_s"]
-            and s["unavailable_s"] == r["unavailable_s"]
-            and s["idle_s"] == r["idle_s"]
-        )
+        s, r = self.replayed, self.report
+        return s == r and s["logins"] == self.trace_logins
 
     @property
     def ok(self) -> bool:
@@ -242,7 +235,7 @@ class SloChaosResult:
             title=(
                 "SLO chaos: predictor outage + latency spike "
                 f"(roundtrip {'ok' if self.alert_roundtrip_ok else 'FAILED'}, "
-                f"streaming==batch {'ok' if self.equivalence_ok else 'FAILED'})"
+                f"replayed==batch {'ok' if self.equivalence_ok else 'FAILED'})"
             ),
         )
 
@@ -255,8 +248,10 @@ def run_slo_chaos(
 ) -> SloChaosResult:
     """Chaos scenario for the SLO pipeline (the alerting round trip).
 
-    Arms two scheduled faults against a proactive run watched by the
-    stock :func:`~repro.observability.slo.simulation_slos` rule set:
+    Arms two scheduled faults against a proactive run, then replays the
+    finished run through the stock
+    :func:`~repro.observability.slo.simulation_slos` rule set
+    (:func:`repro.report.replay_slos`):
 
     * ``predictor.exception`` at p=1.0 for the first two fast windows of
       the evaluation window -- every prediction fails, the predictor
@@ -267,16 +262,15 @@ def run_slo_chaos(
       disjoint window -- the ``predictor_latency_p99`` alert must fire
       and clear the same way.
 
-    The run also reconciles the streaming KPI series against the
+    The run also reconciles the replayed KPI series against the
     simulator's :class:`~repro.core.kpi.KpiReport`, and both login counts
     against the traces' own session starts in the evaluation window --
-    the streaming == batch equivalence this scenario exists to pin.
+    the replayed == batch equivalence this scenario exists to pin.
     """
     settings = scale.settings(
         use_fast_predictor=False,  # route predictions through the
         # instrumented reference predictor so the latency fault lands
-        region_label=preset.value,
-        slo_window_s=fast_window_s,
+        collect_timelines=True,
     )
     eval_start, eval_end = settings.eval_start, settings.eval_end
     # Both fault windows sit in business hours of the first evaluation
@@ -320,41 +314,11 @@ def run_slo_chaos(
         ledger=ledger,
     )
     with chaos(plan, seed=scale.seed):
-        with observed(tracer=NULL_TRACER, metrics=metrics, slo=monitor):
+        with observed(tracer=NULL_TRACER, metrics=metrics):
             result = simulate_region(
                 traces, PolicyKind.PROACTIVE, DEFAULT_CONFIG, settings
             )
-            monitor.drain(eval_end)
-
-    kpis = result.kpis()
-
-    def total(name: str) -> float:
-        series = metrics.get(name, labels)
-        return series.total() if series is not None else 0.0
-
-    streaming = {
-        "logins": total("slo.qos.logins"),
-        "reactive": total("slo.qos.reactive"),
-        "reactive_resume": total("slo.workflows.reactive_resume"),
-        "proactive_resume": total("slo.workflows.proactive_resume"),
-        "used_s": round(total("slo.cogs.used_s"), 6),
-        "unavailable_s": round(total("slo.cogs.unavailable_s"), 6),
-        "idle_s": round(total("slo.cogs.idle_s"), 6),
-    }
-    report = {
-        "logins": float(kpis.logins.total),
-        "reactive": float(kpis.logins.reactive),
-        "reactive_resumes": float(kpis.workflows.reactive_resumes),
-        "proactive_resumes": float(kpis.workflows.proactive_resumes),
-        "used_s": float(kpis.used_s),
-        "unavailable_s": float(kpis.unavailable_s),
-        "idle_s": float(
-            kpis.idle.logical_pause_s
-            + kpis.idle.correct_proactive_s
-            + kpis.idle.wrong_proactive_s
-            + kpis.maintenance_s
-        ),
-    }
+    replayed = replay_slos(result, traces, monitor)
     trace_logins = sum(
         1
         for trace in traces
@@ -386,7 +350,7 @@ def run_slo_chaos(
             }
             for event in ledger.events
         ],
-        streaming=streaming,
-        report=report,
+        replayed=replayed,
+        report=slo_totals(result.kpis()),
         trace_logins=trace_logins,
     )

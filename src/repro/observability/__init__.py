@@ -41,7 +41,6 @@ from repro.observability.runtime import OBS, disable, enable, observed
 from repro.observability.slo import (
     AlertEvent,
     AlertLedger,
-    KpiStream,
     SloMonitor,
     SloSpec,
     serving_slos,
@@ -87,7 +86,6 @@ __all__ = [
     "SloMonitor",
     "AlertEvent",
     "AlertLedger",
-    "KpiStream",
     "simulation_slos",
     "serving_slos",
     "render_openmetrics",

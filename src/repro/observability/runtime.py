@@ -30,15 +30,12 @@ from repro.observability.tracer import NULL_TRACER, NullTracer, Tracer
 class _Runtime:
     """The mutable singleton behind ``OBS``."""
 
-    __slots__ = ("enabled", "tracer", "metrics", "slo")
+    __slots__ = ("enabled", "tracer", "metrics")
 
     def __init__(self) -> None:
         self.enabled = False
         self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
         self.metrics: Optional[MetricsRegistry] = None
-        #: Optional :class:`repro.observability.slo.SloMonitor`; when set,
-        #: the engine event loops tick it so alerts evaluate continuously.
-        self.slo = None
 
 
 OBS = _Runtime()
@@ -47,19 +44,14 @@ OBS = _Runtime()
 def enable(
     tracer: Optional[Union[Tracer, NullTracer]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    slo=None,
 ) -> _Runtime:
     """Turn instrumentation on; returns the runtime for export access.
 
     Pass ``tracer=NULL_TRACER`` to collect metrics without span records
     (fleet-scale runs where per-event spans would dominate memory).
-    Pass ``slo=SloMonitor(...)`` to evaluate burn-rate alerts as the
-    clock advances; workers always start without one (alerting is the
-    parent's job, windows merge back with the registry).
     """
     OBS.tracer = Tracer() if tracer is None else tracer
     OBS.metrics = MetricsRegistry() if metrics is None else metrics
-    OBS.slo = slo
     OBS.enabled = True
     return OBS
 
@@ -69,18 +61,16 @@ def disable() -> None:
     OBS.enabled = False
     OBS.tracer = NULL_TRACER
     OBS.metrics = None
-    OBS.slo = None
 
 
 @contextmanager
 def observed(
     tracer: Optional[Union[Tracer, NullTracer]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    slo=None,
 ) -> Iterator[_Runtime]:
     """Enable observability for one block, restoring the prior state."""
-    previous = (OBS.enabled, OBS.tracer, OBS.metrics, OBS.slo)
+    previous = (OBS.enabled, OBS.tracer, OBS.metrics)
     try:
-        yield enable(tracer=tracer, metrics=metrics, slo=slo)
+        yield enable(tracer=tracer, metrics=metrics)
     finally:
-        OBS.enabled, OBS.tracer, OBS.metrics, OBS.slo = previous
+        OBS.enabled, OBS.tracer, OBS.metrics = previous

@@ -10,17 +10,13 @@ budget burns too fast.  This module is that monitoring plane:
   a fast and a slow window, Google-SRE style) or a **threshold** SLO (a
   statistic of one series vs a limit -- breaker state, p99 latency).
 * :class:`SloMonitor` -- evaluates every spec on window boundaries as
-  the clock advances (the engine event loops tick it through ``OBS.slo``),
+  the clock advances (the serving gateway ticks it live; a finished
+  simulation is replayed through it by :func:`repro.report.replay_slos`),
   applies hysteresis, and writes ``slo.*`` gauges back into the registry
   so the exposition layer exports alert state like any other metric.
 * :class:`AlertLedger` -- the append-only record of firing/cleared
   transitions; chaos scenarios assert against it ("the breaker opening
   raised ``predictor_unavailable`` within one fast window").
-* :class:`KpiStream` -- the bridge from the engines' KPI accounting to
-  windowed series: logins, reactive resumes, workflow counts, and the
-  used/idle/unavailable second ledgers, filtered to the same
-  ``[eval_start, eval_end)`` window as the batch ``KpiReport`` so the
-  windowed sums reconcile exactly with it.
 """
 
 from __future__ import annotations
@@ -205,7 +201,7 @@ class _AlertState:
 class SloMonitor:
     """Continuous evaluation of a set of :class:`SloSpec` rules.
 
-    ``maybe_evaluate(now)`` is safe to call per engine event: it is a
+    ``maybe_evaluate(now)`` is safe to call per event: it is a
     single comparison until the clock crosses the next evaluation
     boundary (the smallest fast window across the specs), at which point
     every spec is evaluated against its *complete* windows.  Evaluation
@@ -241,16 +237,6 @@ class SloMonitor:
         self._next_eval: Optional[float] = None
 
     # -- clock ----------------------------------------------------------
-    @property
-    def next_boundary(self) -> float:
-        """Next evaluation boundary (``-inf`` before the first alignment).
-
-        Hot event loops cache this in a local and test
-        ``time >= next_boundary`` so the steady-state cost of an armed
-        monitor is one float comparison per event, not a method call.
-        """
-        return self._next_eval if self._next_eval is not None else float("-inf")
-
     def maybe_evaluate(self, now: float) -> None:
         """Evaluate any window boundaries the clock has crossed."""
         if self._next_eval is None:
@@ -357,12 +343,9 @@ class SloMonitor:
                 return float(series.value_at(now))
             return float(series.sum_last(now, span))
         if isinstance(series, GaugeSeries):
-            if spec.stat == "max":
-                value = series.max_last(now, span)
-                if value is None:
-                    value = series.last
-            else:
-                value = series.last
+            value = series.max_last(now, span) if spec.stat == "max" else None
+            if value is None:
+                value = series.last_before(now)
             return float(value) if value is not None else 0.0
         if isinstance(series, HistogramSeries):
             if spec.stat.startswith("p"):
@@ -379,128 +362,6 @@ class SloMonitor:
             # for both labelled (fleet) and plain (single-region) runs.
             metric = self.registry.get(name)
         return metric
-
-
-class KpiStream:
-    """Streams the engines' KPI accounting into windowed series.
-
-    Attached to ``StoreAccounting``/``LeanAccounting``; every hook
-    applies the same ``[eval_start, eval_end)`` filter (and interval
-    clipping) as the offline ledger, so summed windows reconcile exactly
-    with ``KpiReport`` -- the streaming == batch equivalence the chaos
-    scenario asserts.
-    """
-
-    __slots__ = (
-        "eval_start",
-        "eval_end",
-        "logins",
-        "reactive",
-        "reactive_faulted",
-        "workflows",
-        "used_s",
-        "idle_s",
-        "unavailable_s",
-        "allocated_s",
-    )
-
-    WORKFLOW_KINDS = (
-        "proactive_resume",
-        "reactive_resume",
-        "logical_pause",
-        "physical_pause",
-        "maintenance_resume",
-    )
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        eval_start: float,
-        eval_end: float,
-        window_s: float = DEFAULT_WINDOW_S,
-        labels: Optional[Dict[str, str]] = None,
-        capacity: Optional[int] = None,
-    ):
-        if eval_end <= eval_start:
-            raise ProRPError("KpiStream needs eval_start < eval_end")
-        if capacity is None:
-            # Every evaluation window stays resident: sums over the run
-            # are then exact without touching the overflow aggregate.
-            capacity = int((eval_end - eval_start) // window_s) + 4
-        self.eval_start = eval_start
-        self.eval_end = eval_end
-
-        def counter(name: str) -> CounterSeries:
-            return registry.counter_series(
-                name, window_s=window_s, capacity=capacity, labels=labels
-            )
-
-        self.logins = counter("slo.qos.logins")
-        self.reactive = counter("slo.qos.reactive")
-        self.reactive_faulted = counter("slo.qos.reactive_faulted")
-        self.workflows = {
-            kind: counter(f"slo.workflows.{kind}")
-            for kind in self.WORKFLOW_KINDS
-        }
-        self.used_s = counter("slo.cogs.used_s")
-        self.idle_s = counter("slo.cogs.idle_s")
-        self.unavailable_s = counter("slo.cogs.unavailable_s")
-        self.allocated_s = counter("slo.cogs.allocated_s")
-
-    # -- hooks (mirrors of the accounting methods) ----------------------
-    def login(self, t: float, served: bool, faulted: bool = False) -> None:
-        if not self.eval_start <= t < self.eval_end:
-            return
-        self.logins.inc(t)
-        if not served:
-            self.reactive.inc(t)
-            if faulted:
-                self.reactive_faulted.inc(t)
-
-    def workflow(self, t: float, kind: str) -> None:
-        if not self.eval_start <= t < self.eval_end:
-            return
-        series = self.workflows.get(kind)
-        if series is not None:
-            series.inc(t)
-
-    def _interval(self, series: CounterSeries, start: float, end: float) -> None:
-        lo = max(start, self.eval_start)
-        hi = min(end, self.eval_end)
-        if hi > lo:
-            series.add_interval(lo, hi)
-            self.allocated_s.add_interval(lo, hi)
-
-    def used(self, start: float, end: float) -> None:
-        self._interval(self.used_s, start, end)
-
-    def idle(self, start: float, end: float) -> None:
-        self._interval(self.idle_s, start, end)
-
-    def unavailable(self, start: float, end: float) -> None:
-        self._interval(self.unavailable_s, start, end)
-
-    # -- reconciliation -------------------------------------------------
-    def totals(self) -> Dict[str, float]:
-        doc = {
-            "logins": self.logins.total(),
-            "reactive": self.reactive.total(),
-            "reactive_faulted": self.reactive_faulted.total(),
-            "used_s": round(self.used_s.total(), 6),
-            "idle_s": round(self.idle_s.total(), 6),
-            "unavailable_s": round(self.unavailable_s.total(), 6),
-            "allocated_s": round(self.allocated_s.total(), 6),
-        }
-        for kind, series in self.workflows.items():
-            doc[kind] = series.total()
-        return doc
-
-    def qos_percent(self) -> float:
-        """Streaming QoS, same definition as ``KpiReport.qos_percent``."""
-        logins = self.logins.total()
-        if logins == 0:
-            return 100.0
-        return 100.0 * (logins - self.reactive.total()) / logins
 
 
 def simulation_slos(
@@ -609,7 +470,6 @@ __all__ = [
     "AlertEvent",
     "AlertLedger",
     "SloMonitor",
-    "KpiStream",
     "simulation_slos",
     "serving_slos",
     "DEFAULT_FAST_BURN",

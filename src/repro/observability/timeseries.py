@@ -224,8 +224,8 @@ class GaugeSeries(_SeriesBase):
     """Per-window last-written value (breaker state, queue depth, ...).
 
     Within a window, later writes win; across windows the newest window
-    wins.  ``last`` is the newest value ever written, which is what the
-    threshold SLOs evaluate ("is the breaker open *right now*").
+    wins.  ``last`` is the newest value ever written; the threshold SLOs
+    evaluate ``last_before(now)`` ("was the breaker open *at now*").
     """
 
     __slots__ = ("overflow_idx", "overflow_value")
@@ -255,6 +255,18 @@ class GaugeSeries(_SeriesBase):
     def window_items(self) -> List[Tuple[Number, Number]]:
         return [(self.window_start(i), self.windows[i])
                 for i in sorted(self.windows)]
+
+    def last_before(self, now: Number) -> Optional[Number]:
+        """The newest complete window's value before ``now`` -- what
+        ``last`` read while the clock stood at ``now`` (writes at or
+        after ``now`` are ignored, so a finished run reads like a live one)."""
+        end_idx = self.index(now)
+        older = [idx for idx in self.windows if idx < end_idx]
+        if older:
+            return self.windows[max(older)]
+        if self.overflow_idx is not None and self.overflow_idx < end_idx:
+            return self.overflow_value
+        return None
 
     def max_last(self, now: Number, span_s: Number) -> Optional[Number]:
         """Max over the complete windows covering ``[now - span_s, now)``."""

@@ -17,18 +17,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.analysis import format_table
 from repro.analysis.archetype_report import archetype_breakdown, format_breakdown
 from repro.config import DEFAULT_CONFIG, ProRPConfig
 from repro.core.billing import billing_report
+from repro.core.kpi import KpiReport
+from repro.errors import SimulationError
 from repro.observability.console import sparkline
+from repro.observability.slo import SloMonitor
 from repro.simulation.region import (
     RegionSimulationResult,
     SimulationSettings,
     simulate_region,
 )
 from repro.simulation.results import bucket_event_times
-from repro.types import SECONDS_PER_HOUR, ActivityTrace
+from repro.types import SECONDS_PER_HOUR, ActivityTrace, AllocationState
 
 POLICY_ORDER = ("provisioned", "reactive", "proactive", "optimal")
 
@@ -131,6 +136,115 @@ def dashboard_series(
     for _, kind in _WORKFLOW_ROWS:
         series[kind] = result.workflow_counts_per_interval(kind, bucket_s)
     return series
+
+
+#: The windowed second ledger each allocation state's intervals feed;
+#: ``slo.cogs.allocated_s`` sums the three.
+_LEDGERS = {
+    AllocationState.ACTIVE: "slo.cogs.used_s",
+    AllocationState.IDLE_ALLOCATED: "slo.cogs.idle_s",
+    AllocationState.RESUMING: "slo.cogs.unavailable_s",
+}
+
+
+def replay_slos(
+    result: RegionSimulationResult,
+    traces: Sequence[ActivityTrace],
+    monitor: SloMonitor,
+) -> Dict[str, int]:
+    """Evaluate ``monitor``'s rules over a finished run, boundary by boundary.
+
+    Rebuilds the windowed QoS/COGS series over the evaluation window --
+    logins from the traces' session starts, reactive logins from the
+    starts of the result's ``RESUMING`` intervals, the second ledgers from
+    its allocation timelines (``collect_timelines=True``) -- and writes
+    them into ``monitor.registry``, beside the breaker and latency series
+    the run itself recorded, under the labels of the rules that read
+    them.  Then evaluates every window boundary from ``sim_start`` through
+    ``drain(eval_end)``.  Returns the rebuilt totals; raises
+    :class:`SimulationError` when the result has no timelines or the
+    totals disagree with ``result.kpis()``.
+    """
+    settings = result.settings
+    if not settings.collect_timelines:
+        raise SimulationError("replay_slos needs a run with collect_timelines=True")
+    lo, hi, width = settings.eval_start, settings.eval_end, monitor.eval_period_s
+    spans: Dict[AllocationState, List[List[int]]] = {state: [[], []] for state in _LEDGERS}
+    for outcome in result.outcomes:
+        for interval in outcome.timeline:
+            starts, ends = spans[interval.state]
+            starts.append(interval.start)
+            ends.append(interval.end)
+    first = lo // width
+    edges = np.arange(first, (hi - 1) // width + 2) * width
+    events = {
+        "slo.qos.logins": np.fromiter(
+            (session.start for trace in traces for session in trace.sessions),
+            dtype=np.int64,
+        ),
+        "slo.qos.reactive": np.asarray(
+            spans[AllocationState.RESUMING][0], dtype=np.int64
+        ),
+    }
+    windows: Dict[str, np.ndarray] = {}
+    for name, times in events.items():
+        times = times[(times >= lo) & (times < hi)]
+        windows[name] = np.bincount(
+            (times // width - first).astype(np.int64), minlength=len(edges) - 1
+        )
+    for state, name in _LEDGERS.items():
+        starts, ends = (np.clip(np.array(col, dtype=np.int64), lo, hi) for col in spans[state])
+        windows[name] = np.diff(_covered_before(starts, ends, edges))
+    windows["slo.cogs.allocated_s"] = sum(windows[name] for name in _LEDGERS.values())
+    totals = {name.split(".")[-1]: int(w.sum()) for name, w in windows.items()}
+    expected = slo_totals(result.kpis())
+    if totals != expected:
+        raise SimulationError(
+            f"replayed SLO totals {totals} disagree with the KPI report {expected}"
+        )
+
+    label_sets = {
+        tuple(sorted((spec.labels or {}).items()))
+        for spec in monitor.specs
+        if {spec.bad_series, spec.total_series, spec.series} & windows.keys()
+    }
+    for name, per_window in windows.items():
+        for labels in label_sets:
+            series = monitor.registry.counter_series(
+                name, window_s=width, capacity=len(edges), labels=dict(labels)
+            )
+            for offset in np.flatnonzero(per_window).tolist():
+                series.inc((first + offset) * width, per_window[offset].item())
+    monitor.maybe_evaluate(settings.sim_start)
+    monitor.drain(hi)
+    return totals
+
+
+def slo_totals(kpis: KpiReport) -> Dict[str, int]:
+    """The totals of the windowed series :func:`replay_slos` rebuilds, as
+    the KPI report states them (idle seconds include maintenance holds)."""
+    idle_s = kpis.idle.total_s + kpis.maintenance_s
+    return {
+        "logins": kpis.logins.total,
+        "reactive": kpis.logins.reactive,
+        "used_s": kpis.used_s,
+        "idle_s": idle_s,
+        "unavailable_s": kpis.unavailable_s,
+        "allocated_s": kpis.used_s + idle_s + kpis.unavailable_s,
+    }
+
+
+def _covered_before(starts: np.ndarray, ends: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Seconds of the intervals ``[starts, ends)`` that lie before each of
+    ``at``: ``sum(clip(t - start, 0, end - start))``, from one sort and
+    one prefix sum per column."""
+    covered = np.zeros(len(at), dtype=np.int64)
+    for column, sign in ((starts, 1), (ends, -1)):
+        column = np.sort(column)
+        prefix = np.concatenate(([0], np.cumsum(column)))
+        before = np.searchsorted(column, at)
+        covered += sign * (at * before - prefix[before])
+    return covered
 
 
 def render_dashboard(

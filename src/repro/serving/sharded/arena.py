@@ -137,8 +137,7 @@ class SharedHistoryArena:
     """The shared CSR login store; one per sharded serving deployment.
 
     Build with :meth:`build` (router side, owns the segment and may
-    mutate) or :meth:`from_lean_history` (snapshot a simulated fleet);
-    attach with :meth:`attach` (worker side, read-only).  ``close``
+    mutate); attach with :meth:`attach` (worker side, read-only).  ``close``
     detaches; ``unlink`` (owner only) frees the segment.
     """
 
@@ -243,34 +242,6 @@ class SharedHistoryArena:
                 base = int(arena.offsets[i])
                 arena.logins[base : base + len(chunk)] = chunk
         return arena
-
-    @classmethod
-    def from_lean_history(
-        cls,
-        region: str,
-        history,
-        database_ids: Sequence[str],
-        paused: Sequence[bool],
-        slack: int = DEFAULT_SLACK,
-    ) -> "SharedHistoryArena":
-        """Snapshot a :class:`repro.simulation.fleet.LeanHistory` into an
-        arena for one region (the fleet-sim -> serving handoff).  Uses
-        the history's compacted CSR export so trim cursors and the
-        witness special case are resolved before workers ever look."""
-        offsets, logins = history.export_csr()
-        if len(database_ids) != history.n or len(paused) != history.n:
-            raise ConfigError(
-                "database_ids/paused must match the history's database count"
-            )
-        entries = [
-            (
-                database_ids[d],
-                logins[int(offsets[d]) : int(offsets[d + 1])],
-                bool(paused[d]),
-            )
-            for d in range(history.n)
-        ]
-        return cls.build({region: entries}, slack=slack)
 
     @classmethod
     def attach(cls, spec: ArenaSpec) -> "SharedHistoryArena":

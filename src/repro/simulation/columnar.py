@@ -103,7 +103,6 @@ from repro.simulation.region import (
     _build_breaker,
     _build_cluster,
     _build_fast_predictor,
-    _build_kpi_stream,
     _per_trace_setup,
     _start_resume_loop,
     _warm_history,
@@ -234,43 +233,27 @@ class ColumnarState:
 
 
 class StoreAccounting:
-    """Accounting seam over real :class:`DatabaseOutcome` objects.
+    """Accounting seam over real :class:`DatabaseOutcome` objects."""
 
-    ``stream`` (a :class:`repro.observability.slo.KpiStream`) mirrors the
-    KPI events into windowed SLO series as they happen; it only writes
-    metrics, so the outcome ledgers stay byte-identical with it attached.
-    """
-
-    def __init__(self, outcomes: List[DatabaseOutcome], stream=None):
+    def __init__(self, outcomes: List[DatabaseOutcome]):
         self.outcomes = outcomes
-        self.stream = stream
 
     def add_used(self, d: int, start: int, end: int) -> None:
         self.outcomes[d].add_used(start, end)
-        if self.stream is not None:
-            self.stream.used(start, end)
 
     def add_unavailable(self, d: int, start: int, end: int) -> None:
         self.outcomes[d].add_unavailable(start, end)
-        if self.stream is not None:
-            self.stream.unavailable(start, end)
 
     def add_idle(self, d: int, start: int, end: int, cause: str) -> None:
         self.outcomes[d].add_idle(start, end, cause)
-        if self.stream is not None:
-            self.stream.idle(start, end)
 
     def record_login(
         self, d: int, t: int, served: bool, faulted: bool = False
     ) -> None:
         self.outcomes[d].record_login(t, served=served, faulted=faulted)
-        if self.stream is not None:
-            self.stream.login(t, served, faulted)
 
     def record_workflow(self, d: int, t: int, kind: str) -> None:
         self.outcomes[d].record_workflow(t, kind)
-        if self.stream is not None:
-            self.stream.workflow(t, kind)
 
     def record_proactive_outcome(self, d: int, t: int, correct: bool) -> None:
         self.outcomes[d].record_proactive_outcome(t, correct=correct)
@@ -705,7 +688,7 @@ class ColumnarRegionEngine:
         members = [d] + candidates[old].tolist()
         instants = [now] + ats[old].tolist()
         predictions = self._park(members, self.config, instants)
-        self._follow_up(members, instants, predictions, now + SPECULATION_S)
+        self._follow_up(members, instants, predictions, now)
         prediction = self._unpark(d)
         if self._follow:
             self._promote(d, now)
@@ -716,7 +699,7 @@ class ColumnarRegionEngine:
         members: List[int],
         instants: List[int],
         predictions: List[PredictedActivity],
-        horizon: int,
+        now: int,
     ) -> None:
         """The follow-up round of a speculation batch.  An answer with
         ``start == end == instant`` makes Algorithm 1 re-decide at once:
@@ -725,13 +708,16 @@ class ColumnarRegionEngine:
         member at ``instant + 1`` over the same login view -- exact by the
         argument that covers every parked answer -- for ``_promote`` to
         park once the first answer is taken.  Only instants inside the
-        horizon (and the run) get one."""
-        limit = min(horizon, self.sim_end - 1)
+        batch's horizon (and the run) get one, and only for a member whose
+        next login comes after ``instant + 1``: a login by then cancels
+        the wake first (its event was scheduled earlier)."""
+        limit = min(now + SPECULATION_S, self.sim_end - 1)
         again = [
             i
             for i, (at, prediction) in enumerate(zip(instants, predictions))
             if prediction.start == prediction.end == at != NO_PREDICTION_SENTINEL
             and at < limit
+            and self._next_login(members[i], now) > at + 1
         ]
         if not again:
             return
@@ -742,6 +728,16 @@ class ColumnarRegionEngine:
         )
         for d, i, prediction in zip(ds, again, follow_ups):
             self._follow[d] = (instants[i], login_count[d], prediction)
+
+    def _next_login(self, d: int, now: int) -> int:
+        """``d``'s first login after ``now`` (``sim_end`` when none is
+        left): ``session_idx`` holds the running session of a resumed
+        database and the next one of a paused database."""
+        s = self.s
+        idx, stop = s.session_idx[d], s.sess_offsets[d + 1]
+        if idx < stop and s.sess_starts[idx] <= now:
+            idx += 1
+        return s.sess_starts[idx] if idx < stop else self.sim_end
 
     # -- settle-phase batching ---------------------------------------------
 
@@ -1225,12 +1221,6 @@ class ColumnarRegionEngine:
         buckets = self._buckets
         wake_epoch = self.s.wake_epoch
         obs_enabled = OBS.enabled
-        monitor = OBS.slo if obs_enabled else None
-        # Armed monitors cost one local float comparison per event; the
-        # method call happens only when the clock crosses a boundary.
-        next_eval = (
-            monitor.next_boundary if monitor is not None else float("inf")
-        )
         while times and times[0] <= end:
             time = heapq.heappop(times)
             bucket = buckets.pop(time)
@@ -1242,9 +1232,6 @@ class ColumnarRegionEngine:
                     with OBS.tracer.span("engine.event", t=time):
                         handlers[kind](d, time)
                     OBS.metrics.counter("engine.events_dispatched").inc()
-                    if time >= next_eval:
-                        monitor.maybe_evaluate(time)
-                        next_eval = monitor.next_boundary
                 else:
                     handlers[kind](d, time)
                 executed += 1
@@ -1352,7 +1339,7 @@ def simulate_region_columnar(
         sessions_to_csr(maintenance_lists),
         created_at,
         ids,
-        StoreAccounting(outcomes, stream=_build_kpi_stream(settings)),
+        StoreAccounting(outcomes),
         policy,
         config,
         settings,

@@ -48,7 +48,7 @@ from repro.simulation.columnar import (  # noqa: F401 (LeanMetadata: re-exported
     LeanMetadata,
     run_columnar_region,
 )
-from repro.simulation.region import SimulationSettings, _build_kpi_stream
+from repro.simulation.region import SimulationSettings
 from repro.storage.history import LeanHistory
 from repro.types import SECONDS_PER_DAY
 from repro.workload.fleetgen import DriftSpec, FleetShardSpec, FleetSlice
@@ -63,15 +63,9 @@ class LeanAccounting:
     :func:`repro.simulation.results.aggregate` only ever sums outcome
     fields, accumulating region totals per call yields the identical
     :class:`KpiReport` -- proven by the lean-vs-full equivalence tests.
-
-    ``stream`` (a :class:`repro.observability.slo.KpiStream`) mirrors the
-    KPI events into windowed SLO series as they happen; it only writes
-    metrics, so the accumulated totals stay byte-identical with it
-    attached.
     """
 
     __slots__ = (
-        "stream",
         "n",
         "eval_start",
         "eval_end",
@@ -93,11 +87,10 @@ class LeanAccounting:
         "wrong_proactive_resumes",
     )
 
-    def __init__(self, n: int, eval_start: int, eval_end: int, stream=None):
+    def __init__(self, n: int, eval_start: int, eval_end: int):
         self.n = n
         self.eval_start = eval_start
         self.eval_end = eval_end
-        self.stream = stream
         self.used_s = 0
         self.unavailable_s = 0
         self.maintenance_s = 0
@@ -122,20 +115,14 @@ class LeanAccounting:
         hi = end if end < self.eval_end else self.eval_end
         if hi > lo:
             self.used_s += hi - lo
-        if self.stream is not None:
-            self.stream.used(start, end)
 
     def add_unavailable(self, d: int, start: int, end: int) -> None:
         lo = start if start > self.eval_start else self.eval_start
         hi = end if end < self.eval_end else self.eval_end
         if hi > lo:
             self.unavailable_s += hi - lo
-        if self.stream is not None:
-            self.stream.unavailable(start, end)
 
     def add_idle(self, d: int, start: int, end: int, cause: str) -> None:
-        if self.stream is not None:
-            self.stream.idle(start, end)
         lo = start if start > self.eval_start else self.eval_start
         hi = end if end < self.eval_end else self.eval_end
         clipped = hi - lo if hi > lo else 0
@@ -155,8 +142,6 @@ class LeanAccounting:
     ) -> None:
         if not self.eval_start <= t < self.eval_end:
             return
-        if self.stream is not None:
-            self.stream.login(t, served, faulted)
         if served:
             self.logins_with_resources += 1
         else:
@@ -167,8 +152,6 @@ class LeanAccounting:
     def record_workflow(self, d: int, t: int, kind: str) -> None:
         if not self.eval_start <= t < self.eval_end:
             return
-        if self.stream is not None:
-            self.stream.workflow(t, kind)
         if kind == "proactive_resume":
             self.proactive_resumes += 1
         elif kind == "reactive_resume":
@@ -331,9 +314,7 @@ def simulate_fleet(
     _check_lean_supported(policy, settings)
 
     n = fleet.n
-    acct = LeanAccounting(
-        n, settings.eval_start, settings.eval_end, stream=_build_kpi_stream(settings)
-    )
+    acct = LeanAccounting(n, settings.eval_start, settings.eval_end)
     empty = np.empty(0, dtype=np.int64)
     engine, iterations = run_columnar_region(
         (fleet.sess_offsets, fleet.starts, fleet.ends),

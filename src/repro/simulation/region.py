@@ -85,13 +85,6 @@ class SimulationSettings:
     #: settle phase and speculation over the next hour); the actors scan
     #: per database.  The actors run only where a caller names them.
     engine: str = "columnar"
-    #: Region label attached to the live SLO streams (``region=...``);
-    #: empty means unlabelled series.  Purely observational: the KPI
-    #: ledgers are byte-identical with or without it.
-    region_label: str = ""
-    #: Window width (sim seconds) of the live SLO streams fed by the
-    #: columnar engines when observability is enabled.
-    slo_window_s: int = 900
     #: Predictor-bank policies (``repro.tuning.bank.BANK_POLICIES`` names)
     #: the proactive engines route predictions through; the empty tuple
     #: disables the bank entirely (the byte-identical baseline).  A bank
@@ -125,8 +118,6 @@ class SimulationSettings:
                         f"unknown predictor-bank policy {name!r} "
                         f"(known: {', '.join(BANK_POLICIES)})"
                     )
-        if self.slo_window_s <= 0:
-            raise SimulationError("slo_window_s must be positive")
         if self.engine not in ("columnar", "actor"):
             raise SimulationError(
                 f"unknown engine {self.engine!r} (choose 'columnar' or 'actor')"
@@ -294,22 +285,6 @@ def _build_bank(settings: SimulationSettings, config: ProRPConfig, proactive: bo
     from repro.tuning.bank import PredictorBank
 
     return PredictorBank(settings.predictor_bank, config)
-
-
-def _build_kpi_stream(settings: SimulationSettings):
-    """The live SLO stream the columnar accounting seams mirror KPI events
-    into, or None when observability is off."""
-    if not (OBS.enabled and OBS.metrics is not None):
-        return None
-    from repro.observability.slo import KpiStream
-
-    return KpiStream(
-        OBS.metrics,
-        settings.eval_start,
-        settings.eval_end,
-        window_s=settings.slo_window_s,
-        labels={"region": settings.region_label} if settings.region_label else None,
-    )
 
 
 def _per_trace_setup(

@@ -8,7 +8,6 @@ implements that index from scratch:
 * ``insert`` / ``delete`` / ``get`` in O(log n),
 * ``range_items(lo, hi)`` returning key-ordered items in O(log n + m),
 * ``min_key`` / ``max_key`` in O(log n),
-* ``delete_range`` in O(m log n): one range scan, then a delete per key,
 * ``from_sorted`` building a tree bottom-up from ascending items in O(n).
 
 Keys may be any totally ordered type; in this project they are integers
@@ -424,21 +423,6 @@ class BTree(Generic[K, V]):
         yield from self._range_node(
             node.children[stop], lo, hi, include_lo, include_hi
         )
-
-    def delete_range(
-        self,
-        lo: Optional[K] = None,
-        hi: Optional[K] = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> int:
-        """Delete every key in the range; returns the number deleted."""
-        doomed = [
-            key for key, _ in self.range_items(lo, hi, include_lo, include_hi)
-        ]
-        for key in doomed:
-            self.delete(key)
-        return len(doomed)
 
     # ------------------------------------------------------------------
     # Validation (used by tests)

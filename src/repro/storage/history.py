@@ -351,8 +351,7 @@ class LeanHistory:
     fails loudly instead of silently skewing predictions.
 
     The per-event methods index ``_<name>``, a memoryview of the numpy
-    column ``<name>``; :meth:`login_array` and :meth:`export_csr` slice
-    and mask the arrays themselves.
+    column ``<name>``; :meth:`login_array` slices the arrays itself.
     """
 
     _COLUMNS = (
@@ -497,32 +496,6 @@ class LeanHistory:
 
     def login_timestamps(self, d: int) -> Sequence[int]:
         return self.login_array(d).tolist()
-
-    def export_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(offsets, logins)``: a compacted CSR snapshot of every
-        database's *effective* login view.
-
-        The live layout keeps deleted-but-untrimmed slots and the
-        witness-before-cursor special case; the export materialises what
-        :meth:`login_array` would return for each database, back to back,
-        so a consumer (the serving tier's shared-memory arena) can slice
-        ``logins[offsets[d]:offsets[d+1]]`` with no per-read branching.
-        """
-        visible = self.top - self.k
-        witness_extra = self.witness_login & (self.k > 1)
-        counts = np.where(
-            self.witness_login & (self.k <= 1),
-            self.top,
-            visible + witness_extra,
-        ).astype(np.int64)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        out = np.empty(int(offsets[-1]), dtype=np.int64)
-        for d in range(self.n):
-            view = self.login_array(d)
-            base = int(offsets[d])
-            out[base : base + len(view)] = view
-        return offsets, out
 
     def store(self, d: int):
         raise SimulationError(

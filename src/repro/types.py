@@ -75,10 +75,6 @@ class Session:
         """Whether time point ``t`` falls inside the session."""
         return self.start <= t < self.end
 
-    def overlaps(self, other: "Session") -> bool:
-        """Whether this session shares any time point with ``other``."""
-        return self.start < other.end and other.start < self.end
-
 
 #: Sentinel meaning "no prediction": the paper encodes the absence of a
 #: predicted activity as ``nextActivity.start = 0`` (Algorithm 1, line 10).
@@ -243,16 +239,6 @@ class ActivityTrace:
                 break
             total += min(session.end, end) - max(session.start, start)
         return total
-
-    def slice(self, start: int, end: int) -> "ActivityTrace":
-        """Sessions clipped to ``[start, end)``, keeping the creation time."""
-        clipped: List[Session] = []
-        for session in self.sessions:
-            s = max(session.start, start)
-            e = min(session.end, end)
-            if e > s:
-                clipped.append(Session(s, e))
-        return ActivityTrace(self.database_id, clipped, created_at=self.created_at)
 
 
 def merge_sessions(sessions: Iterable[Session], gap: int = 0) -> List[Session]:

@@ -430,13 +430,16 @@ class TestBucketBatchesMatchActor:
         }
 
     @staticmethod
-    def _tiny_engine(n, logins):
-        """An engine over ``n`` session-less rows, each with the same old
-        history ``logins``."""
+    def _tiny_engine(n, logins, next_logins=()):
+        """An engine over ``n`` rows, each with the same old history
+        ``logins``; row ``d`` has one 60 s session from ``next_logins[d]``
+        when given, none otherwise."""
         offsets = np.zeros(n + 1, dtype=np.int64)
+        offsets[1:] = np.minimum(np.arange(1, n + 1), len(next_logins))
+        starts = np.array(next_logins, dtype=np.int64)
         state = ColumnarState(
-            n, offsets, offsets[:0], offsets[:0], offsets, offsets[:0],
-            offsets[:0], np.zeros(n, dtype=np.int64),
+            n, offsets, starts, starts + 60, np.zeros(n + 1, dtype=np.int64),
+            starts[:0], starts[:0], np.zeros(n, dtype=np.int64),
         )
 
         class History:
@@ -503,7 +506,7 @@ class TestBucketBatchesMatchActor:
         predictions = [PredictedActivity(at, at, 1.0) for at in instants]
         predictions[3] = PredictedActivity(now + 5, now + 6, 1.0)
         HOT_PATH.reset()
-        engine._follow_up(list(range(6)), instants, predictions, horizon)
+        engine._follow_up(list(range(6)), instants, predictions, now)
         assert HOT_PATH.batch_evals == 1 and HOT_PATH.batch_databases == 3
         oracle = FastPredictor(CONFIG)
         logins = engine.hist.login_array(0)
@@ -513,12 +516,29 @@ class TestBucketBatchesMatchActor:
         }
         engine._follow.clear()
         engine.sim_end = now + 8  # a wake at the end of the run never fires
-        engine._follow_up(list(range(6)), instants, predictions, horizon)
+        engine._follow_up(list(range(6)), instants, predictions, now)
         assert set(engine._follow) == {0}
         engine._follow.clear()
         HOT_PATH.reset()
-        engine._follow_up([3], [now + 5], [predictions[3]], horizon)
+        engine._follow_up([3], [now + 5], [predictions[3]], now)
         assert engine._follow == {} and HOT_PATH.batch_evals == 0
+
+    def test_no_follow_up_when_a_login_cancels_the_wake(self):
+        """A member whose next login comes by ``instant + 1`` gets no
+        follow-up: that login cancels the re-decided wake before it
+        refreshes, so the answer could never be taken."""
+        now = 3 * DAY
+        at = now + 5
+        # Row 3's session is running (its logout is the instant); row 4
+        # has none.  Neither has a login left.
+        engine, state = self._tiny_engine(
+            5, [now - 2 * DAY, now - DAY], [now + 3, at + 1, at + 2, now - 30]
+        )
+        predictions = [PredictedActivity(at, at, 1.0)] * 5
+        HOT_PATH.reset()
+        engine._follow_up(list(range(5)), [at] * 5, predictions, now)
+        assert set(engine._follow) == {2, 3, 4}
+        assert HOT_PATH.batch_databases == 3
 
 
 _SPEC_NOW = 3 * DAY
@@ -713,8 +733,8 @@ def test_follow_up_answers_the_immediate_re_decision(monkeypatch, taken_answers)
     follow_ups = []
     follow_up = ColumnarRegionEngine._follow_up
 
-    def record(self, members, instants, predictions, horizon):
-        follow_up(self, members, instants, predictions, horizon)
+    def record(self, members, instants, predictions, now):
+        follow_up(self, members, instants, predictions, now)
         for d, at in zip(members, instants):
             entry = self._follow.get(d)
             if entry is not None and entry[0] == at:

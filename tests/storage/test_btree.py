@@ -171,20 +171,6 @@ class TestRangeOperations:
         assert list(tree.range_items(11, 19)) == []
         assert list(tree.range_items(40, 50)) == []
 
-    def test_delete_range(self):
-        tree = self._tree(range(100))
-        deleted = tree.delete_range(10, 19)
-        assert deleted == 10
-        assert len(tree) == 90
-        assert list(tree.range_items(10, 19)) == []
-        tree.check_invariants()
-
-    def test_delete_range_exclusive(self):
-        tree = self._tree(range(10))
-        deleted = tree.delete_range(2, 5, include_lo=False, include_hi=False)
-        assert deleted == 2  # keys 3 and 4
-        assert [k for k, _ in tree.items()] == [0, 1, 2, 5, 6, 7, 8, 9]
-
 
 # ---------------------------------------------------------------------------
 # Property-based tests against a dict + sorted-list model
@@ -245,24 +231,6 @@ def test_range_items_matches_filter(keys, a, b):
         tree.insert(k, k)
     expected = sorted(k for k in keys if lo <= k <= hi)
     assert [k for k, _ in tree.range_items(lo, hi)] == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=500), unique=True, min_size=0, max_size=150),
-    st.integers(min_value=0, max_value=500),
-    st.integers(min_value=0, max_value=500),
-)
-def test_delete_range_matches_filter(keys, a, b):
-    lo, hi = min(a, b), max(a, b)
-    tree = BTree(order=4)
-    for k in keys:
-        tree.insert(k, k)
-    expected_remaining = sorted(k for k in keys if not (lo <= k <= hi))
-    deleted = tree.delete_range(lo, hi)
-    assert deleted == len(keys) - len(expected_remaining)
-    assert [k for k, _ in tree.items()] == expected_remaining
-    tree.check_invariants()
 
 
 # ---------------------------------------------------------------------------

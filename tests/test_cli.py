@@ -51,6 +51,19 @@ class TestCommands:
         assert "QoS % (logins served)" in out
         assert "reactive" in out
 
+    def test_observe_top_replays_the_slos(self, capsys):
+        code = main(
+            ["observe", "--databases", "30", "--eval-days", "1", "--top"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "QoS % (logins served)" in out
+        assert "== EU1 proactive observe top ==" in out
+        assert "-- alerts: none firing (3 fired / 3 cleared this run) --" in out
+        for series in ("slo.qos.logins", "slo.qos.reactive", "slo.cogs.idle_s"):
+            assert f"  {series} " in out
+        assert "slo.evaluations                              192" in out
+
     def test_simulate_with_knobs(self, capsys):
         code = main(
             [

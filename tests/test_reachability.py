@@ -43,6 +43,10 @@ ALLOWLIST = {
         "tests/core/test_lifecycle_policy.py",
     ),
     "repro.observability.slo.AlertLedger.is_firing": ("tests/test_slo.py",),
+    "repro.observability.timeseries.CounterSeries.add_interval": (
+        "tests/test_slo.py",
+        "tests/test_timeseries.py",
+    ),
     "repro.serving.batcher.MicroBatcher.pending_requests": (
         "tests/test_serving.py",
     ),

@@ -12,8 +12,8 @@ payloads and resume-scan orderings.  Two layers pin it:
 * a full multi-process test driving an actual 4-worker router and the
   single-process server through one mixed trace.
 
-Around that: the arena's CSR layout and single-writer contract, the
-``LeanHistory`` CSR export, consistent-hash stability, router
+Around that: the arena's CSR layout and single-writer contract,
+consistent-hash stability, router
 backpressure (typed ``Overloaded`` when every replica's window is
 full, typed ``Shutdown`` once stopped), breaker-gated worker respawn,
 no segment or process outliving ``stop()``, merged metrics exposition, and
@@ -26,7 +26,6 @@ import multiprocessing
 import os
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
@@ -64,7 +63,6 @@ from repro.serving.sharded import (
     SharedHistoryArena,
 )
 from repro.serving.sharded.worker import handle_pipelined
-from repro.simulation.fleet import LeanHistory
 from repro.types import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from tests.test_prediction_cache import CONFIG_VARIANTS
 
@@ -164,34 +162,6 @@ def test_arena_write_contract():
             arena.login_view("R0", "nope")
     finally:
         reader.close()
-        arena.close()
-        arena.unlink()
-
-
-def test_lean_history_export_feeds_arena():
-    # Two databases: one with three pre-sim sessions, one with one.
-    sess_offsets = np.array([0, 3, 4], dtype=np.int64)
-    starts = np.array([100, 500, 900, 300], dtype=np.int64)
-    ends = np.array([200, 600, 1000, 400], dtype=np.int64)
-    history = LeanHistory(
-        sess_offsets, starts, ends, sim_start=2000, history_days=30
-    )
-    offsets, logins = history.export_csr()
-    for d in range(history.n):
-        assert (
-            logins[int(offsets[d]) : int(offsets[d + 1])].tolist()
-            == history.login_array(d).tolist()
-        )
-    arena = SharedHistoryArena.from_lean_history(
-        "EU1", history, ["a", "b"], [True, False], slack=2
-    )
-    try:
-        assert (
-            arena.login_view("EU1", "a").tolist()
-            == history.login_array(0).tolist()
-        )
-        assert arena.views()["EU1"]["b"][1] is False
-    finally:
         arena.close()
         arena.unlink()
 

@@ -1,18 +1,21 @@
-"""SLO monitoring: burn-rate alerting, the KPI stream bridge, the
+"""SLO monitoring: burn-rate alerting, the replay of a finished run, the
 OpenMetrics exposition, and the chaos-scenario acceptance round trip."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
-from repro.errors import ProRPError
+from repro.config import DEFAULT_CONFIG
+from repro.core.policy import PolicyKind
+from repro.errors import ProRPError, SimulationError
 from repro.experiments.chaos import run_slo_chaos
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import ExperimentScale, region_fleet
 from repro.observability import (
     NULL_TRACER,
     AlertEvent,
     AlertLedger,
-    KpiStream,
+    CounterSeries,
     MetricsRegistry,
     SloMonitor,
     SloSpec,
@@ -21,7 +24,10 @@ from repro.observability import (
     serving_slos,
     simulation_slos,
 )
+from repro.report import replay_slos
 from repro.serving import HealthRequest, MetricsRequest, PredictionServer
+from repro.simulation.region import simulate_region
+from repro.types import ActivityTrace, AllocationState, Session
 from repro.workload.regions import RegionPreset
 
 W = 900
@@ -178,6 +184,34 @@ class TestThresholdAlerting:
         events = monitor.evaluate(4 * W)
         assert [e.state for e in events] == ["cleared"]
 
+    def test_gauge_last_ignores_writes_at_or_after_now(self):
+        # A finished run's gauge holds writes past every boundary; the
+        # stat reads the newest complete window before ``now``, as a
+        # live evaluation at ``now`` did.
+        registry = MetricsRegistry()
+        spec = SloSpec(
+            name="breaker_open",
+            kind="threshold",
+            series="breaker.predictor.state.window",
+            stat="last",
+            limit=1.0,
+            fast_window_s=W,
+            slow_window_s=W,
+        )
+        monitor = SloMonitor(registry, (spec,))
+        gauge = registry.gauge_series(
+            "breaker.predictor.state.window", window_s=W
+        )
+        gauge.set(100, 0)
+        gauge.set(2 * W, 1)  # breaker opens at the first boundary below
+        gauge.set(3 * W + 5, 0)  # re-closes after the second
+        assert gauge.last == 0
+        assert monitor.evaluate(2 * W) == []
+        assert registry.gauge("slo.breaker_open.value").value == 0
+        events = monitor.evaluate(3 * W)
+        assert [e.state for e in events] == ["firing"]
+        assert events[0].value == 1.0
+
     def test_histogram_percentile_threshold(self):
         registry = MetricsRegistry()
         spec = SloSpec(
@@ -217,14 +251,15 @@ class TestEvaluationClock:
 
     def test_aligns_then_evaluates_crossed_boundaries(self):
         registry, monitor = self._monitor()
-        assert monitor.next_boundary == float("-inf")
         monitor.maybe_evaluate(100)  # aligns; never evaluates the
-        assert monitor.next_boundary == W  # partial birth window
-        monitor.maybe_evaluate(850)
+        monitor.maybe_evaluate(850)  # partial birth window
         assert registry.counter("slo.evaluations").value == 0
         monitor.maybe_evaluate(2000)  # crosses 900 and 1800
         assert registry.counter("slo.evaluations").value == 2
-        assert monitor.next_boundary == 2700
+        monitor.maybe_evaluate(2699)
+        assert registry.counter("slo.evaluations").value == 2
+        monitor.maybe_evaluate(2700)
+        assert registry.counter("slo.evaluations").value == 3
 
     def test_drain_flushes_the_partial_window(self):
         registry, monitor = self._monitor()
@@ -262,34 +297,115 @@ class TestAlertLedger:
 
 
 # ----------------------------------------------------------------------
-# KPI stream bridge
+# Replay of a finished run
 # ----------------------------------------------------------------------
 
+SMALL = ExperimentScale(n_databases=30, eval_days=1)
 
-class TestKpiStream:
-    def test_filters_and_clips_to_the_evaluation_window(self):
-        registry = MetricsRegistry()
-        stream = KpiStream(registry, eval_start=1000, eval_end=10000,
-                           window_s=W)
-        stream.login(500, served=True)  # before the window: dropped
-        stream.login(1000, served=True)
-        stream.login(2000, served=False, faulted=True)
-        stream.login(10000, served=False)  # at eval_end: dropped
-        stream.workflow(2000, "reactive_resume")
-        stream.workflow(2000, "not_a_workflow")  # unknown kind: ignored
-        stream.used(0, 2000)  # clipped to [1000, 2000)
-        stream.idle(9500, 12000)  # clipped to [9500, 10000)
-        totals = stream.totals()
-        assert totals["logins"] == 2
-        assert totals["reactive"] == 1
-        assert totals["reactive_faulted"] == 1
-        assert totals["reactive_resume"] == 1
-        assert totals["used_s"] == 1000
-        assert totals["idle_s"] == 500
-        assert totals["allocated_s"] == 1500
-        assert stream.qos_percent() == 50.0
-        with pytest.raises(ProRPError):
-            KpiStream(registry, eval_start=10, eval_end=10)
+
+def _run(traces, **settings):
+    return simulate_region(
+        traces,
+        PolicyKind.PROACTIVE,
+        DEFAULT_CONFIG,
+        SMALL.settings(collect_timelines=True, **settings),
+    )
+
+
+def _ledger(monitor):
+    return [(e.time, e.name, e.state) for e in monitor.ledger.events]
+
+
+class TestReplaySlos:
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        traces = region_fleet(RegionPreset.EU1, SMALL)
+        return traces, _run(traces)
+
+    def test_filters_and_clips_to_the_evaluation_window(self, fleet):
+        # The vectorised window sums equal the per-interval reference on
+        # windows that straddle both ends of [eval_start, eval_end): logins
+        # outside it are dropped, intervals clipped, the last partial
+        # window evaluated.
+        traces, result = fleet
+        settings = result.settings
+        lo, hi, width = settings.eval_start, settings.eval_end, 1000
+        assert lo % width and hi % width
+        outside = ActivityTrace(
+            "outside", [Session(lo - 10, lo - 5), Session(hi, hi + 5)]
+        )
+        monitor = SloMonitor(
+            MetricsRegistry(), simulation_slos(), eval_period_s=width
+        )
+        totals = replay_slos(result, traces + [outside], monitor)
+        reference = {
+            name: CounterSeries(name, window_s=width)
+            for name in ("logins", "reactive", "used_s", "idle_s",
+                         "unavailable_s", "allocated_s")
+        }
+        for trace in traces:
+            for session in trace.sessions:
+                if lo <= session.start < hi:
+                    reference["logins"].inc(session.start)
+        ledger = {
+            AllocationState.ACTIVE: "used_s",
+            AllocationState.IDLE_ALLOCATED: "idle_s",
+            AllocationState.RESUMING: "unavailable_s",
+        }
+        clipped = 0
+        for outcome in result.outcomes:
+            for interval in outcome.timeline:
+                start, end = max(interval.start, lo), min(interval.end, hi)
+                clipped += (start, end) != (interval.start, interval.end)
+                if interval.state is AllocationState.RESUMING and lo <= interval.start < hi:
+                    reference["reactive"].inc(interval.start)
+                for name in (ledger[interval.state], "allocated_s"):
+                    reference[name].add_interval(start, end)
+        assert clipped > 0  # the warm-up lead reaches into the window
+        for name, series in reference.items():
+            group = "qos" if name in ("logins", "reactive") else "cogs"
+            replayed = monitor.registry.get(f"slo.{group}.{name}")
+            assert replayed.windows == series.windows, name
+            assert totals[name] == series.total()
+        assert totals["logins"] == result.kpis().logins.total > 0
+        assert totals["reactive"] > 0
+        first = (settings.sim_start // width + 1) * width
+        boundaries = len(range(first, hi + 1, width)) + 1  # + partial at hi
+        assert monitor.registry.counter("slo.evaluations").value == boundaries
+
+    def test_refuses_a_result_without_timelines(self, fleet):
+        traces, result = fleet
+        bare = dataclasses.replace(
+            result,
+            settings=dataclasses.replace(result.settings, collect_timelines=False),
+        )
+        monitor = SloMonitor(MetricsRegistry(), simulation_slos())
+        with pytest.raises(SimulationError, match="collect_timelines"):
+            replay_slos(bare, traces, monitor)
+
+    def test_refuses_totals_that_disagree_with_the_kpis(self, fleet):
+        traces, result = fleet
+        lo, hi = result.settings.eval_start, result.settings.eval_end
+        busy = next(
+            i for i, trace in enumerate(traces)
+            if any(lo <= session.start < hi for session in trace.sessions)
+        )
+        monitor = SloMonitor(MetricsRegistry(), simulation_slos())
+        with pytest.raises(SimulationError, match="disagree"):
+            replay_slos(result, traces[:busy] + traces[busy + 1:], monitor)
+        assert len(monitor.registry) == 0  # refused before writing
+
+    def test_columnar_and_actor_results_replay_to_one_ledger(self, fleet):
+        traces, columnar = fleet
+        actor = _run(traces, engine="actor")
+        ledgers, totals = [], []
+        for result in (columnar, actor):
+            monitor = SloMonitor(MetricsRegistry(), simulation_slos())
+            totals.append(replay_slos(result, traces, monitor))
+            ledgers.append(_ledger(monitor))
+        assert ledgers[0] == ledgers[1]
+        assert totals[0] == totals[1]
+        assert any(name == "qos_violation" for _, name, _ in ledgers[0])
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +533,9 @@ class TestSloChaosScenario:
         # Streaming windowed sums == simulator KPI report == the traces'
         # own login count (exact, not approximate).
         assert result.equivalence_ok
-        assert result.streaming["logins"] == result.report["logins"]
+        assert result.replayed["logins"] == result.report["logins"]
         assert result.trace_logins == result.report["logins"] > 0
-        assert result.streaming["used_s"] == result.report["used_s"]
+        assert result.replayed["used_s"] == result.report["used_s"]
         assert result.ok
         states = [
             (e["name"], e["state"])
@@ -428,3 +544,27 @@ class TestSloChaosScenario:
         ]
         assert states[0] == ("predictor_unavailable", "firing")
         assert states[-1] == ("predictor_unavailable", "cleared")
+
+    def test_deterministic_transitions_match_the_live_monitor(self):
+        # The ledger the engine-ticked live monitor wrote on this fleet,
+        # before the replay replaced it.  predictor_latency_p99 reads
+        # wall-clock latencies, so only the other rules are pinned.
+        live = [
+            (2768400, "qos_violation", "firing"),
+            (2770200, "qos_violation", "cleared"),
+            (2786400, "qos_violation", "firing"),
+            (2788200, "qos_violation", "cleared"),
+            (2800800, "predictor_unavailable", "firing"),
+            (2801700, "qos_violation", "firing"),
+            (2804400, "qos_violation", "cleared"),
+            (2804400, "predictor_unavailable", "cleared"),
+            (2808000, "qos_violation", "firing"),
+            (2809800, "qos_violation", "cleared"),
+        ]
+        result = run_slo_chaos(scale=SMALL, preset=RegionPreset.EU1)
+        replayed = [
+            (e["time"], e["name"], e["state"])
+            for e in result.alert_events
+            if e["name"] != "predictor_latency_p99"
+        ]
+        assert replayed == live

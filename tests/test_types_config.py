@@ -36,10 +36,6 @@ class TestSession:
         with pytest.raises(TraceError):
             Session(10, 5)
 
-    def test_overlaps(self):
-        assert Session(0, 10).overlaps(Session(5, 15))
-        assert not Session(0, 10).overlaps(Session(10, 20))
-
 
 class TestHistoryEvent:
     def test_negative_timestamp_rejected(self):
@@ -106,12 +102,6 @@ class TestActivityTrace:
     def test_active_seconds_clipping(self):
         trace = ActivityTrace("t", [Session(0, 100), Session(200, 300)])
         assert trace.active_seconds(50, 250) == 50 + 50
-
-    def test_slice(self):
-        trace = ActivityTrace("t", [Session(0, 100), Session(200, 300)])
-        clipped = trace.slice(50, 250)
-        assert [(s.start, s.end) for s in clipped] == [(50, 100), (200, 250)]
-        assert clipped.created_at == trace.created_at
 
     def test_span_empty_trace(self):
         trace = ActivityTrace("t", [], created_at=42)
